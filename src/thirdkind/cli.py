@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 construction failure
 (empty band, refinement budget exhausted), 3 numerical failure (failed
-checks, near-singular or degenerate systems, quadrature rejection).
+checks, near-singular or degenerate systems).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     EmptyBandError,
     NearSingularError,
     NotBisectableError,
-    QuadratureInsufficientError,
     ToleranceUnreachableError,
 )
 from .kernels import eval_kernel
@@ -37,7 +36,8 @@ from .serialize import (
     write_kernel_grid_csv,
     write_matrix_csv,
 )
-from .solvers import ThirdKindProblem, reduce_problem
+# unused here, but perfbench/tracer.py lists this module as a site binding it
+from .solvers import reduce_problem  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -45,11 +45,7 @@ EXIT_CONSTRUCTION = 2
 EXIT_NUMERICAL = 3
 
 _CONSTRUCTION_ERRORS = (EmptyBandError, ToleranceUnreachableError, NotBisectableError)
-_NUMERICAL_ERRORS = (
-    NearSingularError,
-    DegenerateSystemError,
-    QuadratureInsufficientError,
-)
+_NUMERICAL_ERRORS = (NearSingularError, DegenerateSystemError)
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -101,17 +97,13 @@ def cmd_reduce(config: RunConfig, args) -> int:
     write_json(out / "sequence.json", run.sequence.to_report())
     write_grid_function_csv(out / "phi.csv", run.phi.values)
 
-    # the matrices do not depend on lambda; compute and write them once
-    problem = ThirdKindProblem.manufactured(
-        run.coefficient, run.kernel, run.config.lambdas[0], run.phi
-    )
-    pencil, _ = reduce_problem(problem, config.alpha, run.sequence, run.surrogate)
-    write_matrix_csv(out / "a0.csv", pencil.a0)
-    write_matrix_csv(out / "a.csv", pencil.a)
+    # the matrices do not depend on lambda; the run built them once
+    write_matrix_csv(out / "a0.csv", run.pencil.a0)
+    write_matrix_csv(out / "a.csv", run.pencil.a)
 
     probes = np.linspace(-config.probe_bound, config.probe_bound, config.probe_points)
     for idx, lam in enumerate(config.lambdas):
-        pk = pencil.pencil_kernel(lam)
+        pk = run.pencil.pencil_kernel(lam)
         for i, j in ((0, 0), (1, 0), (0, 1)):
             samples = eval_kernel(pk, i, j, probes, probes)
             write_kernel_grid_csv(

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .hermite import Multiplier
 from .measure import GridFunction, GridKernel, MeasureSpace
 from .serialize import read_grid_function_csv, read_matrix_csv
 
@@ -30,7 +29,6 @@ _TOP_KEYS = {
     "basis_size",
     "coefficient",
     "kernel",
-    "multiplier",
     "probe",
     "cutoff",
     "seed",
@@ -95,7 +93,6 @@ class RunConfig:
     basis_size: int | str
     coefficient: dict
     kernel: dict
-    multiplier: dict
     probe_bound: float
     probe_points: int
     cutoff: float
@@ -170,8 +167,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
     coefficient = need("coefficient")
     kernel = need("kernel")
-    multiplier = raw.get("multiplier", {"kind": "gaussian"})
-    for name, spec in (("coefficient", coefficient), ("kernel", kernel), ("multiplier", multiplier)):
+    for name, spec in (("coefficient", coefficient), ("kernel", kernel)):
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError(f"{name} must be an object with a 'kind' key")
     coefficient = _rebase_csv_path(coefficient, base_dir)
@@ -192,7 +188,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         basis_size=basis_size,
         coefficient=dict(coefficient),
         kernel=dict(kernel),
-        multiplier=dict(multiplier),
         probe_bound=probe_bound,
         probe_points=probe_points,
         cutoff=cutoff,
@@ -233,11 +228,24 @@ def _scalar_builtin(spec: dict, where: str):
     raise ConfigError(f"{where}: unknown function kind {kind!r}")
 
 
+def _read_csv(reader, spec: dict, where: str) -> np.ndarray:
+    """Read a CSV input; unreadable, malformed or non-finite data is a ConfigError."""
+    if "path" not in spec:
+        raise ConfigError(f"{where}: a csv {where} needs a 'path'")
+    try:
+        values = reader(Path(spec["path"]))
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{where} CSV {spec['path']}: cannot read: {exc!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{where} CSV {spec['path']}: holds non-finite values")
+    return values
+
+
 def make_coefficient(spec: dict, space: MeasureSpace) -> GridFunction:
     """Sample a named coefficient built-in (or CSV file) on the grid."""
     kind = spec.get("kind")
     if kind == "csv":
-        values = read_grid_function_csv(Path(spec["path"]))
+        values = _read_csv(read_grid_function_csv, spec, "coefficient")
         if values.size != space.cell_count:
             raise ConfigError(
                 f"coefficient CSV holds {values.size} cells, grid needs {space.cell_count}"
@@ -253,7 +261,7 @@ def make_kernel(spec: dict, space: MeasureSpace) -> GridKernel:
     """Sample a named kernel built-in (or CSV matrix) at cell-center pairs."""
     kind = spec.get("kind")
     if kind == "csv":
-        entries = read_matrix_csv(Path(spec["path"]))
+        entries = _read_csv(read_matrix_csv, spec, "kernel")
         if entries.shape != (space.cell_count, space.cell_count):
             raise ConfigError("kernel CSV shape does not match the grid")
         return GridKernel(space, entries)
@@ -276,12 +284,3 @@ def make_kernel(spec: dict, space: MeasureSpace) -> GridKernel:
         return GridKernel(space, np.outer(a, np.conj(b)))
     raise ConfigError(f"kernel: unknown kind {kind!r}")
 
-
-def make_multiplier(spec: dict) -> Multiplier:
-    allowed = {"kind"}
-    if set(spec) - allowed:
-        raise ConfigError(f"multiplier: unknown keys {sorted(set(spec) - allowed)}")
-    try:
-        return Multiplier(spec.get("kind", "gaussian"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

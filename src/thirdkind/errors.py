@@ -40,10 +40,6 @@ class ToleranceUnreachableError(ThirdKindError):
         )
 
 
-class QuadratureInsufficientError(ThirdKindError):
-    """Quadrature rule failed its orthonormality self-check."""
-
-
 class NearSingularError(ThirdKindError):
     """Second-kind system matrix is numerically singular (lambda near a
     characteristic value). `condition` is the estimated condition number."""

@@ -23,30 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureInsufficientError
-
-GRAM_TOLERANCE = 1e-10
-
 
 def hermite_function_values(count: int, s) -> np.ndarray:
     """Values of u_0 .. u_{count-1} at the points s, shape (count, *s.shape)."""
     s = np.asarray(s, dtype=np.float64)
     out = np.empty((count,) + s.shape)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * s * s)
-    if count > 1:
-        out[1] = math.sqrt(2.0) * s * out[0]
-    for n in range(1, count - 1):
-        out[n + 1] = (
-            math.sqrt(2.0 / (n + 1)) * s * out[n]
-            - math.sqrt(n / (n + 1.0)) * out[n - 1]
-        )
-    return out
-
-
-def _hermite_polynomial_values(count: int, s: np.ndarray) -> np.ndarray:
-    """Orthonormalized Hermite polynomials u_n(s) * exp(s^2/2); same recurrence."""
-    out = np.empty((count,) + s.shape)
-    out[0] = math.pi ** -0.25
     if count > 1:
         out[1] = math.sqrt(2.0) * s * out[0]
     for n in range(1, count - 1):
@@ -151,27 +133,26 @@ class Multiplier:
         return math.pi ** 0.25
 
 
-def multiplier_matrix(
-    m: Multiplier, basis: SmoothBasis, quad_nodes: int | None = None
-) -> np.ndarray:
-    """Coefficient matrix M_pq = integral of m(s) u_q(s) u_p(s) ds.
+def multiplier_matrix(m: Multiplier, basis: SmoothBasis) -> np.ndarray:
+    """Coefficient matrix M_pq = integral of m(s) u_q(s) u_p(s) ds, exactly.
 
-    Gauss-Hermite quadrature on the weight exp(-s^2) implicit in u_p u_q.
-    Self-check: the same rule must reproduce the Gram identity of the basis
-    to 1e-10 (exact for quad_nodes >= size), else the rule is rejected.
+    Kind "one" gives the identity (the basis is orthonormal). For the
+    Gaussian, the generating function of integral e^{-3s^2/2} H_p H_q yields
+    M_00 = sqrt(2/3), M_0,q+1 = -(1/3) sqrt(q) M_0,q-1 / sqrt(q+1) and
+    M_p+1,q = ((2/3) sqrt(q) M_p,q-1 - (1/3) sqrt(p) M_p-1,q) / sqrt(p+1),
+    applied row by row. Every entry lies in [-1, 1], so nothing overflows.
     """
     n = basis.size
-    q = quad_nodes if quad_nodes is not None else 2 * n + 64
-    if q < n:
-        raise QuadratureInsufficientError(
-            f"{q} nodes cannot integrate products of {n} basis functions"
-        )
-    nodes, weights = np.polynomial.hermite.hermgauss(q)
-    h = _hermite_polynomial_values(n, nodes)
-    gram = (h * weights) @ h.T
-    defect = float(np.max(np.abs(gram - np.eye(n))))
-    if defect > GRAM_TOLERANCE:
-        raise QuadratureInsufficientError(
-            f"Gram self-check failed: defect {defect:.3e} with {q} nodes"
-        )
-    return (h * (weights * m.value(nodes))) @ h.T
+    if m.kind == "one":
+        return np.eye(n)
+    M = np.zeros((n, n))
+    M[0, 0] = math.sqrt(2.0 / 3.0)
+    for q in range(1, n - 1, 2):
+        M[0, q + 1] = -math.sqrt(q / (q + 1.0)) * M[0, q - 1] / 3.0
+    sqrt_q = np.sqrt(np.arange(1.0, n))
+    for p in range(n - 1):
+        M[p + 1, 1:] = (2.0 / 3.0) * sqrt_q * M[p, :-1]
+        if p:
+            M[p + 1] -= (math.sqrt(p) / 3.0) * M[p - 1]
+        M[p + 1] /= math.sqrt(p + 1.0)
+    return M

@@ -1,8 +1,9 @@
 """End-to-end orchestration shared by the CLI and the verification battery.
 
 One run: sample H and K on the grid, build the damping sequence (which may
-refine the grid), complete it to the paired unitary surrogate, manufacture
-a seeded random problem, reduce, and collect diagnostics per lambda.
+refine the grid), complete it to the paired unitary surrogate, reduce once
+to the lambda-free pencil (A0, A), and collect diagnostics per lambda on
+seeded manufactured problems against that one pencil.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .kernels import (
 )
 from .measure import (
     GridFunction,
-    GridKernel,
     IntegralOperator,
     MeasureSpace,
     MultiplicationOperator,
@@ -34,6 +34,7 @@ from .rademacher import KorotkovSequence, build_sequence
 from .reduction import UnitarySurrogate, matrix_elements
 from .solvers import (
     EquivalenceReport,
+    KernelPencil,
     ThirdKindProblem,
     reduce_problem,
     verify_equivalence,
@@ -55,9 +56,8 @@ class ReductionRun:
     space: MeasureSpace
     sequence: KorotkovSequence
     surrogate: UnitarySurrogate
-    coefficient: GridFunction
-    kernel: GridKernel
     phi: GridFunction
+    pencil: KernelPencil
     reports: list[EquivalenceReport]  # one per lambda, same order as config
 
 
@@ -79,90 +79,50 @@ def prepare(config: RunConfig):
     return seq.space, seq.coefficient, seq.kernel, seq, surrogate
 
 
+def _build_pencil(config: RunConfig, H, K, seq, surrogate, phi):
+    """The run's lambda-free pencil and, when alpha = 0, the Gaussian
+    multiplier matrix over its basis; both are built once per run."""
+    problem = ThirdKindProblem.manufactured(H, K, config.lambdas[0], phi)
+    pencil, _ = reduce_problem(problem, config.alpha, seq, surrogate)
+    m_matrix = None
+    if config.alpha == 0:
+        m_matrix = multiplier_matrix(Multiplier("gaussian"), pencil.basis)
+    return pencil, m_matrix
+
+
+def _equivalence_reports(
+    config: RunConfig, H, K, surrogate, phi, pencil, m_matrix
+) -> list[EquivalenceReport]:
+    """One report per lambda of the config, all against the one pencil."""
+    return [
+        verify_equivalence(
+            ThirdKindProblem(H, K, lam),
+            pencil,
+            surrogate,
+            phi,
+            probe_bound=config.probe_bound,
+            probe_points=config.probe_points,
+            cutoff=config.cutoff,
+            m_matrix=m_matrix,
+        )
+        for lam in config.lambdas
+    ]
+
+
 def run_reduction(config: RunConfig) -> ReductionRun:
     space, H, K, seq, surrogate = prepare(config)
     rng = np.random.default_rng(config.seed)
     phi = random_grid_function(rng, space)
-    reports = []
-    for lam in config.lambdas:
-        problem = ThirdKindProblem(H, K, lam)
-        reports.append(
-            verify_equivalence(
-                problem,
-                config.alpha,
-                seq,
-                surrogate,
-                phi,
-                probe_bound=config.probe_bound,
-                probe_points=config.probe_points,
-                cutoff=config.cutoff,
-            )
-        )
+    pencil, m_matrix = _build_pencil(config, H, K, seq, surrogate, phi)
     return ReductionRun(
         config=config,
         space=space,
         sequence=seq,
         surrogate=surrogate,
-        coefficient=H,
-        kernel=K,
         phi=phi,
-        reports=reports,
+        pencil=pencil,
+        reports=_equivalence_reports(config, H, K, surrogate, phi, pencil, m_matrix),
     )
-
-
-# ---------------------------------------------------------------------------
-# Randomized problem family for batch verification
-# ---------------------------------------------------------------------------
-
-def random_problem_instance(rng: np.random.Generator, depth: int) -> dict:
-    """Draw one problem from the built-in families.
-
-    The coefficient is affine with a root inside (0, 1) when alpha is taken
-    on its range, so the band construction always has material to work with.
-    """
-    offset = float(rng.uniform(-0.2, 0.2))
-    anchor = float(rng.uniform(0.15, 0.85))
-    alpha = anchor + offset  # on the essential range of y + offset
-    kernel_kind = rng.choice(["exp_xy", "product_xy", "constant", "rank_one"])
-    if kernel_kind == "exp_xy":
-        kernel_spec = {"kind": "exp_xy", "scale": float(rng.uniform(-1.0, 1.0))}
-    elif kernel_kind == "constant":
-        kernel_spec = {"kind": "constant", "value": float(rng.uniform(-2.0, 2.0))}
-    elif kernel_kind == "rank_one":
-        kernel_spec = {
-            "kind": "rank_one",
-            "left": {"kind": "exp", "scale": float(rng.uniform(-1.0, 1.0))},
-            "right": {"kind": "linear", "scale": 1.0, "offset": float(rng.uniform(0.0, 1.0))},
-        }
-    else:
-        kernel_spec = {"kind": "product_xy"}
-    lam_angle = rng.uniform(0, 2 * np.pi)
-    lam = 2.0 * rng.uniform(0, 1) * complex(np.cos(lam_angle), np.sin(lam_angle))
-    return {
-        "depth": depth,
-        "alpha": alpha,
-        "lambda": lam,
-        "coefficient": {"kind": "linear", "scale": 1.0, "offset": offset},
-        "kernel": kernel_spec,
-    }
-
-
-def build_problem_instance(instance: dict, count: int = 3, eps0: float = 0.25):
-    """Materialize a drawn instance: returns (H, K, sequence, surrogate)."""
-    space = build_space(instance["depth"])
-    H = make_coefficient(instance["coefficient"], space)
-    K = make_kernel(instance["kernel"], space)
-    seq = build_sequence(
-        H,
-        K,
-        instance["alpha"],
-        count,
-        eps0,
-        0.5,
-        depth_max=min(instance["depth"] + 6, 24),
-    )
-    surrogate = UnitarySurrogate.from_sequence(seq, seq.space, "full")
-    return seq.coefficient, seq.kernel, seq, surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -253,44 +213,30 @@ def run_verification(config: RunConfig) -> VerificationResult:
     add("unitary_isometry_defect", iso_defect, tol["gram_defect"])
     add("unitary_round_trip", trip_defect, tol["round_trip"])
 
+    phi = random_grid_function(rng, space)
+    pencil, m_matrix = _build_pencil(config, H, K, seq, surrogate, phi)
+
     # adjoint consistency of the coefficient matrices
-    b_basis = surrogate.b_functions
     mult = MultiplicationOperator(
         GridFunction(space, H.values - config.alpha)
     )
     integ = IntegralOperator(K)
-    for name, op in (("multiplication", mult), ("integral", integ)):
-        direct = matrix_elements(op, b_basis)
-        adj = matrix_elements(op.adjoint(), b_basis)
+    for name, op, direct in (("multiplication", mult, pencil.a0), ("integral", integ, pencil.a)):
+        adj = matrix_elements(op.adjoint(), surrogate.b_functions)
         add(
             f"adjoint_consistency_{name}",
             float(np.max(np.abs(adj - direct.conj().T))),
             tol["adjoint_defect"],
         )
+        del adj  # not kept into the per-lambda loop, where peak memory is set
 
     # manufactured problems per lambda
-    phi = random_grid_function(rng, space)
-    reports = []
-    pencil = None
-    for lam in config.lambdas:
-        problem = ThirdKindProblem(H, K, lam)
-        report = verify_equivalence(
-            problem,
-            config.alpha,
-            seq,
-            surrogate,
-            phi,
-            probe_bound=config.probe_bound,
-            probe_points=config.probe_points,
-            cutoff=config.cutoff,
-        )
-        reports.append(report)
-        add(f"passage_residual_lambda{len(reports) - 1}", report.passage_residual, tol["passage_residual"])
-        add(f"round_trip_lambda{len(reports) - 1}", report.round_trip_error, tol["round_trip"])
+    reports = _equivalence_reports(config, H, K, surrogate, phi, pencil, m_matrix)
+    for idx, report in enumerate(reports):
+        add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])
+        add(f"round_trip_lambda{idx}", report.round_trip_error, tol["round_trip"])
 
     # pencil affinity in lambda: same floating-point path, so exact
-    problem = ThirdKindProblem.manufactured(H, K, config.lambdas[0], phi)
-    pencil, _ = reduce_problem(problem, config.alpha, seq, surrogate)
     lam_probe = 0.37 + 0.21j
     affinity = np.max(
         np.abs(
@@ -343,8 +289,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
         add("hs_bound_slack", fk.bound_slack, 1e-9)
         # the multiplier's own damping profile is the deterministic decay
         # witness; the pipeline matrices' quarter maxima sit in the report
-        m_mat = multiplier_matrix(Multiplier("gaussian"), surrogate.basis)
-        first_q, last_q = adjoint_column_quarter_maxima(m_mat)
+        first_q, last_q = adjoint_column_quarter_maxima(m_matrix)
         add("multiplier_damping_decay_ratio", last_q / first_q, 1.0, strict_less=True)
         if fk.truncated_directions == 0:
             add("first_kind_recovery", fk.recovery_error, 1e-8)

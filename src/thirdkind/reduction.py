@@ -144,11 +144,3 @@ class UnitarySurrogate:
         if c.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {c.shape}")
         return GridFunction(self.space, self.b_matrix.T @ c)
-
-
-def apply_forward(U: UnitarySurrogate, phi: GridFunction) -> np.ndarray:
-    return U.forward(phi)
-
-
-def apply_inverse(U: UnitarySurrogate, coefficients: np.ndarray) -> GridFunction:
-    return U.inverse(coefficients)

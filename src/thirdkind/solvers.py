@@ -188,12 +188,7 @@ class FirstKindProblem:
         return self.m_matrix @ (self.pencil.a0 - lam * self.pencil.a)
 
 
-def make_first_kind(
-    pencil: KernelPencil,
-    m: Multiplier,
-    g: np.ndarray,
-    quad_nodes: int | None = None,
-) -> FirstKindProblem:
+def make_first_kind(pencil: KernelPencil, m: Multiplier, g: np.ndarray) -> FirstKindProblem:
     """Multiply the reduced equation through by the positive multiplier m.
 
     Requires alpha exactly 0 (otherwise the equation keeps its second-kind
@@ -202,7 +197,7 @@ def make_first_kind(
     """
     if pencil.alpha != 0:
         raise AlphaNotZeroError(f"alpha = {pencil.alpha} is not 0")
-    m_mat = multiplier_matrix(m, pencil.basis, quad_nodes)
+    m_mat = multiplier_matrix(m, pencil.basis)
     g = np.asarray(g, dtype=complex)
     if g.shape != (pencil.size,):
         raise ValueError(f"expected {pencil.size} coefficients, got {g.shape}")
@@ -315,25 +310,29 @@ def _relative(value: float, scale: float) -> float:
 
 def verify_equivalence(
     p: ThirdKindProblem,
-    alpha: complex,
-    seq: KorotkovSequence,
+    pencil: KernelPencil,
     U: UnitarySurrogate,
     phi: GridFunction,
     probe_bound: float = 8.0,
     probe_points: int = 41,
     cutoff: float = 1e-10,
+    m_matrix: np.ndarray | None = None,
 ) -> EquivalenceReport:
-    """Manufacture psi from phi, reduce, and measure every testable identity.
+    """Manufacture psi from phi and measure every testable identity.
 
+    `pencil` is the lambda-free reduction of (H, K) over U, built once per
+    run; only g = U psi and what depends on lambda are computed here.
     Reports the relative passage residual ||alpha f + (A0 - lambda A) f - g||
     at f = U phi, the forward/inverse round trip error, and pencil-kernel
     diagnostics over the probe grid. With alpha = 0 the first-kind section is
-    added: multiplied-system residual, Hilbert-Schmidt bound slack, adjoint
-    column decay, and the truncated-spectral recovery error.
+    added from `m_matrix`, the Gaussian multiplier matrix over pencil.basis:
+    multiplied-system residual, Hilbert-Schmidt bound slack, adjoint column
+    decay, and the truncated-spectral recovery error.
     """
-    psi = forward_third_kind(p, phi)
-    problem = ThirdKindProblem(p.coefficient, p.kernel, p.lam, psi)
-    pencil, g = reduce_problem(problem, alpha, seq, U)
+    alpha = pencil.alpha
+    if alpha == 0 and m_matrix is None:
+        raise ValueError("alpha = 0 needs the multiplier matrix of the pencil's basis")
+    g = U.forward(forward_third_kind(p, phi))
     f = U.forward(phi)
 
     lhs = alpha * f + (pencil.a0 - p.lam * pencil.a) @ f
@@ -342,8 +341,7 @@ def verify_equivalence(
     diff = GridFunction(p.space, round_trip_fn.values - phi.values)
     round_trip = _relative(diff.norm(), phi.norm())
 
-    system = pencil.system_matrix(p.lam)
-    condition = float(np.linalg.cond(system))
+    condition = float(np.linalg.cond(pencil.system_matrix(p.lam)))
 
     pk = pencil.pencil_kernel(p.lam)
     probes = probe_grid(probe_bound, probe_points)
@@ -354,7 +352,7 @@ def verify_equivalence(
     first_kind = None
     if alpha == 0:
         m = Multiplier("gaussian")
-        fk = make_first_kind(pencil, m, g)
+        fk = FirstKindProblem(pencil=pencil, multiplier=m, m_matrix=m_matrix, w=m_matrix @ g)
         fk_system = fk.system_matrix(p.lam)
         fk_residual = _relative(
             float(np.linalg.norm(fk_system @ f - fk.w)), float(np.linalg.norm(fk.w))

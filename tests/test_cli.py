@@ -99,6 +99,40 @@ class TestBuildSequenceCommand:
         assert report["error"]["type"] == "EmptyBand"
         assert report["error"]["band"] == 1
 
+    def test_multiplier_key_exit_one(self, tmp_path, capsys):
+        # the Gaussian multiplier is fixed; the key used to be parsed and ignored
+        cfg = write_config(tmp_path, multiplier={"kind": "gaussian"})
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_kernel_csv_with_nan_exit_one(self, tmp_path, capsys):
+        from thirdkind import build_space
+
+        c = build_space(6).centers()
+        entries = np.exp(np.outer(c, c))
+        entries[3, 5] = np.nan
+        write_matrix_csv(tmp_path / "k.csv", entries)
+        cfg = write_config(tmp_path, kernel={"kind": "csv", "path": "k.csv"})
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-finite" in err
+
+    def test_kernel_csv_odd_row_exit_one(self, tmp_path, capsys):
+        (tmp_path / "k.csv").write_text("1.0,0.0,2.0\n")
+        cfg = write_config(tmp_path, kernel={"kind": "csv", "path": "k.csv"})
+        code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "re/im pairs" in err
+
+    def test_missing_coefficient_csv_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, coefficient={"kind": "csv", "path": "absent.csv"})
+        code = main(["build-sequence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "cannot read" in capsys.readouterr().err
+
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"depth": "six"}')

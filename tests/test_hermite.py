@@ -9,7 +9,6 @@ from scipy.special import eval_hermite
 
 from thirdkind import (
     Multiplier,
-    QuadratureInsufficientError,
     SmoothBasis,
     basis_value,
     multiplier_matrix,
@@ -151,6 +150,30 @@ class TestMultiplierMatrix:
         M = multiplier_matrix(Multiplier("one"), SmoothBasis(10))
         assert np.max(np.abs(M - np.eye(10))) <= 1e-10
 
-    def test_insufficient_nodes_rejected(self):
-        with pytest.raises(QuadratureInsufficientError):
-            multiplier_matrix(Multiplier(), SmoothBasis(16), quad_nodes=8)
+    @pytest.mark.parametrize("n", [4, 16, 64, 128])
+    def test_recurrence_matches_gauss_hermite_oracle(self, n):
+        # independent route: Gauss-Hermite quadrature of the orthonormal
+        # Hermite polynomials, exact for these degrees; its weights stay
+        # finite only for moderate node counts, hence n <= 128
+        nodes, weights = np.polynomial.hermite.hermgauss(2 * n + 64)
+        h = np.empty((n, nodes.size))
+        h[0] = math.pi**-0.25
+        h[1] = math.sqrt(2.0) * nodes * h[0]
+        for k in range(1, n - 1):
+            h[k + 1] = (
+                math.sqrt(2.0 / (k + 1)) * nodes * h[k] - math.sqrt(k / (k + 1.0)) * h[k - 1]
+            )
+        assert np.max(np.abs((h * weights) @ h.T - np.eye(n))) <= 1e-10
+        oracle = (h * (weights * np.exp(-0.5 * nodes**2))) @ h.T
+        M = multiplier_matrix(Multiplier(), SmoothBasis(n))
+        assert np.max(np.abs(M - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_large_sizes_finite_symmetric_contractive(self, n):
+        # the quadrature this replaced returned NaN from n = 256 on
+        M = multiplier_matrix(Multiplier(), SmoothBasis(n))
+        assert np.all(np.isfinite(M))
+        np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-14)
+        spectrum = np.linalg.eigvalsh(M)
+        assert spectrum[0] >= -1e-14
+        assert spectrum[-1] < 1.0

@@ -13,8 +13,6 @@ from thirdkind import (
     MultiplicationOperator,
     SpaceMismatchError,
     UnitarySurrogate,
-    apply_forward,
-    apply_inverse,
     build_sequence,
     build_space,
     complete_basis,
@@ -161,7 +159,7 @@ class TestUnitarySurrogate:
         seq = three_band_sequence(6)
         U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
         b3 = U.b_functions[3]
-        c = apply_forward(U, b3)
+        c = U.forward(b3)
         expected = np.zeros(U.size)
         expected[3] = 1.0
         np.testing.assert_allclose(c, expected, atol=1e-12)
@@ -174,16 +172,16 @@ class TestUnitarySurrogate:
         for _ in range(10):
             phi = GridFunction(seq.space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             psi = GridFunction(seq.space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            lhs = np.vdot(apply_forward(U, psi), apply_forward(U, phi))
+            lhs = np.vdot(U.forward(psi), U.forward(phi))
             rhs = inner_product(phi, psi)
             assert abs(lhs - rhs) <= 1e-10 * phi.norm() * psi.norm()
 
     def test_zero_maps_to_zero(self):
         seq = three_band_sequence(6)
         U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
-        c = apply_forward(U, GridFunction.zero(seq.space))
+        c = U.forward(GridFunction.zero(seq.space))
         np.testing.assert_array_equal(c, 0.0)
-        back = apply_inverse(U, np.zeros(U.size, dtype=complex))
+        back = U.inverse(np.zeros(U.size, dtype=complex))
         np.testing.assert_array_equal(back.values, 0.0)
 
     def test_round_trip(self):
@@ -192,7 +190,7 @@ class TestUnitarySurrogate:
         rng = np.random.default_rng(22)
         n = seq.space.cell_count
         phi = GridFunction(seq.space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        back = apply_inverse(U, apply_forward(U, phi))
+        back = U.inverse(U.forward(phi))
         defect = GridFunction(seq.space, back.values - phi.values).norm()
         assert defect <= 1e-10 * phi.norm()
 
@@ -202,7 +200,7 @@ class TestUnitarySurrogate:
         e1 = np.zeros(U.size)
         e1[0] = 1.0
         np.testing.assert_allclose(
-            apply_inverse(U, e1).values, U.b_functions[0].values, atol=1e-14
+            U.inverse(e1).values, U.b_functions[0].values, atol=1e-14
         )
 
     def test_projected_mode_flagged(self):
@@ -217,7 +215,7 @@ class TestUnitarySurrogate:
         seq = three_band_sequence(6)
         U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
         with pytest.raises(ValueError):
-            apply_inverse(U, np.zeros(U.size - 1))
+            U.inverse(np.zeros(U.size - 1))
 
     def test_basis_size_below_sequence_rejected(self):
         seq = three_band_sequence(6)

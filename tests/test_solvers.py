@@ -20,6 +20,7 @@ from thirdkind import (
     build_space,
     forward_third_kind,
     make_first_kind,
+    multiplier_matrix,
     reduce_problem,
     solve_first_kind,
     solve_second_kind,
@@ -45,6 +46,13 @@ def build_chain(depth, alpha, kernel_factory=exp_kernel, bands=3, eps0=0.25):
     seq = build_sequence(H, K, alpha, bands, eps0, 0.5, depth_max=depth + 4)
     U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
     return seq.coefficient, seq.kernel, seq, U
+
+
+def chain_pencil(H, K, alpha, seq, U):
+    """The lambda-free pencil of (H, K) over U; the manufactured rhs is unused."""
+    p = ThirdKindProblem.manufactured(H, K, 0.0, GridFunction.zero(seq.space))
+    pencil, _ = reduce_problem(p, alpha, seq, U)
+    return pencil
 
 
 class TestForward:
@@ -231,7 +239,7 @@ class TestFirstKind:
         )
         m = Multiplier("one")
         g = np.arange(1.0, n + 1.0).astype(complex)
-        fp = make_first_kind(pencil, m, g, quad_nodes=2 * n + 32)
+        fp = make_first_kind(pencil, m, g)
         # M = I here, so the system is the identity for every cutoff
         for cutoff in (1e-12, 1e-6, 0.5):
             sol = solve_first_kind(fp, 0.0, cutoff)
@@ -285,7 +293,8 @@ class TestVerifyEquivalence:
     def test_zero_solution_zero_residuals(self):
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
         p = ThirdKindProblem(H, K, 1.0)
-        report = verify_equivalence(p, 0.25, seq, U, GridFunction.zero(seq.space))
+        pencil = chain_pencil(H, K, 0.25, seq, U)
+        report = verify_equivalence(p, pencil, U, GridFunction.zero(seq.space))
         assert report.passage_residual == 0.0
         assert report.round_trip_error == 0.0
 
@@ -294,7 +303,7 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(70)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem(H, K, 1.0)
-        report = verify_equivalence(p, 0.25, seq, U, phi)
+        report = verify_equivalence(p, chain_pencil(H, K, 0.25, seq, U), U, phi)
         assert report.passage_residual <= 1e-9
         assert report.round_trip_error <= 1e-9
         assert report.first_kind is None
@@ -304,7 +313,9 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(71)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem(H, K, 0.4)
-        report = verify_equivalence(p, 0.0, seq, U, phi)
+        pencil = chain_pencil(H, K, 0.0, seq, U)
+        m_matrix = multiplier_matrix(Multiplier(), pencil.basis)
+        report = verify_equivalence(p, pencil, U, phi, m_matrix=m_matrix)
         fk = report.first_kind
         assert fk is not None
         assert fk.residual <= 1e-9
@@ -315,7 +326,8 @@ class TestVerifyEquivalence:
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
         rng = np.random.default_rng(72)
         phi = random_grid_function(rng, seq.space)
-        report = verify_equivalence(ThirdKindProblem(H, K, 0.2), 0.25, seq, U, phi)
+        pencil = chain_pencil(H, K, 0.25, seq, U)
+        report = verify_equivalence(ThirdKindProblem(H, K, 0.2), pencil, U, phi)
         d = report.to_dict()
         for key in (
             "passage_residual",
@@ -329,7 +341,7 @@ class TestVerifyEquivalence:
             assert key in d
 
     def test_randomized_equivalence_battery(self):
-        from thirdkind.pipeline import build_problem_instance, random_problem_instance
+        from problem_family import build_problem_instance, random_problem_instance
 
         rng = np.random.default_rng(73)
         for _ in range(5):
@@ -337,5 +349,13 @@ class TestVerifyEquivalence:
             H, K, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
             p = ThirdKindProblem(H, K, inst["lambda"])
-            report = verify_equivalence(p, inst["alpha"], seq, U, phi)
+            pencil = chain_pencil(H, K, inst["alpha"], seq, U)
+            report = verify_equivalence(p, pencil, U, phi)
             assert report.passage_residual <= 1e-9
+
+    def test_alpha_zero_needs_multiplier_matrix(self):
+        H, K, seq, U = build_chain(5, alpha=0.0, bands=2)
+        pencil = chain_pencil(H, K, 0.0, seq, U)
+        phi = GridFunction.zero(seq.space)
+        with pytest.raises(ValueError, match="multiplier matrix"):
+            verify_equivalence(ThirdKindProblem(H, K, 0.4), pencil, U, phi)
