@@ -263,7 +263,9 @@ def absolute_tail_sup(
 
     The series is the canonical factorized one; the default tail starts at
     n = size/2. This is the finite-truncation observable standing in for
-    absolute/uniform convergence of the infinite expansion.
+    absolute/uniform convergence of the infinite expansion. Since
+    |w conj(v)| = |w| |v|, the tail sums over all probe pairs are one real
+    product |W_tail^T u_s|^T |V_tail^T u_t|.
     """
     fact = m_factorize(kernel.coefficient_matrix)
     n = kernel.basis.size
@@ -275,8 +277,8 @@ def absolute_tail_sup(
     u_t = kernel.basis.value_matrix(0, t).astype(complex)
     w_vals = fact.w_factor.T @ u_s  # (n, S)
     v_vals = fact.v_factor.T @ u_t  # (n, T)
-    tail = np.abs(w_vals[start:, :, None] * np.conj(v_vals[start:, None, :]))
-    return float(np.max(np.sum(tail, axis=0))) if tail.size else 0.0
+    sums = np.abs(w_vals[start:]).T @ np.abs(v_vals[start:])  # (S, T)
+    return float(np.max(sums)) if sums.size else 0.0
 
 
 def finite_difference_defect(

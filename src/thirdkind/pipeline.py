@@ -79,11 +79,11 @@ def prepare(config: RunConfig):
     return seq.space, seq.coefficient, seq.kernel, seq, surrogate
 
 
-def _build_pencil(config: RunConfig, H, K, seq, surrogate, phi):
+def _build_pencil(config: RunConfig, H, K, seq, surrogate):
     """The run's lambda-free pencil and, when alpha = 0, the Gaussian
     multiplier matrix over its basis; both are built once per run."""
-    problem = ThirdKindProblem.manufactured(H, K, config.lambdas[0], phi)
-    pencil, _ = reduce_problem(problem, config.alpha, seq, surrogate)
+    problem = ThirdKindProblem(H, K, config.lambdas[0])
+    pencil = reduce_problem(problem, config.alpha, seq, surrogate)
     m_matrix = None
     if config.alpha == 0:
         m_matrix = multiplier_matrix(Multiplier("gaussian"), pencil.basis)
@@ -113,7 +113,7 @@ def run_reduction(config: RunConfig) -> ReductionRun:
     space, H, K, seq, surrogate = prepare(config)
     rng = np.random.default_rng(config.seed)
     phi = random_grid_function(rng, space)
-    pencil, m_matrix = _build_pencil(config, H, K, seq, surrogate, phi)
+    pencil, m_matrix = _build_pencil(config, H, K, seq, surrogate)
     return ReductionRun(
         config=config,
         space=space,
@@ -214,7 +214,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
     add("unitary_round_trip", trip_defect, tol["round_trip"])
 
     phi = random_grid_function(rng, space)
-    pencil, m_matrix = _build_pencil(config, H, K, seq, surrogate, phi)
+    pencil, m_matrix = _build_pencil(config, H, K, seq, surrogate)
 
     # adjoint consistency of the coefficient matrices
     mult = MultiplicationOperator(

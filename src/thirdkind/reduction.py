@@ -7,6 +7,11 @@ coefficients of a grid function in {b_n} (interpreted as coefficients in
 {u_n}); the inverse synthesizes. In full truncation (basis size = cell
 count) the pairing is unitary up to rounding, so conjugated operators are
 represented exactly by their coefficient matrices a_mn = <S b_n, b_m>.
+
+Each e_n lives on one band, so outside the bands' union the completed basis
+is the cell indicators themselves. The completion sweeps only that union,
+and the pencil matrices read the indicator rows by gathering entries of
+H - alpha and K; only the rows supported on the bands take dense products.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .hermite import SmoothBasis
-from .measure import GridFunction, MeasureSpace
+from .measure import GridFunction, GridKernel, MeasureSpace
 from .rademacher import KorotkovSequence
 
 RANK_TOLERANCE = 1e-10
@@ -35,34 +40,57 @@ def complete_basis(
     The given functions come first; the tail is a Gram-Schmidt sweep over the
     normalized cell indicators in index order, skipping candidates already in
     the span (residual norm below 1e-10). Deterministic by construction.
+
+    The sweep only does work on the support S of the given functions: every
+    row built so far vanishes at a cell outside S, so that cell's indicator
+    is appended as it is, and the indicator of a cell in S is orthogonalized
+    in S coordinates against the rows supported there.
     """
     n = space.cell_count
     w = space.cell_width
-    basis = np.zeros((n, n), dtype=complex)
-    filled = 0
-    for f in functions:
+    start = np.zeros((len(functions), n), dtype=complex)
+    for i, f in enumerate(functions):
         if f.space != space:
             raise SpaceMismatchError("sequence function lives on a different grid")
-        basis[filled] = f.values
-        filled += 1
+        start[i] = f.values
+    filled = len(functions)
     if filled:
-        gram = w * (basis[:filled].conj() @ basis[:filled].T)
+        gram = w * (start.conj() @ start.T)
         if np.max(np.abs(gram - np.eye(filled))) > 1e-8:
             raise ValueError("starting family is not orthonormal")
 
+    support = np.flatnonzero(np.any(start != 0, axis=0))
+    position = np.full(n, -1)
+    position[support] = np.arange(support.size)
+    basis = np.zeros((n, n), dtype=complex)
+    basis[:filled] = start
+    # rows supported on S, in S coordinates
+    local = np.zeros((support.size, support.size), dtype=complex)
+    local[:filled] = start[:, support]
+    local_filled = filled
+
     scale = 1.0 / np.sqrt(w)
+    indicator = scale / (scale * np.sqrt(w))  # rounded as a swept candidate is
     for cell in range(n):
         if filled == n:
             break
-        v = np.zeros(n, dtype=complex)
-        v[cell] = scale
+        j = position[cell]
+        if j < 0:
+            basis[filled, cell] = indicator
+            filled += 1
+            continue
+        rows = local[:local_filled]
+        v = np.zeros(support.size, dtype=complex)
+        v[j] = scale
         for _ in range(2):  # modified Gram-Schmidt with one reorthogonalization
-            coeff = w * (basis[:filled].conj() @ v)
-            v -= basis[:filled].T @ coeff
+            coeff = w * (rows.conj() @ v)
+            v -= rows.T @ coeff
         residual = np.linalg.norm(v) * np.sqrt(w)
         if residual <= RANK_TOLERANCE:
             continue
-        basis[filled] = v / residual
+        local[local_filled] = v / residual
+        basis[filled, support] = local[local_filled]
+        local_filled += 1
         filled += 1
     assert filled == n, "indicators always complete the grid space"
     return [GridFunction(space, basis[i]) for i in range(n)]
@@ -72,7 +100,9 @@ def matrix_elements(op, b_basis: Sequence[GridFunction]) -> CoefficientMatrix:
     """Coefficient matrix a_mn = <S b_n, b_m> of an operator on the grid.
 
     `op` must expose apply(GridFunction) -> GridFunction over the basis's
-    space. The adjoint operator's matrix is the conjugate transpose.
+    space. The adjoint operator's matrix is the conjugate transpose. This is
+    the generic path, one operator application per basis function; see
+    `pencil_matrices` for the two operators of the reduction.
     """
     space = b_basis[0].space
     if getattr(op, "space", space) != space:
@@ -80,6 +110,53 @@ def matrix_elements(op, b_basis: Sequence[GridFunction]) -> CoefficientMatrix:
     stacked = np.array([b.values for b in b_basis])
     applied = np.array([op.apply(b).values for b in b_basis])
     return space.cell_width * (stacked.conj() @ applied.T)
+
+
+def pencil_matrices(
+    U: UnitarySurrogate, symbol: GridFunction, kernel: GridKernel
+) -> tuple[CoefficientMatrix, CoefficientMatrix]:
+    """Matrices of multiplication by `symbol` and of `kernel` over U's rows.
+
+    With B = U.b_matrix and w the cell measure these are
+    A0 = w conj(B) diag(symbol) B^T and A = w^2 conj(B) K B^T, equal to
+    `matrix_elements` of the two operators for any B. A row with a single
+    nonzero entry (an indicator) reads a scaled row of diag(symbol) B^T or
+    K B^T, which are gathers; the other rows take a dense product over
+    their joint column support. Without indicator rows that is the dense
+    product.
+    """
+    if symbol.space != U.space or kernel.space != U.space:
+        raise SpaceMismatchError("operators and surrogate live on different grids")
+    B = U.b_matrix
+    w = U.space.cell_width
+    single = np.count_nonzero(B, axis=1) == 1
+    ind_rows = np.flatnonzero(single)  # indicator rows
+    dense_rows = np.flatnonzero(~single)
+    cells = np.argmax(B[ind_rows] != 0, axis=1)
+    beta = B[ind_rows, cells]
+    dense_cols = np.flatnonzero(np.any(B[dense_rows] != 0, axis=0))
+    b_dense = B[np.ix_(dense_rows, dense_cols)]
+
+    def project(image) -> CoefficientMatrix:
+        # image(rows) returns the rows `rows` of S B^T
+        out = np.empty((B.shape[0], B.shape[0]), dtype=complex)
+        out[ind_rows] = (w * np.conj(beta))[:, None] * image(cells)
+        out[dense_rows] = w * (b_dense.conj() @ image(dense_cols))
+        out += 0.0  # a gathered -0.0 becomes the 0.0 a summed product gives
+        return out
+
+    d = symbol.values
+    K = kernel.entries
+
+    def kernel_image(rows: np.ndarray) -> np.ndarray:
+        out = np.empty((rows.size, B.shape[0]), dtype=complex)
+        out[:, ind_rows] = K[np.ix_(rows, cells)] * beta
+        out[:, dense_rows] = K[np.ix_(rows, dense_cols)] @ b_dense.T
+        return w * out
+
+    a0 = project(lambda rows: d[rows, None] * B[:, rows].T)
+    a = project(kernel_image)
+    return a0, a
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,8 +24,15 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _csv_float(x: float) -> str:
-    return f"{float(x):.17g}"
+def _float_pairs(values: np.ndarray) -> np.ndarray:
+    """Complex array as float64 (re, im) pairs along its last axis."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.float64)
+
+
+def _write_rows(path: Path, header: list[str], fmt: str, rows: np.ndarray) -> None:
+    """One C-level %-format per row of a float64 table, after the header."""
+    lines = header + [fmt % tuple(row) for row in rows.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def dump_json(obj, indent: int = 0) -> str:
@@ -70,15 +77,8 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    m = np.asarray(matrix, dtype=complex)
-    lines = []
-    for row in m:
-        cells = []
-        for z in row:
-            cells.append(_csv_float(z.real))
-            cells.append(_csv_float(z.imag))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    pairs = _float_pairs(matrix)
+    _write_rows(path, [], ",".join(["%.17g"] * pairs.shape[1]), pairs)
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:
@@ -93,11 +93,9 @@ def read_matrix_csv(path: Path) -> np.ndarray:
 
 
 def write_grid_function_csv(path: Path, values: np.ndarray) -> None:
-    vals = np.asarray(values, dtype=complex)
-    lines = ["cell_index,re,im"]
-    for i, z in enumerate(vals):
-        lines.append(f"{i},{_csv_float(z.real)},{_csv_float(z.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    pairs = _float_pairs(values).reshape(-1, 2)
+    rows = np.column_stack([np.arange(pairs.shape[0]), pairs])
+    _write_rows(path, ["cell_index,re,im"], "%d,%.17g,%.17g", rows)
 
 
 def read_grid_function_csv(path: Path) -> np.ndarray:
@@ -114,12 +112,8 @@ def read_grid_function_csv(path: Path) -> np.ndarray:
 def write_kernel_grid_csv(
     path: Path, s: np.ndarray, t: np.ndarray, samples: np.ndarray
 ) -> None:
-    lines = ["s,t,re,im"]
-    for i, sv in enumerate(np.asarray(s, dtype=float)):
-        for j, tv in enumerate(np.asarray(t, dtype=float)):
-            z = complex(samples[i, j])
-            lines.append(
-                f"{_csv_float(sv)},{_csv_float(tv)},"
-                f"{_csv_float(z.real)},{_csv_float(z.imag)}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    pairs = _float_pairs(samples).reshape(-1, 2)
+    rows = np.column_stack([np.repeat(s, t.size), np.tile(t, s.size), pairs])
+    _write_rows(path, ["s,t,re,im"], "%.17g,%.17g,%.17g,%.17g", rows)

@@ -29,14 +29,11 @@ from .kernels import (
     scale_by_multiplier,
     synthesize,
 )
-from .measure import (
-    GridFunction,
-    GridKernel,
-    IntegralOperator,
-    MultiplicationOperator,
-)
+from .measure import GridFunction, GridKernel
 from .rademacher import KorotkovSequence
-from .reduction import CoefficientMatrix, UnitarySurrogate, matrix_elements
+from .reduction import CoefficientMatrix, UnitarySurrogate, pencil_matrices
+# unused here, but perfbench/tracer.py lists this module as a site binding it
+from .reduction import matrix_elements  # noqa: F401
 
 CONDITION_LIMIT = 1e12
 
@@ -114,24 +111,20 @@ def reduce_problem(
     alpha: complex,
     seq: KorotkovSequence,
     U: UnitarySurrogate,
-) -> tuple[KernelPencil, np.ndarray]:
-    """Transform the grid problem into the reduced coefficient form.
+) -> KernelPencil:
+    """Transform the grid problem into the lambda-free reduced pencil.
 
-    A0 and A are the matrices of H - alpha and K over the paired basis; g is
-    the forward image of psi. At full truncation the identity
-    alpha f + (A0 - lambda A) f = g holds to rounding whenever psi came from
-    the forward model at phi and f is the forward image of phi.
+    A0 and A are the matrices of H - alpha and K over the paired basis; the
+    right-hand side is not needed (its reduced form is g = U.forward(psi)).
+    At full truncation the identity alpha f + (A0 - lambda A) f = g holds to
+    rounding whenever psi came from the forward model at phi and f is the
+    forward image of phi.
     """
-    if p.rhs is None:
-        raise ValueError("problem has no right-hand side; manufacture one first")
     if p.space != U.space or seq.space != U.space:
         raise ValueError("problem, sequence, and surrogate must share one grid")
-    b_basis = U.b_functions
     shifted = GridFunction(p.space, p.coefficient.values - alpha)
-    a0 = matrix_elements(MultiplicationOperator(shifted), b_basis)
-    a = matrix_elements(IntegralOperator(p.kernel), b_basis)
-    g = U.forward(p.rhs)
-    return KernelPencil(alpha=complex(alpha), a0=a0, a=a, basis=U.basis), g
+    a0, a = pencil_matrices(U, shifted, p.kernel)
+    return KernelPencil(alpha=complex(alpha), a0=a0, a=a, basis=U.basis)
 
 
 @dataclass(frozen=True)
@@ -212,18 +205,23 @@ class FirstKindSolution:
 
 
 def solve_first_kind(
-    fp: FirstKindProblem, lam: complex, cutoff: float
+    fp: FirstKindProblem,
+    lam: complex,
+    cutoff: float,
+    system: np.ndarray | None = None,
 ) -> FirstKindSolution:
     """Truncated-spectral pseudoinverse solve of M (A0 - lambda A) c = w.
 
     Singular values below cutoff * sigma_max are discarded;
     `discarded_energy` is the fraction of ||w||^2 lost to the discarded
     left singular directions. Raises DegenerateSystemError when nothing
-    survives the cutoff.
+    survives the cutoff. `system` is fp.system_matrix(lam) when the caller
+    has already formed it.
     """
     if not 0 < cutoff < 1:
         raise ValueError("cutoff must lie in (0, 1)")
-    system = fp.system_matrix(lam)
+    if system is None:
+        system = fp.system_matrix(lam)
     u, sigma, vh = np.linalg.svd(system)
     if sigma.size == 0 or sigma[0] <= 0:
         raise DegenerateSystemError("system matrix is zero")
@@ -308,6 +306,15 @@ def _relative(value: float, scale: float) -> float:
     return value / scale if scale > 0 else value
 
 
+def _plus_identity(matrix: np.ndarray, alpha: complex) -> np.ndarray:
+    """alpha I + matrix, as a new array only when alpha is nonzero."""
+    if alpha == 0:
+        return matrix
+    out = matrix.copy()
+    out.flat[:: out.shape[0] + 1] += alpha
+    return out
+
+
 def verify_equivalence(
     p: ThirdKindProblem,
     pencil: KernelPencil,
@@ -335,15 +342,18 @@ def verify_equivalence(
     g = U.forward(forward_third_kind(p, phi))
     f = U.forward(phi)
 
-    lhs = alpha * f + (pencil.a0 - p.lam * pencil.a) @ f
+    # A0 - lambda A, formed once; every lambda-dependent quantity derives from it
+    d = pencil.a * -p.lam
+    d += pencil.a0
+    lhs = alpha * f + d @ f
     passage = _relative(float(np.linalg.norm(lhs - g)), float(np.linalg.norm(g)))
     round_trip_fn = U.inverse(f)
     diff = GridFunction(p.space, round_trip_fn.values - phi.values)
     round_trip = _relative(diff.norm(), phi.norm())
 
-    condition = float(np.linalg.cond(pencil.system_matrix(p.lam)))
+    condition = float(np.linalg.cond(_plus_identity(d, alpha)))
 
-    pk = pencil.pencil_kernel(p.lam)
+    pk = synthesize(d, pencil.basis)
     probes = probe_grid(probe_bound, probe_points)
     carleman_sup = float(np.max(carleman_row_norms(pk, probes)))
     tail = absolute_tail_sup(pk, probes, probes)
@@ -353,11 +363,11 @@ def verify_equivalence(
     if alpha == 0:
         m = Multiplier("gaussian")
         fk = FirstKindProblem(pencil=pencil, multiplier=m, m_matrix=m_matrix, w=m_matrix @ g)
-        fk_system = fk.system_matrix(p.lam)
+        gamma_pencil = scale_by_multiplier(pk, m, m_matrix)
+        fk_system = gamma_pencil.multiplied_matrix  # M (A0 - lambda A)
         fk_residual = _relative(
             float(np.linalg.norm(fk_system @ f - fk.w)), float(np.linalg.norm(fk.w))
         )
-        gamma_pencil = fk.gamma_pencil(p.lam)
         hs_gamma = hs_norm(gamma_pencil)
         # sup_s ||t(s)|| of the plain pencil feeds the Hilbert-Schmidt bound
         bound = carleman_sup * m.l2_norm
@@ -365,7 +375,7 @@ def verify_equivalence(
         gap = coefficient_form_gap(gamma_pencil, probes, probes)
         first_q, last_q = adjoint_column_quarter_maxima(fk_system)
         try:
-            sol = solve_first_kind(fk, p.lam, cutoff)
+            sol = solve_first_kind(fk, p.lam, cutoff, system=fk_system)
             discarded = sol.discarded_energy
             truncated = pencil.size - sol.kept
             recovery = _relative(

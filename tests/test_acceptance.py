@@ -165,8 +165,7 @@ def test_c4_equivalence_battery(tmp_path):
             H, K, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
             p = ThirdKindProblem(H, K, inst["lambda"])
-            manufactured = ThirdKindProblem.manufactured(H, K, inst["lambda"], phi)
-            pencil, _ = reduce_problem(manufactured, inst["alpha"], seq, U)
+            pencil = reduce_problem(p, inst["alpha"], seq, U)
             report = verify_equivalence(p, pencil, U, phi)
             assert report.passage_residual <= 1e-9, f"trial {trial}"
             assert report.round_trip_error <= 1e-10, f"trial {trial}"
@@ -176,8 +175,8 @@ def test_c4_equivalence_battery(tmp_path):
                 lam2 = inst["lambda"] * -0.5 + 0.3j
                 p1 = ThirdKindProblem.manufactured(H, K, inst["lambda"], phi)
                 p2 = ThirdKindProblem.manufactured(H, K, lam2, phi)
-                pencil1, _ = reduce_problem(p1, inst["alpha"], seq, U)
-                pencil2, _ = reduce_problem(p2, inst["alpha"], seq, U)
+                pencil1 = reduce_problem(p1, inst["alpha"], seq, U)
+                pencil2 = reduce_problem(p2, inst["alpha"], seq, U)
                 for tag, m1, m2 in (
                     ("a0", pencil1.a0, pencil2.a0),
                     ("a", pencil1.a, pencil2.a),
@@ -231,8 +230,8 @@ def _pipeline_pencil(depth, alpha, lam):
     rng = np.random.default_rng(99)
     phi = random_grid_function(rng, seq.space)
     p = ThirdKindProblem.manufactured(seq.coefficient, seq.kernel, lam, phi)
-    pencil, g = reduce_problem(p, alpha, seq, U)
-    return pencil, g, U.forward(phi)
+    pencil = reduce_problem(p, alpha, seq, U)
+    return pencil, U.forward(p.rhs), U.forward(phi)
 
 
 def test_c6_kernel_smoothness():
@@ -294,8 +293,8 @@ def test_c7_first_kind_multiplier():
         rng = np.random.default_rng(100)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(seq.coefficient, seq.kernel, lam, phi)
-        small_pencil, small_g = reduce_problem(p, 0.0, seq, U)
-        small_fp = make_first_kind(small_pencil, m, small_g)
+        small_pencil = reduce_problem(p, 0.0, seq, U)
+        small_fp = make_first_kind(small_pencil, m, U.forward(p.rhs))
         n = small_pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         manufactured = type(small_fp)(

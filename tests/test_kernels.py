@@ -336,6 +336,23 @@ class TestProbes:
         # all the mass sits in the first factor pair, so the tail is zero
         assert absolute_tail_sup(T, s, s) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("start", [None, 0, 5, 16])
+    def test_tail_sup_matches_pairwise_sum(self, start):
+        # reference: sum over the tail of |w_n(s) conj(v_n(t))| for each pair
+        T = random_kernel(16, seed=55, scale=1.0)
+        s = np.linspace(-5, 5, 11)
+        t = np.linspace(-4, 6, 7)
+        fact = m_factorize(T.matrix)
+        u_s = T.basis.value_matrix(0, s).astype(complex)
+        u_t = T.basis.value_matrix(0, t).astype(complex)
+        w_vals = fact.w_factor.T @ u_s
+        v_vals = fact.v_factor.T @ u_t
+        first = 8 if start is None else start
+        tail = np.abs(w_vals[first:, :, None] * np.conj(v_vals[first:, None, :]))
+        expected = float(np.max(np.sum(tail, axis=0)))
+        got = absolute_tail_sup(T, s, t, start)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_adjoint_column_decay_for_damped_products(self):
         rng = np.random.default_rng(54)
         basis = SmoothBasis(32)

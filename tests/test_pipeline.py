@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import thirdkind.pipeline as pipeline
+import thirdkind.reduction as reduction
 import thirdkind.solvers as solvers
 from thirdkind.config import parse_config
 
@@ -62,3 +63,22 @@ def test_run_carries_the_pencil_it_reports_on():
     # the pencil is Hermitian here (real H, real symmetric K)
     np.testing.assert_allclose(run.pencil.a0, run.pencil.a0.conj().T, atol=1e-12)
     np.testing.assert_allclose(run.pencil.a, run.pencil.a.conj().T, atol=1e-12)
+
+
+def test_reduction_needs_no_generic_matrix_elements(monkeypatch):
+    """The pencil comes from the structured path; only the battery's two
+    adjoint checks use the generic operator-application path."""
+    calls = []
+    original = reduction.matrix_elements
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (reduction, solvers, pipeline):
+        monkeypatch.setattr(module, "matrix_elements", counted)
+    config = parse_config({**CONFIG, "alpha": 0.25})
+    pipeline.run_reduction(config)
+    assert len(calls) == 0
+    pipeline.run_verification(config)
+    assert len(calls) == 2

@@ -18,8 +18,10 @@ from thirdkind import (
     complete_basis,
     inner_product,
     matrix_elements,
+    pencil_matrices,
     rademacher,
 )
+from thirdkind.hermite import SmoothBasis
 
 
 def gram(functions):
@@ -34,6 +36,33 @@ def gram(functions):
 def exp_kernel(space):
     c = space.centers()
     return GridKernel(space, np.exp(np.outer(c, c)))
+
+
+def dense_complete_basis(functions, space):
+    """Reference completion: the Gram-Schmidt sweep over every cell indicator
+    against every row, with no use of the family's support."""
+    n = space.cell_count
+    w = space.cell_width
+    basis = np.zeros((n, n), dtype=complex)
+    filled = 0
+    for f in functions:
+        basis[filled] = f.values
+        filled += 1
+    scale = 1.0 / np.sqrt(w)
+    for cell in range(n):
+        if filled == n:
+            break
+        v = np.zeros(n, dtype=complex)
+        v[cell] = scale
+        for _ in range(2):
+            coeff = w * (basis[:filled].conj() @ v)
+            v -= basis[:filled].T @ coeff
+        residual = np.linalg.norm(v) * np.sqrt(w)
+        if residual <= 1e-10:
+            continue
+        basis[filled] = v / residual
+        filled += 1
+    return basis
 
 
 def three_band_sequence(depth):
@@ -75,6 +104,32 @@ class TestCompleteBasis:
         basis = complete_basis(seq.functions, seq.space)
         for expected, got in zip(seq.functions, basis):
             np.testing.assert_allclose(got.values, expected.values, atol=1e-14)
+
+    @pytest.mark.parametrize("depth", [6, 8])
+    def test_matches_dense_sweep_three_bands(self, depth):
+        seq = three_band_sequence(depth)
+        basis = np.array([f.values for f in complete_basis(seq.functions, seq.space)])
+        reference = dense_complete_basis(seq.functions, seq.space)
+        assert np.max(np.abs(basis - reference)) <= 1e-14
+
+    def test_matches_dense_sweep_empty_family(self):
+        space = build_space(5)
+        basis = np.array([f.values for f in complete_basis([], space)])
+        np.testing.assert_array_equal(basis, dense_complete_basis([], space))
+
+    def test_matches_dense_sweep_full_support(self):
+        # a constant has every cell in its support: the sweep is the dense one
+        space = build_space(5)
+        one = [GridFunction.constant(space, 1.0)]
+        basis = np.array([f.values for f in complete_basis(one, space)])
+        assert np.max(np.abs(basis - dense_complete_basis(one, space))) <= 1e-14
+
+    def test_matches_dense_sweep_projected(self):
+        seq = three_band_sequence(7)
+        U = UnitarySurrogate.from_sequence(seq, seq.space, 40)
+        reference = dense_complete_basis(seq.functions, seq.space)[:40]
+        assert U.projected
+        assert np.max(np.abs(U.b_matrix - reference)) <= 1e-14
 
     def test_rejects_non_orthonormal_start(self):
         space = build_space(2)
@@ -152,6 +207,77 @@ class TestMatrixElements:
         op = MultiplicationOperator(GridFunction.constant(build_space(3), 1.0))
         with pytest.raises(SpaceMismatchError):
             matrix_elements(op, basis)
+
+
+def generic_pencil(U, symbol, kernel):
+    b = U.b_functions
+    return (
+        matrix_elements(MultiplicationOperator(symbol), b),
+        matrix_elements(IntegralOperator(kernel), b),
+    )
+
+
+def assert_pencils_match(U, symbol, kernel):
+    for got, want in zip(pencil_matrices(U, symbol, kernel), generic_pencil(U, symbol, kernel)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestPencilMatrices:
+    @pytest.mark.parametrize("alpha", [0.25, 0.0])
+    def test_matches_matrix_elements(self, alpha):
+        seq = three_band_sequence(7)
+        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        shifted = GridFunction(seq.space, seq.coefficient.values - alpha)
+        assert_pencils_match(U, shifted, seq.kernel)
+
+    def test_complex_coefficient(self):
+        seq = three_band_sequence(6)
+        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        c = seq.space.centers()
+        symbol = GridFunction(seq.space, c - 0.25 + 1j * np.sin(3 * c))
+        assert_pencils_match(U, symbol, seq.kernel)
+
+    def test_complex_non_hermitian_kernel(self):
+        seq = three_band_sequence(6)
+        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        n = seq.space.cell_count
+        rng = np.random.default_rng(31)
+        K = GridKernel(seq.space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        shifted = GridFunction(seq.space, seq.coefficient.values - 0.25)
+        assert_pencils_match(U, shifted, K)
+
+    def test_projected(self):
+        seq = three_band_sequence(7)
+        U = UnitarySurrogate.from_sequence(seq, seq.space, 40)
+        shifted = GridFunction(seq.space, seq.coefficient.values - 0.25)
+        a0, a = pencil_matrices(U, shifted, seq.kernel)
+        assert a0.shape == a.shape == (40, 40)
+        assert_pencils_match(U, shifted, seq.kernel)
+
+    def test_any_b_matrix(self):
+        # no orthogonality: repeated and scaled indicators, a zero row,
+        # dense rows overlapping indicator cells
+        space = build_space(4)
+        rng = np.random.default_rng(32)
+        b = np.zeros((10, 16), dtype=complex)
+        b[0, 3] = 2.0 - 1.0j
+        b[1, 3] = 0.5
+        b[2, 15] = -3.0
+        b[4] = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        b[5, [3, 7, 8]] = [1.0, -2.0j, 0.5]
+        b[6:] = rng.standard_normal((4, 16))
+        U = UnitarySurrogate(space, b, SmoothBasis(10), True)
+        symbol = GridFunction(space, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        K = GridKernel(space, rng.standard_normal((16, 16)))
+        assert_pencils_match(U, symbol, K)
+        only_indicators = UnitarySurrogate(space, b[:4], SmoothBasis(4), True)
+        assert_pencils_match(only_indicators, symbol, K)
+
+    def test_space_mismatch(self):
+        U = UnitarySurrogate.from_sequence(None, build_space(3), "full")
+        other = build_space(2)
+        with pytest.raises(SpaceMismatchError):
+            pencil_matrices(U, GridFunction.constant(other, 1.0), GridKernel(other, np.eye(4)))
 
 
 class TestUnitarySurrogate:

@@ -49,10 +49,8 @@ def build_chain(depth, alpha, kernel_factory=exp_kernel, bands=3, eps0=0.25):
 
 
 def chain_pencil(H, K, alpha, seq, U):
-    """The lambda-free pencil of (H, K) over U; the manufactured rhs is unused."""
-    p = ThirdKindProblem.manufactured(H, K, 0.0, GridFunction.zero(seq.space))
-    pencil, _ = reduce_problem(p, alpha, seq, U)
-    return pencil
+    """The lambda-free pencil of (H, K) over U."""
+    return reduce_problem(ThirdKindProblem(H, K, 0.0), alpha, seq, U)
 
 
 class TestForward:
@@ -102,7 +100,8 @@ class TestReduce:
         rng = np.random.default_rng(64)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(H, K, 0.0, phi)
-        pencil, g = reduce_problem(p, 0.5, seq, U)
+        pencil = reduce_problem(p, 0.5, seq, U)
+        g = U.forward(p.rhs)
         f = U.forward(phi)
         lhs = 0.5 * f + (pencil.a0 - 0.0 * pencil.a) @ f
         assert np.linalg.norm(lhs - g) <= 1e-10 * np.linalg.norm(g)
@@ -113,23 +112,29 @@ class TestReduce:
         phi = random_grid_function(rng, seq.space)
         lam = 0.3
         p = ThirdKindProblem.manufactured(H, K, lam, phi)
-        pencil, g = reduce_problem(p, 0.0, seq, U)
+        pencil = reduce_problem(p, 0.0, seq, U)
+        g = U.forward(p.rhs)
         f = U.forward(phi)
         lhs = (pencil.a0 - lam * pencil.a) @ f
         assert np.linalg.norm(lhs - g) <= 1e-9 * np.linalg.norm(g)
 
-    def test_requires_rhs(self):
+    def test_needs_no_rhs(self):
+        # the pencil depends on (H, K) only: a right-hand side changes nothing
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
-        p = ThirdKindProblem(H, K, 0.3)
-        with pytest.raises(ValueError):
-            reduce_problem(p, 0.25, seq, U)
+        rng = np.random.default_rng(63)
+        bare = reduce_problem(ThirdKindProblem(H, K, 0.3), 0.25, seq, U)
+        p = ThirdKindProblem.manufactured(H, K, 0.3, random_grid_function(rng, seq.space))
+        pencil = reduce_problem(p, 0.25, seq, U)
+        assert isinstance(bare, KernelPencil)
+        np.testing.assert_array_equal(bare.a0, pencil.a0)
+        np.testing.assert_array_equal(bare.a, pencil.a)
 
     def test_pencil_is_affine_in_lambda(self):
         H, K, seq, U = build_chain(6, alpha=0.25)
         rng = np.random.default_rng(66)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
-        pencil, _ = reduce_problem(p, 0.25, seq, U)
+        pencil = reduce_problem(p, 0.25, seq, U)
         lam = 1.3 - 0.4j
         direct = pencil.system_matrix(lam)
         affine = pencil.system_matrix(0.0) - lam * pencil.a
@@ -197,8 +202,8 @@ class TestFirstKind:
         rng = np.random.default_rng(68)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
-        pencil, g = reduce_problem(p, 0.0, seq, U)
-        return pencil, g, U.forward(phi)
+        pencil = reduce_problem(p, 0.0, seq, U)
+        return pencil, U.forward(p.rhs), U.forward(phi)
 
     def test_zero_rhs(self):
         pencil, g, _ = self.pencil_from_chain()
@@ -253,8 +258,8 @@ class TestFirstKind:
         rng = np.random.default_rng(69)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
-        pencil, g = reduce_problem(p, 0.0, seq, U)
-        fp = make_first_kind(pencil, Multiplier(), g)
+        pencil = reduce_problem(p, 0.0, seq, U)
+        fp = make_first_kind(pencil, Multiplier(), U.forward(p.rhs))
         n = pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         system = fp.system_matrix(0.3)
