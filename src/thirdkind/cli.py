@@ -45,7 +45,8 @@ EXIT_CONSTRUCTION = 2
 EXIT_NUMERICAL = 3
 
 _CONSTRUCTION_ERRORS = (EmptyBandError, ToleranceUnreachableError, NotBisectableError)
-_NUMERICAL_ERRORS = (NearSingularError, DegenerateSystemError)
+# LinAlgError (e.g. an SVD that does not converge) reports as type "LinAlg"
+_NUMERICAL_ERRORS = (NearSingularError, DegenerateSystemError, np.linalg.LinAlgError)
 
 
 def _error_payload(exc: Exception) -> dict:

@@ -9,12 +9,16 @@ Hilbert-Schmidt picture is needed.
 
 The polar factorization A = W V* (W = U_pol P, V = P, P = |A|^(1/2))
 feeds the single-index series sum_n [W u_n]^(i)(s) conj([V u_n]^(j)(t)),
-whose absolute partial sums witness absolute convergence.
+whose absolute partial sums witness absolute convergence. It is kept as the
+SVD factors of A: the series values at probe points come from those factors
+in O(n^2) per point, and the explicit n x n matrices W, V are formed only
+when asked for (the verification battery's reconstruction and series checks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -127,13 +131,14 @@ def carleman(kernel: BilinearKernel, side: str, order: int, x: float) -> np.ndar
     return out
 
 
-def carleman_norm(kernel: BilinearKernel, side: str, order: int, x: float) -> float:
-    return float(np.linalg.norm(carleman(kernel, side, order, x)))
+def carleman_row_norms(
+    kernel: BilinearKernel, s: np.ndarray, values: np.ndarray | None = None
+) -> np.ndarray:
+    """||t(s_j)|| for all probe points at once (order 0).
 
-
-def carleman_row_norms(kernel: BilinearKernel, s: np.ndarray) -> np.ndarray:
-    """||t(s_j)|| for all probe points at once (order 0)."""
-    u = kernel.basis.value_matrix(0, s)
+    `values` is kernel.basis.value_matrix(0, s) when the caller holds it.
+    """
+    u = kernel.basis.value_matrix(0, s) if values is None else values
     norms = np.linalg.norm(kernel.matrix.T @ u.astype(complex), axis=0)
     if kernel.multiplier is not None:
         norms = norms * np.abs(kernel.multiplier.value(np.atleast_1d(s)))
@@ -142,27 +147,75 @@ def carleman_row_norms(kernel: BilinearKernel, s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MFactorization:
-    """Factorization A = W V* with W V* reconstructing A.
+    """Factorization A = W V* with W V* reconstructing A, kept as the SVD.
 
     Canonical choice from the polar decomposition A = U_pol |A|: take
     P = |A|^(1/2), W = U_pol P, V = P. Then W W* = A U_pol* and V V* = |A|
     are both positive semidefinite. Rank-deficient A uses the partial
     isometry convention (U_pol vanishes on the null space).
+
+    Stored as A = u diag(sigma) vh with the numerical rank, so that
+    W = u_r diag(sqrt(sigma_r)) vh_r and V = vh^h diag(sqrt(sigma)) vh.
     """
 
-    w_factor: np.ndarray
-    v_factor: np.ndarray
+    u: np.ndarray
+    sigma: np.ndarray
+    vh: np.ndarray
+    rank: int
+
+    @property
+    def condition(self) -> float:
+        """2-norm condition number sigma_0 / sigma_{n-1} of A.
+
+        Follows np.linalg.cond: x/0 and 0/0 give inf unless a singular value
+        is NaN, in which case the NaN is kept.
+        """
+        with np.errstate(all="ignore"):
+            ratio = float(self.sigma[0] / self.sigma[-1])
+        if np.isnan(ratio) and not np.isnan(self.sigma).any():
+            return float("inf")
+        return ratio
+
+    def w_values(self, values: np.ndarray) -> np.ndarray:
+        """W^T u: row n holds [W u_n](s_j), from the basis value matrix u.
+
+        Computed as vh_r^T (sqrt(sigma_r) * (u_r^T u)), O(n^2) per point.
+        """
+        r = self.rank
+        inner = self.u[:, :r].T @ values
+        inner *= np.sqrt(self.sigma[:r])[:, None]
+        return self.vh[:r].T @ inner
+
+    def v_values(self, values: np.ndarray) -> np.ndarray:
+        """V^T u: row n holds [V u_n](t_j), as vh^T (sqrt(sigma) * (conj(vh) u))."""
+        inner = self.vh.conj() @ values
+        inner *= np.sqrt(self.sigma)[:, None]
+        return self.vh.T @ inner
+
+    @cached_property
+    def v_factor(self) -> np.ndarray:
+        """Explicit V = P = |A|^(1/2), formed on first use."""
+        return (self.vh.conj().T * np.sqrt(self.sigma)) @ self.vh
+
+    @cached_property
+    def w_factor(self) -> np.ndarray:
+        """Explicit W = U_pol P, formed on first use."""
+        r = self.rank
+        u_pol = self.u[:, :r] @ self.vh[:r, :]
+        return u_pol @ self.v_factor
 
     def reconstruction(self) -> np.ndarray:
         return self.w_factor @ self.v_factor.conj().T
 
 
 def m_factorize(matrix: np.ndarray) -> MFactorization:
-    """Polar factorization A = W V* via the SVD.
+    """Polar factorization A = W V*, held as one SVD of A.
 
     With A = U diag(sigma) V^h: |A| = V diag(sigma) V^h, the square root
     P uses sqrt(sigma) (never negative, so positivity survives rounding),
-    and the partial isometry keeps only directions with sigma > 0.
+    and the partial isometry keeps only directions with sigma above the
+    rank threshold. The explicit W, V exist only on request (`w_factor`,
+    `v_factor`); probe values and the condition number need only the SVD.
     """
     a = np.asarray(matrix, dtype=complex)
     u, sigma, vh = np.linalg.svd(a)
@@ -170,9 +223,7 @@ def m_factorize(matrix: np.ndarray) -> MFactorization:
         rank = int(np.sum(sigma > max(a.shape) * np.finfo(float).eps * sigma[0]))
     else:
         rank = 0
-    u_pol = u[:, :rank] @ vh[:rank, :]
-    p = (vh.conj().T * np.sqrt(sigma)) @ vh
-    return MFactorization(w_factor=u_pol @ p, v_factor=p)
+    return MFactorization(u=u, sigma=sigma, vh=vh, rank=rank)
 
 
 @dataclass(frozen=True)
@@ -230,15 +281,26 @@ def scale_by_multiplier(
 
 
 def coefficient_form_gap(
-    kernel: BilinearKernel, s: np.ndarray, t: np.ndarray
+    kernel: BilinearKernel,
+    s: np.ndarray,
+    t: np.ndarray,
+    s_values: np.ndarray | None = None,
+    t_values: np.ndarray | None = None,
 ) -> float:
-    """Max |m(s) T(s,t) - (M A)-form(s,t)| over a probe grid (0 without multiplier)."""
+    """Max |m(s) T(s,t) - (M A)-form(s,t)| over a probe grid (0 without multiplier).
+
+    `s_values`, `t_values` are kernel.basis.value_matrix(0, .) at s and t when
+    the caller holds them.
+    """
     if kernel.multiplier is None:
         return 0.0
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    exact = eval_kernel(kernel, 0, 0, s, t)
-    via_coeff = _pair_eval(kernel.multiplied_matrix, kernel.basis, 0, 0, s, t)
+    u_s = kernel.basis.value_matrix(0, s) if s_values is None else s_values
+    u_t = kernel.basis.value_matrix(0, t) if t_values is None else t_values
+    conj_t = np.conj(u_t)
+    exact = kernel.multiplier.value(s)[:, None] * (u_s.T @ kernel.matrix @ conj_t)
+    via_coeff = u_s.T @ kernel.multiplied_matrix @ conj_t
     return float(np.max(np.abs(exact - via_coeff)))
 
 
@@ -257,26 +319,25 @@ def probe_grid(bound: float = 8.0, points: int = 41) -> np.ndarray:
 
 
 def absolute_tail_sup(
-    kernel: BilinearKernel, s: np.ndarray, t: np.ndarray, start: int | None = None
+    fact: MFactorization,
+    s_values: np.ndarray,
+    t_values: np.ndarray,
+    start: int | None = None,
 ) -> float:
     """Sup over the probe grid of the absolute series tail beyond `start`.
 
-    The series is the canonical factorized one; the default tail starts at
+    `fact` factors the kernel's coefficient matrix and `s_values`, `t_values`
+    are the basis value matrices (size x points) at the probe points. The
+    series is the canonical factorized one; the default tail starts at
     n = size/2. This is the finite-truncation observable standing in for
     absolute/uniform convergence of the infinite expansion. Since
     |w conj(v)| = |w| |v|, the tail sums over all probe pairs are one real
     product |W_tail^T u_s|^T |V_tail^T u_t|.
     """
-    fact = m_factorize(kernel.coefficient_matrix)
-    n = kernel.basis.size
     if start is None:
-        start = n // 2
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    u_s = kernel.basis.value_matrix(0, s).astype(complex)
-    u_t = kernel.basis.value_matrix(0, t).astype(complex)
-    w_vals = fact.w_factor.T @ u_s  # (n, S)
-    v_vals = fact.v_factor.T @ u_t  # (n, T)
+        start = s_values.shape[0] // 2
+    w_vals = fact.w_values(s_values)  # (n, S)
+    v_vals = fact.v_values(t_values)  # (n, T)
     sums = np.abs(w_vals[start:]).T @ np.abs(v_vals[start:])  # (S, T)
     return float(np.max(sums)) if sums.size else 0.0
 
@@ -289,24 +350,32 @@ def finite_difference_defect(
     t_points: np.ndarray,
     step: float = 1e-4,
 ) -> float:
-    """Max gap between the (i, j) derivative and a central difference.
+    """Max gap between the (i, j) derivative and a Richardson-extrapolated
+    central difference.
 
     The difference is taken on the analytic derivative one order lower (in s
     when i > 0, else in t), so each order is validated against the previous
-    one with a single first-order stencil.
+    one. With D(h) the central difference at step h, the estimate
+    D(h/2) + (D(h/2) - D(h)) / 3 cancels the h^2 truncation term, leaving
+    O(h^4), so the oracle's own error stays far below the ladder's.
     """
     if i == 0 and j == 0:
         raise ValueError("nothing to difference at order (0, 0)")
     s_points = np.atleast_1d(np.asarray(s_points, dtype=np.float64))
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.float64))
     exact = eval_kernel(kernel, i, j, s_points, t_points)
+    # the four shifted grids in one evaluation: +h, -h, +h/2, -h/2
+    shifts = np.array([step, -step, step / 2, -step / 2])[:, None]
+    ns, nt = s_points.size, t_points.size
     if i > 0:
-        hi = eval_kernel(kernel, i - 1, j, s_points + step, t_points)
-        lo = eval_kernel(kernel, i - 1, j, s_points - step, t_points)
+        grid = eval_kernel(kernel, i - 1, j, (s_points + shifts).ravel(), t_points)
+        hi, lo, hi2, lo2 = grid.reshape(4, ns, nt)
     else:
-        hi = eval_kernel(kernel, i, j - 1, s_points, t_points + step)
-        lo = eval_kernel(kernel, i, j - 1, s_points, t_points - step)
-    return float(np.max(np.abs((hi - lo) / (2 * step) - exact)))
+        grid = eval_kernel(kernel, i, j - 1, s_points, (t_points + shifts).ravel())
+        hi, lo, hi2, lo2 = grid.reshape(ns, 4, nt).transpose(1, 0, 2)
+    coarse = (hi - lo) / (2 * step)
+    fine = (hi2 - lo2) / step
+    return float(np.max(np.abs(fine + (fine - coarse) / 3 - exact)))
 
 
 def vanishing_at_radius(kernel: BilinearKernel, radius: float, t_probe) -> float:

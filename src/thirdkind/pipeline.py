@@ -15,6 +15,7 @@ import numpy as np
 from .config import RunConfig, make_coefficient, make_kernel
 from .hermite import Multiplier, multiplier_matrix
 from .kernels import (
+    BilinearKernel,
     adjoint_column_quarter_maxima,
     finite_difference_defect,
     m_factorize,
@@ -80,18 +81,20 @@ def prepare(config: RunConfig):
 
 
 def _build_pencil(config: RunConfig, H, K, seq, surrogate):
-    """The run's lambda-free pencil and, when alpha = 0, the Gaussian
-    multiplier matrix over its basis; both are built once per run."""
+    """The run's lambda-free data, each built once per run: the pencil, the
+    Gaussian multiplier matrix over its basis when alpha = 0, and the basis
+    value matrix at the probe grid."""
     problem = ThirdKindProblem(H, K, config.lambdas[0])
     pencil = reduce_problem(problem, config.alpha, seq, surrogate)
     m_matrix = None
     if config.alpha == 0:
         m_matrix = multiplier_matrix(Multiplier("gaussian"), pencil.basis)
-    return pencil, m_matrix
+    probes = probe_grid(config.probe_bound, config.probe_points)
+    return pencil, m_matrix, pencil.basis.value_matrix(0, probes)
 
 
 def _equivalence_reports(
-    config: RunConfig, H, K, surrogate, phi, pencil, m_matrix
+    config: RunConfig, H, K, surrogate, phi, pencil, m_matrix, probe_values
 ) -> list[EquivalenceReport]:
     """One report per lambda of the config, all against the one pencil."""
     return [
@@ -104,6 +107,7 @@ def _equivalence_reports(
             probe_points=config.probe_points,
             cutoff=config.cutoff,
             m_matrix=m_matrix,
+            probe_values=probe_values,
         )
         for lam in config.lambdas
     ]
@@ -113,7 +117,7 @@ def run_reduction(config: RunConfig) -> ReductionRun:
     space, H, K, seq, surrogate = prepare(config)
     rng = np.random.default_rng(config.seed)
     phi = random_grid_function(rng, space)
-    pencil, m_matrix = _build_pencil(config, H, K, seq, surrogate)
+    pencil, m_matrix, probe_values = _build_pencil(config, H, K, seq, surrogate)
     return ReductionRun(
         config=config,
         space=space,
@@ -121,7 +125,9 @@ def run_reduction(config: RunConfig) -> ReductionRun:
         surrogate=surrogate,
         phi=phi,
         pencil=pencil,
-        reports=_equivalence_reports(config, H, K, surrogate, phi, pencil, m_matrix),
+        reports=_equivalence_reports(
+            config, H, K, surrogate, phi, pencil, m_matrix, probe_values
+        ),
     )
 
 
@@ -160,6 +166,25 @@ class VerificationResult:
             "checks": [c.to_dict() for c in self.checks],
             "reports": [r.to_dict() for r in self.reports],
         }
+
+
+def kernel_derivative_fd_defect(kernel: BilinearKernel) -> float:
+    """Worst finite-difference defect of the kernel's (i, j) derivatives,
+    0 < i + j <= 3, on a 5 x 5 grid of [-2.5, 2.5]^2."""
+    fd_points = np.linspace(-2.5, 2.5, 5)
+    fd_defect = 0.0
+    for i in range(4):
+        for j in range(4 - i):
+            if i == j == 0:
+                continue
+            # higher orders carry larger magnitudes; shrink the step to keep
+            # the truncation term comparable across orders
+            step = 1e-4 if i + j == 1 else 1e-5
+            fd_defect = max(
+                fd_defect,
+                finite_difference_defect(kernel, i, j, fd_points, fd_points, step=step),
+            )
+    return fd_defect
 
 
 def run_verification(config: RunConfig) -> VerificationResult:
@@ -214,7 +239,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
     add("unitary_round_trip", trip_defect, tol["round_trip"])
 
     phi = random_grid_function(rng, space)
-    pencil, m_matrix = _build_pencil(config, H, K, seq, surrogate)
+    pencil, m_matrix, probe_values = _build_pencil(config, H, K, seq, surrogate)
 
     # adjoint consistency of the coefficient matrices
     mult = MultiplicationOperator(
@@ -231,7 +256,9 @@ def run_verification(config: RunConfig) -> VerificationResult:
         del adj  # not kept into the per-lambda loop, where peak memory is set
 
     # manufactured problems per lambda
-    reports = _equivalence_reports(config, H, K, surrogate, phi, pencil, m_matrix)
+    reports = _equivalence_reports(
+        config, H, K, surrogate, phi, pencil, m_matrix, probe_values
+    )
     for idx, report in enumerate(reports):
         add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])
         add(f"round_trip_lambda{idx}", report.round_trip_error, tol["round_trip"])
@@ -248,20 +275,11 @@ def run_verification(config: RunConfig) -> VerificationResult:
 
     # kernel calculus on the pencil kernel at the first lambda
     pk = pencil.pencil_kernel(config.lambdas[0])
-    fd_points = np.linspace(-2.5, 2.5, 5)
-    fd_defect = 0.0
-    for i in range(4):
-        for j in range(4 - i):
-            if i == j == 0:
-                continue
-            # higher orders carry larger magnitudes; shrink the step to keep
-            # the h^2 truncation term comparable across orders
-            step = 1e-4 if i + j == 1 else 1e-5
-            fd_defect = max(
-                fd_defect,
-                finite_difference_defect(pk, i, j, fd_points, fd_points, step=step),
-            )
-    add("kernel_derivative_fd_defect", fd_defect, tol["derivative_agreement"])
+    add(
+        "kernel_derivative_fd_defect",
+        kernel_derivative_fd_defect(pk),
+        tol["derivative_agreement"],
+    )
 
     radius = 8.0 + np.sqrt(2.0 * surrogate.size)
     add(

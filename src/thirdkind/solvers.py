@@ -25,6 +25,7 @@ from .kernels import (
     carleman_row_norms,
     coefficient_form_gap,
     hs_norm,
+    m_factorize,
     probe_grid,
     scale_by_multiplier,
     synthesize,
@@ -96,9 +97,6 @@ class KernelPencil:
         """alpha I + A0 - lambda A; affine in lambda by construction."""
         return (self.alpha * np.eye(self.size) + self.a0) - lam * self.a
 
-    def kernel_t0(self) -> BilinearKernel:
-        return synthesize(self.a0, self.basis)
-
     def kernel_t(self) -> BilinearKernel:
         return synthesize(self.a, self.basis)
 
@@ -165,9 +163,6 @@ class FirstKindProblem:
     multiplier: Multiplier
     m_matrix: np.ndarray
     w: np.ndarray
-
-    def gamma0(self) -> BilinearKernel:
-        return scale_by_multiplier(self.pencil.kernel_t0(), self.multiplier, self.m_matrix)
 
     def gamma(self) -> BilinearKernel:
         return scale_by_multiplier(self.pencil.kernel_t(), self.multiplier, self.m_matrix)
@@ -307,9 +302,7 @@ def _relative(value: float, scale: float) -> float:
 
 
 def _plus_identity(matrix: np.ndarray, alpha: complex) -> np.ndarray:
-    """alpha I + matrix, as a new array only when alpha is nonzero."""
-    if alpha == 0:
-        return matrix
+    """alpha I + matrix, as a new array."""
     out = matrix.copy()
     out.flat[:: out.shape[0] + 1] += alpha
     return out
@@ -324,6 +317,7 @@ def verify_equivalence(
     probe_points: int = 41,
     cutoff: float = 1e-10,
     m_matrix: np.ndarray | None = None,
+    probe_values: np.ndarray | None = None,
 ) -> EquivalenceReport:
     """Manufacture psi from phi and measure every testable identity.
 
@@ -334,7 +328,13 @@ def verify_equivalence(
     diagnostics over the probe grid. With alpha = 0 the first-kind section is
     added from `m_matrix`, the Gaussian multiplier matrix over pencil.basis:
     multiplied-system residual, Hilbert-Schmidt bound slack, adjoint column
-    decay, and the truncated-spectral recovery error.
+    decay, and the truncated-spectral recovery error. `probe_values` is
+    pencil.basis.value_matrix(0, .) at the probe grid when the caller built
+    it once for all lambdas.
+
+    D = A0 - lambda A is factorized once: its SVD gives the series tail and,
+    with alpha = 0, the condition number; alpha I + D is a different matrix
+    and keeps its own np.linalg.cond.
     """
     alpha = pencil.alpha
     if alpha == 0 and m_matrix is None:
@@ -351,12 +351,19 @@ def verify_equivalence(
     diff = GridFunction(p.space, round_trip_fn.values - phi.values)
     round_trip = _relative(diff.norm(), phi.norm())
 
-    condition = float(np.linalg.cond(_plus_identity(d, alpha)))
+    fact = m_factorize(d)
+    if alpha == 0:
+        condition = fact.condition
+    else:
+        condition = float(np.linalg.cond(_plus_identity(d, alpha)))
 
     pk = synthesize(d, pencil.basis)
     probes = probe_grid(probe_bound, probe_points)
-    carleman_sup = float(np.max(carleman_row_norms(pk, probes)))
-    tail = absolute_tail_sup(pk, probes, probes)
+    if probe_values is None:
+        probe_values = pencil.basis.value_matrix(0, probes)
+    carleman_sup = float(np.max(carleman_row_norms(pk, probes, probe_values)))
+    tail = absolute_tail_sup(fact, probe_values, probe_values)
+    del fact  # no n x n factor is held into the first-kind solve
 
     discarded = None
     first_kind = None
@@ -372,7 +379,9 @@ def verify_equivalence(
         # sup_s ||t(s)|| of the plain pencil feeds the Hilbert-Schmidt bound
         bound = carleman_sup * m.l2_norm
         slack = max(0.0, hs_gamma - bound)
-        gap = coefficient_form_gap(gamma_pencil, probes, probes)
+        gap = coefficient_form_gap(
+            gamma_pencil, probes, probes, probe_values, probe_values
+        )
         first_q, last_q = adjoint_column_quarter_maxima(fk_system)
         try:
             sol = solve_first_kind(fk, p.lam, cutoff, system=fk_system)

@@ -226,6 +226,27 @@ class TestVerifyCommand:
         assert "failed checks" in capsys.readouterr().err
 
 
+class TestLinAlgFailure:
+    @pytest.mark.parametrize(
+        "command, report", [("reduce", "report.json"), ("verify", "verify.json")]
+    )
+    def test_svd_failure_exit_three(self, tmp_path, capsys, monkeypatch, command, report):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        cfg = write_config(tmp_path)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        payload = json.loads((out / report).read_text())
+        assert payload == {
+            "error": {"type": "LinAlg", "message": "SVD did not converge"}
+        }
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
+
 class TestSerialization:
     def test_matrix_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(81)

@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from thirdkind import (
+    MFactorization,
     Multiplier,
     SmoothBasis,
     carleman,
-    carleman_norm,
     eval_kernel,
     hs_norm,
     m_factorize,
@@ -115,7 +115,7 @@ class TestCarleman:
         # ||t(s)||^2 must equal the t-integral of |T(s, t)|^2
         T = random_kernel(6, seed=33)
         s0 = 0.4
-        norm = carleman_norm(T, "row", 0, s0)
+        norm = np.linalg.norm(carleman(T, "row", 0, s0))
         integrand = lambda t: abs(eval_kernel(T, 0, 0, s0, t)) ** 2
         expected, _ = quad(integrand, -14, 14, limit=200)
         assert norm**2 == pytest.approx(expected, abs=1e-6)
@@ -123,7 +123,7 @@ class TestCarleman:
     def test_column_norm_against_quadrature(self):
         T = random_kernel(6, seed=34)
         t0 = -0.8
-        norm = carleman_norm(T, "column", 0, t0)
+        norm = np.linalg.norm(carleman(T, "column", 0, t0))
         integrand = lambda s: abs(eval_kernel(T, 0, 0, s, t0)) ** 2
         expected, _ = quad(integrand, -14, 14, limit=200)
         assert norm**2 == pytest.approx(expected, abs=1e-6)
@@ -188,6 +188,41 @@ class TestMFactorization:
         F = m_factorize(np.zeros((4, 4)))
         np.testing.assert_array_equal(F.reconstruction(), 0.0)
 
+    def test_condition_matches_numpy(self):
+        rng = np.random.default_rng(56)
+        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        assert m_factorize(a).condition == pytest.approx(np.linalg.cond(a), rel=1e-12)
+
+    def test_condition_of_singular_and_zero_is_inf(self):
+        singular = np.diag([2.0, 1.0, 0.0])
+        assert np.linalg.cond(singular) == math.inf
+        assert m_factorize(singular).condition == math.inf
+        assert np.linalg.cond(np.zeros((3, 3))) == math.inf
+        assert m_factorize(np.zeros((3, 3))).condition == math.inf
+
+    def test_condition_keeps_nan(self):
+        # an SVD of a NaN matrix does not converge, for cond and here alike
+        nan_matrix = np.full((3, 3), np.nan)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cond(nan_matrix)
+        with pytest.raises(np.linalg.LinAlgError):
+            m_factorize(nan_matrix)
+        # NaN singular values give NaN, not the inf of 0/0
+        F = m_factorize(np.eye(3))
+        nan_fact = MFactorization(u=F.u, sigma=np.full(3, np.nan), vh=F.vh, rank=3)
+        assert math.isnan(nan_fact.condition)
+
+    @pytest.mark.parametrize("rank", [16, 5, 0])
+    def test_probe_values_match_explicit_factors(self, rank):
+        rng = np.random.default_rng(57)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        a = a[:, :rank] @ a[:rank, :]
+        F = m_factorize(a)
+        assert F.rank == rank
+        u = SmoothBasis(16).value_matrix(0, np.linspace(-4, 4, 9))
+        np.testing.assert_allclose(F.w_values(u), F.w_factor.T @ u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(F.v_values(u), F.v_factor.T @ u, rtol=0, atol=1e-13)
+
 
 class TestSeriesConsistency:
     def test_rank_one_exact(self):
@@ -242,7 +277,7 @@ class TestMultiplierKernels:
         M = multiplier_matrix(m, T.basis)
         G = scale_by_multiplier(T, m, M)
         s = np.linspace(-8, 8, 161)
-        sup = float(np.max([carleman_norm(T, "row", 0, x) for x in s]))
+        sup = float(np.max([np.linalg.norm(carleman(T, "row", 0, x)) for x in s]))
         assert hs_norm(G) <= sup * math.pi**0.25 + 1e-12
 
     def test_leibniz_derivative_fd(self):
@@ -287,6 +322,12 @@ class TestMultiplierKernels:
         gap = coefficient_form_gap(G, s, s)
         assert gap >= 0.0
         assert coefficient_form_gap(T, s, s) == 0.0
+        # against the two pointwise evaluations, with and without held values
+        via_coeff = eval_kernel(synthesize(M @ T.matrix, T.basis), 0, 0, s, s)
+        expected = float(np.max(np.abs(eval_kernel(G, 0, 0, s, s) - via_coeff)))
+        u = T.basis.value_matrix(0, s)
+        assert gap == pytest.approx(expected, rel=1e-12)
+        assert coefficient_form_gap(G, s, s, u, u) == gap
 
     def test_double_multiplier_rejected(self):
         T = random_kernel(4, seed=51)
@@ -333,25 +374,30 @@ class TestProbes:
     def test_tail_sup_nonnegative_and_small_for_rank_one(self):
         T = rank_one_kernel(8)
         s = np.linspace(-4, 4, 9)
+        u = T.basis.value_matrix(0, s)
         # all the mass sits in the first factor pair, so the tail is zero
-        assert absolute_tail_sup(T, s, s) == pytest.approx(0.0, abs=1e-15)
+        assert absolute_tail_sup(m_factorize(T.matrix), u, u) == pytest.approx(
+            0.0, abs=1e-15
+        )
 
     @pytest.mark.parametrize("start", [None, 0, 5, 16])
     def test_tail_sup_matches_pairwise_sum(self, start):
-        # reference: sum over the tail of |w_n(s) conj(v_n(t))| for each pair
+        # reference: sum over the tail of |w_n(s) conj(v_n(t))| for each pair,
+        # from the explicit factors W, V; full rank, rank 5 of 16, and zero
         T = random_kernel(16, seed=55, scale=1.0)
         s = np.linspace(-5, 5, 11)
         t = np.linspace(-4, 6, 7)
-        fact = m_factorize(T.matrix)
         u_s = T.basis.value_matrix(0, s).astype(complex)
         u_t = T.basis.value_matrix(0, t).astype(complex)
-        w_vals = fact.w_factor.T @ u_s
-        v_vals = fact.v_factor.T @ u_t
-        first = 8 if start is None else start
-        tail = np.abs(w_vals[first:, :, None] * np.conj(v_vals[first:, None, :]))
-        expected = float(np.max(np.sum(tail, axis=0)))
-        got = absolute_tail_sup(T, s, t, start)
-        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+        for a in (T.matrix, T.matrix[:, :5] @ T.matrix[:5, :], np.zeros((16, 16))):
+            fact = m_factorize(a)
+            w_vals = fact.w_factor.T @ u_s
+            v_vals = fact.v_factor.T @ u_t
+            first = 8 if start is None else start
+            tail = np.abs(w_vals[first:, :, None] * np.conj(v_vals[first:, None, :]))
+            expected = float(np.max(np.sum(tail, axis=0)))
+            got = absolute_tail_sup(fact, u_s.real, u_t.real, start)
+            assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_adjoint_column_decay_for_damped_products(self):
         rng = np.random.default_rng(54)

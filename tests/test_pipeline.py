@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import thirdkind.hermite as hermite
 import thirdkind.pipeline as pipeline
 import thirdkind.reduction as reduction
 import thirdkind.solvers as solvers
@@ -82,3 +83,80 @@ def test_reduction_needs_no_generic_matrix_elements(monkeypatch):
     assert len(calls) == 0
     pipeline.run_verification(config)
     assert len(calls) == 2
+
+
+def test_probe_values_built_once_per_run(monkeypatch):
+    """The basis values at the probe grid do not depend on lambda, so the
+    Hermite recurrence runs as often for three lambdas as for one."""
+    calls = []
+    original = hermite.hermite_function_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hermite, "hermite_function_values", counted)
+    per_run = []
+    for lambdas in (CONFIG["lambda"][:1], CONFIG["lambda"]):
+        calls.clear()
+        pipeline.run_reduction(parse_config({**CONFIG, "alpha": 0.0, "lambda": lambdas}))
+        per_run.append(len(calls))
+    assert per_run[0] == per_run[1] > 0
+
+
+DEPTH8 = {**CONFIG, "depth": 8, "lambda": [[0.5, 0.25]], "seed": 7}
+
+
+def _pencil_kernel(alpha):
+    config = parse_config({**DEPTH8, "alpha": alpha})
+    pencil = pipeline.run_reduction(config).pencil
+    assert pencil.size == 256
+    return pencil.pencil_kernel(config.lambdas[0]), config.tolerances
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.0])
+def test_fd_check_passes_at_256(alpha):
+    """The Richardson oracle's own error stays under the check's tolerance at
+    N = 256, where the plain central difference (1.8e-5) did not."""
+    pk, tol = _pencil_kernel(alpha)
+    assert pipeline.kernel_derivative_fd_defect(pk) <= tol["derivative_agreement"]
+
+
+def _mutated_derivative_coefficients(k, factor):
+    """hermite.derivative_coefficients with the ladder's up[k] scaled by
+    1 + factor."""
+
+    def derivative_coefficients(count, order):
+        width = count + order
+        coef = np.eye(count, width)
+        idx = np.arange(width, dtype=np.float64)
+        up = np.sqrt((idx + 1.0) / 2.0)
+        if k < width:
+            up[k] *= 1.0 + factor
+        down = np.sqrt(idx / 2.0)
+        for _ in range(order):
+            nxt = np.zeros_like(coef)
+            nxt[:, :-1] = coef[:, 1:] * up[:-1]
+            nxt[:, 1:] -= coef[:, :-1] * down[1:]
+            coef = nxt
+        return coef
+
+    return derivative_coefficients
+
+
+def test_unmutated_copy_is_the_ladder():
+    # the mutants below differ from the shipped ladder in up[k] only
+    for order in (1, 2, 3):
+        np.testing.assert_array_equal(
+            _mutated_derivative_coefficients(3, 0.0)(40, order),
+            hermite.derivative_coefficients(40, order),
+        )
+
+
+@pytest.mark.parametrize("k, factor", [(3, 1e-4), (40, 1e-5), (120, 1e-6)])
+def test_fd_check_catches_a_ladder_error_at_256(monkeypatch, k, factor):
+    pk, tol = _pencil_kernel(0.25)
+    monkeypatch.setattr(
+        hermite, "derivative_coefficients", _mutated_derivative_coefficients(k, factor)
+    )
+    assert pipeline.kernel_derivative_fd_defect(pk) > tol["derivative_agreement"]

@@ -364,3 +364,47 @@ class TestVerifyEquivalence:
         phi = GridFunction.zero(seq.space)
         with pytest.raises(ValueError, match="multiplier matrix"):
             verify_equivalence(ThirdKindProblem(H, K, 0.4), pencil, U, phi)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.0])
+    def test_one_factorization_per_lambda(self, monkeypatch, alpha):
+        """D = A0 - lambda A is factorized once; with alpha = 0 its SVD also
+        gives the condition, otherwise alpha I + D keeps np.linalg.cond."""
+        H, K, seq, U = build_chain(6, alpha=alpha)
+        rng = np.random.default_rng(74)
+        phi = random_grid_function(rng, seq.space)
+        lam = 0.4 + 0.2j
+        pencil = chain_pencil(H, K, alpha, seq, U)
+        m_matrix = multiplier_matrix(Multiplier(), pencil.basis) if alpha == 0 else None
+        calls = {"svd": 0, "cond": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = verify_equivalence(
+            ThirdKindProblem(H, K, lam), pencil, U, phi, m_matrix=m_matrix
+        )
+        monkeypatch.undo()
+        if alpha == 0:
+            assert calls == {"svd": 2, "cond": 0}
+        else:
+            assert calls == {"svd": 1, "cond": 1}
+        expected = np.linalg.cond(pencil.system_matrix(lam))
+        assert report.condition == pytest.approx(expected, rel=1e-12)
+
+    def test_probe_values_passed_in_change_nothing(self):
+        H, K, seq, U = build_chain(6, alpha=0.0)
+        rng = np.random.default_rng(75)
+        phi = random_grid_function(rng, seq.space)
+        pencil = chain_pencil(H, K, 0.0, seq, U)
+        m_matrix = multiplier_matrix(Multiplier(), pencil.basis)
+        p = ThirdKindProblem(H, K, 0.3 - 0.1j)
+        values = pencil.basis.value_matrix(0, np.linspace(-8.0, 8.0, 41))
+        own = verify_equivalence(p, pencil, U, phi, m_matrix=m_matrix)
+        given = verify_equivalence(
+            p, pencil, U, phi, m_matrix=m_matrix, probe_values=values
+        )
+        assert given.to_dict() == own.to_dict()
