@@ -13,12 +13,13 @@ whose absolute partial sums witness absolute convergence. It is kept as the
 SVD factors of A: the series values at probe points come from those factors
 in O(n^2) per point, and the explicit n x n matrices W, V are formed only
 when asked for (the verification battery's reconstruction and series checks).
+Probe diagnostics read the basis values at their points from a `ProbeGrid`,
+which builds them once with the points they belong to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -67,11 +68,8 @@ def synthesize(matrix: np.ndarray, basis: SmoothBasis) -> BilinearKernel:
     return BilinearKernel(matrix=matrix, basis=basis)
 
 
-def _pair_eval(
-    matrix: np.ndarray, basis: SmoothBasis, i: int, j: int, s: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    left = basis.value_matrix(i, s)
-    right = basis.value_matrix(j, t)
+def _pair_eval(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_mn a_mn left_m(s) conj(right_n(t)) from basis value matrices."""
     return left.T @ matrix @ np.conj(right)
 
 
@@ -87,15 +85,17 @@ def eval_kernel(kernel: BilinearKernel, i: int, j: int, s, t):
     scalar = np.ndim(s) == 0 and np.ndim(t) == 0
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    basis = kernel.basis
+    right = basis.value_matrix(j, t_arr)
     if kernel.multiplier is None:
-        out = _pair_eval(kernel.matrix, kernel.basis, i, j, s_arr, t_arr)
+        out = _pair_eval(kernel.matrix, basis.value_matrix(i, s_arr), right)
     else:
         m = kernel.multiplier
         out = np.zeros((s_arr.size, t_arr.size), dtype=complex)
         for r in range(i + 1):
             weight = comb(i, r) * m.derivative(i - r, s_arr)
             out += weight[:, None] * _pair_eval(
-                kernel.matrix, kernel.basis, r, j, s_arr, t_arr
+                kernel.matrix, basis.value_matrix(r, s_arr), right
             )
     return complex(out[0, 0]) if scalar else out
 
@@ -131,17 +131,37 @@ def carleman(kernel: BilinearKernel, side: str, order: int, x: float) -> np.ndar
     return out
 
 
-def carleman_row_norms(
-    kernel: BilinearKernel, s: np.ndarray, values: np.ndarray | None = None
-) -> np.ndarray:
-    """||t(s_j)|| for all probe points at once (order 0).
+@dataclass(frozen=True, eq=False)
+class ProbeGrid:
+    """Probe points with the basis values at them, built together.
 
-    `values` is kernel.basis.value_matrix(0, s) when the caller holds it.
+    `values` is basis.value_matrix(0, points), shape (size, points); it does
+    not depend on the kernel, so one grid serves every probe diagnostic over
+    the same basis.
     """
-    u = kernel.basis.value_matrix(0, s) if values is None else values
-    norms = np.linalg.norm(kernel.matrix.T @ u.astype(complex), axis=0)
+
+    basis: SmoothBasis
+    points: np.ndarray
+    values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pts = np.atleast_1d(np.asarray(self.points, dtype=np.float64))
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "values", self.basis.value_matrix(0, pts))
+
+
+def _check_grid(basis: SmoothBasis, *grids: ProbeGrid) -> None:
+    for grid in grids:
+        if grid.basis != basis:
+            raise ValueError(f"probe grid is over {grid.basis}, expected {basis}")
+
+
+def carleman_row_norms(kernel: BilinearKernel, probes: ProbeGrid) -> np.ndarray:
+    """||t(s_j)|| for all probe points at once (order 0)."""
+    _check_grid(kernel.basis, probes)
+    norms = np.linalg.norm(kernel.matrix.T @ probes.values.astype(complex), axis=0)
     if kernel.multiplier is not None:
-        norms = norms * np.abs(kernel.multiplier.value(np.atleast_1d(s)))
+        norms = norms * np.abs(kernel.multiplier.value(probes.points))
     return norms
 
 
@@ -192,20 +212,13 @@ class MFactorization:
         inner *= np.sqrt(self.sigma)[:, None]
         return self.vh.T @ inner
 
-    @cached_property
-    def v_factor(self) -> np.ndarray:
-        """Explicit V = P = |A|^(1/2), formed on first use."""
-        return (self.vh.conj().T * np.sqrt(self.sigma)) @ self.vh
-
-    @cached_property
-    def w_factor(self) -> np.ndarray:
-        """Explicit W = U_pol P, formed on first use."""
+    def polar_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Explicit (W, V) = (U_pol P, P) with P = |A|^(1/2), formed on each
+        call (three n x n products) and not kept here."""
+        p = (self.vh.conj().T * np.sqrt(self.sigma)) @ self.vh
         r = self.rank
         u_pol = self.u[:, :r] @ self.vh[:r, :]
-        return u_pol @ self.v_factor
-
-    def reconstruction(self) -> np.ndarray:
-        return self.w_factor @ self.v_factor.conj().T
+        return u_pol @ p, p
 
 
 def m_factorize(matrix: np.ndarray) -> MFactorization:
@@ -214,8 +227,8 @@ def m_factorize(matrix: np.ndarray) -> MFactorization:
     With A = U diag(sigma) V^h: |A| = V diag(sigma) V^h, the square root
     P uses sqrt(sigma) (never negative, so positivity survives rounding),
     and the partial isometry keeps only directions with sigma above the
-    rank threshold. The explicit W, V exist only on request (`w_factor`,
-    `v_factor`); probe values and the condition number need only the SVD.
+    rank threshold. The explicit W, V exist only on request
+    (`polar_factors`); probe values and the condition number need only the SVD.
     """
     a = np.asarray(matrix, dtype=complex)
     u, sigma, vh = np.linalg.svd(a)
@@ -234,20 +247,27 @@ class SeriesCheck:
 
 
 def series_consistency(
-    kernel: BilinearKernel, fact: MFactorization, i: int, j: int, s: float, t: float
+    kernel: BilinearKernel,
+    w: np.ndarray,
+    v: np.ndarray,
+    i: int,
+    j: int,
+    s: float,
+    t: float,
 ) -> SeriesCheck:
     """Compare coefficient-form evaluation against the factorized series.
 
     The series is sum_n [W u_n]^(i)(s) conj([V u_n]^(j)(t)); its running
     absolute partial sums are the convergence witness (nondecreasing and
-    bounded). `fact` must factor the kernel's coefficient matrix; for
-    multiplier kernels both sides use the coefficient form M A.
+    bounded). `w`, `v` are the explicit factors (`MFactorization.polar_factors`)
+    of the kernel's coefficient matrix; for multiplier kernels both sides use
+    the coefficient form M A.
     """
     basis = kernel.basis
     u_i = basis.value_matrix(i, s)[:, 0].astype(complex)
     u_j = basis.value_matrix(j, t)[:, 0].astype(complex)
-    w_vals = fact.w_factor.T @ u_i
-    v_vals = np.conj(fact.v_factor.T @ u_j)
+    w_vals = w.T @ u_i
+    v_vals = np.conj(v.T @ u_j)
     terms = w_vals * v_vals
     direct = complex(u_i @ kernel.coefficient_matrix @ np.conj(u_j))
     return SeriesCheck(
@@ -280,27 +300,15 @@ def scale_by_multiplier(
     )
 
 
-def coefficient_form_gap(
-    kernel: BilinearKernel,
-    s: np.ndarray,
-    t: np.ndarray,
-    s_values: np.ndarray | None = None,
-    t_values: np.ndarray | None = None,
-) -> float:
-    """Max |m(s) T(s,t) - (M A)-form(s,t)| over a probe grid (0 without multiplier).
-
-    `s_values`, `t_values` are kernel.basis.value_matrix(0, .) at s and t when
-    the caller holds them.
-    """
+def coefficient_form_gap(kernel: BilinearKernel, s: ProbeGrid, t: ProbeGrid) -> float:
+    """Max |m(s) T(s,t) - (M A)-form(s,t)| over a probe grid (0 without multiplier)."""
+    _check_grid(kernel.basis, s, t)
     if kernel.multiplier is None:
         return 0.0
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    u_s = kernel.basis.value_matrix(0, s) if s_values is None else s_values
-    u_t = kernel.basis.value_matrix(0, t) if t_values is None else t_values
-    conj_t = np.conj(u_t)
-    exact = kernel.multiplier.value(s)[:, None] * (u_s.T @ kernel.matrix @ conj_t)
-    via_coeff = u_s.T @ kernel.multiplied_matrix @ conj_t
+    exact = kernel.multiplier.value(s.points)[:, None] * _pair_eval(
+        kernel.matrix, s.values, t.values
+    )
+    via_coeff = _pair_eval(kernel.multiplied_matrix, s.values, t.values)
     return float(np.max(np.abs(exact - via_coeff)))
 
 
@@ -319,25 +327,23 @@ def probe_grid(bound: float = 8.0, points: int = 41) -> np.ndarray:
 
 
 def absolute_tail_sup(
-    fact: MFactorization,
-    s_values: np.ndarray,
-    t_values: np.ndarray,
-    start: int | None = None,
+    fact: MFactorization, s: ProbeGrid, t: ProbeGrid, start: int | None = None
 ) -> float:
     """Sup over the probe grid of the absolute series tail beyond `start`.
 
-    `fact` factors the kernel's coefficient matrix and `s_values`, `t_values`
-    are the basis value matrices (size x points) at the probe points. The
-    series is the canonical factorized one; the default tail starts at
-    n = size/2. This is the finite-truncation observable standing in for
-    absolute/uniform convergence of the infinite expansion. Since
-    |w conj(v)| = |w| |v|, the tail sums over all probe pairs are one real
-    product |W_tail^T u_s|^T |V_tail^T u_t|.
+    `fact` factors the kernel's coefficient matrix, and `s`, `t` carry the
+    basis values at the probe points. The series is the canonical factorized
+    one; the default tail starts at n = size/2. This is the finite-truncation
+    observable standing in for absolute/uniform convergence of the infinite
+    expansion. Since |w conj(v)| = |w| |v|, the tail sums over all probe pairs
+    are one real product |W_tail^T u_s|^T |V_tail^T u_t|.
     """
+    n = fact.sigma.size
+    _check_grid(SmoothBasis(n), s, t)
     if start is None:
-        start = s_values.shape[0] // 2
-    w_vals = fact.w_values(s_values)  # (n, S)
-    v_vals = fact.v_values(t_values)  # (n, T)
+        start = n // 2
+    w_vals = fact.w_values(s.values)  # (n, S)
+    v_vals = fact.v_values(t.values)  # (n, T)
     sums = np.abs(w_vals[start:]).T @ np.abs(v_vals[start:])  # (S, T)
     return float(np.max(sums)) if sums.size else 0.0
 
@@ -389,7 +395,7 @@ def vanishing_at_radius(kernel: BilinearKernel, radius: float, t_probe) -> float
     t_probe = np.atleast_1d(np.asarray(t_probe, dtype=np.float64))
     corner = float(np.max(np.abs(eval_kernel(kernel, 0, 0, edges, t_probe))))
     side = float(np.max(np.abs(eval_kernel(kernel, 0, 0, t_probe, edges))))
-    row = float(np.max(carleman_row_norms(kernel, edges)))
+    row = float(np.max(carleman_row_norms(kernel, ProbeGrid(kernel.basis, edges))))
     return max(corner, side, row)
 
 

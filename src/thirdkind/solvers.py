@@ -20,13 +20,13 @@ from .errors import AlphaNotZeroError, DegenerateSystemError, NearSingularError
 from .hermite import Multiplier, SmoothBasis, multiplier_matrix
 from .kernels import (
     BilinearKernel,
+    ProbeGrid,
     absolute_tail_sup,
     adjoint_column_quarter_maxima,
     carleman_row_norms,
     coefficient_form_gap,
     hs_norm,
     m_factorize,
-    probe_grid,
     scale_by_multiplier,
     synthesize,
 )
@@ -313,11 +313,9 @@ def verify_equivalence(
     pencil: KernelPencil,
     U: UnitarySurrogate,
     phi: GridFunction,
-    probe_bound: float = 8.0,
-    probe_points: int = 41,
+    probes: ProbeGrid,
     cutoff: float = 1e-10,
     m_matrix: np.ndarray | None = None,
-    probe_values: np.ndarray | None = None,
 ) -> EquivalenceReport:
     """Manufacture psi from phi and measure every testable identity.
 
@@ -328,9 +326,8 @@ def verify_equivalence(
     diagnostics over the probe grid. With alpha = 0 the first-kind section is
     added from `m_matrix`, the Gaussian multiplier matrix over pencil.basis:
     multiplied-system residual, Hilbert-Schmidt bound slack, adjoint column
-    decay, and the truncated-spectral recovery error. `probe_values` is
-    pencil.basis.value_matrix(0, .) at the probe grid when the caller built
-    it once for all lambdas.
+    decay, and the truncated-spectral recovery error. `probes` is the probe
+    grid over pencil.basis, built once for all lambdas.
 
     D = A0 - lambda A is factorized once: its SVD gives the series tail and,
     with alpha = 0, the condition number; alpha I + D is a different matrix
@@ -358,11 +355,8 @@ def verify_equivalence(
         condition = float(np.linalg.cond(_plus_identity(d, alpha)))
 
     pk = synthesize(d, pencil.basis)
-    probes = probe_grid(probe_bound, probe_points)
-    if probe_values is None:
-        probe_values = pencil.basis.value_matrix(0, probes)
-    carleman_sup = float(np.max(carleman_row_norms(pk, probes, probe_values)))
-    tail = absolute_tail_sup(fact, probe_values, probe_values)
+    carleman_sup = float(np.max(carleman_row_norms(pk, probes)))
+    tail = absolute_tail_sup(fact, probes, probes)
     del fact  # no n x n factor is held into the first-kind solve
 
     discarded = None
@@ -379,9 +373,7 @@ def verify_equivalence(
         # sup_s ||t(s)|| of the plain pencil feeds the Hilbert-Schmidt bound
         bound = carleman_sup * m.l2_norm
         slack = max(0.0, hs_gamma - bound)
-        gap = coefficient_form_gap(
-            gamma_pencil, probes, probes, probe_values, probe_values
-        )
+        gap = coefficient_form_gap(gamma_pencil, probes, probes)
         first_q, last_q = adjoint_column_quarter_maxima(fk_system)
         try:
             sol = solve_first_kind(fk, p.lam, cutoff, system=fk_system)

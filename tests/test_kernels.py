@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from thirdkind import (
     MFactorization,
     Multiplier,
+    ProbeGrid,
     SmoothBasis,
     carleman,
     eval_kernel,
@@ -154,39 +155,36 @@ class TestCarleman:
 
 class TestMFactorization:
     def test_identity(self):
-        F = m_factorize(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(F.w_factor, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(F.v_factor, np.eye(3), atol=1e-14)
+        W, V = m_factorize(np.eye(3, dtype=complex)).polar_factors()
+        np.testing.assert_allclose(W, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(V, np.eye(3), atol=1e-14)
 
     def test_rank_deficient_diagonal(self):
-        F = m_factorize(np.diag([2.0, 0.0]).astype(complex))
+        W, V = m_factorize(np.diag([2.0, 0.0]).astype(complex)).polar_factors()
         s2 = math.sqrt(2.0)
-        np.testing.assert_allclose(F.w_factor, np.diag([s2, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(F.v_factor, np.diag([s2, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(F.reconstruction(), np.diag([2.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(W, np.diag([s2, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(V, np.diag([s2, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(W @ V.conj().T, np.diag([2.0, 0.0]), atol=1e-14)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(41)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        F = m_factorize(a)
-        assert np.linalg.norm(F.reconstruction() - a, "fro") <= 1e-10 * np.linalg.norm(
+        W, V = m_factorize(a).polar_factors()
+        assert np.linalg.norm(W @ V.conj().T - a, "fro") <= 1e-10 * np.linalg.norm(
             a, "fro"
         )
 
     def test_factors_positive_semidefinite(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        F = m_factorize(a)
-        for product in (
-            F.w_factor @ F.w_factor.conj().T,
-            F.v_factor @ F.v_factor.conj().T,
-        ):
+        W, V = m_factorize(a).polar_factors()
+        for product in (W @ W.conj().T, V @ V.conj().T):
             eigs = np.linalg.eigvalsh((product + product.conj().T) / 2)
             assert eigs.min() >= -1e-12
 
     def test_zero_matrix(self):
-        F = m_factorize(np.zeros((4, 4)))
-        np.testing.assert_array_equal(F.reconstruction(), 0.0)
+        W, V = m_factorize(np.zeros((4, 4))).polar_factors()
+        np.testing.assert_array_equal(W @ V.conj().T, 0.0)
 
     def test_condition_matches_numpy(self):
         rng = np.random.default_rng(56)
@@ -219,16 +217,17 @@ class TestMFactorization:
         a = a[:, :rank] @ a[:rank, :]
         F = m_factorize(a)
         assert F.rank == rank
+        W, V = F.polar_factors()
         u = SmoothBasis(16).value_matrix(0, np.linspace(-4, 4, 9))
-        np.testing.assert_allclose(F.w_values(u), F.w_factor.T @ u, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(F.v_values(u), F.v_factor.T @ u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(F.w_values(u), W.T @ u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(F.v_values(u), V.T @ u, rtol=0, atol=1e-13)
 
 
 class TestSeriesConsistency:
     def test_rank_one_exact(self):
         T = rank_one_kernel()
-        F = m_factorize(T.matrix)
-        chk = series_consistency(T, F, 0, 0, 0.5, -0.5)
+        W, V = m_factorize(T.matrix).polar_factors()
+        chk = series_consistency(T, W, V, 0, 0, 0.5, -0.5)
         assert chk.direct == pytest.approx(chk.via_factorization, abs=1e-15)
 
     def test_random_hermitian(self):
@@ -236,14 +235,14 @@ class TestSeriesConsistency:
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         a = (a + a.conj().T) / 2
         T = synthesize(a, SmoothBasis(8))
-        F = m_factorize(a)
-        chk = series_consistency(T, F, 0, 0, 0.3, -0.7)
+        W, V = m_factorize(a).polar_factors()
+        chk = series_consistency(T, W, V, 0, 0, 0.3, -0.7)
         assert abs(chk.direct - chk.via_factorization) <= 1e-10
 
     def test_partial_sums_monotone_and_bounded(self):
         T = random_kernel(8, seed=44, scale=1.0)
-        F = m_factorize(T.matrix)
-        chk = series_consistency(T, F, 1, 1, 0.2, 0.9)
+        W, V = m_factorize(T.matrix).polar_factors()
+        chk = series_consistency(T, W, V, 1, 1, 0.2, 0.9)
         sums = chk.abs_partial_sums
         assert np.all(np.diff(sums) >= 0)
         assert sums[-1] >= abs(chk.direct)
@@ -319,15 +318,14 @@ class TestMultiplierKernels:
         M = multiplier_matrix(m, T.basis)
         G = scale_by_multiplier(T, m, M)
         s = np.linspace(-3, 3, 11)
-        gap = coefficient_form_gap(G, s, s)
+        probes = ProbeGrid(T.basis, s)
+        gap = coefficient_form_gap(G, probes, probes)
         assert gap >= 0.0
-        assert coefficient_form_gap(T, s, s) == 0.0
-        # against the two pointwise evaluations, with and without held values
+        assert coefficient_form_gap(T, probes, probes) == 0.0
+        # against the two pointwise evaluations
         via_coeff = eval_kernel(synthesize(M @ T.matrix, T.basis), 0, 0, s, s)
         expected = float(np.max(np.abs(eval_kernel(G, 0, 0, s, s) - via_coeff)))
-        u = T.basis.value_matrix(0, s)
         assert gap == pytest.approx(expected, rel=1e-12)
-        assert coefficient_form_gap(G, s, s, u, u) == gap
 
     def test_double_multiplier_rejected(self):
         T = random_kernel(4, seed=51)
@@ -373,10 +371,9 @@ class TestProbes:
 
     def test_tail_sup_nonnegative_and_small_for_rank_one(self):
         T = rank_one_kernel(8)
-        s = np.linspace(-4, 4, 9)
-        u = T.basis.value_matrix(0, s)
+        probes = ProbeGrid(T.basis, np.linspace(-4, 4, 9))
         # all the mass sits in the first factor pair, so the tail is zero
-        assert absolute_tail_sup(m_factorize(T.matrix), u, u) == pytest.approx(
+        assert absolute_tail_sup(m_factorize(T.matrix), probes, probes) == pytest.approx(
             0.0, abs=1e-15
         )
 
@@ -391,13 +388,38 @@ class TestProbes:
         u_t = T.basis.value_matrix(0, t).astype(complex)
         for a in (T.matrix, T.matrix[:, :5] @ T.matrix[:5, :], np.zeros((16, 16))):
             fact = m_factorize(a)
-            w_vals = fact.w_factor.T @ u_s
-            v_vals = fact.v_factor.T @ u_t
+            W, V = fact.polar_factors()
+            w_vals = W.T @ u_s
+            v_vals = V.T @ u_t
             first = 8 if start is None else start
             tail = np.abs(w_vals[first:, :, None] * np.conj(v_vals[first:, None, :]))
             expected = float(np.max(np.sum(tail, axis=0)))
-            got = absolute_tail_sup(fact, u_s.real, u_t.real, start)
+            got = absolute_tail_sup(
+                fact, ProbeGrid(T.basis, s), ProbeGrid(T.basis, t), start
+            )
             assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_grid_holds_basis_values_at_its_points(self):
+        basis = SmoothBasis(12)
+        probes = ProbeGrid(basis, [-1.5, 0.0, 2.0])
+        assert probes.points.dtype == np.float64
+        np.testing.assert_array_equal(probes.values, basis.value_matrix(0, probes.points))
+
+    def test_grid_over_another_basis_rejected(self):
+        from thirdkind.kernels import carleman_row_norms
+
+        T = random_kernel(8, seed=58)
+        m = Multiplier()
+        G = scale_by_multiplier(T, m, multiplier_matrix(m, T.basis))
+        own = ProbeGrid(T.basis, np.linspace(-3, 3, 5))
+        other = ProbeGrid(SmoothBasis(9), np.linspace(-3, 3, 5))
+        with pytest.raises(ValueError, match="probe grid"):
+            carleman_row_norms(T, other)
+        for s, t in ((own, other), (other, own)):
+            with pytest.raises(ValueError, match="probe grid"):
+                coefficient_form_gap(G, s, t)
+            with pytest.raises(ValueError, match="probe grid"):
+                absolute_tail_sup(m_factorize(T.matrix), s, t)
 
     def test_adjoint_column_decay_for_damped_products(self):
         rng = np.random.default_rng(54)

@@ -1,5 +1,7 @@
 """One pencil per run: the pipeline reduces once and shares the result."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,10 @@ def test_probe_values_built_once_per_run(monkeypatch):
 DEPTH8 = {**CONFIG, "depth": 8, "lambda": [[0.5, 0.25]], "seed": 7}
 
 
+@functools.cache
 def _pencil_kernel(alpha):
+    """The depth-8 pencil kernel at the config's lambda, reduced once per alpha
+    and shared by the pass and mutant tests."""
     config = parse_config({**DEPTH8, "alpha": alpha})
     pencil = pipeline.run_reduction(config).pencil
     assert pencil.size == 256

@@ -13,6 +13,7 @@ from thirdkind import (
     KernelPencil,
     Multiplier,
     NearSingularError,
+    ProbeGrid,
     SmoothBasis,
     ThirdKindProblem,
     UnitarySurrogate,
@@ -26,6 +27,7 @@ from thirdkind import (
     solve_second_kind,
     verify_equivalence,
 )
+from thirdkind.kernels import probe_grid
 from thirdkind.pipeline import random_grid_function
 
 
@@ -51,6 +53,11 @@ def build_chain(depth, alpha, kernel_factory=exp_kernel, bands=3, eps0=0.25):
 def chain_pencil(H, K, alpha, seq, U):
     """The lambda-free pencil of (H, K) over U."""
     return reduce_problem(ThirdKindProblem(H, K, 0.0), alpha, seq, U)
+
+
+def default_probes(pencil):
+    """The default probe grid (41 points on [-8, 8]) over the pencil's basis."""
+    return ProbeGrid(pencil.basis, probe_grid())
 
 
 class TestForward:
@@ -221,13 +228,14 @@ class TestFirstKind:
 
     def test_hs_bound_with_gaussian_multiplier(self):
         from thirdkind import hs_norm
-        from thirdkind.kernels import carleman_row_norms, probe_grid
+        from thirdkind.kernels import carleman_row_norms
 
         pencil, g, _ = self.pencil_from_chain()
         fp = make_first_kind(pencil, Multiplier(), g)
         gamma = fp.gamma()
         plain = pencil.kernel_t()
-        sup = float(np.max(carleman_row_norms(plain, probe_grid(8.0, 161))))
+        probes = ProbeGrid(plain.basis, probe_grid(8.0, 161))
+        sup = float(np.max(carleman_row_norms(plain, probes)))
         assert hs_norm(gamma) <= sup * math.pi**0.25 + 1e-12
 
     def test_multiplied_identity_preserved(self):
@@ -299,7 +307,8 @@ class TestVerifyEquivalence:
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
         p = ThirdKindProblem(H, K, 1.0)
         pencil = chain_pencil(H, K, 0.25, seq, U)
-        report = verify_equivalence(p, pencil, U, GridFunction.zero(seq.space))
+        phi = GridFunction.zero(seq.space)
+        report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
         assert report.passage_residual == 0.0
         assert report.round_trip_error == 0.0
 
@@ -308,7 +317,8 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(70)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem(H, K, 1.0)
-        report = verify_equivalence(p, chain_pencil(H, K, 0.25, seq, U), U, phi)
+        pencil = chain_pencil(H, K, 0.25, seq, U)
+        report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
         assert report.passage_residual <= 1e-9
         assert report.round_trip_error <= 1e-9
         assert report.first_kind is None
@@ -320,7 +330,9 @@ class TestVerifyEquivalence:
         p = ThirdKindProblem(H, K, 0.4)
         pencil = chain_pencil(H, K, 0.0, seq, U)
         m_matrix = multiplier_matrix(Multiplier(), pencil.basis)
-        report = verify_equivalence(p, pencil, U, phi, m_matrix=m_matrix)
+        report = verify_equivalence(
+            p, pencil, U, phi, default_probes(pencil), m_matrix=m_matrix
+        )
         fk = report.first_kind
         assert fk is not None
         assert fk.residual <= 1e-9
@@ -332,7 +344,9 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(72)
         phi = random_grid_function(rng, seq.space)
         pencil = chain_pencil(H, K, 0.25, seq, U)
-        report = verify_equivalence(ThirdKindProblem(H, K, 0.2), pencil, U, phi)
+        report = verify_equivalence(
+            ThirdKindProblem(H, K, 0.2), pencil, U, phi, default_probes(pencil)
+        )
         d = report.to_dict()
         for key in (
             "passage_residual",
@@ -355,7 +369,7 @@ class TestVerifyEquivalence:
             phi = random_grid_function(rng, seq.space)
             p = ThirdKindProblem(H, K, inst["lambda"])
             pencil = chain_pencil(H, K, inst["alpha"], seq, U)
-            report = verify_equivalence(p, pencil, U, phi)
+            report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
             assert report.passage_residual <= 1e-9
 
     def test_alpha_zero_needs_multiplier_matrix(self):
@@ -363,7 +377,9 @@ class TestVerifyEquivalence:
         pencil = chain_pencil(H, K, 0.0, seq, U)
         phi = GridFunction.zero(seq.space)
         with pytest.raises(ValueError, match="multiplier matrix"):
-            verify_equivalence(ThirdKindProblem(H, K, 0.4), pencil, U, phi)
+            verify_equivalence(
+                ThirdKindProblem(H, K, 0.4), pencil, U, phi, default_probes(pencil)
+            )
 
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_one_factorization_per_lambda(self, monkeypatch, alpha):
@@ -375,6 +391,7 @@ class TestVerifyEquivalence:
         lam = 0.4 + 0.2j
         pencil = chain_pencil(H, K, alpha, seq, U)
         m_matrix = multiplier_matrix(Multiplier(), pencil.basis) if alpha == 0 else None
+        probes = default_probes(pencil)
         calls = {"svd": 0, "cond": 0}
         for name in calls:
             original = getattr(np.linalg, name)
@@ -385,7 +402,7 @@ class TestVerifyEquivalence:
 
             monkeypatch.setattr(np.linalg, name, counted)
         report = verify_equivalence(
-            ThirdKindProblem(H, K, lam), pencil, U, phi, m_matrix=m_matrix
+            ThirdKindProblem(H, K, lam), pencil, U, phi, probes, m_matrix=m_matrix
         )
         monkeypatch.undo()
         if alpha == 0:
@@ -395,16 +412,10 @@ class TestVerifyEquivalence:
         expected = np.linalg.cond(pencil.system_matrix(lam))
         assert report.condition == pytest.approx(expected, rel=1e-12)
 
-    def test_probe_values_passed_in_change_nothing(self):
-        H, K, seq, U = build_chain(6, alpha=0.0)
-        rng = np.random.default_rng(75)
-        phi = random_grid_function(rng, seq.space)
-        pencil = chain_pencil(H, K, 0.0, seq, U)
-        m_matrix = multiplier_matrix(Multiplier(), pencil.basis)
-        p = ThirdKindProblem(H, K, 0.3 - 0.1j)
-        values = pencil.basis.value_matrix(0, np.linspace(-8.0, 8.0, 41))
-        own = verify_equivalence(p, pencil, U, phi, m_matrix=m_matrix)
-        given = verify_equivalence(
-            p, pencil, U, phi, m_matrix=m_matrix, probe_values=values
-        )
-        assert given.to_dict() == own.to_dict()
+    def test_probes_over_another_basis_rejected(self):
+        H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
+        pencil = chain_pencil(H, K, 0.25, seq, U)
+        phi = GridFunction.zero(seq.space)
+        other = ProbeGrid(SmoothBasis(pencil.size + 1), probe_grid())
+        with pytest.raises(ValueError, match="probe grid"):
+            verify_equivalence(ThirdKindProblem(H, K, 0.4), pencil, U, phi, other)
