@@ -209,23 +209,65 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(raw, base_dir=path.parent)
 
 
+# the keys each built-in takes besides "kind"
+_FUNCTION_KEYS = {
+    "constant": {"value"},
+    "identity": set(),
+    "linear": {"scale", "offset"},
+    "exp": {"scale"},
+}
+_KERNEL_KEYS = {
+    "constant": {"value"},
+    "exp_xy": {"scale"},
+    "product_xy": set(),
+    "rank_one": {"left", "right"},
+}
+_CSV_KEYS = {"csv": {"path"}}
+
+
+def _check_keys(spec, allowed: dict, where: str) -> str:
+    """The spec's kind, after rejecting an unknown kind or a key it does not take."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object with a 'kind' key")
+    kind = spec.get("kind")
+    if kind not in allowed:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    unknown = set(spec) - {"kind"} - allowed[kind]
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)} for kind {kind!r}")
+    return kind
+
+
+def _real(spec: dict, key: str, default: float, where: str) -> float:
+    value = spec.get(key, default)
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _scalar_builtin(spec: dict, where: str):
     """One-variable named function; used for coefficients and rank-one factors."""
-    kind = spec.get("kind")
+    kind = _check_keys(spec, _FUNCTION_KEYS, where)
     if kind == "constant":
         value = _as_complex(spec.get("value", 1.0), where)
         fill = value if value.imag else value.real
         return lambda y: np.full(np.asarray(y, dtype=float).shape, fill)
     if kind == "identity":
         return lambda y: np.ones_like(np.asarray(y, dtype=float))
+    scale = _real(spec, "scale", 1.0, where)
     if kind == "linear":
-        scale = float(spec.get("scale", 1.0))
-        offset = float(spec.get("offset", 0.0))
+        offset = _real(spec, "offset", 0.0, where)
         return lambda y: scale * np.asarray(y, dtype=float) + offset
-    if kind == "exp":
-        scale = float(spec.get("scale", 1.0))
-        return lambda y: np.exp(scale * np.asarray(y, dtype=float))
-    raise ConfigError(f"{where}: unknown function kind {kind!r}")
+    return lambda y: np.exp(scale * np.asarray(y, dtype=float))
+
+
+def _sampled(build, where: str):
+    """Sample a built-in; an inf or nan sample (an overflow) is a ConfigError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return build()
+    except ValueError as exc:  # GridFunction / GridKernel reject non-finite values
+        raise ConfigError(f"{where}: {exc} on this grid") from exc
 
 
 def _read_csv(reader, spec: dict, where: str) -> np.ndarray:
@@ -243,7 +285,7 @@ def _read_csv(reader, spec: dict, where: str) -> np.ndarray:
 
 def make_coefficient(spec: dict, space: MeasureSpace) -> GridFunction:
     """Sample a named coefficient built-in (or CSV file) on the grid."""
-    kind = spec.get("kind")
+    kind = _check_keys(spec, {**_FUNCTION_KEYS, **_CSV_KEYS}, "coefficient")
     if kind == "csv":
         values = _read_csv(read_grid_function_csv, spec, "coefficient")
         if values.size != space.cell_count:
@@ -251,15 +293,13 @@ def make_coefficient(spec: dict, space: MeasureSpace) -> GridFunction:
                 f"coefficient CSV holds {values.size} cells, grid needs {space.cell_count}"
             )
         return GridFunction(space, values)
-    allowed = {"kind", "value", "scale", "offset"}
-    if set(spec) - allowed:
-        raise ConfigError(f"coefficient: unknown keys {sorted(set(spec) - allowed)}")
-    return GridFunction.sample(space, _scalar_builtin(spec, "coefficient"))
+    func = _scalar_builtin(spec, "coefficient")
+    return _sampled(lambda: GridFunction.sample(space, func), "coefficient")
 
 
 def make_kernel(spec: dict, space: MeasureSpace) -> GridKernel:
     """Sample a named kernel built-in (or CSV matrix) at cell-center pairs."""
-    kind = spec.get("kind")
+    kind = _check_keys(spec, {**_KERNEL_KEYS, **_CSV_KEYS}, "kernel")
     if kind == "csv":
         entries = _read_csv(read_matrix_csv, spec, "kernel")
         if entries.shape != (space.cell_count, space.cell_count):
@@ -270,17 +310,19 @@ def make_kernel(spec: dict, space: MeasureSpace) -> GridKernel:
         fill = value if value.imag else value.real
         n = space.cell_count
         return GridKernel(space, np.full((n, n), fill))
-    if kind == "exp_xy":
-        scale = float(spec.get("scale", 1.0))
-        return GridKernel.sample(space, lambda x, y: np.exp(scale * x * y))
     if kind == "product_xy":
         return GridKernel.sample(space, lambda x, y: x * y)
-    if kind == "rank_one":
+    if kind == "exp_xy":
+        scale = _real(spec, "scale", 1.0, "kernel")
+
+        def func(x, y):
+            exponent = scale * x * y
+            return np.exp(exponent, out=exponent)  # one n x n array, not two
+    else:  # rank_one: left(x) conj(right(y))
         left = _scalar_builtin(spec.get("left", {"kind": "identity"}), "kernel.left")
         right = _scalar_builtin(spec.get("right", {"kind": "identity"}), "kernel.right")
-        c = space.centers()
-        a = np.asarray(left(c))
-        b = np.asarray(right(c))
-        return GridKernel(space, np.outer(a, np.conj(b)))
-    raise ConfigError(f"kernel: unknown kind {kind!r}")
 
+        def func(x, y):
+            return np.asarray(left(x)) * np.conj(np.asarray(right(y)))
+
+    return _sampled(lambda: GridKernel.sample(space, func), "kernel")

@@ -215,6 +215,10 @@ class GridKernel:
         n = self.space.cell_count
         if ent.shape != (n, n):
             raise ValueError(f"expected {n}x{n} kernel samples, got {ent.shape}")
+        # min/max propagate nan and reach +-inf without an n x n temporary
+        parts = (ent.real, ent.imag) if ent.dtype.kind == "c" else (ent,)
+        if not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts):
+            raise ValueError("kernel entries must be finite")
         object.__setattr__(self, "entries", ent)
 
     def apply(self, f: GridFunction) -> GridFunction:

@@ -8,10 +8,17 @@ coefficients of a grid function in {b_n} (interpreted as coefficients in
 count) the pairing is unitary up to rounding, so conjugated operators are
 represented exactly by their coefficient matrices a_mn = <S b_n, b_m>.
 
-Each e_n lives on one band, so outside the bands' union the completed basis
-is the cell indicators themselves. The completion sweeps only that union,
-and the pencil matrices read the indicator rows by gathering entries of
-H - alpha and K; only the rows supported on the bands take dense products.
+The e_n have pairwise disjoint supports (one band each), so the completed
+basis has a closed form: outside the bands it is the cell indicators, and on
+a band E with sequence values v it is the Gram-Schmidt sweep of the
+indicators of E against v, whose row at cell E[k] is
+
+    (delta_{E[k]} - (conj(v_k) / T_k) v_{>=k}) / sqrt(w T_{k+1} / T_k),
+
+with T_k = sum_{i >= k} |v_i|^2 the suffix sums and w the cell measure. The
+last cell of a band gets no row: its indicator already lies in the span. The
+surrogate stores the indicator rows as (row, cell) pairs and one dense block
+per band; no (size, cell count) basis is held.
 """
 
 from __future__ import annotations
@@ -26,10 +33,22 @@ from .hermite import SmoothBasis
 from .measure import GridFunction, GridKernel, MeasureSpace
 from .rademacher import KorotkovSequence
 
-RANK_TOLERANCE = 1e-10
-
 # Coefficient matrices are plain complex ndarrays with a_mn = <S b_n, b_m>.
 CoefficientMatrix = np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class BandBlock:
+    """The rows of the completed basis supported on one band.
+
+    Row 0 of `block` is the band's sequence function on `cells`; row 1 + k is
+    the closed-form row at cells[k]. `rows` holds their surrogate row indices;
+    projected mode keeps a prefix of them.
+    """
+
+    cells: np.ndarray  # the band's cells, increasing
+    rows: np.ndarray
+    block: np.ndarray  # values on `cells`, shape (rows.size, cells.size)
 
 
 def complete_basis(
@@ -37,63 +56,69 @@ def complete_basis(
 ) -> list[GridFunction]:
     """Extend an orthonormal family to an orthonormal basis of the grid space.
 
-    The given functions come first; the tail is a Gram-Schmidt sweep over the
-    normalized cell indicators in index order, skipping candidates already in
-    the span (residual norm below 1e-10). Deterministic by construction.
-
-    The sweep only does work on the support S of the given functions: every
-    row built so far vanishes at a cell outside S, so that cell's indicator
-    is appended as it is, and the indicator of a cell in S is orthogonalized
-    in S coordinates against the rows supported there.
+    The given functions come first; the tail is the Gram-Schmidt sweep over
+    the normalized cell indicators in index order, skipping candidates
+    already in the span, taken in closed form. The family's supports must be
+    pairwise disjoint (ValueError otherwise). This is the dense view of
+    `UnitarySurrogate.from_sequence` at full truncation.
     """
+    return _complete(functions, space, space.cell_count).b_functions
+
+
+def _complete(
+    functions: Sequence[GridFunction], space: MeasureSpace, size: int
+) -> "UnitarySurrogate":
+    """The first `size` rows of the completed basis, as indicators and bands."""
     n = space.cell_count
     w = space.cell_width
-    start = np.zeros((len(functions), n), dtype=complex)
-    for i, f in enumerate(functions):
+    band_of = np.full(n, -1)
+    bands = []  # (support, values there, their suffix sums T) per function
+    for b, f in enumerate(functions):
         if f.space != space:
             raise SpaceMismatchError("sequence function lives on a different grid")
-        start[i] = f.values
-    filled = len(functions)
-    if filled:
-        gram = w * (start.conj() @ start.T)
-        if np.max(np.abs(gram - np.eye(filled))) > 1e-8:
+        cells = np.flatnonzero(f.values)
+        if np.any(band_of[cells] >= 0):
+            raise ValueError("starting family must have disjoint supports")
+        band_of[cells] = b
+        v = f.values[cells].astype(complex)
+        tail = np.cumsum((np.abs(v) ** 2)[::-1])[::-1]
+        if not cells.size or abs(w * tail[0] - 1.0) > 1e-8:
             raise ValueError("starting family is not orthonormal")
+        bands.append((cells, v, tail))
 
-    support = np.flatnonzero(np.any(start != 0, axis=0))
-    position = np.full(n, -1)
-    position[support] = np.arange(support.size)
-    basis = np.zeros((n, n), dtype=complex)
-    basis[:filled] = start
-    # rows supported on S, in S coordinates
-    local = np.zeros((support.size, support.size), dtype=complex)
-    local[:filled] = start[:, support]
-    local_filled = filled
+    # rows: the functions, then one per cell in index order except the last
+    # cell of each band
+    gives_row = np.ones(n, dtype=bool)
+    for cells, _, _ in bands:
+        gives_row[cells[-1]] = False
+    row_of = len(bands) - 1 + np.cumsum(gives_row)
+    free = np.flatnonzero((band_of < 0) & (row_of < size))
 
+    blocks = []
+    for b, (cells, v, tail) in enumerate(bands):
+        kept = int(np.count_nonzero(row_of[cells[:-1]] < size))
+        k = np.arange(kept)
+        q = np.triu(-(np.conj(v[:kept]) / tail[:kept])[:, None] * v)
+        q[k, k] = tail[1 : kept + 1] / tail[:kept]
+        q /= np.sqrt(w * tail[1 : kept + 1] / tail[:kept])[:, None]
+        blocks.append(
+            BandBlock(
+                cells=cells,
+                rows=np.concatenate([[b], row_of[cells[:kept]]]),
+                block=np.vstack([v, q]),
+            )
+        )
     scale = 1.0 / np.sqrt(w)
-    indicator = scale / (scale * np.sqrt(w))  # rounded as a swept candidate is
-    for cell in range(n):
-        if filled == n:
-            break
-        j = position[cell]
-        if j < 0:
-            basis[filled, cell] = indicator
-            filled += 1
-            continue
-        rows = local[:local_filled]
-        v = np.zeros(support.size, dtype=complex)
-        v[j] = scale
-        for _ in range(2):  # modified Gram-Schmidt with one reorthogonalization
-            coeff = w * (rows.conj() @ v)
-            v -= rows.T @ coeff
-        residual = np.linalg.norm(v) * np.sqrt(w)
-        if residual <= RANK_TOLERANCE:
-            continue
-        local[local_filled] = v / residual
-        basis[filled, support] = local[local_filled]
-        local_filled += 1
-        filled += 1
-    assert filled == n, "indicators always complete the grid space"
-    return [GridFunction(space, basis[i]) for i in range(n)]
+    return UnitarySurrogate(
+        space=space,
+        indicator_rows=row_of[free],
+        indicator_cells=free,
+        # 1/sqrt(w), rounded as the sweep's normalized candidate delta/sqrt(w)
+        indicator_value=scale / (scale * np.sqrt(w)),
+        bands=tuple(blocks),
+        basis=SmoothBasis(size),
+        projected=size < n,
+    )
 
 
 def matrix_elements(op, b_basis: Sequence[GridFunction]) -> CoefficientMatrix:
@@ -119,43 +144,42 @@ def pencil_matrices(
 
     With B = U.b_matrix and w the cell measure these are
     A0 = w conj(B) diag(symbol) B^T and A = w^2 conj(B) K B^T, equal to
-    `matrix_elements` of the two operators for any B. A row with a single
-    nonzero entry (an indicator) reads a scaled row of diag(symbol) B^T or
-    K B^T, which are gathers; the other rows take a dense product over
-    their joint column support. Without indicator rows that is the dense
-    product.
+    `matrix_elements` of the two operators. Rows with disjoint supports give
+    zero in A0, so A0 is the indicator diagonal plus one block per band. A
+    reads an indicator row of K B^T by gathering K, and a band's rows by a
+    product with K's rows and columns at the band's cells.
     """
     if symbol.space != U.space or kernel.space != U.space:
         raise SpaceMismatchError("operators and surrogate live on different grids")
-    B = U.b_matrix
     w = U.space.cell_width
-    single = np.count_nonzero(B, axis=1) == 1
-    ind_rows = np.flatnonzero(single)  # indicator rows
-    dense_rows = np.flatnonzero(~single)
-    cells = np.argmax(B[ind_rows] != 0, axis=1)
-    beta = B[ind_rows, cells]
-    dense_cols = np.flatnonzero(np.any(B[dense_rows] != 0, axis=0))
-    b_dense = B[np.ix_(dense_rows, dense_cols)]
-
-    def project(image) -> CoefficientMatrix:
-        # image(rows) returns the rows `rows` of S B^T
-        out = np.empty((B.shape[0], B.shape[0]), dtype=complex)
-        out[ind_rows] = (w * np.conj(beta))[:, None] * image(cells)
-        out[dense_rows] = w * (b_dense.conj() @ image(dense_cols))
-        out += 0.0  # a gathered -0.0 becomes the 0.0 a summed product gives
-        return out
-
+    rows, cells, beta = U.indicator_rows, U.indicator_cells, U.indicator_value
     d = symbol.values
     K = kernel.entries
 
-    def kernel_image(rows: np.ndarray) -> np.ndarray:
-        out = np.empty((rows.size, B.shape[0]), dtype=complex)
-        out[:, ind_rows] = K[np.ix_(rows, cells)] * beta
-        out[:, dense_rows] = K[np.ix_(rows, dense_cols)] @ b_dense.T
-        return w * out
+    a0 = np.zeros((U.size, U.size), dtype=complex)
+    a0[rows, rows] = (w * beta) * (d[cells] * beta)
+    for band in U.bands:
+        q = band.block
+        a0[np.ix_(band.rows, band.rows)] = w * (q.conj() @ (d[band.cells, None] * q.T))
 
-    a0 = project(lambda rows: d[rows, None] * B[:, rows].T)
-    a = project(kernel_image)
+    def kernel_image(at: np.ndarray) -> np.ndarray:
+        # the rows `at` of w K B^T
+        out = np.empty((at.size, U.size), dtype=complex)
+        out[:, rows] = K[np.ix_(at, cells)] * beta
+        for band in U.bands:
+            out[:, band.rows] = K[np.ix_(at, band.cells)] @ band.block.T
+        out *= w
+        return out
+
+    a = np.empty((U.size, U.size), dtype=complex)
+    image = kernel_image(cells)
+    image *= w * beta
+    a[rows] = image
+    del image
+    for band in U.bands:
+        a[band.rows] = w * (band.block.conj() @ kernel_image(band.cells))
+    a0 += 0.0  # a gathered -0.0 becomes the 0.0 a summed product gives
+    a += 0.0
     return a0, a
 
 
@@ -167,16 +191,32 @@ class UnitarySurrogate:
     and the forward map an isometry, both to rounding. Projected mode
     (N < cell count) is available for scaling studies and is flagged so
     reports can expose the projection error.
+
+    Row indicator_rows[i] is the indicator of cell indicator_cells[i], with
+    the value `indicator_value` there; every other row lives in one of
+    `bands`.
     """
 
     space: MeasureSpace
-    b_matrix: np.ndarray  # rows are the b_n values
+    indicator_rows: np.ndarray
+    indicator_cells: np.ndarray
+    indicator_value: float
+    bands: tuple[BandBlock, ...]
     basis: SmoothBasis
     projected: bool
 
     @property
     def size(self) -> int:
-        return self.b_matrix.shape[0]
+        return self.basis.size
+
+    @property
+    def b_matrix(self) -> np.ndarray:
+        """The rows b_n as a dense (size, cell count) array, built on each call."""
+        B = np.zeros((self.size, self.space.cell_count), dtype=complex)
+        B[self.indicator_rows, self.indicator_cells] = self.indicator_value
+        for band in self.bands:
+            B[np.ix_(band.rows, band.cells)] = band.block
+        return B
 
     @property
     def b_functions(self) -> list[GridFunction]:
@@ -192,7 +232,6 @@ class UnitarySurrogate:
         functions = seq.functions if seq is not None else []
         if seq is not None and seq.space != space:
             raise SpaceMismatchError("sequence was built on a different grid")
-        full = complete_basis(functions, space)
         if basis_size == "full":
             size = space.cell_count
         else:
@@ -201,23 +240,26 @@ class UnitarySurrogate:
                 raise ValueError(
                     f"basis size must lie in [{len(functions)}, {space.cell_count}]"
                 )
-        b_matrix = np.array([f.values for f in full[:size]])
-        return cls(
-            space=space,
-            b_matrix=b_matrix,
-            basis=SmoothBasis(size),
-            projected=size < space.cell_count,
-        )
+        return _complete(functions, space, size)
 
     def forward(self, phi: GridFunction) -> np.ndarray:
         """Coefficients c_n = <phi, b_n>, read as coefficients in {u_n}."""
         if phi.space != self.space:
             raise SpaceMismatchError("function lives on a different grid")
-        return self.space.cell_width * (self.b_matrix.conj() @ phi.values)
+        w = self.space.cell_width
+        c = np.empty(self.size, dtype=complex)
+        c[self.indicator_rows] = w * (self.indicator_value * phi.values[self.indicator_cells])
+        for band in self.bands:
+            c[band.rows] = w * (band.block.conj() @ phi.values[band.cells])
+        return c
 
     def inverse(self, coefficients: np.ndarray) -> GridFunction:
         """Synthesize sum_n c_n b_n back on the grid."""
         c = np.asarray(coefficients)
         if c.shape != (self.size,):
             raise ValueError(f"expected {self.size} coefficients, got {c.shape}")
-        return GridFunction(self.space, self.b_matrix.T @ c)
+        values = np.zeros(self.space.cell_count, dtype=complex)
+        values[self.indicator_cells] = self.indicator_value * c[self.indicator_rows]
+        for band in self.bands:
+            values[band.cells] = band.block.T @ c[band.rows]
+        return GridFunction(self.space, values)

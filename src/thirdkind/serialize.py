@@ -30,9 +30,16 @@ def _float_pairs(values: np.ndarray) -> np.ndarray:
 
 
 def _write_rows(path: Path, header: list[str], fmt: str, rows: np.ndarray) -> None:
-    """One C-level %-format per row of a float64 table, after the header."""
-    lines = header + [fmt % tuple(row) for row in rows.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One C-level %-format per row of a float64 table, after the header.
+
+    Rows are formatted and written one at a time, so the text of the whole
+    table is never held at once.
+    """
+    with open(path, "w") as fh:
+        for line in header:
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(fmt % tuple(row.tolist()) + "\n")
 
 
 def dump_json(obj, indent: int = 0) -> str:

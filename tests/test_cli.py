@@ -140,6 +140,69 @@ class TestBuildSequenceCommand:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"kernel": {"kind": "exp_xy", "scale": 900}},
+            {"coefficient": {"kind": "exp", "scale": 1000}},
+            {"kernel": {"kind": "rank_one", "left": {"kind": "exp", "scale": 400},
+                        "right": {"kind": "exp", "scale": 400}}},
+        ],
+    )
+    def test_overflowing_builtin_exit_one(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, **override)
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "finite" in err
+        assert "overflow" not in err  # numpy's RuntimeWarning is not printed
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"kernel": {"kind": "exp_xy", "scal": 2}}, "['scal']"),
+            ({"kernel": {"kind": "product_xy", "scale": 3}}, "['scale']"),
+            ({"coefficient": {"kind": "identity", "scale": 3}}, "['scale']"),
+            ({"coefficient": {"kind": "csv", "path": "h.csv", "scale": 2}}, "['scale']"),
+            ({"kernel": {"kind": "rank_one", "left": {"kind": "exp", "offset": 1}}},
+             "kernel.left: unknown keys ['offset']"),
+            ({"kernel": {"kind": "rank_one", "right": {"kind": "csv", "path": "h.csv"}}},
+             "kernel.right: unknown kind 'csv'"),
+            ({"kernel": {"kind": "rank_one", "left": 3}}, "kernel.left must be an object"),
+            ({"kernel": {"kind": "exp_xy", "scale": "2"}}, "'scale' must be a number"),
+        ],
+    )
+    def test_builtin_keys_validated_per_kind(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path, **override)
+        code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "constant", "value": [1.0, 0.5]},
+            {"kind": "exp_xy", "scale": 1.0},
+            {"kind": "product_xy"},
+            {"kind": "rank_one", "left": {"kind": "linear", "scale": 2.0, "offset": 1.0},
+             "right": {"kind": "exp", "scale": -1.0}},
+            {"kind": "rank_one", "left": {"kind": "constant", "value": 2.0},
+             "right": {"kind": "identity"}},
+        ],
+    )
+    def test_every_builtin_key_accepted(self, spec):
+        from thirdkind import build_space
+        from thirdkind.config import make_coefficient, make_kernel
+
+        space = build_space(3)
+        K = make_kernel(spec, space)
+        assert K.entries.shape == (8, 8)
+        if spec["kind"] == "rank_one":
+            a = make_coefficient(spec["left"], space).values
+            b = make_coefficient(spec["right"], space).values
+            np.testing.assert_array_equal(K.entries, np.outer(a, np.conj(b)))
+
 
 class TestReduceCommand:
     def test_outputs_present_and_residual_small(self, tmp_path):

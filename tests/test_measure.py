@@ -199,6 +199,16 @@ class TestGridKernel:
         rhs = inner_product(f, K.apply_adjoint(g))
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)]
+    )
+    def test_rejects_non_finite_entries(self, bad):
+        space = build_space(2)
+        entries = np.ones((4, 4), dtype=type(bad) if isinstance(bad, complex) else float)
+        entries[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridKernel(space, entries)
+
 
 class TestOperators:
     def test_multiplication_adjoint(self):

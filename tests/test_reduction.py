@@ -1,6 +1,7 @@
 """Basis completion, coefficient matrices, and the unitary surrogate."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from thirdkind import (
     MultiplicationOperator,
     SpaceMismatchError,
     UnitarySurrogate,
+    band_set,
     build_sequence,
     build_space,
     complete_basis,
@@ -21,7 +23,6 @@ from thirdkind import (
     pencil_matrices,
     rademacher,
 )
-from thirdkind.hermite import SmoothBasis
 
 
 def gram(functions):
@@ -63,6 +64,23 @@ def dense_complete_basis(functions, space):
         basis[filled] = v / residual
         filled += 1
     return basis
+
+
+def complex_family():
+    """Three orthonormal functions with disjoint, interleaved supports and
+    complex values of non-constant modulus, one of them on a single cell."""
+    space = build_space(5)
+    rng = np.random.default_rng(41)
+    supports = ([2, 5, 6, 11, 12, 13, 20, 31], [3, 4, 14, 15, 16, 17], [9])
+    functions = []
+    for cells in supports:
+        values = np.zeros(space.cell_count, dtype=complex)
+        values[cells] = rng.uniform(0.5, 2.0, len(cells)) * np.exp(
+            2j * np.pi * rng.uniform(size=len(cells))
+        )
+        values /= np.linalg.norm(values) * np.sqrt(space.cell_width)
+        functions.append(GridFunction(space, values))
+    return space, functions
 
 
 def three_band_sequence(depth):
@@ -131,11 +149,49 @@ class TestCompleteBasis:
         assert U.projected
         assert np.max(np.abs(U.b_matrix - reference)) <= 1e-14
 
+    def test_matches_dense_sweep_complex_family(self):
+        space, functions = complex_family()
+        basis = np.array([f.values for f in complete_basis(functions, space)])
+        reference = dense_complete_basis(functions, space)
+        assert np.max(np.abs(basis - reference)) <= 1e-14
+
     def test_rejects_non_orthonormal_start(self):
         space = build_space(2)
         one = GridFunction.constant(space, 1.0)
         with pytest.raises(ValueError):
             complete_basis([one, one], space)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            complete_basis([GridFunction.constant(space, 2.0)], space)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            complete_basis([GridFunction.zero(space)], space)
+
+    def test_rejects_overlapping_supports(self):
+        # orthonormal, but the supports overlap: the closed form does not apply
+        space = build_space(1)
+        r1 = rademacher(MeasurableSet(space, [0, 1]), 1).values
+        with pytest.raises(ValueError, match="disjoint supports"):
+            complete_basis([r1, GridFunction.constant(space, 1.0)], space)
+
+    def test_storage_is_cells_and_band_blocks(self):
+        # depth 12, basis size 512: a dense basis would hold 16 * 512 * 4096 B
+        space = build_space(12)
+        H = GridFunction.sample(space, lambda y: y)
+        bands = [band_set(H, 0.25, 0.25 * 0.5 ** (i + 1), 0.25 * 0.5**i) for i in (1, 2, 3)]
+        functions = [rademacher(E, k).values for k, E in zip((3, 2, 1), bands)]
+        seq = SimpleNamespace(space=space, functions=functions)
+        n = space.cell_count
+        bound = 16 * (n + sum(E.cell_count ** 2 + E.cell_count for E in bands))
+
+        def stored(U):
+            arrays = [U.indicator_rows, U.indicator_cells]
+            for band in U.bands:
+                arrays += [band.cells, band.rows, band.block]
+            return sum(a.nbytes for a in arrays)
+
+        projected = UnitarySurrogate.from_sequence(seq, space, 512)
+        assert stored(projected) <= bound
+        assert stored(projected) <= 16 * 512 * n / 100
+        assert stored(UnitarySurrogate.from_sequence(seq, space, "full")) <= bound
 
 
 class TestMatrixElements:
@@ -254,24 +310,27 @@ class TestPencilMatrices:
         assert a0.shape == a.shape == (40, 40)
         assert_pencils_match(U, shifted, seq.kernel)
 
-    def test_any_b_matrix(self):
-        # no orthogonality: repeated and scaled indicators, a zero row,
-        # dense rows overlapping indicator cells
-        space = build_space(4)
+    @pytest.mark.parametrize("size", ["full", 11])
+    def test_empty_family(self, size):
+        # no bands: every row is an indicator and the pencil is pure gathers
+        space = build_space(5)
+        U = UnitarySurrogate.from_sequence(None, space, size)
         rng = np.random.default_rng(32)
-        b = np.zeros((10, 16), dtype=complex)
-        b[0, 3] = 2.0 - 1.0j
-        b[1, 3] = 0.5
-        b[2, 15] = -3.0
-        b[4] = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        b[5, [3, 7, 8]] = [1.0, -2.0j, 0.5]
-        b[6:] = rng.standard_normal((4, 16))
-        U = UnitarySurrogate(space, b, SmoothBasis(10), True)
-        symbol = GridFunction(space, rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        K = GridKernel(space, rng.standard_normal((16, 16)))
+        n = space.cell_count
+        symbol = GridFunction(space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        K = GridKernel(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        assert U.bands == ()
         assert_pencils_match(U, symbol, K)
-        only_indicators = UnitarySurrogate(space, b[:4], SmoothBasis(4), True)
-        assert_pencils_match(only_indicators, symbol, K)
+
+    def test_complex_family(self):
+        # non-constant modulus on interleaved supports, one single-cell band
+        space, functions = complex_family()
+        U = UnitarySurrogate.from_sequence(SimpleNamespace(space=space, functions=functions), space, 20)
+        n = space.cell_count
+        rng = np.random.default_rng(33)
+        symbol = GridFunction(space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        K = GridKernel(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        assert_pencils_match(U, symbol, K)
 
     def test_space_mismatch(self):
         U = UnitarySurrogate.from_sequence(None, build_space(3), "full")
@@ -328,6 +387,19 @@ class TestUnitarySurrogate:
         np.testing.assert_allclose(
             U.inverse(e1).values, U.b_functions[0].values, atol=1e-14
         )
+
+    @pytest.mark.parametrize("size", ["full", 40])
+    def test_forward_inverse_match_dense_rows(self, size):
+        seq = three_band_sequence(7)
+        U = UnitarySurrogate.from_sequence(seq, seq.space, size)
+        B = U.b_matrix
+        rng = np.random.default_rng(23)
+        n = seq.space.cell_count
+        phi = GridFunction(seq.space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        c = rng.standard_normal(U.size) + 1j * rng.standard_normal(U.size)
+        w = seq.space.cell_width
+        np.testing.assert_allclose(U.forward(phi), w * (B.conj() @ phi.values), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(U.inverse(c).values, B.T @ c, rtol=0, atol=1e-12)
 
     def test_projected_mode_flagged(self):
         seq = three_band_sequence(6)

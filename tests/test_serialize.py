@@ -89,3 +89,21 @@ def test_kernel_grid_csv_bytes(tmp_path):
     path = tmp_path / "k.csv"
     write_kernel_grid_csv(path, s, t, samples)
     assert path.read_text() == reference_kernel_grid_csv(s, t, samples)
+
+
+def joined_rows(header, fmt, rows) -> str:
+    """The writers' earlier output: every row formatted, then joined once."""
+    return "\n".join(header + [fmt % tuple(row) for row in rows.tolist()]) + "\n"
+
+
+def test_streamed_matrix_csv_matches_joined_formatting(tmp_path):
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    m[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    m[3, 4] = complex(-1e-300, 5e-324)
+    pairs = np.ascontiguousarray(m).view(np.float64)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m)
+    expected = joined_rows([], ",".join(["%.17g"] * pairs.shape[1]), pairs)
+    assert path.read_bytes() == expected.encode()
+    assert "-0,0,0,-0,-0,-0," in expected
