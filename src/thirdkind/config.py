@@ -9,6 +9,7 @@ parameters or CSV sample files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,16 +70,31 @@ def _rebase_csv_path(spec: dict, base_dir: Path | None) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value, what: str) -> float:
+    """A JSON number as a finite float; anything else is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return real
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    """A number or an [re, im] pair, both parts finite."""
+    if isinstance(value, list) and len(value) == 2:
+        re, im = value
+        return complex(_finite(re, f"{where} (re)"), _finite(im, f"{where} (im)"))
+    if isinstance(value, list):
+        raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    return complex(_finite(value, where))
 
 
 @dataclass(frozen=True)
@@ -117,10 +133,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError(f"missing required key {key!r}")
 
     depth = need("depth")
-    if not isinstance(depth, int) or not 1 <= depth <= 24:
+    if not _is_int(depth) or not 1 <= depth <= 24:
         raise ConfigError(f"depth must be an integer in [1, 24], got {depth!r}")
     depth_max = raw.get("depth_max", min(depth + 6, 24))
-    if not isinstance(depth_max, int) or not depth <= depth_max <= 24:
+    if not _is_int(depth_max) or not depth <= depth_max <= 24:
         raise ConfigError(f"depth_max must be an integer in [depth, 24], got {depth_max!r}")
 
     lam_raw = need("lambda", 0.0)
@@ -129,41 +145,41 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     else:
         lambdas = (_as_complex(lam_raw, "lambda"),)
 
-    eps0 = float(need("eps0", 0.5))
-    ratio = float(need("ratio", 0.5))
+    eps0 = _real(raw, "eps0", 0.5, "config")
+    ratio = _real(raw, "ratio", 0.5, "config")
     if eps0 <= 0:
         raise ConfigError("eps0 must be positive")
     if not 0 < ratio < 1:
         raise ConfigError("ratio must lie in (0, 1)")
     bands = need("bands", 3)
-    if not isinstance(bands, int) or bands < 1:
+    if not _is_int(bands) or bands < 1:
         raise ConfigError("bands must be a positive integer")
 
     basis_size = raw.get("basis_size", "full")
-    if basis_size != "full" and (not isinstance(basis_size, int) or basis_size < 1):
+    if basis_size != "full" and (not _is_int(basis_size) or basis_size < 1):
         raise ConfigError("basis_size must be 'full' or a positive integer")
 
     probe = raw.get("probe", {})
     if not isinstance(probe, dict) or set(probe) - {"bound", "points"}:
         raise ConfigError("probe must be an object with keys 'bound' and 'points'")
-    probe_bound = float(probe.get("bound", 8.0))
-    probe_points = int(probe.get("points", 41))
-    if probe_bound <= 0 or probe_points < 3:
-        raise ConfigError("probe bound must be positive and points >= 3")
+    probe_bound = _real(probe, "bound", 8.0, "probe")
+    probe_points = probe.get("points", 41)
+    if not _is_int(probe_points) or probe_bound <= 0 or probe_points < 3:
+        raise ConfigError("probe bound must be positive and points an integer >= 3")
 
-    cutoff = float(raw.get("cutoff", 1e-10))
+    cutoff = _real(raw, "cutoff", 1e-10, "config")
     if not 0 < cutoff < 1:
         raise ConfigError("cutoff must lie in (0, 1)")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict) or set(tolerances) - _TOLERANCE_KEYS:
         raise ConfigError(f"tolerances keys must be among {sorted(_TOLERANCE_KEYS)}")
     merged_tol = dict(DEFAULT_TOLERANCES)
-    merged_tol.update({k: float(v) for k, v in tolerances.items()})
+    merged_tol.update({k: _real(tolerances, k, None, "tolerances") for k in tolerances})
 
     coefficient = need("coefficient")
     kernel = need("kernel")
@@ -176,6 +192,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")
+
+    strict = raw.get("strict", False)
+    if not isinstance(strict, bool):
+        raise ConfigError(f"strict must be true or false, got {strict!r}")
 
     return RunConfig(
         depth=depth,
@@ -192,7 +212,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         probe_points=probe_points,
         cutoff=cutoff,
         seed=seed,
-        strict=bool(raw.get("strict", False)),
+        strict=strict,
         tolerances=merged_tol,
         out=out,
     )
@@ -238,11 +258,8 @@ def _check_keys(spec, allowed: dict, where: str) -> str:
     return kind
 
 
-def _real(spec: dict, key: str, default: float, where: str) -> float:
-    value = spec.get(key, default)
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
-    return float(value)
+def _real(spec: dict, key: str, default: float | None, where: str) -> float:
+    return _finite(spec.get(key, default), f"{where}: {key!r}")
 
 
 def _scalar_builtin(spec: dict, where: str):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import blas_threads_for
 from .config import RunConfig, make_coefficient, make_kernel
 from .hermite import Multiplier, multiplier_matrix
 from .kernels import (
@@ -116,20 +117,21 @@ def _equivalence_reports(
 
 def run_reduction(config: RunConfig) -> ReductionRun:
     space, H, K, seq, surrogate = prepare(config)
-    rng = np.random.default_rng(config.seed)
-    phi = random_grid_function(rng, space)
-    pencil, m_matrix, probes = _build_pencil(config, H, K, seq, surrogate)
-    return ReductionRun(
-        config=config,
-        space=space,
-        sequence=seq,
-        surrogate=surrogate,
-        phi=phi,
-        pencil=pencil,
-        reports=_equivalence_reports(
-            config, H, K, surrogate, phi, pencil, m_matrix, probes
-        ),
-    )
+    with blas_threads_for(surrogate.size):
+        rng = np.random.default_rng(config.seed)
+        phi = random_grid_function(rng, space)
+        pencil, m_matrix, probes = _build_pencil(config, H, K, seq, surrogate)
+        return ReductionRun(
+            config=config,
+            space=space,
+            sequence=seq,
+            surrogate=surrogate,
+            phi=phi,
+            pencil=pencil,
+            reports=_equivalence_reports(
+                config, H, K, surrogate, phi, pencil, m_matrix, probes
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -198,118 +200,121 @@ def run_verification(config: RunConfig) -> VerificationResult:
         checks.append(Check(name, float(value), float(tolerance), bool(ok)))
 
     space, H, K, seq, surrogate = prepare(config)
-    rng = np.random.default_rng(config.seed)
+    # the battery and every per-lambda report; prepare keeps the inherited
+    # thread count, since deep projected runs spend it in large kernel matvecs
+    with blas_threads_for(surrogate.size):
+        rng = np.random.default_rng(config.seed)
 
-    # damping sequence invariants
-    gram = seq.gram_matrix()
-    add(
-        "sequence_gram_defect",
-        float(np.max(np.abs(gram - np.eye(len(seq))))),
-        tol["gram_defect"],
-    )
-    eps = seq.epsilons
-    add(
-        "sequence_coefficient_decay",
-        float(np.max(seq.norm_coefficient / eps)),
-        1.0,
-    )
-    n_idx = np.arange(1, len(seq) + 1)
-    add(
-        "sequence_kernel_decay",
-        float(np.max((seq.norm_kernel + seq.norm_kernel_adjoint) * n_idx)),
-        1.0,
-    )
-
-    # surrogate unitarity on random pairs
-    iso_defect = 0.0
-    trip_defect = 0.0
-    for _ in range(20):
-        a = random_grid_function(rng, space)
-        b = random_grid_function(rng, space)
-        ca, cb = surrogate.forward(a), surrogate.forward(b)
-        iso_defect = max(
-            iso_defect,
-            abs(complex(np.vdot(cb, ca)) - inner_product(a, b)),
-        )
-        back = surrogate.inverse(ca)
-        trip_defect = max(
-            trip_defect,
-            GridFunction(space, back.values - a.values).norm(),
-        )
-    add("unitary_isometry_defect", iso_defect, tol["gram_defect"])
-    add("unitary_round_trip", trip_defect, tol["round_trip"])
-
-    phi = random_grid_function(rng, space)
-    pencil, m_matrix, probes = _build_pencil(config, H, K, seq, surrogate)
-
-    # adjoint consistency of the coefficient matrices
-    mult = MultiplicationOperator(
-        GridFunction(space, H.values - config.alpha)
-    )
-    integ = IntegralOperator(K)
-    for name, op, direct in (("multiplication", mult, pencil.a0), ("integral", integ, pencil.a)):
-        adj = matrix_elements(op.adjoint(), surrogate.b_functions)
+        # damping sequence invariants
+        gram = seq.gram_matrix()
         add(
-            f"adjoint_consistency_{name}",
-            float(np.max(np.abs(adj - direct.conj().T))),
-            tol["adjoint_defect"],
+            "sequence_gram_defect",
+            float(np.max(np.abs(gram - np.eye(len(seq))))),
+            tol["gram_defect"],
         )
-        del adj  # not kept into the per-lambda loop, where peak memory is set
-
-    # manufactured problems per lambda
-    reports = _equivalence_reports(
-        config, H, K, surrogate, phi, pencil, m_matrix, probes
-    )
-    for idx, report in enumerate(reports):
-        add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])
-        add(f"round_trip_lambda{idx}", report.round_trip_error, tol["round_trip"])
-
-    # pencil affinity in lambda: same floating-point path, so exact
-    lam_probe = 0.37 + 0.21j
-    affinity = np.max(
-        np.abs(
-            pencil.system_matrix(lam_probe)
-            - (pencil.system_matrix(0.0) - lam_probe * pencil.a)
+        eps = seq.epsilons
+        add(
+            "sequence_coefficient_decay",
+            float(np.max(seq.norm_coefficient / eps)),
+            1.0,
         )
-    )
-    add("pencil_lambda_affinity", float(affinity), 0.0)
+        n_idx = np.arange(1, len(seq) + 1)
+        add(
+            "sequence_kernel_decay",
+            float(np.max((seq.norm_kernel + seq.norm_kernel_adjoint) * n_idx)),
+            1.0,
+        )
 
-    # kernel calculus on the pencil kernel at the first lambda
-    pk = pencil.pencil_kernel(config.lambdas[0])
-    add(
-        "kernel_derivative_fd_defect",
-        kernel_derivative_fd_defect(pk),
-        tol["derivative_agreement"],
-    )
+        # surrogate unitarity on random pairs
+        iso_defect = 0.0
+        trip_defect = 0.0
+        for _ in range(20):
+            a = random_grid_function(rng, space)
+            b = random_grid_function(rng, space)
+            ca, cb = surrogate.forward(a), surrogate.forward(b)
+            iso_defect = max(
+                iso_defect,
+                abs(complex(np.vdot(cb, ca)) - inner_product(a, b)),
+            )
+            back = surrogate.inverse(ca)
+            trip_defect = max(
+                trip_defect,
+                GridFunction(space, back.values - a.values).norm(),
+            )
+        add("unitary_isometry_defect", iso_defect, tol["gram_defect"])
+        add("unitary_round_trip", trip_defect, tol["round_trip"])
 
-    radius = 8.0 + np.sqrt(2.0 * surrogate.size)
-    add(
-        "kernel_vanishing_at_radius",
-        vanishing_at_radius(pk, radius, probe_grid(config.probe_bound, 9)),
-        tol["vanishing_tail"],
-    )
+        phi = random_grid_function(rng, space)
+        pencil, m_matrix, probes = _build_pencil(config, H, K, seq, surrogate)
 
-    # the explicit W, V are the independent oracle; the SVD is not kept
-    w, v = m_factorize(pk.coefficient_matrix).polar_factors()
-    recon = float(np.linalg.norm(w @ v.conj().T - pk.coefficient_matrix, "fro"))
-    scale = float(np.linalg.norm(pk.coefficient_matrix, "fro"))
-    add("factorization_reconstruction", recon / scale if scale else recon, 1e-10)
-    series_defect = 0.0
-    for s, t in ((0.3, -0.7), (-1.1, 0.4), (0.0, 0.0)):
-        chk = series_consistency(pk, w, v, 0, 0, s, t)
-        series_defect = max(series_defect, abs(chk.direct - chk.via_factorization))
-    add("series_consistency", series_defect, 1e-10)
+        # adjoint consistency of the coefficient matrices
+        mult = MultiplicationOperator(
+            GridFunction(space, H.values - config.alpha)
+        )
+        integ = IntegralOperator(K)
+        for name, op, direct in (("multiplication", mult, pencil.a0), ("integral", integ, pencil.a)):
+            adj = matrix_elements(op.adjoint(), surrogate.b_functions)
+            add(
+                f"adjoint_consistency_{name}",
+                float(np.max(np.abs(adj - direct.conj().T))),
+                tol["adjoint_defect"],
+            )
+            del adj  # not kept into the per-lambda loop, where peak memory is set
 
-    # first-kind section
-    if config.alpha == 0:
-        fk = reports[0].first_kind
-        add("first_kind_residual", fk.residual, tol["first_kind_residual"])
-        add("hs_bound_slack", fk.bound_slack, 1e-9)
-        # the multiplier's own damping profile is the deterministic decay
-        # witness; the pipeline matrices' quarter maxima sit in the report
-        first_q, last_q = adjoint_column_quarter_maxima(m_matrix)
-        add("multiplier_damping_decay_ratio", last_q / first_q, 1.0, strict_less=True)
-        if fk.truncated_directions == 0:
-            add("first_kind_recovery", fk.recovery_error, 1e-8)
+        # manufactured problems per lambda
+        reports = _equivalence_reports(
+            config, H, K, surrogate, phi, pencil, m_matrix, probes
+        )
+        for idx, report in enumerate(reports):
+            add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])
+            add(f"round_trip_lambda{idx}", report.round_trip_error, tol["round_trip"])
 
-    return VerificationResult(checks=checks, reports=reports)
+        # pencil affinity in lambda: same floating-point path, so exact
+        lam_probe = 0.37 + 0.21j
+        affinity = np.max(
+            np.abs(
+                pencil.system_matrix(lam_probe)
+                - (pencil.system_matrix(0.0) - lam_probe * pencil.a)
+            )
+        )
+        add("pencil_lambda_affinity", float(affinity), 0.0)
+
+        # kernel calculus on the pencil kernel at the first lambda
+        pk = pencil.pencil_kernel(config.lambdas[0])
+        add(
+            "kernel_derivative_fd_defect",
+            kernel_derivative_fd_defect(pk),
+            tol["derivative_agreement"],
+        )
+
+        radius = 8.0 + np.sqrt(2.0 * surrogate.size)
+        add(
+            "kernel_vanishing_at_radius",
+            vanishing_at_radius(pk, radius, probe_grid(config.probe_bound, 9)),
+            tol["vanishing_tail"],
+        )
+
+        # the explicit W, V are the independent oracle; the SVD is not kept
+        w, v = m_factorize(pk.coefficient_matrix).polar_factors()
+        recon = float(np.linalg.norm(w @ v.conj().T - pk.coefficient_matrix, "fro"))
+        scale = float(np.linalg.norm(pk.coefficient_matrix, "fro"))
+        add("factorization_reconstruction", recon / scale if scale else recon, 1e-10)
+        series_defect = 0.0
+        for s, t in ((0.3, -0.7), (-1.1, 0.4), (0.0, 0.0)):
+            chk = series_consistency(pk, w, v, 0, 0, s, t)
+            series_defect = max(series_defect, abs(chk.direct - chk.via_factorization))
+        add("series_consistency", series_defect, 1e-10)
+
+        # first-kind section
+        if config.alpha == 0:
+            fk = reports[0].first_kind
+            add("first_kind_residual", fk.residual, tol["first_kind_residual"])
+            add("hs_bound_slack", fk.bound_slack, 1e-9)
+            # the multiplier's own damping profile is the deterministic decay
+            # witness; the pipeline matrices' quarter maxima sit in the report
+            first_q, last_q = adjoint_column_quarter_maxima(m_matrix)
+            add("multiplier_damping_decay_ratio", last_q / first_q, 1.0, strict_less=True)
+            if fk.truncated_directions == 0:
+                add("first_kind_recovery", fk.recovery_error, 1e-8)
+
+        return VerificationResult(checks=checks, reports=reports)

@@ -1,6 +1,10 @@
 """CLI contract: config validation, file outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +71,33 @@ class TestConfigParsing:
     def test_tolerance_keys_validated(self):
         with pytest.raises(ConfigError):
             parse_config({**BASE, "tolerances": {"no_such_check": 1.0}})
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"eps0": "abc"}, "'eps0' must be a number"),
+            ({"eps0": float("nan")}, "'eps0' must be finite"),
+            ({"ratio": None}, "'ratio' must be a number"),
+            ({"cutoff": float("inf")}, "'cutoff' must be finite"),
+            ({"probe": {"bound": float("nan")}}, "'bound' must be finite"),
+            ({"probe": {"points": "x"}}, "points an integer"),
+            ({"probe": {"points": 12.5}}, "points an integer"),
+            ({"tolerances": {"round_trip": float("nan")}}, "'round_trip' must be finite"),
+            ({"tolerances": {"gram_defect": "1e-10"}}, "'gram_defect' must be a number"),
+            ({"strict": "no"}, "strict must be true or false"),
+            ({"depth": True}, "depth must be an integer"),
+            ({"lambda": float("nan")}, "lambda must be finite"),
+            ({"lambda": [[0.3, float("inf")]]}, "lambda (im) must be finite"),
+            ({"alpha": float("nan")}, "alpha must be finite"),
+            ({"alpha": [0.25]}, "alpha: expected a number or [re, im] pair"),
+        ],
+    )
+    def test_values_checked_before_use(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path, **override)
+        code = main(["reduce", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -255,6 +286,32 @@ class TestReduceCommand:
         report = json.loads((tmp_path / "p" / "report_lambda0.json").read_text())
         assert report["projected"] is True
         assert report["passage_residual"] > 1e-9
+
+
+class TestThreadCountIndependence:
+    """Below the single-thread size, outputs do not depend on the BLAS
+    thread count the process starts with."""
+
+    def run_cli(self, command, cfg, out, threads):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "thirdkind.cli", command, "--config", str(cfg)]
+        done = subprocess.run(
+            [*argv, "--out", str(out)], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr.decode()
+
+    @pytest.mark.parametrize("command", ["reduce", "verify"])
+    def test_outputs_byte_identical_on_one_and_two_threads(self, tmp_path, command):
+        cfg = write_config(tmp_path, depth=7, **{"lambda": [[0.3, 0.2], [0.6, -0.15]]})
+        outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            self.run_cli(command, cfg, out, threads)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestVerifyCommand:

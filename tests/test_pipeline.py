@@ -165,3 +165,15 @@ def test_fd_check_catches_a_ladder_error_at_256(monkeypatch, k, factor):
         hermite, "derivative_coefficients", _mutated_derivative_coefficients(k, factor)
     )
     assert pipeline.kernel_derivative_fd_defect(pk) > tol["derivative_agreement"]
+
+
+
+def test_nan_check_value_fails(monkeypatch):
+    """NaN never passes a gate: `nan <= tol` and `nan < tol` are both False."""
+    nan = float("nan")
+    monkeypatch.setattr(pipeline, "kernel_derivative_fd_defect", lambda kernel: nan)
+    monkeypatch.setattr(pipeline, "adjoint_column_quarter_maxima", lambda m: (1.0, nan))
+    result = pipeline.run_verification(parse_config({**CONFIG, "alpha": 0.0}))
+    failed = {c.name for c in result.checks if not c.passed}
+    assert failed == {"kernel_derivative_fd_defect", "multiplier_damping_decay_ratio"}
+    assert not result.passed

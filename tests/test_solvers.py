@@ -183,6 +183,12 @@ class TestSolveSecondKind:
         with pytest.raises(NearSingularError):
             solve_second_kind(pencil, 1.0, np.ones(n, dtype=complex))
 
+    def test_nan_condition_is_near_singular(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cond", lambda m: float("nan"))
+        with pytest.raises(NearSingularError) as err:
+            solve_second_kind(self.identity_pencil(), 0.7, np.ones(4, dtype=complex))
+        assert math.isnan(err.value.condition)
+
     def test_alpha_zero_rejected(self):
         pencil = self.identity_pencil(alpha=0.0)
         with pytest.raises(ValueError):
