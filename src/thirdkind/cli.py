@@ -72,7 +72,7 @@ def _out_dir(config: RunConfig, args) -> Path:
 def cmd_build_sequence(config: RunConfig, args) -> int:
     out = _out_dir(config, args)
     try:
-        _, _, _, seq, _ = prepare(config)
+        seq = prepare(config)
     except _CONSTRUCTION_ERRORS as exc:
         write_json(out / "sequence.json", {"error": _error_payload(exc)})
         print(f"construction failed: {exc}", file=sys.stderr)
@@ -102,7 +102,7 @@ def cmd_reduce(config: RunConfig, args) -> int:
     write_matrix_csv(out / "a0.csv", run.pencil.a0)
     write_matrix_csv(out / "a.csv", run.pencil.a)
 
-    probes = np.linspace(-config.probe_bound, config.probe_bound, config.probe_points)
+    probes = run.probes.points
     for idx, lam in enumerate(config.lambdas):
         pk = run.pencil.pencil_kernel(lam)
         for i, j in ((0, 0), (1, 0), (0, 1)):

@@ -1,6 +1,6 @@
 """Smooth orthonormal image basis on the real line, with exact derivatives.
 
-The default family is the Hermite functions u_n(s) = c_n H_n(s) exp(-s^2/2):
+The family is the Hermite functions u_n(s) = c_n H_n(s) exp(-s^2/2):
 orthonormal in L2(R), infinitely differentiable, and vanishing at infinity
 together with all derivatives. Values follow the stable two-term recurrence
 
@@ -12,8 +12,8 @@ and derivatives use the exact ladder u_n' = sqrt(n/2) u_{n-1}
 differentiation anywhere.
 
 The module also houses the positive multiplier m used to pass from the
-second-kind to the first-kind form, defaulting to the Gaussian
-m(s) = exp(-s^2/2) (= pi^(1/4) u_0, which makes its derivatives free).
+second-kind to the first-kind form, the Gaussian m(s) = exp(-s^2/2)
+(= pi^(1/4) u_0, which makes its derivatives free).
 """
 
 from __future__ import annotations
@@ -74,13 +74,10 @@ class SmoothBasis:
     """Truncated orthonormal basis {u_n : n < size} of L2(R)."""
 
     size: int
-    kind: str = "hermite"
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("basis size must be >= 1")
-        if self.kind != "hermite":
-            raise ValueError(f"unknown basis kind {self.kind!r}")
 
     def value_matrix(self, order: int, s) -> np.ndarray:
         """Matrix of u_n^(order)(s_j), shape (size, len(s))."""
@@ -97,54 +94,37 @@ class SmoothBasis:
 
 
 class Multiplier:
-    """Positive smooth multiplier with derivatives of every order.
+    """The positive smooth multiplier m(s) = exp(-s^2/2).
 
-    The default kind "gaussian" is m(s) = exp(-s^2/2): positive, square
-    integrable, and all derivatives vanish at infinity. Since m equals
-    pi^(1/4) u_0, its derivatives come from the same exact ladder as the
-    basis. Kind "one" (m identically 1) is supported for identity checks;
-    it is not square integrable and reports an infinite L2 norm.
+    Positive, square integrable, and all derivatives vanish at infinity.
+    Since m equals pi^(1/4) u_0, its derivatives come from the same exact
+    ladder as the basis.
     """
-
-    def __init__(self, kind: str = "gaussian"):
-        if kind not in ("gaussian", "one"):
-            raise ValueError(f"unknown multiplier kind {kind!r}")
-        self.kind = kind
 
     def value(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)
-        if self.kind == "one":
-            return np.ones_like(s)
         return np.exp(-0.5 * s * s)
 
     def derivative(self, order: int, s) -> np.ndarray:
         if order == 0:
             return self.value(s)
-        s = np.asarray(s, dtype=np.float64)
-        if self.kind == "one":
-            return np.zeros_like(s)
-        return math.pi ** 0.25 * basis_value(0, order, s)
+        return math.pi ** 0.25 * basis_value(0, order, np.asarray(s, dtype=np.float64))
 
     @property
     def l2_norm(self) -> float:
-        """||m|| in L2; the Gaussian gives (integral of e^{-s^2})^(1/2) = pi^(1/4)."""
-        if self.kind == "one":
-            return math.inf
+        """||m|| in L2: (integral of e^{-s^2})^(1/2) = pi^(1/4)."""
         return math.pi ** 0.25
 
 
 def multiplier_matrix(m: Multiplier, basis: SmoothBasis) -> np.ndarray:
     """Coefficient matrix M_pq = integral of m(s) u_q(s) u_p(s) ds, exactly.
 
-    Kind "one" gives the identity (the basis is orthonormal). For the
-    Gaussian, the generating function of integral e^{-3s^2/2} H_p H_q yields
+    The generating function of integral e^{-3s^2/2} H_p H_q yields
     M_00 = sqrt(2/3), M_0,q+1 = -(1/3) sqrt(q) M_0,q-1 / sqrt(q+1) and
     M_p+1,q = ((2/3) sqrt(q) M_p,q-1 - (1/3) sqrt(p) M_p-1,q) / sqrt(p+1),
     applied row by row. Every entry lies in [-1, 1], so nothing overflows.
     """
     n = basis.size
-    if m.kind == "one":
-        return np.eye(n)
     M = np.zeros((n, n))
     M[0, 0] = math.sqrt(2.0 / 3.0)
     for q in range(1, n - 1, 2):

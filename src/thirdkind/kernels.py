@@ -59,9 +59,6 @@ class BilinearKernel:
         """Matrix backing the operator view: M A for multiplier kernels."""
         return self.matrix if self.multiplied_matrix is None else self.multiplied_matrix
 
-    def eval(self, i: int, j: int, s, t):
-        return eval_kernel(self, i, j, s, t)
-
 
 def synthesize(matrix: np.ndarray, basis: SmoothBasis) -> BilinearKernel:
     """Wrap a coefficient matrix as an evaluable bilinear kernel."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from .blas import blas_threads_for
 from .config import RunConfig, make_coefficient, make_kernel
+from .errors import ConfigError
 from .hermite import Multiplier, multiplier_matrix
 from .kernels import (
     BilinearKernel,
@@ -56,41 +57,49 @@ class ReductionRun:
     """Everything one reduce command produces."""
 
     config: RunConfig
-    space: MeasureSpace
     sequence: KorotkovSequence
     surrogate: UnitarySurrogate
     phi: GridFunction
     pencil: KernelPencil
+    probes: ProbeGrid
     reports: list[EquivalenceReport]  # one per lambda, same order as config
 
 
-def prepare(config: RunConfig):
-    """Grid, data, sequence, and surrogate for a config (no solves yet)."""
+def prepare(config: RunConfig) -> KorotkovSequence:
+    """Sample H and K on the grid and build the damping sequence (no solves
+    yet); the sequence carries alpha, its final grid, and H and K there."""
     space = build_space(config.depth)
-    H = make_coefficient(config.coefficient, space)
-    K = make_kernel(config.kernel, space)
-    seq = build_sequence(
-        H,
-        K,
+    return build_sequence(
+        make_coefficient(config.coefficient, space),
+        make_kernel(config.kernel, space),
         config.alpha,
         config.bands,
         config.eps0,
         config.ratio,
         config.depth_max,
     )
-    surrogate = UnitarySurrogate.from_sequence(seq, seq.space, config.basis_size)
-    return seq.space, seq.coefficient, seq.kernel, seq, surrogate
 
 
-def _build_pencil(config: RunConfig, H, K, seq, surrogate):
+def _surrogate(config: RunConfig, seq: KorotkovSequence) -> UnitarySurrogate:
+    """The sequence's completion at the config's basis size."""
+    try:
+        return UnitarySurrogate.from_sequence(seq, config.basis_size)
+    except ValueError as exc:
+        # a built sequence completes; only the size can be off its final grid
+        raise ConfigError(
+            f"basis_size {config.basis_size!r} does not fit the final grid "
+            f"(depth {seq.space.depth}): {exc}"
+        ) from None
+
+
+def _build_pencil(config: RunConfig, seq, surrogate):
     """The run's lambda-free data, each built once per run: the pencil, the
     Gaussian multiplier matrix over its basis when alpha = 0, and the basis
     values at the probe grid."""
-    problem = ThirdKindProblem(H, K, config.lambdas[0])
-    pencil = reduce_problem(problem, config.alpha, seq, surrogate)
+    pencil = reduce_problem(seq, surrogate)
     m_matrix = None
-    if config.alpha == 0:
-        m_matrix = multiplier_matrix(Multiplier("gaussian"), pencil.basis)
+    if pencil.alpha == 0:
+        m_matrix = multiplier_matrix(Multiplier(), pencil.basis)
     probes = ProbeGrid(
         pencil.basis, probe_grid(config.probe_bound, config.probe_points)
     )
@@ -98,12 +107,12 @@ def _build_pencil(config: RunConfig, H, K, seq, surrogate):
 
 
 def _equivalence_reports(
-    config: RunConfig, H, K, surrogate, phi, pencil, m_matrix, probes
+    config: RunConfig, seq, surrogate, phi, pencil, m_matrix, probes
 ) -> list[EquivalenceReport]:
     """One report per lambda of the config, all against the one pencil."""
     return [
         verify_equivalence(
-            ThirdKindProblem(H, K, lam),
+            ThirdKindProblem(seq.coefficient, seq.kernel, lam),
             pencil,
             surrogate,
             phi,
@@ -116,20 +125,21 @@ def _equivalence_reports(
 
 
 def run_reduction(config: RunConfig) -> ReductionRun:
-    space, H, K, seq, surrogate = prepare(config)
+    seq = prepare(config)
+    surrogate = _surrogate(config, seq)
     with blas_threads_for(surrogate.size):
         rng = np.random.default_rng(config.seed)
-        phi = random_grid_function(rng, space)
-        pencil, m_matrix, probes = _build_pencil(config, H, K, seq, surrogate)
+        phi = random_grid_function(rng, seq.space)
+        pencil, m_matrix, probes = _build_pencil(config, seq, surrogate)
         return ReductionRun(
             config=config,
-            space=space,
             sequence=seq,
             surrogate=surrogate,
             phi=phi,
             pencil=pencil,
+            probes=probes,
             reports=_equivalence_reports(
-                config, H, K, surrogate, phi, pencil, m_matrix, probes
+                config, seq, surrogate, phi, pencil, m_matrix, probes
             ),
         )
 
@@ -199,7 +209,9 @@ def run_verification(config: RunConfig) -> VerificationResult:
         ok = value < tolerance if strict_less else value <= tolerance
         checks.append(Check(name, float(value), float(tolerance), bool(ok)))
 
-    space, H, K, seq, surrogate = prepare(config)
+    seq = prepare(config)
+    surrogate = _surrogate(config, seq)
+    space = seq.space
     # the battery and every per-lambda report; prepare keeps the inherited
     # thread count, since deep projected runs spend it in large kernel matvecs
     with blas_threads_for(surrogate.size):
@@ -245,13 +257,13 @@ def run_verification(config: RunConfig) -> VerificationResult:
         add("unitary_round_trip", trip_defect, tol["round_trip"])
 
         phi = random_grid_function(rng, space)
-        pencil, m_matrix, probes = _build_pencil(config, H, K, seq, surrogate)
+        pencil, m_matrix, probes = _build_pencil(config, seq, surrogate)
 
         # adjoint consistency of the coefficient matrices
         mult = MultiplicationOperator(
-            GridFunction(space, H.values - config.alpha)
+            GridFunction(space, seq.coefficient.values - pencil.alpha)
         )
-        integ = IntegralOperator(K)
+        integ = IntegralOperator(seq.kernel)
         for name, op, direct in (("multiplication", mult, pencil.a0), ("integral", integ, pencil.a)):
             adj = matrix_elements(op.adjoint(), surrogate.b_functions)
             add(
@@ -263,7 +275,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
 
         # manufactured problems per lambda
         reports = _equivalence_reports(
-            config, H, K, surrogate, phi, pencil, m_matrix, probes
+            config, seq, surrogate, phi, pencil, m_matrix, probes
         )
         for idx, report in enumerate(reports):
             add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])
@@ -306,7 +318,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
         add("series_consistency", series_defect, 1e-10)
 
         # first-kind section
-        if config.alpha == 0:
+        if pencil.alpha == 0:
             fk = reports[0].first_kind
             add("first_kind_residual", fk.residual, tol["first_kind_residual"])
             add("hs_bound_slack", fk.bound_slack, 1e-9)

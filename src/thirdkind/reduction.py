@@ -224,22 +224,16 @@ class UnitarySurrogate:
 
     @classmethod
     def from_sequence(
-        cls,
-        seq: KorotkovSequence | None,
-        space: MeasureSpace,
-        basis_size: int | str = "full",
+        cls, seq: KorotkovSequence, basis_size: int | str = "full"
     ) -> "UnitarySurrogate":
-        functions = seq.functions if seq is not None else []
-        if seq is not None and seq.space != space:
-            raise SpaceMismatchError("sequence was built on a different grid")
-        if basis_size == "full":
-            size = space.cell_count
-        else:
-            size = int(basis_size)
-            if not len(functions) <= size <= space.cell_count:
-                raise ValueError(
-                    f"basis size must lie in [{len(functions)}, {space.cell_count}]"
-                )
+        """The completion of `seq` on its own grid, truncated to `basis_size`
+        rows: "full" or an integer from the sequence length to the cell count."""
+        space, functions = seq.space, seq.functions
+        size = space.cell_count if basis_size == "full" else int(basis_size)
+        if not len(functions) <= size <= space.cell_count:
+            raise ValueError(
+                f"basis size must lie in [{len(functions)}, {space.cell_count}]"
+            )
         return _complete(functions, space, size)
 
     def forward(self, phi: GridFunction) -> np.ndarray:

@@ -12,7 +12,7 @@ first-kind solve is ill-posed and needs a declared policy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,42 +87,39 @@ class KernelPencil:
     alpha: complex
     a0: CoefficientMatrix
     a: CoefficientMatrix
-    basis: SmoothBasis
 
     @property
     def size(self) -> int:
         return self.a0.shape[0]
 
+    @property
+    def basis(self) -> SmoothBasis:
+        return SmoothBasis(self.size)
+
     def system_matrix(self, lam: complex) -> np.ndarray:
         """alpha I + A0 - lambda A; affine in lambda by construction."""
         return (self.alpha * np.eye(self.size) + self.a0) - lam * self.a
 
-    def kernel_t(self) -> BilinearKernel:
-        return synthesize(self.a, self.basis)
-
     def pencil_kernel(self, lam: complex) -> BilinearKernel:
-        return synthesize(self.a0 - lam * self.a, self.basis)
+        """The kernel of A0 - lambda A, formed in one new n x n array."""
+        d = self.a * -lam
+        d += self.a0
+        return synthesize(d, self.basis)
 
 
-def reduce_problem(
-    p: ThirdKindProblem,
-    alpha: complex,
-    seq: KorotkovSequence,
-    U: UnitarySurrogate,
-) -> KernelPencil:
-    """Transform the grid problem into the lambda-free reduced pencil.
+def reduce_problem(seq: KorotkovSequence, U: UnitarySurrogate) -> KernelPencil:
+    """Transform the sequence's problem into the lambda-free reduced pencil.
 
-    A0 and A are the matrices of H - alpha and K over the paired basis; the
+    A0 and A are the matrices of H - alpha and K over U, with alpha, H and K
+    those the sequence was built for (H and K on its final grid). The
     right-hand side is not needed (its reduced form is g = U.forward(psi)).
     At full truncation the identity alpha f + (A0 - lambda A) f = g holds to
     rounding whenever psi came from the forward model at phi and f is the
     forward image of phi.
     """
-    if p.space != U.space or seq.space != U.space:
-        raise ValueError("problem, sequence, and surrogate must share one grid")
-    shifted = GridFunction(p.space, p.coefficient.values - alpha)
-    a0, a = pencil_matrices(U, shifted, p.kernel)
-    return KernelPencil(alpha=complex(alpha), a0=a0, a=a, basis=U.basis)
+    shifted = GridFunction(seq.space, seq.coefficient.values - seq.alpha)
+    a0, a = pencil_matrices(U, shifted, seq.kernel)
+    return KernelPencil(alpha=seq.alpha, a0=a0, a=a)
 
 
 @dataclass(frozen=True)
@@ -164,16 +161,10 @@ class FirstKindProblem:
     m_matrix: np.ndarray
     w: np.ndarray
 
-    def gamma(self) -> BilinearKernel:
-        return scale_by_multiplier(self.pencil.kernel_t(), self.multiplier, self.m_matrix)
-
     def gamma_pencil(self, lam: complex) -> BilinearKernel:
         return scale_by_multiplier(
             self.pencil.pencil_kernel(lam), self.multiplier, self.m_matrix
         )
-
-    def system_matrix(self, lam: complex) -> np.ndarray:
-        return self.m_matrix @ (self.pencil.a0 - lam * self.pencil.a)
 
 
 def make_first_kind(pencil: KernelPencil, m: Multiplier, g: np.ndarray) -> FirstKindProblem:
@@ -199,34 +190,27 @@ class FirstKindSolution:
     kept: int
 
 
-def solve_first_kind(
-    fp: FirstKindProblem,
-    lam: complex,
-    cutoff: float,
-    system: np.ndarray | None = None,
-) -> FirstKindSolution:
-    """Truncated-spectral pseudoinverse solve of M (A0 - lambda A) c = w.
+def solve_first_kind(system: np.ndarray, w: np.ndarray, cutoff: float) -> FirstKindSolution:
+    """Truncated-spectral pseudoinverse solve of system c = w.
 
-    Singular values below cutoff * sigma_max are discarded;
-    `discarded_energy` is the fraction of ||w||^2 lost to the discarded
-    left singular directions. Raises DegenerateSystemError when nothing
-    survives the cutoff. `system` is fp.system_matrix(lam) when the caller
-    has already formed it.
+    `system` is the first-kind matrix M (A0 - lambda A), for instance
+    `FirstKindProblem.gamma_pencil(lam).multiplied_matrix`. Singular values
+    below cutoff * sigma_max are discarded; `discarded_energy` is the
+    fraction of ||w||^2 lost to the discarded left singular directions.
+    Raises DegenerateSystemError when nothing survives the cutoff.
     """
     if not 0 < cutoff < 1:
         raise ValueError("cutoff must lie in (0, 1)")
-    if system is None:
-        system = fp.system_matrix(lam)
     u, sigma, vh = np.linalg.svd(system)
     if sigma.size == 0 or sigma[0] <= 0:
         raise DegenerateSystemError("system matrix is zero")
     keep = sigma >= cutoff * sigma[0]
     if not np.any(keep):
         raise DegenerateSystemError("all singular values fell below the cutoff")
-    projections = u.conj().T @ fp.w
+    projections = u.conj().T @ w
     inv = projections[keep] / sigma[keep]
     c = vh.conj().T[:, keep] @ inv
-    total = float(np.linalg.norm(fp.w) ** 2)
+    total = float(np.linalg.norm(w) ** 2)
     discarded = float(np.sum(np.abs(projections[~keep]) ** 2)) / total if total else 0.0
     return FirstKindSolution(
         coefficients=c, discarded_energy=discarded, kept=int(np.sum(keep))
@@ -278,7 +262,6 @@ class EquivalenceReport:
     discarded_energy: float | None = None
     first_kind: FirstKindSection | None = None
     projected: bool = False
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -293,7 +276,6 @@ class EquivalenceReport:
         }
         if self.first_kind is not None:
             out["first_kind"] = self.first_kind.to_dict()
-        out.update(self.extras)
         return out
 
 
@@ -340,8 +322,8 @@ def verify_equivalence(
     f = U.forward(phi)
 
     # A0 - lambda A, formed once; every lambda-dependent quantity derives from it
-    d = pencil.a * -p.lam
-    d += pencil.a0
+    pk = pencil.pencil_kernel(p.lam)
+    d = pk.matrix
     lhs = alpha * f + d @ f
     passage = _relative(float(np.linalg.norm(lhs - g)), float(np.linalg.norm(g)))
     round_trip_fn = U.inverse(f)
@@ -354,7 +336,6 @@ def verify_equivalence(
     else:
         condition = float(np.linalg.cond(_plus_identity(d, alpha)))
 
-    pk = synthesize(d, pencil.basis)
     carleman_sup = float(np.max(carleman_row_norms(pk, probes)))
     tail = absolute_tail_sup(fact, probes, probes)
     del fact  # no n x n factor is held into the first-kind solve
@@ -362,12 +343,12 @@ def verify_equivalence(
     discarded = None
     first_kind = None
     if alpha == 0:
-        m = Multiplier("gaussian")
-        fk = FirstKindProblem(pencil=pencil, multiplier=m, m_matrix=m_matrix, w=m_matrix @ g)
+        m = Multiplier()
+        w = m_matrix @ g
         gamma_pencil = scale_by_multiplier(pk, m, m_matrix)
         fk_system = gamma_pencil.multiplied_matrix  # M (A0 - lambda A)
         fk_residual = _relative(
-            float(np.linalg.norm(fk_system @ f - fk.w)), float(np.linalg.norm(fk.w))
+            float(np.linalg.norm(fk_system @ f - w)), float(np.linalg.norm(w))
         )
         hs_gamma = hs_norm(gamma_pencil)
         # sup_s ||t(s)|| of the plain pencil feeds the Hilbert-Schmidt bound
@@ -376,7 +357,7 @@ def verify_equivalence(
         gap = coefficient_form_gap(gamma_pencil, probes, probes)
         first_q, last_q = adjoint_column_quarter_maxima(fk_system)
         try:
-            sol = solve_first_kind(fk, p.lam, cutoff, system=fk_system)
+            sol = solve_first_kind(fk_system, w, cutoff)
             discarded = sol.discarded_energy
             truncated = pencil.size - sol.kept
             recovery = _relative(

@@ -53,5 +53,5 @@ def build_problem_instance(instance: dict, count: int = 3, eps0: float = 0.25):
         0.5,
         depth_max=min(instance["depth"] + 6, 24),
     )
-    surrogate = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+    surrogate = UnitarySurrogate.from_sequence(seq, "full")
     return seq.coefficient, seq.kernel, seq, surrogate

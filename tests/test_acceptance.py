@@ -141,7 +141,7 @@ def test_c3_surrogate_unitarity():
         centers = space.centers()
         K = GridKernel(space, np.exp(np.outer(centers, centers)))
         seq = build_sequence(H, K, 0.25, count=3, eps0=0.25, ratio=0.5, depth_max=12)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         assert not U.projected and U.size == 256
 
         rng = np.random.default_rng(1234)
@@ -167,7 +167,7 @@ def test_c4_equivalence_battery(tmp_path):
             H, K, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
             p = ThirdKindProblem(H, K, inst["lambda"])
-            pencil = reduce_problem(p, inst["alpha"], seq, U)
+            pencil = reduce_problem(seq, U)
             probes = ProbeGrid(pencil.basis, probe_grid())
             report = verify_equivalence(p, pencil, U, phi, probes)
             assert report.passage_residual <= 1e-9, f"trial {trial}"
@@ -175,11 +175,12 @@ def test_c4_equivalence_battery(tmp_path):
 
             if trial < 3:
                 # the matrices may not depend on lambda: byte-identical files
+                # from two reductions that served different lambdas
                 lam2 = inst["lambda"] * -0.5 + 0.3j
-                p1 = ThirdKindProblem.manufactured(H, K, inst["lambda"], phi)
-                p2 = ThirdKindProblem.manufactured(H, K, lam2, phi)
-                pencil1 = reduce_problem(p1, inst["alpha"], seq, U)
-                pencil2 = reduce_problem(p2, inst["alpha"], seq, U)
+                pencil1 = reduce_problem(seq, U)
+                verify_equivalence(p, pencil1, U, phi, probes)
+                pencil2 = reduce_problem(seq, U)
+                verify_equivalence(ThirdKindProblem(H, K, lam2), pencil2, U, phi, probes)
                 for tag, m1, m2 in (
                     ("a0", pencil1.a0, pencil2.a0),
                     ("a", pencil1.a, pencil2.a),
@@ -229,11 +230,11 @@ def _pipeline_pencil(depth, alpha, lam):
     centers = space.centers()
     K = GridKernel(space, np.exp(np.outer(centers, centers)))
     seq = build_sequence(H, K, alpha, count=3, eps0=0.25, ratio=0.5, depth_max=depth + 4)
-    U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+    U = UnitarySurrogate.from_sequence(seq, "full")
     rng = np.random.default_rng(99)
     phi = random_grid_function(rng, seq.space)
     p = ThirdKindProblem.manufactured(seq.coefficient, seq.kernel, lam, phi)
-    pencil = reduce_problem(p, alpha, seq, U)
+    pencil = reduce_problem(seq, U)
     return pencil, U.forward(p.rhs), U.forward(phi)
 
 
@@ -263,7 +264,7 @@ def test_c7_first_kind_multiplier():
     with _budget("7 first kind suite", 30.0):
         lam = 0.3
         pencil, g, f = _pipeline_pencil(6, alpha=0.0, lam=lam)
-        m = Multiplier("gaussian")
+        m = Multiplier()
         fp = make_first_kind(pencil, m, g)
 
         # Hilbert-Schmidt bound with the probe-grid Carleman sup
@@ -284,7 +285,7 @@ def test_c7_first_kind_multiplier():
             assert finite_difference_defect(gamma_pencil, i, j, pts, pts, step) <= 1e-5
 
         # multiplied-system identity at the forward image
-        residual = np.linalg.norm(fp.system_matrix(lam) @ f - fp.w)
+        residual = np.linalg.norm(gamma_pencil.multiplied_matrix @ f - fp.w)
         assert residual <= 1e-9 * np.linalg.norm(fp.w)
 
         # manufacture-then-solve at a size where nothing is truncated
@@ -293,21 +294,16 @@ def test_c7_first_kind_multiplier():
         centers = space.centers()
         K = GridKernel(space, np.exp(np.outer(centers, centers)))
         seq = build_sequence(H, K, 0.0, count=2, eps0=1.0, ratio=0.5, depth_max=8)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         rng = np.random.default_rng(100)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(seq.coefficient, seq.kernel, lam, phi)
-        small_pencil = reduce_problem(p, 0.0, seq, U)
+        small_pencil = reduce_problem(seq, U)
         small_fp = make_first_kind(small_pencil, m, U.forward(p.rhs))
         n = small_pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        manufactured = type(small_fp)(
-            pencil=small_fp.pencil,
-            multiplier=small_fp.multiplier,
-            m_matrix=small_fp.m_matrix,
-            w=small_fp.system_matrix(lam) @ c0,
-        )
-        sol = solve_first_kind(manufactured, lam, cutoff=1e-10)
+        system = small_fp.gamma_pencil(lam).multiplied_matrix
+        sol = solve_first_kind(system, system @ c0, cutoff=1e-10)
         assert sol.kept == n  # no spectral truncation occurred
         assert np.linalg.norm(sol.coefficients - c0) <= 1e-8 * np.linalg.norm(c0)
 
@@ -316,7 +312,7 @@ def test_c8_adjoint_column_decay():
     with _budget("8 column decay suite", 5.0):
         rng = np.random.default_rng(888)
         basis = SmoothBasis(64)
-        m_matrix = multiplier_matrix(Multiplier("gaussian"), basis)
+        m_matrix = multiplier_matrix(Multiplier(), basis)
         for trial in range(10):
             a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
             first, last = adjoint_column_quarter_maxima(m_matrix @ a)

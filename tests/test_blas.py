@@ -7,7 +7,7 @@ import pytest
 
 import thirdkind.blas as blas
 import thirdkind.pipeline as pipeline
-from thirdkind import KernelPencil, NearSingularError, SmoothBasis, solve_second_kind
+from thirdkind import KernelPencil, NearSingularError, solve_second_kind
 from thirdkind.config import parse_config
 
 FUNCS = blas._openblas()
@@ -48,7 +48,7 @@ def test_one_thread_inside_restored_after(two_threads):
 def test_restored_after_near_singular_error(two_threads):
     a = np.zeros((3, 3), dtype=complex)
     a[0, 0] = 1.0
-    pencil = KernelPencil(1.0, np.zeros((3, 3), dtype=complex), a, SmoothBasis(3))
+    pencil = KernelPencil(1.0, np.zeros((3, 3), dtype=complex), a)
     with pytest.raises(NearSingularError):
         with blas.blas_threads_for(3):
             solve_second_kind(pencil, 1.0, np.ones(3, dtype=complex))

@@ -137,6 +137,21 @@ class TestBuildSequenceCommand:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reduce", "verify"])
+    @pytest.mark.parametrize("size", [2, 100000])
+    def test_basis_size_off_the_grid_exit_one(self, tmp_path, capsys, command, size):
+        # three bands on the final grid of 64 cells: the size must lie in [3, 64]
+        cfg = write_config(tmp_path, basis_size=size)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: basis_size") and "[3, 64]" in err
+
+    def test_basis_size_not_read_by_build_sequence(self, tmp_path):
+        cfg = write_config(tmp_path, basis_size=100000)
+        code = main(["build-sequence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
+
     def test_kernel_csv_with_nan_exit_one(self, tmp_path, capsys):
         from thirdkind import build_space
 

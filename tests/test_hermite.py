@@ -13,6 +13,7 @@ from thirdkind import (
     basis_value,
     multiplier_matrix,
 )
+from thirdkind.hermite import hermite_function_values
 
 
 def hermite_closed_form(n, x):
@@ -75,20 +76,21 @@ class TestSmoothBasis:
             for n in range(8):
                 np.testing.assert_allclose(mat[n], basis_value(n, order, s), atol=1e-13)
 
-    def test_orthonormal_by_quadrature(self):
-        # the identity multiplier's matrix is the Gram matrix of the basis
-        basis = SmoothBasis(48)
-        gram = multiplier_matrix(Multiplier("one"), basis)
-        assert np.max(np.abs(gram - np.eye(48))) <= 1e-10
+    @pytest.mark.parametrize("n", [16, 128, 256])
+    def test_orthonormal_by_quadrature(self, n):
+        # independent route: the trapezoid rule on [-40, 40] at step 0.05,
+        # where every u_k with k < 256 is negligible at the ends
+        s = np.arange(-800, 801) * 0.05
+        values = hermite_function_values(n, s)
+        weights = np.full(s.size, 0.05)
+        weights[[0, -1]] = 0.025
+        gram = (values * weights) @ values.T
+        assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
     def test_index_range_checked(self):
         basis = SmoothBasis(4)
         with pytest.raises(ValueError):
             basis.value(4, 0, 0.0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            SmoothBasis(4, kind="fourier")
 
 
 class TestMultiplier:
@@ -113,7 +115,6 @@ class TestMultiplier:
 
     def test_l2_norm(self):
         assert Multiplier().l2_norm == pytest.approx(math.pi**0.25, abs=1e-15)
-        assert Multiplier("one").l2_norm == math.inf
 
 
 class TestMultiplierMatrix:
@@ -145,10 +146,6 @@ class TestMultiplierMatrix:
     def test_symmetric(self):
         M = multiplier_matrix(Multiplier(), SmoothBasis(12))
         np.testing.assert_allclose(M, M.T, atol=1e-14)
-
-    def test_identity_multiplier(self):
-        M = multiplier_matrix(Multiplier("one"), SmoothBasis(10))
-        assert np.max(np.abs(M - np.eye(10))) <= 1e-10
 
     @pytest.mark.parametrize("n", [4, 16, 64, 128])
     def test_recurrence_matches_gauss_hermite_oracle(self, n):

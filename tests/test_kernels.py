@@ -249,17 +249,6 @@ class TestSeriesConsistency:
 
 
 class TestMultiplierKernels:
-    def test_identity_multiplier_is_noop(self):
-        T = random_kernel(6, seed=45)
-        one = Multiplier("one")
-        M = multiplier_matrix(one, T.basis)
-        G = scale_by_multiplier(T, one, M)
-        s = np.linspace(-2, 2, 5)
-        np.testing.assert_allclose(
-            eval_kernel(G, 0, 0, s, s), eval_kernel(T, 0, 0, s, s), atol=1e-12
-        )
-        assert hs_norm(G) == pytest.approx(hs_norm(T), rel=1e-10)
-
     def test_pointwise_value_at_origin(self):
         T = rank_one_kernel()
         m = Multiplier()

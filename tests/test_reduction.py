@@ -83,6 +83,11 @@ def complex_family():
     return space, functions
 
 
+def family(space, functions=()):
+    """A stand-in sequence: the grid and the orthonormal functions on it."""
+    return SimpleNamespace(space=space, functions=list(functions))
+
+
 def three_band_sequence(depth):
     space = build_space(depth)
     H = GridFunction.sample(space, lambda y: y)
@@ -144,7 +149,7 @@ class TestCompleteBasis:
 
     def test_matches_dense_sweep_projected(self):
         seq = three_band_sequence(7)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, 40)
+        U = UnitarySurrogate.from_sequence(seq, 40)
         reference = dense_complete_basis(seq.functions, seq.space)[:40]
         assert U.projected
         assert np.max(np.abs(U.b_matrix - reference)) <= 1e-14
@@ -178,7 +183,7 @@ class TestCompleteBasis:
         H = GridFunction.sample(space, lambda y: y)
         bands = [band_set(H, 0.25, 0.25 * 0.5 ** (i + 1), 0.25 * 0.5**i) for i in (1, 2, 3)]
         functions = [rademacher(E, k).values for k, E in zip((3, 2, 1), bands)]
-        seq = SimpleNamespace(space=space, functions=functions)
+        seq = family(space, functions)
         n = space.cell_count
         bound = 16 * (n + sum(E.cell_count ** 2 + E.cell_count for E in bands))
 
@@ -188,10 +193,10 @@ class TestCompleteBasis:
                 arrays += [band.cells, band.rows, band.block]
             return sum(a.nbytes for a in arrays)
 
-        projected = UnitarySurrogate.from_sequence(seq, space, 512)
+        projected = UnitarySurrogate.from_sequence(seq, 512)
         assert stored(projected) <= bound
         assert stored(projected) <= 16 * 512 * n / 100
-        assert stored(UnitarySurrogate.from_sequence(seq, space, "full")) <= bound
+        assert stored(UnitarySurrogate.from_sequence(seq, "full")) <= bound
 
 
 class TestMatrixElements:
@@ -202,7 +207,7 @@ class TestMatrixElements:
         alpha = 0.75
         H = GridFunction.constant(space, alpha)
         K = GridKernel(space, np.zeros((16, 16)))
-        U = UnitarySurrogate.from_sequence(None, space, "full")
+        U = UnitarySurrogate.from_sequence(family(space), "full")
         shifted = GridFunction(space, H.values - alpha)
         a0 = matrix_elements(MultiplicationOperator(shifted), U.b_functions)
         a = matrix_elements(IntegralOperator(K), U.b_functions)
@@ -282,20 +287,20 @@ class TestPencilMatrices:
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_matches_matrix_elements(self, alpha):
         seq = three_band_sequence(7)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         shifted = GridFunction(seq.space, seq.coefficient.values - alpha)
         assert_pencils_match(U, shifted, seq.kernel)
 
     def test_complex_coefficient(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         c = seq.space.centers()
         symbol = GridFunction(seq.space, c - 0.25 + 1j * np.sin(3 * c))
         assert_pencils_match(U, symbol, seq.kernel)
 
     def test_complex_non_hermitian_kernel(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         n = seq.space.cell_count
         rng = np.random.default_rng(31)
         K = GridKernel(seq.space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -304,7 +309,7 @@ class TestPencilMatrices:
 
     def test_projected(self):
         seq = three_band_sequence(7)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, 40)
+        U = UnitarySurrogate.from_sequence(seq, 40)
         shifted = GridFunction(seq.space, seq.coefficient.values - 0.25)
         a0, a = pencil_matrices(U, shifted, seq.kernel)
         assert a0.shape == a.shape == (40, 40)
@@ -314,7 +319,7 @@ class TestPencilMatrices:
     def test_empty_family(self, size):
         # no bands: every row is an indicator and the pencil is pure gathers
         space = build_space(5)
-        U = UnitarySurrogate.from_sequence(None, space, size)
+        U = UnitarySurrogate.from_sequence(family(space), size)
         rng = np.random.default_rng(32)
         n = space.cell_count
         symbol = GridFunction(space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -325,7 +330,7 @@ class TestPencilMatrices:
     def test_complex_family(self):
         # non-constant modulus on interleaved supports, one single-cell band
         space, functions = complex_family()
-        U = UnitarySurrogate.from_sequence(SimpleNamespace(space=space, functions=functions), space, 20)
+        U = UnitarySurrogate.from_sequence(family(space, functions), 20)
         n = space.cell_count
         rng = np.random.default_rng(33)
         symbol = GridFunction(space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -333,7 +338,7 @@ class TestPencilMatrices:
         assert_pencils_match(U, symbol, K)
 
     def test_space_mismatch(self):
-        U = UnitarySurrogate.from_sequence(None, build_space(3), "full")
+        U = UnitarySurrogate.from_sequence(family(build_space(3)), "full")
         other = build_space(2)
         with pytest.raises(SpaceMismatchError):
             pencil_matrices(U, GridFunction.constant(other, 1.0), GridKernel(other, np.eye(4)))
@@ -342,7 +347,7 @@ class TestPencilMatrices:
 class TestUnitarySurrogate:
     def test_forward_of_basis_vector(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         b3 = U.b_functions[3]
         c = U.forward(b3)
         expected = np.zeros(U.size)
@@ -351,7 +356,7 @@ class TestUnitarySurrogate:
 
     def test_isometry_on_random_pairs(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         rng = np.random.default_rng(21)
         n = seq.space.cell_count
         for _ in range(10):
@@ -363,7 +368,7 @@ class TestUnitarySurrogate:
 
     def test_zero_maps_to_zero(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         c = U.forward(GridFunction.zero(seq.space))
         np.testing.assert_array_equal(c, 0.0)
         back = U.inverse(np.zeros(U.size, dtype=complex))
@@ -371,7 +376,7 @@ class TestUnitarySurrogate:
 
     def test_round_trip(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         rng = np.random.default_rng(22)
         n = seq.space.cell_count
         phi = GridFunction(seq.space, rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -381,7 +386,7 @@ class TestUnitarySurrogate:
 
     def test_inverse_of_unit_vector(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         e1 = np.zeros(U.size)
         e1[0] = 1.0
         np.testing.assert_allclose(
@@ -391,7 +396,7 @@ class TestUnitarySurrogate:
     @pytest.mark.parametrize("size", ["full", 40])
     def test_forward_inverse_match_dense_rows(self, size):
         seq = three_band_sequence(7)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, size)
+        U = UnitarySurrogate.from_sequence(seq, size)
         B = U.b_matrix
         rng = np.random.default_rng(23)
         n = seq.space.cell_count
@@ -403,19 +408,19 @@ class TestUnitarySurrogate:
 
     def test_projected_mode_flagged(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, 8)
+        U = UnitarySurrogate.from_sequence(seq, 8)
         assert U.projected
         assert U.size == 8
-        full = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        full = UnitarySurrogate.from_sequence(seq, "full")
         assert not full.projected
 
     def test_length_mismatch_rejected(self):
         seq = three_band_sequence(6)
-        U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+        U = UnitarySurrogate.from_sequence(seq, "full")
         with pytest.raises(ValueError):
             U.inverse(np.zeros(U.size - 1))
 
     def test_basis_size_below_sequence_rejected(self):
         seq = three_band_sequence(6)
         with pytest.raises(ValueError):
-            UnitarySurrogate.from_sequence(seq, seq.space, 2)
+            UnitarySurrogate.from_sequence(seq, 2)

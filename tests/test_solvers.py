@@ -10,8 +10,10 @@ from thirdkind import (
     DegenerateSystemError,
     GridFunction,
     GridKernel,
+    IntegralOperator,
     KernelPencil,
     Multiplier,
+    MultiplicationOperator,
     NearSingularError,
     ProbeGrid,
     SmoothBasis,
@@ -21,10 +23,13 @@ from thirdkind import (
     build_space,
     forward_third_kind,
     make_first_kind,
+    matrix_elements,
     multiplier_matrix,
     reduce_problem,
+    scale_by_multiplier,
     solve_first_kind,
     solve_second_kind,
+    synthesize,
     verify_equivalence,
 )
 from thirdkind.kernels import probe_grid
@@ -46,13 +51,8 @@ def build_chain(depth, alpha, kernel_factory=exp_kernel, bands=3, eps0=0.25):
     H = GridFunction.sample(space, lambda y: y)
     K = kernel_factory(space)
     seq = build_sequence(H, K, alpha, bands, eps0, 0.5, depth_max=depth + 4)
-    U = UnitarySurrogate.from_sequence(seq, seq.space, "full")
+    U = UnitarySurrogate.from_sequence(seq, "full")
     return seq.coefficient, seq.kernel, seq, U
-
-
-def chain_pencil(H, K, alpha, seq, U):
-    """The lambda-free pencil of (H, K) over U."""
-    return reduce_problem(ThirdKindProblem(H, K, 0.0), alpha, seq, U)
 
 
 def default_probes(pencil):
@@ -107,7 +107,7 @@ class TestReduce:
         rng = np.random.default_rng(64)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(H, K, 0.0, phi)
-        pencil = reduce_problem(p, 0.5, seq, U)
+        pencil = reduce_problem(seq, U)
         g = U.forward(p.rhs)
         f = U.forward(phi)
         lhs = 0.5 * f + (pencil.a0 - 0.0 * pencil.a) @ f
@@ -119,29 +119,32 @@ class TestReduce:
         phi = random_grid_function(rng, seq.space)
         lam = 0.3
         p = ThirdKindProblem.manufactured(H, K, lam, phi)
-        pencil = reduce_problem(p, 0.0, seq, U)
+        pencil = reduce_problem(seq, U)
         g = U.forward(p.rhs)
         f = U.forward(phi)
         lhs = (pencil.a0 - lam * pencil.a) @ f
         assert np.linalg.norm(lhs - g) <= 1e-9 * np.linalg.norm(g)
 
-    def test_needs_no_rhs(self):
-        # the pencil depends on (H, K) only: a right-hand side changes nothing
+    def test_pencil_is_the_sequence_problem(self):
+        # alpha, H and K come from the sequence: A0 against the generic
+        # operator-application path for H - alpha on the final grid
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
-        rng = np.random.default_rng(63)
-        bare = reduce_problem(ThirdKindProblem(H, K, 0.3), 0.25, seq, U)
-        p = ThirdKindProblem.manufactured(H, K, 0.3, random_grid_function(rng, seq.space))
-        pencil = reduce_problem(p, 0.25, seq, U)
-        assert isinstance(bare, KernelPencil)
-        np.testing.assert_array_equal(bare.a0, pencil.a0)
-        np.testing.assert_array_equal(bare.a, pencil.a)
+        pencil = reduce_problem(seq, U)
+        assert pencil.alpha == seq.alpha == 0.25
+        shifted = MultiplicationOperator(GridFunction(seq.space, H.values - 0.25))
+        np.testing.assert_allclose(
+            pencil.a0, matrix_elements(shifted, U.b_functions), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            pencil.a, matrix_elements(IntegralOperator(K), U.b_functions), rtol=0, atol=1e-13
+        )
 
     def test_pencil_is_affine_in_lambda(self):
         H, K, seq, U = build_chain(6, alpha=0.25)
         rng = np.random.default_rng(66)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
-        pencil = reduce_problem(p, 0.25, seq, U)
+        pencil = reduce_problem(seq, U)
         lam = 1.3 - 0.4j
         direct = pencil.system_matrix(lam)
         affine = pencil.system_matrix(0.0) - lam * pencil.a
@@ -154,7 +157,6 @@ class TestSolveSecondKind:
             alpha=alpha,
             a0=np.zeros((n, n), dtype=complex),
             a=np.zeros((n, n), dtype=complex),
-            basis=SmoothBasis(n),
         )
 
     def test_identity_system(self):
@@ -169,7 +171,7 @@ class TestSolveSecondKind:
         n = 3
         a = np.zeros((n, n), dtype=complex)
         a[0, 0] = 1.0
-        pencil = KernelPencil(1.0, np.zeros((n, n), dtype=complex), a, SmoothBasis(n))
+        pencil = KernelPencil(1.0, np.zeros((n, n), dtype=complex), a)
         g = np.zeros(n, dtype=complex)
         g[0] = 1.0
         sol = solve_second_kind(pencil, 0.5, g)
@@ -179,7 +181,7 @@ class TestSolveSecondKind:
         n = 3
         a = np.zeros((n, n), dtype=complex)
         a[0, 0] = 1.0
-        pencil = KernelPencil(1.0, np.zeros((n, n), dtype=complex), a, SmoothBasis(n))
+        pencil = KernelPencil(1.0, np.zeros((n, n), dtype=complex), a)
         with pytest.raises(NearSingularError):
             solve_second_kind(pencil, 1.0, np.ones(n, dtype=complex))
 
@@ -201,7 +203,6 @@ class TestSolveSecondKind:
             1.5,
             rng.standard_normal((n, n)) * 0.1 + 0j,
             rng.standard_normal((n, n)) * 0.1 + 0j,
-            SmoothBasis(n),
         )
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sol = solve_second_kind(pencil, 0.8 + 0.1j, g)
@@ -215,7 +216,7 @@ class TestFirstKind:
         rng = np.random.default_rng(68)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
-        pencil = reduce_problem(p, 0.0, seq, U)
+        pencil = reduce_problem(seq, U)
         return pencil, U.forward(p.rhs), U.forward(phi)
 
     def test_zero_rhs(self):
@@ -226,8 +227,7 @@ class TestFirstKind:
     def test_alpha_not_zero_rejected(self):
         n = 4
         pencil = KernelPencil(
-            0.5, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex),
-            SmoothBasis(n),
+            0.5, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
         )
         with pytest.raises(AlphaNotZeroError):
             make_first_kind(pencil, Multiplier(), np.zeros(n, dtype=complex))
@@ -238,8 +238,8 @@ class TestFirstKind:
 
         pencil, g, _ = self.pencil_from_chain()
         fp = make_first_kind(pencil, Multiplier(), g)
-        gamma = fp.gamma()
-        plain = pencil.kernel_t()
+        plain = synthesize(pencil.a, pencil.basis)
+        gamma = scale_by_multiplier(plain, fp.multiplier, fp.m_matrix)
         probes = ProbeGrid(plain.basis, probe_grid(8.0, 161))
         sup = float(np.max(carleman_row_norms(plain, probes)))
         assert hs_norm(gamma) <= sup * math.pi**0.25 + 1e-12
@@ -247,21 +247,14 @@ class TestFirstKind:
     def test_multiplied_identity_preserved(self):
         pencil, g, f = self.pencil_from_chain()
         fp = make_first_kind(pencil, Multiplier(), g)
-        lhs = fp.system_matrix(0.3) @ f
+        lhs = fp.gamma_pencil(0.3).multiplied_matrix @ f
         assert np.linalg.norm(lhs - fp.w) <= 1e-9 * np.linalg.norm(fp.w)
 
     def test_identity_system_any_cutoff(self):
         n = 5
-        pencil = KernelPencil(
-            0.0, np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex),
-            SmoothBasis(n),
-        )
-        m = Multiplier("one")
         g = np.arange(1.0, n + 1.0).astype(complex)
-        fp = make_first_kind(pencil, m, g)
-        # M = I here, so the system is the identity for every cutoff
         for cutoff in (1e-12, 1e-6, 0.5):
-            sol = solve_first_kind(fp, 0.0, cutoff)
+            sol = solve_first_kind(np.eye(n), g, cutoff)
             np.testing.assert_allclose(sol.coefficients, g, atol=1e-12)
             assert sol.discarded_energy == 0.0
 
@@ -272,47 +265,41 @@ class TestFirstKind:
         rng = np.random.default_rng(69)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
-        pencil = reduce_problem(p, 0.0, seq, U)
+        pencil = reduce_problem(seq, U)
         fp = make_first_kind(pencil, Multiplier(), U.forward(p.rhs))
         n = pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        system = fp.system_matrix(0.3)
+        system = fp.gamma_pencil(0.3).multiplied_matrix
         # well-conditioned at this size: nothing gets truncated
         assert np.linalg.cond(system) < 1e7
-        fp2 = type(fp)(
-            pencil=fp.pencil,
-            multiplier=fp.multiplier,
-            m_matrix=fp.m_matrix,
-            w=system @ c0,
-        )
-        sol = solve_first_kind(fp2, 0.3, 1e-10)
+        sol = solve_first_kind(system, system @ c0, 1e-10)
         assert sol.kept == n
         assert np.linalg.norm(sol.coefficients - c0) <= 1e-8 * np.linalg.norm(c0)
 
     def test_degenerate_system(self):
         n = 4
         pencil = KernelPencil(
-            0.0, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex),
-            SmoothBasis(n),
+            0.0, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
         )
         fp = make_first_kind(pencil, Multiplier(), np.ones(n, dtype=complex))
         with pytest.raises(DegenerateSystemError):
-            solve_first_kind(fp, 0.5, 1e-10)
+            solve_first_kind(fp.gamma_pencil(0.5).multiplied_matrix, fp.w, 1e-10)
 
     def test_cutoff_range_checked(self):
         pencil, g, _ = self.pencil_from_chain()
         fp = make_first_kind(pencil, Multiplier(), g)
+        system = fp.gamma_pencil(0.3).multiplied_matrix
         with pytest.raises(ValueError):
-            solve_first_kind(fp, 0.3, 0.0)
+            solve_first_kind(system, fp.w, 0.0)
         with pytest.raises(ValueError):
-            solve_first_kind(fp, 0.3, 1.0)
+            solve_first_kind(system, fp.w, 1.0)
 
 
 class TestVerifyEquivalence:
     def test_zero_solution_zero_residuals(self):
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
         p = ThirdKindProblem(H, K, 1.0)
-        pencil = chain_pencil(H, K, 0.25, seq, U)
+        pencil = reduce_problem(seq, U)
         phi = GridFunction.zero(seq.space)
         report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
         assert report.passage_residual == 0.0
@@ -323,7 +310,7 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(70)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem(H, K, 1.0)
-        pencil = chain_pencil(H, K, 0.25, seq, U)
+        pencil = reduce_problem(seq, U)
         report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
         assert report.passage_residual <= 1e-9
         assert report.round_trip_error <= 1e-9
@@ -334,7 +321,7 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(71)
         phi = random_grid_function(rng, seq.space)
         p = ThirdKindProblem(H, K, 0.4)
-        pencil = chain_pencil(H, K, 0.0, seq, U)
+        pencil = reduce_problem(seq, U)
         m_matrix = multiplier_matrix(Multiplier(), pencil.basis)
         report = verify_equivalence(
             p, pencil, U, phi, default_probes(pencil), m_matrix=m_matrix
@@ -349,7 +336,7 @@ class TestVerifyEquivalence:
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
         rng = np.random.default_rng(72)
         phi = random_grid_function(rng, seq.space)
-        pencil = chain_pencil(H, K, 0.25, seq, U)
+        pencil = reduce_problem(seq, U)
         report = verify_equivalence(
             ThirdKindProblem(H, K, 0.2), pencil, U, phi, default_probes(pencil)
         )
@@ -374,13 +361,13 @@ class TestVerifyEquivalence:
             H, K, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
             p = ThirdKindProblem(H, K, inst["lambda"])
-            pencil = chain_pencil(H, K, inst["alpha"], seq, U)
+            pencil = reduce_problem(seq, U)
             report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
             assert report.passage_residual <= 1e-9
 
     def test_alpha_zero_needs_multiplier_matrix(self):
         H, K, seq, U = build_chain(5, alpha=0.0, bands=2)
-        pencil = chain_pencil(H, K, 0.0, seq, U)
+        pencil = reduce_problem(seq, U)
         phi = GridFunction.zero(seq.space)
         with pytest.raises(ValueError, match="multiplier matrix"):
             verify_equivalence(
@@ -395,7 +382,7 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(74)
         phi = random_grid_function(rng, seq.space)
         lam = 0.4 + 0.2j
-        pencil = chain_pencil(H, K, alpha, seq, U)
+        pencil = reduce_problem(seq, U)
         m_matrix = multiplier_matrix(Multiplier(), pencil.basis) if alpha == 0 else None
         probes = default_probes(pencil)
         calls = {"svd": 0, "cond": 0}
@@ -420,7 +407,7 @@ class TestVerifyEquivalence:
 
     def test_probes_over_another_basis_rejected(self):
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
-        pencil = chain_pencil(H, K, 0.25, seq, U)
+        pencil = reduce_problem(seq, U)
         phi = GridFunction.zero(seq.space)
         other = ProbeGrid(SmoothBasis(pencil.size + 1), probe_grid())
         with pytest.raises(ValueError, match="probe grid"):
