@@ -93,30 +93,24 @@ class SmoothBasis:
         return basis_value(n, order, s)
 
 
-class Multiplier:
-    """The positive smooth multiplier m(s) = exp(-s^2/2).
+# ||m|| in L2: (integral of e^{-s^2})^(1/2) = pi^(1/4)
+GAUSSIAN_L2_NORM = math.pi ** 0.25
+
+
+def gaussian(order: int, s) -> np.ndarray:
+    """order-th derivative of the multiplier m(s) = exp(-s^2/2) at s.
 
     Positive, square integrable, and all derivatives vanish at infinity.
     Since m equals pi^(1/4) u_0, its derivatives come from the same exact
     ladder as the basis.
     """
-
-    def value(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    if order == 0:
         return np.exp(-0.5 * s * s)
-
-    def derivative(self, order: int, s) -> np.ndarray:
-        if order == 0:
-            return self.value(s)
-        return math.pi ** 0.25 * basis_value(0, order, np.asarray(s, dtype=np.float64))
-
-    @property
-    def l2_norm(self) -> float:
-        """||m|| in L2: (integral of e^{-s^2})^(1/2) = pi^(1/4)."""
-        return math.pi ** 0.25
+    return GAUSSIAN_L2_NORM * basis_value(0, order, s)
 
 
-def multiplier_matrix(m: Multiplier, basis: SmoothBasis) -> np.ndarray:
+def multiplier_matrix(basis: SmoothBasis) -> np.ndarray:
     """Coefficient matrix M_pq = integral of m(s) u_q(s) u_p(s) ds, exactly.
 
     The generating function of integral e^{-3s^2/2} H_p H_q yields

@@ -24,45 +24,39 @@ from math import comb
 
 import numpy as np
 
-from .hermite import Multiplier, SmoothBasis
+from .hermite import SmoothBasis, gaussian
 
 
 @dataclass(frozen=True, eq=False)
 class BilinearKernel:
-    """Kernel given by a coefficient matrix over the smooth basis.
+    """Kernel given by a square coefficient matrix over the basis of its size.
 
-    `multiplier` is present for scaled kernels m(s) T(s, t); then
-    `multiplied_matrix` holds M @ matrix for norm and operator use.
+    With `multiplied_matrix` set the kernel is the Gaussian-scaled m(s) T(s, t),
+    and `multiplied_matrix` holds M @ matrix for norm and operator use.
     """
 
     matrix: np.ndarray
-    basis: SmoothBasis
-    multiplier: Multiplier | None = None
     multiplied_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=complex)
-        n = self.basis.size
-        if a.shape != (n, n):
-            raise ValueError(f"coefficient matrix must be {n}x{n}, got {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"coefficient matrix must be square, got {a.shape}")
         object.__setattr__(self, "matrix", a)
-        if (self.multiplier is None) != (self.multiplied_matrix is None):
-            raise ValueError("multiplier and multiplied matrix come together")
         if self.multiplied_matrix is not None:
             ma = np.asarray(self.multiplied_matrix, dtype=complex)
-            if ma.shape != (n, n):
+            if ma.shape != a.shape:
                 raise ValueError("multiplied matrix has wrong shape")
             object.__setattr__(self, "multiplied_matrix", ma)
+
+    @property
+    def basis(self) -> SmoothBasis:
+        return SmoothBasis(self.matrix.shape[0])
 
     @property
     def coefficient_matrix(self) -> np.ndarray:
         """Matrix backing the operator view: M A for multiplier kernels."""
         return self.matrix if self.multiplied_matrix is None else self.multiplied_matrix
-
-
-def synthesize(matrix: np.ndarray, basis: SmoothBasis) -> BilinearKernel:
-    """Wrap a coefficient matrix as an evaluable bilinear kernel."""
-    return BilinearKernel(matrix=matrix, basis=basis)
 
 
 def _pair_eval(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -73,7 +67,7 @@ def _pair_eval(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nd
 def eval_kernel(kernel: BilinearKernel, i: int, j: int, s, t):
     """Partial derivative d^{i+j} T / ds^i dt^j at (s, t); scalars or 1-d arrays.
 
-    Multiplier kernels use the Leibniz expansion
+    Gaussian-scaled kernels use the Leibniz expansion
     sum_{r<=i} C(i, r) m^(i-r)(s) d^{r+j} T, with the plain kernel's exact
     derivatives inside; the order-0 case is the exact pointwise m(s) T(s, t).
     """
@@ -84,13 +78,12 @@ def eval_kernel(kernel: BilinearKernel, i: int, j: int, s, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     basis = kernel.basis
     right = basis.value_matrix(j, t_arr)
-    if kernel.multiplier is None:
+    if kernel.multiplied_matrix is None:
         out = _pair_eval(kernel.matrix, basis.value_matrix(i, s_arr), right)
     else:
-        m = kernel.multiplier
         out = np.zeros((s_arr.size, t_arr.size), dtype=complex)
         for r in range(i + 1):
-            weight = comb(i, r) * m.derivative(i - r, s_arr)
+            weight = comb(i, r) * gaussian(i - r, s_arr)
             out += weight[:, None] * _pair_eval(
                 kernel.matrix, basis.value_matrix(r, s_arr), right
             )
@@ -103,15 +96,15 @@ def carleman(kernel: BilinearKernel, side: str, order: int, x: float) -> np.ndar
     Row side: the map s -> conj(T(s, .)), derivative of the given order at
     x, so component n is conj(sum_m a_mn u_m^(order)(x)). Column side: the
     map t -> T(., t), component m is sum_n a_mn conj(u_n^(order)(x)).
-    Multiplier kernels use the Leibniz form on the row side and apply the
-    multiplier's coefficient matrix on the column side.
+    Gaussian-scaled kernels use the Leibniz form on the row side and apply
+    the multiplier's coefficient matrix on the column side.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if side not in ("row", "column"):
         raise ValueError("side must be 'row' or 'column'")
     basis = kernel.basis
-    if kernel.multiplier is None:
+    if kernel.multiplied_matrix is None:
         u = basis.value_matrix(order, x)[:, 0]
         if side == "row":
             return np.conj(kernel.matrix.T @ u)
@@ -119,11 +112,10 @@ def carleman(kernel: BilinearKernel, side: str, order: int, x: float) -> np.ndar
     if side == "column":
         u = basis.value_matrix(order, x)[:, 0]
         return kernel.multiplied_matrix @ np.conj(u)
-    m = kernel.multiplier
     out = np.zeros(basis.size, dtype=complex)
     for r in range(order + 1):
         u_r = basis.value_matrix(r, x)[:, 0]
-        weight = comb(order, r) * float(m.derivative(order - r, x))
+        weight = comb(order, r) * float(gaussian(order - r, x))
         out += weight * np.conj(kernel.matrix.T @ u_r)
     return out
 
@@ -157,8 +149,8 @@ def carleman_row_norms(kernel: BilinearKernel, probes: ProbeGrid) -> np.ndarray:
     """||t(s_j)|| for all probe points at once (order 0)."""
     _check_grid(kernel.basis, probes)
     norms = np.linalg.norm(kernel.matrix.T @ probes.values.astype(complex), axis=0)
-    if kernel.multiplier is not None:
-        norms = norms * np.abs(kernel.multiplier.value(probes.points))
+    if kernel.multiplied_matrix is not None:
+        norms = norms * gaussian(0, probes.points)
     return norms
 
 
@@ -257,7 +249,7 @@ def series_consistency(
     The series is sum_n [W u_n]^(i)(s) conj([V u_n]^(j)(t)); its running
     absolute partial sums are the convergence witness (nondecreasing and
     bounded). `w`, `v` are the explicit factors (`MFactorization.polar_factors`)
-    of the kernel's coefficient matrix; for multiplier kernels both sides use
+    of the kernel's coefficient matrix; for Gaussian-scaled kernels both sides use
     the coefficient form M A.
     """
     basis = kernel.basis
@@ -274,35 +266,28 @@ def series_consistency(
     )
 
 
-def scale_by_multiplier(
-    kernel: BilinearKernel, m: Multiplier, m_matrix: np.ndarray
-) -> BilinearKernel:
-    """Attach a multiplier: pointwise kernel m(s) T(s, t), coefficients M A.
+def scale_by_multiplier(kernel: BilinearKernel, m_matrix: np.ndarray) -> BilinearKernel:
+    """Scale by the Gaussian: pointwise kernel m(s) T(s, t), coefficients M A.
 
     Pointwise evaluation stays exact; the coefficient matrix M A (a truncated
     product expansion) backs the Hilbert-Schmidt norm and the first-kind
     operator. The gap between the two views is a reportable quantity, see
     `coefficient_form_gap`.
     """
-    if kernel.multiplier is not None:
+    if kernel.multiplied_matrix is not None:
         raise ValueError("kernel already carries a multiplier")
     m_matrix = np.asarray(m_matrix, dtype=complex)
     if m_matrix.shape != kernel.matrix.shape:
         raise ValueError("multiplier matrix size does not match the kernel")
-    return BilinearKernel(
-        matrix=kernel.matrix,
-        basis=kernel.basis,
-        multiplier=m,
-        multiplied_matrix=m_matrix @ kernel.matrix,
-    )
+    return BilinearKernel(kernel.matrix, multiplied_matrix=m_matrix @ kernel.matrix)
 
 
 def coefficient_form_gap(kernel: BilinearKernel, s: ProbeGrid, t: ProbeGrid) -> float:
     """Max |m(s) T(s,t) - (M A)-form(s,t)| over a probe grid (0 without multiplier)."""
     _check_grid(kernel.basis, s, t)
-    if kernel.multiplier is None:
+    if kernel.multiplied_matrix is None:
         return 0.0
-    exact = kernel.multiplier.value(s.points)[:, None] * _pair_eval(
+    exact = gaussian(0, s.points)[:, None] * _pair_eval(
         kernel.matrix, s.values, t.values
     )
     via_coeff = _pair_eval(kernel.multiplied_matrix, s.values, t.values)
@@ -313,7 +298,7 @@ def hs_norm(kernel: BilinearKernel) -> float:
     """Hilbert-Schmidt norm: Frobenius norm of the coefficient matrix.
 
     Equals the L2 double integral of |kernel|^2 by orthonormality of the
-    basis (for multiplier kernels this is the coefficient-form view M A).
+    basis (for Gaussian-scaled kernels this is the coefficient-form view M A).
     """
     return float(np.linalg.norm(kernel.coefficient_matrix, "fro"))
 

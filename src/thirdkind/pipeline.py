@@ -8,14 +8,14 @@ seeded manufactured problems against that one pencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .blas import blas_threads_for
 from .config import RunConfig, make_coefficient, make_kernel
 from .errors import ConfigError
-from .hermite import Multiplier, multiplier_matrix
+from .hermite import multiplier_matrix
 from .kernels import (
     BilinearKernel,
     ProbeGrid,
@@ -39,7 +39,6 @@ from .reduction import UnitarySurrogate, matrix_elements
 from .solvers import (
     EquivalenceReport,
     KernelPencil,
-    ThirdKindProblem,
     reduce_problem,
     verify_equivalence,
 )
@@ -99,7 +98,7 @@ def _build_pencil(config: RunConfig, seq, surrogate):
     pencil = reduce_problem(seq, surrogate)
     m_matrix = None
     if pencil.alpha == 0:
-        m_matrix = multiplier_matrix(Multiplier(), pencil.basis)
+        m_matrix = multiplier_matrix(pencil.basis)
     probes = ProbeGrid(
         pencil.basis, probe_grid(config.probe_bound, config.probe_points)
     )
@@ -112,9 +111,10 @@ def _equivalence_reports(
     """One report per lambda of the config, all against the one pencil."""
     return [
         verify_equivalence(
-            ThirdKindProblem(seq.coefficient, seq.kernel, lam),
+            seq,
             pencil,
             surrogate,
+            lam,
             phi,
             probes,
             cutoff=config.cutoff,
@@ -155,14 +155,6 @@ class Check:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -176,7 +168,7 @@ class VerificationResult:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "reports": [r.to_dict() for r in self.reports],
         }
 

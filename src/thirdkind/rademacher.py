@@ -29,16 +29,7 @@ from .measure import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class RademacherFunction:
-    """Level-n generalized Rademacher function with support in `base_set`."""
-
-    base_set: MeasurableSet
-    level: int
-    values: GridFunction
-
-
-def rademacher(E: MeasurableSet, n: int) -> RademacherFunction:
+def rademacher(E: MeasurableSet, n: int) -> GridFunction:
     """Construct the level-n Rademacher function on E.
 
     The leaves of the n-fold deterministic bisection (sorted-half rule) are
@@ -58,7 +49,7 @@ def rademacher(E: MeasurableSet, n: int) -> RademacherFunction:
     signs = np.where(np.arange(pieces) % 2 == 0, amplitude, -amplitude)
     values = np.zeros(E.space.cell_count)
     values[E.cell_indices] = np.repeat(signs, block)
-    return RademacherFunction(E, n, GridFunction(E.space, values))
+    return GridFunction(E.space, values)
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,7 @@ def select_index(
                 raise ToleranceUnreachableError(best)
             K = K.refined()
             E = E.refined()
-        r = rademacher(E, k).values
+        r = rademacher(E, k)
         achieved = K.apply(r).norm() + K.apply_adjoint(r).norm()
         if achieved <= target:
             return IndexSelection(k, achieved, K, E)
@@ -202,7 +193,7 @@ def build_sequence(
             H = lift(H, K.space)
             bands = [lift_set(b, K.space) for b in bands]
             functions = [lift(f, K.space) for f in functions]
-        e = rademacher(band, sel.k).values
+        e = rademacher(band, sel.k)
         s1 = GridFunction(H.space, (H.values - alpha) * e.values).norm()
         bands.append(band)
         levels.append(sel.k)

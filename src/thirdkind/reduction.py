@@ -117,7 +117,6 @@ def _complete(
         indicator_value=scale / (scale * np.sqrt(w)),
         bands=tuple(blocks),
         basis=SmoothBasis(size),
-        projected=size < n,
     )
 
 
@@ -203,11 +202,14 @@ class UnitarySurrogate:
     indicator_value: float
     bands: tuple[BandBlock, ...]
     basis: SmoothBasis
-    projected: bool
 
     @property
     def size(self) -> int:
         return self.basis.size
+
+    @property
+    def projected(self) -> bool:
+        return self.size < self.space.cell_count
 
     @property
     def b_matrix(self) -> np.ndarray:

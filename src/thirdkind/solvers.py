@@ -12,12 +12,12 @@ first-kind solve is ill-posed and needs a declared policy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import AlphaNotZeroError, DegenerateSystemError, NearSingularError
-from .hermite import Multiplier, SmoothBasis, multiplier_matrix
+from .hermite import GAUSSIAN_L2_NORM, SmoothBasis, multiplier_matrix
 from .kernels import (
     BilinearKernel,
     ProbeGrid,
@@ -28,7 +28,6 @@ from .kernels import (
     hs_norm,
     m_factorize,
     scale_by_multiplier,
-    synthesize,
 )
 from .measure import GridFunction, GridKernel
 from .rademacher import KorotkovSequence
@@ -39,45 +38,14 @@ from .reduction import matrix_elements  # noqa: F401
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True, eq=False)
-class ThirdKindProblem:
-    """Problem data (H, K, lambda, psi) over one grid."""
-
-    coefficient: GridFunction
-    kernel: GridKernel
-    lam: complex
-    rhs: GridFunction | None = None
-
-    def __post_init__(self):
-        if self.kernel.space != self.coefficient.space:
-            raise ValueError("coefficient and kernel live on different grids")
-        if self.rhs is not None and self.rhs.space != self.coefficient.space:
-            raise ValueError("right-hand side lives on a different grid")
-
-    @property
-    def space(self):
-        return self.coefficient.space
-
-    @classmethod
-    def manufactured(
-        cls,
-        coefficient: GridFunction,
-        kernel: GridKernel,
-        lam: complex,
-        solution: GridFunction,
-    ) -> "ThirdKindProblem":
-        """Build a consistent problem by applying the forward operator to a
-        chosen solution (sidesteps solvability of arbitrary right sides)."""
-        stub = cls(coefficient, kernel, lam)
-        return cls(coefficient, kernel, lam, forward_third_kind(stub, solution))
-
-
-def forward_third_kind(p: ThirdKindProblem, phi: GridFunction) -> GridFunction:
+def forward_third_kind(
+    H: GridFunction, K: GridKernel, lam: complex, phi: GridFunction
+) -> GridFunction:
     """psi = H phi - lambda K phi, evaluated cellwise with midpoint quadrature."""
-    if phi.space != p.space:
-        raise ValueError("function lives on a different grid")
-    k_phi = p.kernel.apply(phi)
-    return GridFunction(p.space, p.coefficient.values * phi.values - p.lam * k_phi.values)
+    if not H.space == K.space == phi.space:
+        raise ValueError("coefficient, kernel and function live on different grids")
+    k_phi = K.apply(phi)
+    return GridFunction(H.space, H.values * phi.values - lam * k_phi.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +72,7 @@ class KernelPencil:
         """The kernel of A0 - lambda A, formed in one new n x n array."""
         d = self.a * -lam
         d += self.a0
-        return synthesize(d, self.basis)
+        return BilinearKernel(d)
 
 
 def reduce_problem(seq: KorotkovSequence, U: UnitarySurrogate) -> KernelPencil:
@@ -157,18 +125,15 @@ class FirstKindProblem:
     """First-kind data: pencil with alpha = 0, multiplier matrix M, w = M g."""
 
     pencil: KernelPencil
-    multiplier: Multiplier
     m_matrix: np.ndarray
     w: np.ndarray
 
     def gamma_pencil(self, lam: complex) -> BilinearKernel:
-        return scale_by_multiplier(
-            self.pencil.pencil_kernel(lam), self.multiplier, self.m_matrix
-        )
+        return scale_by_multiplier(self.pencil.pencil_kernel(lam), self.m_matrix)
 
 
-def make_first_kind(pencil: KernelPencil, m: Multiplier, g: np.ndarray) -> FirstKindProblem:
-    """Multiply the reduced equation through by the positive multiplier m.
+def make_first_kind(pencil: KernelPencil, g: np.ndarray) -> FirstKindProblem:
+    """Multiply the reduced equation through by the Gaussian multiplier m.
 
     Requires alpha exactly 0 (otherwise the equation keeps its second-kind
     term and AlphaNotZeroError is raised). Since m is positive everywhere,
@@ -176,11 +141,11 @@ def make_first_kind(pencil: KernelPencil, m: Multiplier, g: np.ndarray) -> First
     """
     if pencil.alpha != 0:
         raise AlphaNotZeroError(f"alpha = {pencil.alpha} is not 0")
-    m_mat = multiplier_matrix(m, pencil.basis)
+    m_mat = multiplier_matrix(pencil.basis)
     g = np.asarray(g, dtype=complex)
     if g.shape != (pencil.size,):
         raise ValueError(f"expected {pencil.size} coefficients, got {g.shape}")
-    return FirstKindProblem(pencil=pencil, multiplier=m, m_matrix=m_mat, w=m_mat @ g)
+    return FirstKindProblem(pencil=pencil, m_matrix=m_mat, w=m_mat @ g)
 
 
 @dataclass(frozen=True)
@@ -233,25 +198,11 @@ class FirstKindSection:
     truncated_directions: int
     recovery_error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "hs_norm_pencil": self.hs_norm_pencil,
-            "carleman_sup": self.carleman_sup,
-            "multiplier_norm": self.multiplier_norm,
-            "bound_slack": self.bound_slack,
-            "coefficient_form_gap": self.coefficient_form_gap,
-            "column_first_quarter_max": self.column_first_quarter_max,
-            "column_last_quarter_max": self.column_last_quarter_max,
-            "discarded_energy": self.discarded_energy,
-            "truncated_directions": self.truncated_directions,
-            "recovery_error": self.recovery_error,
-        }
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Residuals and kernel diagnostics for one manufactured problem."""
+    """Residuals and kernel diagnostics for one manufactured problem; `to_dict`
+    follows the field order and leaves out `first_kind` when alpha != 0."""
 
     passage_residual: float
     round_trip_error: float
@@ -259,23 +210,14 @@ class EquivalenceReport:
     hs_norm: float
     carleman_sup: float
     tail_sup: float
-    discarded_energy: float | None = None
-    first_kind: FirstKindSection | None = None
-    projected: bool = False
+    discarded_energy: float | None
+    projected: bool
+    first_kind: FirstKindSection | None
 
     def to_dict(self) -> dict:
-        out = {
-            "passage_residual": self.passage_residual,
-            "round_trip_error": self.round_trip_error,
-            "condition": self.condition,
-            "hs_norm": self.hs_norm,
-            "carleman_sup": self.carleman_sup,
-            "tail_sup": self.tail_sup,
-            "discarded_energy": self.discarded_energy,
-            "projected": self.projected,
-        }
-        if self.first_kind is not None:
-            out["first_kind"] = self.first_kind.to_dict()
+        out = asdict(self)
+        if self.first_kind is None:
+            del out["first_kind"]
         return out
 
 
@@ -291,9 +233,10 @@ def _plus_identity(matrix: np.ndarray, alpha: complex) -> np.ndarray:
 
 
 def verify_equivalence(
-    p: ThirdKindProblem,
+    seq: KorotkovSequence,
     pencil: KernelPencil,
     U: UnitarySurrogate,
+    lam: complex,
     phi: GridFunction,
     probes: ProbeGrid,
     cutoff: float = 1e-10,
@@ -301,8 +244,10 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Manufacture psi from phi and measure every testable identity.
 
-    `pencil` is the lambda-free reduction of (H, K) over U, built once per
-    run; only g = U psi and what depends on lambda are computed here.
+    psi is the forward model of the sequence's H and K at lambda. `pencil` is
+    the lambda-free reduction of the sequence over U (`reduce_problem`), built
+    once per run; ValueError when its alpha or size says otherwise. Only
+    g = U psi and what depends on lambda are computed here.
     Reports the relative passage residual ||alpha f + (A0 - lambda A) f - g||
     at f = U phi, the forward/inverse round trip error, and pencil-kernel
     diagnostics over the probe grid. With alpha = 0 the first-kind section is
@@ -316,18 +261,22 @@ def verify_equivalence(
     and keeps its own np.linalg.cond.
     """
     alpha = pencil.alpha
+    if alpha != seq.alpha:
+        raise ValueError(f"pencil has alpha = {alpha}, the sequence {seq.alpha}")
+    if pencil.size != U.size:
+        raise ValueError(f"pencil has size {pencil.size}, the surrogate {U.size}")
     if alpha == 0 and m_matrix is None:
         raise ValueError("alpha = 0 needs the multiplier matrix of the pencil's basis")
-    g = U.forward(forward_third_kind(p, phi))
+    g = U.forward(forward_third_kind(seq.coefficient, seq.kernel, lam, phi))
     f = U.forward(phi)
 
     # A0 - lambda A, formed once; every lambda-dependent quantity derives from it
-    pk = pencil.pencil_kernel(p.lam)
+    pk = pencil.pencil_kernel(lam)
     d = pk.matrix
     lhs = alpha * f + d @ f
     passage = _relative(float(np.linalg.norm(lhs - g)), float(np.linalg.norm(g)))
     round_trip_fn = U.inverse(f)
-    diff = GridFunction(p.space, round_trip_fn.values - phi.values)
+    diff = GridFunction(phi.space, round_trip_fn.values - phi.values)
     round_trip = _relative(diff.norm(), phi.norm())
 
     fact = m_factorize(d)
@@ -343,16 +292,15 @@ def verify_equivalence(
     discarded = None
     first_kind = None
     if alpha == 0:
-        m = Multiplier()
         w = m_matrix @ g
-        gamma_pencil = scale_by_multiplier(pk, m, m_matrix)
+        gamma_pencil = scale_by_multiplier(pk, m_matrix)
         fk_system = gamma_pencil.multiplied_matrix  # M (A0 - lambda A)
         fk_residual = _relative(
             float(np.linalg.norm(fk_system @ f - w)), float(np.linalg.norm(w))
         )
         hs_gamma = hs_norm(gamma_pencil)
         # sup_s ||t(s)|| of the plain pencil feeds the Hilbert-Schmidt bound
-        bound = carleman_sup * m.l2_norm
+        bound = carleman_sup * GAUSSIAN_L2_NORM
         slack = max(0.0, hs_gamma - bound)
         gap = coefficient_form_gap(gamma_pencil, probes, probes)
         first_q, last_q = adjoint_column_quarter_maxima(fk_system)
@@ -371,7 +319,7 @@ def verify_equivalence(
             residual=fk_residual,
             hs_norm_pencil=hs_gamma,
             carleman_sup=carleman_sup,
-            multiplier_norm=m.l2_norm,
+            multiplier_norm=GAUSSIAN_L2_NORM,
             bound_slack=slack,
             coefficient_form_gap=gap,
             column_first_quarter_max=first_q,
@@ -389,6 +337,6 @@ def verify_equivalence(
         carleman_sup=carleman_sup,
         tail_sup=tail,
         discarded_energy=discarded,
-        first_kind=first_kind,
         projected=U.projected,
+        first_kind=first_kind,
     )

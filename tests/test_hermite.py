@@ -8,9 +8,10 @@ from scipy.integrate import quad
 from scipy.special import eval_hermite
 
 from thirdkind import (
-    Multiplier,
+    GAUSSIAN_L2_NORM,
     SmoothBasis,
     basis_value,
+    gaussian,
     multiplier_matrix,
 )
 from thirdkind.hermite import hermite_function_values
@@ -95,26 +96,23 @@ class TestSmoothBasis:
 
 class TestMultiplier:
     def test_gaussian_value_and_positivity(self):
-        m = Multiplier()
         s = np.linspace(-6, 6, 25)
-        np.testing.assert_allclose(m.value(s), np.exp(-0.5 * s * s))
-        assert np.all(m.value(s) > 0)
+        np.testing.assert_allclose(gaussian(0, s), np.exp(-0.5 * s * s))
+        assert np.all(gaussian(0, s) > 0)
 
     def test_derivatives_vanish_at_infinity(self):
-        m = Multiplier()
         for order in range(4):
-            assert abs(float(m.derivative(order, 9.0))) < 1e-8
+            assert abs(float(gaussian(order, 9.0))) < 1e-8
 
     def test_derivative_fd(self):
-        m = Multiplier()
         s = np.linspace(-3, 3, 13)
         h = 1e-5
         for order in range(3):
-            fd = (m.derivative(order, s + h) - m.derivative(order, s - h)) / (2 * h)
-            np.testing.assert_allclose(fd, m.derivative(order + 1, s), atol=1e-8)
+            fd = (gaussian(order, s + h) - gaussian(order, s - h)) / (2 * h)
+            np.testing.assert_allclose(fd, gaussian(order + 1, s), atol=1e-8)
 
     def test_l2_norm(self):
-        assert Multiplier().l2_norm == pytest.approx(math.pi**0.25, abs=1e-15)
+        assert GAUSSIAN_L2_NORM == pytest.approx(math.pi**0.25, abs=1e-15)
 
 
 class TestMultiplierMatrix:
@@ -122,17 +120,17 @@ class TestMultiplierMatrix:
         # integral of e^{-s^2/2} u0^2 = pi^{-1/2} integral e^{-3 s^2 / 2}
         #                             = pi^{-1/2} sqrt(2 pi / 3) = sqrt(2/3)
         basis = SmoothBasis(6)
-        M = multiplier_matrix(Multiplier(), basis)
+        M = multiplier_matrix(basis)
         assert M[0, 0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-13)
 
     def test_odd_entry_vanishes(self):
         basis = SmoothBasis(6)
-        M = multiplier_matrix(Multiplier(), basis)
+        M = multiplier_matrix(basis)
         assert abs(M[0, 1]) <= 1e-14
 
     def test_against_adaptive_quadrature(self):
         basis = SmoothBasis(8)
-        M = multiplier_matrix(Multiplier(), basis)
+        M = multiplier_matrix(basis)
         for p, q in ((0, 0), (1, 1), (2, 4), (3, 3), (0, 6)):
             expected, _ = quad(
                 lambda s, p=p, q=q: math.exp(-0.5 * s * s)
@@ -144,7 +142,7 @@ class TestMultiplierMatrix:
             assert M[p, q] == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric(self):
-        M = multiplier_matrix(Multiplier(), SmoothBasis(12))
+        M = multiplier_matrix(SmoothBasis(12))
         np.testing.assert_allclose(M, M.T, atol=1e-14)
 
     @pytest.mark.parametrize("n", [4, 16, 64, 128])
@@ -162,13 +160,13 @@ class TestMultiplierMatrix:
             )
         assert np.max(np.abs((h * weights) @ h.T - np.eye(n))) <= 1e-10
         oracle = (h * (weights * np.exp(-0.5 * nodes**2))) @ h.T
-        M = multiplier_matrix(Multiplier(), SmoothBasis(n))
+        M = multiplier_matrix(SmoothBasis(n))
         assert np.max(np.abs(M - oracle)) <= 1e-14
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_large_sizes_finite_symmetric_contractive(self, n):
         # the quadrature this replaced returned NaN from n = 256 on
-        M = multiplier_matrix(Multiplier(), SmoothBasis(n))
+        M = multiplier_matrix(SmoothBasis(n))
         assert np.all(np.isfinite(M))
         np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-14)
         spectrum = np.linalg.eigvalsh(M)

@@ -7,18 +7,18 @@ import pytest
 from scipy.integrate import quad
 
 from thirdkind import (
+    BilinearKernel,
     MFactorization,
-    Multiplier,
     ProbeGrid,
     SmoothBasis,
     carleman,
     eval_kernel,
+    gaussian,
     hs_norm,
     m_factorize,
     multiplier_matrix,
     scale_by_multiplier,
     series_consistency,
-    synthesize,
 )
 from thirdkind.kernels import (
     absolute_tail_sup,
@@ -32,7 +32,7 @@ from thirdkind.kernels import (
 def rank_one_kernel(size=4):
     a = np.zeros((size, size), dtype=complex)
     a[0, 0] = 1.0
-    return synthesize(a, SmoothBasis(size))
+    return BilinearKernel(a)
 
 
 def random_kernel(size, seed, scale=None):
@@ -40,7 +40,7 @@ def random_kernel(size, seed, scale=None):
     a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     if scale is None:
         scale = 1.0 / size
-    return synthesize(a * scale, SmoothBasis(size))
+    return BilinearKernel(a * scale)
 
 
 class TestSynthesizeAndEval:
@@ -52,7 +52,7 @@ class TestSynthesizeAndEval:
         )
 
     def test_zero_matrix(self):
-        T = synthesize(np.zeros((3, 3)), SmoothBasis(3))
+        T = BilinearKernel(np.zeros((3, 3)))
         s = np.linspace(-2, 2, 7)
         np.testing.assert_array_equal(eval_kernel(T, 0, 0, s, s), 0.0)
 
@@ -60,7 +60,7 @@ class TestSynthesizeAndEval:
         rng = np.random.default_rng(31)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         a = (a + a.conj().T) / 2
-        T = synthesize(a, SmoothBasis(6))
+        T = BilinearKernel(a)
         s = np.linspace(-3, 3, 9)
         grid = eval_kernel(T, 0, 0, s, s)
         assert np.max(np.abs(grid - grid.conj().T)) <= 1e-12
@@ -72,10 +72,11 @@ class TestSynthesizeAndEval:
         assert eval_kernel(T, 1, 0, 1.0, 0.0) == pytest.approx(expected, abs=1e-14)
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize(np.zeros((3, 4)), SmoothBasis(3))
-        with pytest.raises(ValueError):
-            synthesize(np.zeros((4, 4)), SmoothBasis(3))
+        with pytest.raises(ValueError, match="square"):
+            BilinearKernel(np.zeros((3, 4)))
+
+    def test_basis_follows_matrix_size(self):
+        assert BilinearKernel(np.zeros((5, 5))).basis == SmoothBasis(5)
 
     def test_fd_cross_check_random_small(self):
         # scaled random coefficients keep high derivatives at unit size, so
@@ -92,9 +93,9 @@ class TestSynthesizeAndEval:
         a1 = rng.standard_normal((5, 5))
         lam = 0.7 - 0.2j
         s = np.linspace(-2, 2, 5)
-        combo = eval_kernel(synthesize(a0 - lam * a1, basis), 0, 0, s, s)
-        separate = eval_kernel(synthesize(a0, basis), 0, 0, s, s) - lam * eval_kernel(
-            synthesize(a1, basis), 0, 0, s, s
+        combo = eval_kernel(BilinearKernel(a0 - lam * a1), 0, 0, s, s)
+        separate = eval_kernel(BilinearKernel(a0), 0, 0, s, s) - lam * eval_kernel(
+            BilinearKernel(a1), 0, 0, s, s
         )
         assert np.max(np.abs(combo - separate)) <= 1e-12
 
@@ -108,7 +109,7 @@ class TestCarleman:
         np.testing.assert_allclose(vec, expected, atol=1e-14)
 
     def test_zero_kernel(self):
-        T = synthesize(np.zeros((3, 3)), SmoothBasis(3))
+        T = BilinearKernel(np.zeros((3, 3)))
         np.testing.assert_array_equal(carleman(T, "row", 0, 0.3), 0.0)
         np.testing.assert_array_equal(carleman(T, "column", 2, -1.0), 0.0)
 
@@ -133,7 +134,7 @@ class TestCarleman:
         # the row section (conjugation built into its definition) of A*
         # reproduces the column section of A: the basis is real-valued
         T = random_kernel(8, seed=35)
-        T_star = synthesize(T.matrix.conj().T, T.basis)
+        T_star = BilinearKernel(T.matrix.conj().T)
         for order in (0, 1, 2):
             x = 0.9
             col = carleman(T, "column", order, x)
@@ -234,7 +235,7 @@ class TestSeriesConsistency:
         rng = np.random.default_rng(43)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         a = (a + a.conj().T) / 2
-        T = synthesize(a, SmoothBasis(8))
+        T = BilinearKernel(a)
         W, V = m_factorize(a).polar_factors()
         chk = series_consistency(T, W, V, 0, 0, 0.3, -0.7)
         assert abs(chk.direct - chk.via_factorization) <= 1e-10
@@ -251,9 +252,8 @@ class TestSeriesConsistency:
 class TestMultiplierKernels:
     def test_pointwise_value_at_origin(self):
         T = rank_one_kernel()
-        m = Multiplier()
-        M = multiplier_matrix(m, T.basis)
-        G = scale_by_multiplier(T, m, M)
+        M = multiplier_matrix(T.basis)
+        G = scale_by_multiplier(T, M)
         assert eval_kernel(G, 0, 0, 0.0, 0.0) == pytest.approx(
             math.pi**-0.5, abs=1e-13
         )
@@ -261,39 +261,35 @@ class TestMultiplierKernels:
     def test_hs_norm_bounded_by_carleman_sup(self):
         # double integral of |m T|^2 <= sup ||t(s)||^2 ||m||^2, ||m||^2 = sqrt(pi)
         T = random_kernel(8, seed=46)
-        m = Multiplier()
-        M = multiplier_matrix(m, T.basis)
-        G = scale_by_multiplier(T, m, M)
+        M = multiplier_matrix(T.basis)
+        G = scale_by_multiplier(T, M)
         s = np.linspace(-8, 8, 161)
         sup = float(np.max([np.linalg.norm(carleman(T, "row", 0, x)) for x in s]))
         assert hs_norm(G) <= sup * math.pi**0.25 + 1e-12
 
     def test_leibniz_derivative_fd(self):
         T = random_kernel(8, seed=47)
-        m = Multiplier()
-        M = multiplier_matrix(m, T.basis)
-        G = scale_by_multiplier(T, m, M)
+        M = multiplier_matrix(T.basis)
+        G = scale_by_multiplier(T, M)
         pts = np.linspace(-2, 2, 5)
         for i, j in ((1, 0), (2, 0), (1, 1), (2, 1)):
             assert finite_difference_defect(G, i, j, pts, pts, step=1e-4) <= 1e-5
 
     def test_row_section_has_multiplier_factor(self):
         T = random_kernel(6, seed=48)
-        m = Multiplier()
-        M = multiplier_matrix(m, T.basis)
-        G = scale_by_multiplier(T, m, M)
+        M = multiplier_matrix(T.basis)
+        G = scale_by_multiplier(T, M)
         s0 = 0.6
         np.testing.assert_allclose(
             carleman(G, "row", 0, s0),
-            float(m.value(s0)) * carleman(T, "row", 0, s0),
+            float(gaussian(0, s0)) * carleman(T, "row", 0, s0),
             atol=1e-13,
         )
 
     def test_column_section_uses_coefficient_form(self):
         T = random_kernel(6, seed=49)
-        m = Multiplier()
-        M = multiplier_matrix(m, T.basis)
-        G = scale_by_multiplier(T, m, M)
+        M = multiplier_matrix(T.basis)
+        G = scale_by_multiplier(T, M)
         t0 = -0.4
         np.testing.assert_allclose(
             carleman(G, "column", 0, t0),
@@ -303,39 +299,37 @@ class TestMultiplierKernels:
 
     def test_coefficient_form_gap_reported(self):
         T = random_kernel(6, seed=50)
-        m = Multiplier()
-        M = multiplier_matrix(m, T.basis)
-        G = scale_by_multiplier(T, m, M)
+        M = multiplier_matrix(T.basis)
+        G = scale_by_multiplier(T, M)
         s = np.linspace(-3, 3, 11)
         probes = ProbeGrid(T.basis, s)
         gap = coefficient_form_gap(G, probes, probes)
         assert gap >= 0.0
         assert coefficient_form_gap(T, probes, probes) == 0.0
         # against the two pointwise evaluations
-        via_coeff = eval_kernel(synthesize(M @ T.matrix, T.basis), 0, 0, s, s)
+        via_coeff = eval_kernel(BilinearKernel(M @ T.matrix), 0, 0, s, s)
         expected = float(np.max(np.abs(eval_kernel(G, 0, 0, s, s) - via_coeff)))
         assert gap == pytest.approx(expected, rel=1e-12)
 
     def test_double_multiplier_rejected(self):
         T = random_kernel(4, seed=51)
-        m = Multiplier()
-        M = multiplier_matrix(m, T.basis)
-        G = scale_by_multiplier(T, m, M)
+        M = multiplier_matrix(T.basis)
+        G = scale_by_multiplier(T, M)
         with pytest.raises(ValueError):
-            scale_by_multiplier(G, m, M)
+            scale_by_multiplier(G, M)
 
 
 class TestHsNorm:
     def test_single_coefficient(self):
         a = np.zeros((3, 3), dtype=complex)
         a[1, 2] = 0.25 - 0.5j
-        assert hs_norm(synthesize(a, SmoothBasis(3))) == pytest.approx(
+        assert hs_norm(BilinearKernel(a)) == pytest.approx(
             abs(a[1, 2]), abs=1e-15
         )
 
     def test_identity_matrix(self):
         n = 7
-        assert hs_norm(synthesize(np.eye(n), SmoothBasis(n))) == pytest.approx(
+        assert hs_norm(BilinearKernel(np.eye(n))) == pytest.approx(
             math.sqrt(n), abs=1e-14
         )
 
@@ -398,8 +392,7 @@ class TestProbes:
         from thirdkind.kernels import carleman_row_norms
 
         T = random_kernel(8, seed=58)
-        m = Multiplier()
-        G = scale_by_multiplier(T, m, multiplier_matrix(m, T.basis))
+        G = scale_by_multiplier(T, multiplier_matrix(T.basis))
         own = ProbeGrid(T.basis, np.linspace(-3, 3, 5))
         other = ProbeGrid(SmoothBasis(9), np.linspace(-3, 3, 5))
         with pytest.raises(ValueError, match="probe grid"):
@@ -413,7 +406,7 @@ class TestProbes:
     def test_adjoint_column_decay_for_damped_products(self):
         rng = np.random.default_rng(54)
         basis = SmoothBasis(32)
-        M = multiplier_matrix(Multiplier(), basis)
+        M = multiplier_matrix(basis)
         a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         first, last = adjoint_column_quarter_maxima(M @ a)
         assert last < first

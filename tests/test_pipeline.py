@@ -59,6 +59,14 @@ def test_run_verification_builds_one_pencil(counts, alpha):
         assert all(r.first_kind is not None for r in result.reports)
 
 
+def test_verification_dict_keys_in_written_order():
+    """verify.json keeps its key order: the result, then each check entry."""
+    d = pipeline.run_verification(parse_config({**CONFIG, "alpha": 0.25})).to_dict()
+    assert list(d) == ["passed", "checks", "reports"]
+    for check in d["checks"]:
+        assert list(check) == ["name", "value", "tolerance", "passed"]
+
+
 def test_run_carries_the_pencil_it_reports_on():
     run = pipeline.run_reduction(parse_config({**CONFIG, "alpha": 0.25}))
     assert run.pencil.alpha == 0.25

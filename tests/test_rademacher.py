@@ -41,7 +41,7 @@ class TestRademacher:
         # +1, -1, +1, -1 on the four quarters of [0, 1)
         space = build_space(2)
         r = rademacher(full_interval(space), 2)
-        np.testing.assert_array_equal(r.values.values, [1.0, -1.0, 1.0, -1.0])
+        np.testing.assert_array_equal(r.values, [1.0, -1.0, 1.0, -1.0])
 
     def test_half_support_normalization(self):
         # mu E = 1/2 so the amplitude is sqrt(2), zero off E
@@ -49,20 +49,20 @@ class TestRademacher:
         E = MeasurableSet(space, [0, 1])
         r = rademacher(E, 1)
         s2 = math.sqrt(2.0)
-        np.testing.assert_allclose(r.values.values, [s2, -s2, 0.0, 0.0])
+        np.testing.assert_allclose(r.values, [s2, -s2, 0.0, 0.0])
 
     def test_levels_orthogonal(self):
         space = build_space(5)
         E = full_interval(space)
-        r1 = rademacher(E, 1).values
-        r2 = rademacher(E, 2).values
+        r1 = rademacher(E, 1)
+        r2 = rademacher(E, 2)
         assert inner_product(r1, r2) == 0.0
 
     def test_unit_norm_and_zero_mean(self):
         space = build_space(6)
         E = MeasurableSet(space, np.arange(8, 40))
         for n in (1, 2, 3):
-            r = rademacher(E, n).values
+            r = rademacher(E, n)
             assert r.norm() == pytest.approx(1.0, abs=1e-14)
             one = GridFunction.constant(space, 1.0)
             assert abs(inner_product(r, one)) <= 1e-15
@@ -80,7 +80,7 @@ class TestRademacher:
         cells = np.arange(4, 20)
         r = rademacher(MeasurableSet(space, cells), 3)
         np.testing.assert_array_equal(
-            r.values.values, oracle_rademacher_values(space, cells, 3)
+            r.values, oracle_rademacher_values(space, cells, 3)
         )
 
 

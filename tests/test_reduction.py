@@ -108,7 +108,7 @@ class TestCompleteBasis:
         # constant function, up to sign
         space = build_space(1)
         E = MeasurableSet(space, [0, 1])
-        r1 = rademacher(E, 1).values
+        r1 = rademacher(E, 1)
         basis = complete_basis([r1], space)
         assert len(basis) == 2
         np.testing.assert_allclose(basis[0].values, r1.values)
@@ -173,7 +173,7 @@ class TestCompleteBasis:
     def test_rejects_overlapping_supports(self):
         # orthonormal, but the supports overlap: the closed form does not apply
         space = build_space(1)
-        r1 = rademacher(MeasurableSet(space, [0, 1]), 1).values
+        r1 = rademacher(MeasurableSet(space, [0, 1]), 1)
         with pytest.raises(ValueError, match="disjoint supports"):
             complete_basis([r1, GridFunction.constant(space, 1.0)], space)
 
@@ -182,7 +182,7 @@ class TestCompleteBasis:
         space = build_space(12)
         H = GridFunction.sample(space, lambda y: y)
         bands = [band_set(H, 0.25, 0.25 * 0.5 ** (i + 1), 0.25 * 0.5**i) for i in (1, 2, 3)]
-        functions = [rademacher(E, k).values for k, E in zip((3, 2, 1), bands)]
+        functions = [rademacher(E, k) for k, E in zip((3, 2, 1), bands)]
         seq = family(space, functions)
         n = space.cell_count
         bound = 16 * (n + sum(E.cell_count ** 2 + E.cell_count for E in bands))

@@ -7,17 +7,16 @@ import pytest
 
 from thirdkind import (
     AlphaNotZeroError,
+    BilinearKernel,
     DegenerateSystemError,
     GridFunction,
     GridKernel,
     IntegralOperator,
     KernelPencil,
-    Multiplier,
     MultiplicationOperator,
     NearSingularError,
     ProbeGrid,
     SmoothBasis,
-    ThirdKindProblem,
     UnitarySurrogate,
     build_sequence,
     build_space,
@@ -29,7 +28,6 @@ from thirdkind import (
     scale_by_multiplier,
     solve_first_kind,
     solve_second_kind,
-    synthesize,
     verify_equivalence,
 )
 from thirdkind.kernels import probe_grid
@@ -67,8 +65,7 @@ class TestForward:
         K = exp_kernel(space)
         rng = np.random.default_rng(61)
         phi = random_grid_function(rng, space)
-        p = ThirdKindProblem(H, K, 0.0)
-        out = forward_third_kind(p, phi)
+        out = forward_third_kind(H, K, 0.0, phi)
         np.testing.assert_allclose(out.values, H.values * phi.values, atol=1e-14)
 
     def test_pure_integral_part(self):
@@ -77,28 +74,27 @@ class TestForward:
         H = GridFunction.zero(space)
         K = GridKernel(space, np.ones((32, 32)))
         phi = GridFunction.constant(space, 1.0)
-        out = forward_third_kind(ThirdKindProblem(H, K, 1.0), phi)
+        out = forward_third_kind(H, K, 1.0, phi)
         np.testing.assert_allclose(out.values, -1.0, atol=1e-14)
 
     def test_zero_input(self):
         space = build_space(4)
-        p = ThirdKindProblem(
-            GridFunction.sample(space, lambda y: y), exp_kernel(space), 0.5
-        )
-        out = forward_third_kind(p, GridFunction.zero(space))
+        H = GridFunction.sample(space, lambda y: y)
+        out = forward_third_kind(H, exp_kernel(space), 0.5, GridFunction.zero(space))
         np.testing.assert_array_equal(out.values, 0.0)
 
-    def test_manufactured_problem_carries_rhs(self):
-        space = build_space(4)
-        rng = np.random.default_rng(62)
-        phi = random_grid_function(rng, space)
-        p = ThirdKindProblem.manufactured(
-            GridFunction.sample(space, lambda y: y), exp_kernel(space), 0.3, phi
-        )
-        assert p.rhs is not None
-        np.testing.assert_allclose(
-            p.rhs.values, forward_third_kind(p, phi).values, atol=1e-15
-        )
+    def test_inputs_on_another_grid_rejected(self):
+        space, other = build_space(4), build_space(5)
+        H = GridFunction.sample(space, lambda y: y)
+        K = exp_kernel(space)
+        phi = GridFunction.zero(space)
+        for args in (
+            (GridFunction.sample(other, lambda y: y), K, phi),
+            (H, exp_kernel(other), phi),
+            (H, K, GridFunction.zero(other)),
+        ):
+            with pytest.raises(ValueError, match="different grids"):
+                forward_third_kind(args[0], args[1], 0.3, args[2])
 
 
 class TestReduce:
@@ -106,9 +102,8 @@ class TestReduce:
         H, K, seq, U = build_chain(6, alpha=0.5)
         rng = np.random.default_rng(64)
         phi = random_grid_function(rng, seq.space)
-        p = ThirdKindProblem.manufactured(H, K, 0.0, phi)
         pencil = reduce_problem(seq, U)
-        g = U.forward(p.rhs)
+        g = U.forward(forward_third_kind(H, K, 0.0, phi))
         f = U.forward(phi)
         lhs = 0.5 * f + (pencil.a0 - 0.0 * pencil.a) @ f
         assert np.linalg.norm(lhs - g) <= 1e-10 * np.linalg.norm(g)
@@ -118,9 +113,8 @@ class TestReduce:
         rng = np.random.default_rng(65)
         phi = random_grid_function(rng, seq.space)
         lam = 0.3
-        p = ThirdKindProblem.manufactured(H, K, lam, phi)
         pencil = reduce_problem(seq, U)
-        g = U.forward(p.rhs)
+        g = U.forward(forward_third_kind(H, K, lam, phi))
         f = U.forward(phi)
         lhs = (pencil.a0 - lam * pencil.a) @ f
         assert np.linalg.norm(lhs - g) <= 1e-9 * np.linalg.norm(g)
@@ -140,10 +134,7 @@ class TestReduce:
         )
 
     def test_pencil_is_affine_in_lambda(self):
-        H, K, seq, U = build_chain(6, alpha=0.25)
-        rng = np.random.default_rng(66)
-        phi = random_grid_function(rng, seq.space)
-        p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
+        _, _, seq, U = build_chain(6, alpha=0.25)
         pencil = reduce_problem(seq, U)
         lam = 1.3 - 0.4j
         direct = pencil.system_matrix(lam)
@@ -215,13 +206,12 @@ class TestFirstKind:
         H, K, seq, U = build_chain(depth, alpha=0.0, bands=2, eps0=0.5)
         rng = np.random.default_rng(68)
         phi = random_grid_function(rng, seq.space)
-        p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
         pencil = reduce_problem(seq, U)
-        return pencil, U.forward(p.rhs), U.forward(phi)
+        return pencil, U.forward(forward_third_kind(H, K, 0.3, phi)), U.forward(phi)
 
     def test_zero_rhs(self):
         pencil, g, _ = self.pencil_from_chain()
-        fp = make_first_kind(pencil, Multiplier(), np.zeros_like(g))
+        fp = make_first_kind(pencil, np.zeros_like(g))
         np.testing.assert_array_equal(fp.w, 0.0)
 
     def test_alpha_not_zero_rejected(self):
@@ -230,23 +220,23 @@ class TestFirstKind:
             0.5, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
         )
         with pytest.raises(AlphaNotZeroError):
-            make_first_kind(pencil, Multiplier(), np.zeros(n, dtype=complex))
+            make_first_kind(pencil, np.zeros(n, dtype=complex))
 
     def test_hs_bound_with_gaussian_multiplier(self):
         from thirdkind import hs_norm
         from thirdkind.kernels import carleman_row_norms
 
         pencil, g, _ = self.pencil_from_chain()
-        fp = make_first_kind(pencil, Multiplier(), g)
-        plain = synthesize(pencil.a, pencil.basis)
-        gamma = scale_by_multiplier(plain, fp.multiplier, fp.m_matrix)
+        fp = make_first_kind(pencil, g)
+        plain = BilinearKernel(pencil.a)
+        gamma = scale_by_multiplier(plain, fp.m_matrix)
         probes = ProbeGrid(plain.basis, probe_grid(8.0, 161))
         sup = float(np.max(carleman_row_norms(plain, probes)))
         assert hs_norm(gamma) <= sup * math.pi**0.25 + 1e-12
 
     def test_multiplied_identity_preserved(self):
         pencil, g, f = self.pencil_from_chain()
-        fp = make_first_kind(pencil, Multiplier(), g)
+        fp = make_first_kind(pencil, g)
         lhs = fp.gamma_pencil(0.3).multiplied_matrix @ f
         assert np.linalg.norm(lhs - fp.w) <= 1e-9 * np.linalg.norm(fp.w)
 
@@ -264,9 +254,8 @@ class TestFirstKind:
         H, K, seq, U = build_chain(4, alpha=0.0, bands=2, eps0=1.0)
         rng = np.random.default_rng(69)
         phi = random_grid_function(rng, seq.space)
-        p = ThirdKindProblem.manufactured(H, K, 0.3, phi)
         pencil = reduce_problem(seq, U)
-        fp = make_first_kind(pencil, Multiplier(), U.forward(p.rhs))
+        fp = make_first_kind(pencil, U.forward(forward_third_kind(H, K, 0.3, phi)))
         n = pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         system = fp.gamma_pencil(0.3).multiplied_matrix
@@ -281,13 +270,13 @@ class TestFirstKind:
         pencil = KernelPencil(
             0.0, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
         )
-        fp = make_first_kind(pencil, Multiplier(), np.ones(n, dtype=complex))
+        fp = make_first_kind(pencil, np.ones(n, dtype=complex))
         with pytest.raises(DegenerateSystemError):
             solve_first_kind(fp.gamma_pencil(0.5).multiplied_matrix, fp.w, 1e-10)
 
     def test_cutoff_range_checked(self):
         pencil, g, _ = self.pencil_from_chain()
-        fp = make_first_kind(pencil, Multiplier(), g)
+        fp = make_first_kind(pencil, g)
         system = fp.gamma_pencil(0.3).multiplied_matrix
         with pytest.raises(ValueError):
             solve_first_kind(system, fp.w, 0.0)
@@ -297,34 +286,31 @@ class TestFirstKind:
 
 class TestVerifyEquivalence:
     def test_zero_solution_zero_residuals(self):
-        H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
-        p = ThirdKindProblem(H, K, 1.0)
+        _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
         pencil = reduce_problem(seq, U)
         phi = GridFunction.zero(seq.space)
-        report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
+        report = verify_equivalence(seq, pencil, U, 1.0, phi, default_probes(pencil))
         assert report.passage_residual == 0.0
         assert report.round_trip_error == 0.0
 
     def test_depth_six_product_kernel(self):
-        H, K, seq, U = build_chain(6, alpha=0.25, kernel_factory=product_kernel)
+        _, _, seq, U = build_chain(6, alpha=0.25, kernel_factory=product_kernel)
         rng = np.random.default_rng(70)
         phi = random_grid_function(rng, seq.space)
-        p = ThirdKindProblem(H, K, 1.0)
         pencil = reduce_problem(seq, U)
-        report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
+        report = verify_equivalence(seq, pencil, U, 1.0, phi, default_probes(pencil))
         assert report.passage_residual <= 1e-9
         assert report.round_trip_error <= 1e-9
         assert report.first_kind is None
 
     def test_alpha_zero_adds_first_kind_section(self):
-        H, K, seq, U = build_chain(6, alpha=0.0)
+        _, _, seq, U = build_chain(6, alpha=0.0)
         rng = np.random.default_rng(71)
         phi = random_grid_function(rng, seq.space)
-        p = ThirdKindProblem(H, K, 0.4)
         pencil = reduce_problem(seq, U)
-        m_matrix = multiplier_matrix(Multiplier(), pencil.basis)
+        m_matrix = multiplier_matrix(pencil.basis)
         report = verify_equivalence(
-            p, pencil, U, phi, default_probes(pencil), m_matrix=m_matrix
+            seq, pencil, U, 0.4, phi, default_probes(pencil), m_matrix=m_matrix
         )
         fk = report.first_kind
         assert fk is not None
@@ -333,13 +319,11 @@ class TestVerifyEquivalence:
         assert fk.hs_norm_pencil <= fk.carleman_sup * fk.multiplier_norm + 1e-9
 
     def test_report_serializes(self):
-        H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
+        _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
         rng = np.random.default_rng(72)
         phi = random_grid_function(rng, seq.space)
         pencil = reduce_problem(seq, U)
-        report = verify_equivalence(
-            ThirdKindProblem(H, K, 0.2), pencil, U, phi, default_probes(pencil)
-        )
+        report = verify_equivalence(seq, pencil, U, 0.2, phi, default_probes(pencil))
         d = report.to_dict()
         for key in (
             "passage_residual",
@@ -352,38 +336,96 @@ class TestVerifyEquivalence:
         ):
             assert key in d
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.0])
+    def test_report_keys_in_written_order(self, alpha):
+        """The report JSON keeps its key order; `first_kind` comes last and
+        only when alpha = 0."""
+        _, _, seq, U = build_chain(5, alpha=alpha, bands=2)
+        rng = np.random.default_rng(75)
+        phi = random_grid_function(rng, seq.space)
+        pencil = reduce_problem(seq, U)
+        m_matrix = multiplier_matrix(pencil.basis) if alpha == 0 else None
+        d = verify_equivalence(
+            seq, pencil, U, 0.2, phi, default_probes(pencil), m_matrix=m_matrix
+        ).to_dict()
+        keys = [
+            "passage_residual",
+            "round_trip_error",
+            "condition",
+            "hs_norm",
+            "carleman_sup",
+            "tail_sup",
+            "discarded_energy",
+            "projected",
+        ]
+        if alpha != 0:
+            assert list(d) == keys
+            return
+        assert list(d) == keys + ["first_kind"]
+        assert list(d["first_kind"]) == [
+            "residual",
+            "hs_norm_pencil",
+            "carleman_sup",
+            "multiplier_norm",
+            "bound_slack",
+            "coefficient_form_gap",
+            "column_first_quarter_max",
+            "column_last_quarter_max",
+            "discarded_energy",
+            "truncated_directions",
+            "recovery_error",
+        ]
+
     def test_randomized_equivalence_battery(self):
         from problem_family import build_problem_instance, random_problem_instance
 
         rng = np.random.default_rng(73)
         for _ in range(5):
             inst = random_problem_instance(rng, depth=int(rng.integers(6, 8)))
-            H, K, seq, U = build_problem_instance(inst)
+            _, _, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
-            p = ThirdKindProblem(H, K, inst["lambda"])
             pencil = reduce_problem(seq, U)
-            report = verify_equivalence(p, pencil, U, phi, default_probes(pencil))
+            report = verify_equivalence(
+                seq, pencil, U, inst["lambda"], phi, default_probes(pencil)
+            )
             assert report.passage_residual <= 1e-9
 
     def test_alpha_zero_needs_multiplier_matrix(self):
-        H, K, seq, U = build_chain(5, alpha=0.0, bands=2)
+        _, _, seq, U = build_chain(5, alpha=0.0, bands=2)
         pencil = reduce_problem(seq, U)
         phi = GridFunction.zero(seq.space)
         with pytest.raises(ValueError, match="multiplier matrix"):
-            verify_equivalence(
-                ThirdKindProblem(H, K, 0.4), pencil, U, phi, default_probes(pencil)
-            )
+            verify_equivalence(seq, pencil, U, 0.4, phi, default_probes(pencil))
+
+    def test_pencil_of_another_alpha_rejected(self):
+        # H, K and alpha come from the sequence alone: a pencil reduced from
+        # a sequence at another alpha does not describe it
+        _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
+        _, _, other_seq, other_U = build_chain(5, alpha=0.3, bands=2)
+        other = reduce_problem(other_seq, other_U)
+        assert other.size == U.size
+        phi = GridFunction.zero(seq.space)
+        with pytest.raises(ValueError, match="alpha"):
+            verify_equivalence(seq, other, U, 0.4, phi, default_probes(other))
+
+    def test_pencil_of_another_size_rejected(self):
+        _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
+        pencil = reduce_problem(seq, U)
+        projected = UnitarySurrogate.from_sequence(seq, U.size // 2)
+        phi = GridFunction.zero(seq.space)
+        with pytest.raises(ValueError, match="size"):
+            verify_equivalence(seq, pencil, projected, 0.4, phi, default_probes(pencil))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_one_factorization_per_lambda(self, monkeypatch, alpha):
         """D = A0 - lambda A is factorized once; with alpha = 0 its SVD also
         gives the condition, otherwise alpha I + D keeps np.linalg.cond."""
-        H, K, seq, U = build_chain(6, alpha=alpha)
+        _, _, seq, U = build_chain(6, alpha=alpha)
         rng = np.random.default_rng(74)
         phi = random_grid_function(rng, seq.space)
         lam = 0.4 + 0.2j
         pencil = reduce_problem(seq, U)
-        m_matrix = multiplier_matrix(Multiplier(), pencil.basis) if alpha == 0 else None
+        m_matrix = multiplier_matrix(pencil.basis) if alpha == 0 else None
         probes = default_probes(pencil)
         calls = {"svd": 0, "cond": 0}
         for name in calls:
@@ -394,9 +436,7 @@ class TestVerifyEquivalence:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        report = verify_equivalence(
-            ThirdKindProblem(H, K, lam), pencil, U, phi, probes, m_matrix=m_matrix
-        )
+        report = verify_equivalence(seq, pencil, U, lam, phi, probes, m_matrix=m_matrix)
         monkeypatch.undo()
         if alpha == 0:
             assert calls == {"svd": 2, "cond": 0}
@@ -406,9 +446,9 @@ class TestVerifyEquivalence:
         assert report.condition == pytest.approx(expected, rel=1e-12)
 
     def test_probes_over_another_basis_rejected(self):
-        H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
+        _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
         pencil = reduce_problem(seq, U)
         phi = GridFunction.zero(seq.space)
         other = ProbeGrid(SmoothBasis(pencil.size + 1), probe_grid())
         with pytest.raises(ValueError, match="probe grid"):
-            verify_equivalence(ThirdKindProblem(H, K, 0.4), pencil, U, phi, other)
+            verify_equivalence(seq, pencil, U, 0.4, phi, other)
