@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 construction failure
 (empty band, refinement budget exhausted), 3 numerical failure (failed
-checks, near-singular or degenerate systems).
+checks, near-singular or degenerate systems, an SVD that does not converge,
+an allocation that fails).
 """
 
 from __future__ import annotations
@@ -45,12 +46,19 @@ EXIT_CONSTRUCTION = 2
 EXIT_NUMERICAL = 3
 
 _CONSTRUCTION_ERRORS = (EmptyBandError, ToleranceUnreachableError, NotBisectableError)
-# LinAlgError (e.g. an SVD that does not converge) reports as type "LinAlg"
-_NUMERICAL_ERRORS = (NearSingularError, DegenerateSystemError, np.linalg.LinAlgError)
+# LinAlgError (e.g. an SVD that does not converge) reports as type "LinAlg",
+# MemoryError (also numpy's failed allocations) as "Memory"
+_NUMERICAL_ERRORS = (
+    NearSingularError,
+    DegenerateSystemError,
+    np.linalg.LinAlgError,
+    MemoryError,
+)
 
 
 def _error_payload(exc: Exception) -> dict:
-    payload = {"type": type(exc).__name__.removesuffix("Error"), "message": str(exc)}
+    kind = "Memory" if isinstance(exc, MemoryError) else type(exc).__name__
+    payload = {"type": kind.removesuffix("Error"), "message": str(exc)}
     if isinstance(exc, EmptyBandError):
         payload["band"] = exc.band
     if isinstance(exc, ToleranceUnreachableError):
@@ -77,6 +85,10 @@ def cmd_build_sequence(config: RunConfig, args) -> int:
         write_json(out / "sequence.json", {"error": _error_payload(exc)})
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    except MemoryError as exc:
+        write_json(out / "sequence.json", {"error": _error_payload(exc)})
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     write_json(out / "sequence.json", seq.to_report())
     print(out / "sequence.json")
     return EXIT_OK

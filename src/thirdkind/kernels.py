@@ -24,6 +24,7 @@ from math import comb
 
 import numpy as np
 
+from .blas import gesdd
 from .hermite import SmoothBasis, gaussian
 
 
@@ -154,6 +155,17 @@ def carleman_row_norms(kernel: BilinearKernel, probes: ProbeGrid) -> np.ndarray:
     return norms
 
 
+def condition_number(sigma: np.ndarray) -> float:
+    """sigma_0 / sigma_{n-1} of descending singular values, formed as
+    numpy.linalg.cond forms it: x/0 and 0/0 give inf unless a singular value
+    is NaN, in which case the NaN is kept."""
+    with np.errstate(all="ignore"):
+        ratio = float(sigma[0] / sigma[-1])
+    if np.isnan(ratio) and not np.isnan(sigma).any():
+        return float("inf")
+    return ratio
+
+
 @dataclass(frozen=True, eq=False)
 class MFactorization:
     """Factorization A = W V* with W V* reconstructing A, kept as the SVD.
@@ -174,16 +186,8 @@ class MFactorization:
 
     @property
     def condition(self) -> float:
-        """2-norm condition number sigma_0 / sigma_{n-1} of A.
-
-        Follows np.linalg.cond: x/0 and 0/0 give inf unless a singular value
-        is NaN, in which case the NaN is kept.
-        """
-        with np.errstate(all="ignore"):
-            ratio = float(self.sigma[0] / self.sigma[-1])
-        if np.isnan(ratio) and not np.isnan(self.sigma).any():
-            return float("inf")
-        return ratio
+        """2-norm condition number sigma_0 / sigma_{n-1} of A."""
+        return condition_number(self.sigma)
 
     def w_values(self, values: np.ndarray) -> np.ndarray:
         """W^T u: row n holds [W u_n](s_j), from the basis value matrix u.
@@ -218,9 +222,14 @@ def m_factorize(matrix: np.ndarray) -> MFactorization:
     and the partial isometry keeps only directions with sigma above the
     rank threshold. The explicit W, V exist only on request
     (`polar_factors`); probe values and the condition number need only the SVD.
+    `matrix` is copied and left as it is.
     """
-    a = np.asarray(matrix, dtype=complex)
-    u, sigma, vh = np.linalg.svd(a)
+    return m_factorize_in_place(np.array(matrix, dtype=complex, order="F"))
+
+
+def m_factorize_in_place(a: np.ndarray) -> MFactorization:
+    """`m_factorize` of the complex Fortran-order `a`, which the SVD overwrites."""
+    u, sigma, vh = gesdd(a, vectors=True)
     if sigma.size and sigma[0] > 0:
         rank = int(np.sum(sigma > max(a.shape) * np.finfo(float).eps * sigma[0]))
     else:

@@ -16,17 +16,20 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .blas import gesdd
 from .errors import AlphaNotZeroError, DegenerateSystemError, NearSingularError
 from .hermite import GAUSSIAN_L2_NORM, SmoothBasis, multiplier_matrix
 from .kernels import (
     BilinearKernel,
+    MFactorization,
     ProbeGrid,
     absolute_tail_sup,
     adjoint_column_quarter_maxima,
     carleman_row_norms,
     coefficient_form_gap,
+    condition_number,
     hs_norm,
-    m_factorize,
+    m_factorize_in_place,
     scale_by_multiplier,
 )
 from .measure import GridFunction, GridKernel
@@ -68,11 +71,21 @@ class KernelPencil:
         """alpha I + A0 - lambda A; affine in lambda by construction."""
         return (self.alpha * np.eye(self.size) + self.a0) - lam * self.a
 
-    def pencil_kernel(self, lam: complex) -> BilinearKernel:
-        """The kernel of A0 - lambda A, formed in one new n x n array."""
-        d = self.a * -lam
+    def _pencil_matrix(self, lam: complex, order: str) -> np.ndarray:
+        """A0 - lambda A in one new n x n array of the given memory order; the
+        values do not depend on the order."""
+        d = np.multiply(self.a, -lam, order=order)
         d += self.a0
-        return BilinearKernel(d)
+        return d
+
+    def pencil_kernel(self, lam: complex) -> BilinearKernel:
+        """The kernel of A0 - lambda A."""
+        return BilinearKernel(self._pencil_matrix(lam, "C"))
+
+    def factorize(self, lam: complex) -> MFactorization:
+        """m_factorize(A0 - lambda A), with the matrix formed in Fortran order
+        and factored in place, so that the SVD's input is its only copy."""
+        return m_factorize_in_place(self._pencil_matrix(lam, "F"))
 
 
 def reduce_problem(seq: KorotkovSequence, U: UnitarySurrogate) -> KernelPencil:
@@ -111,7 +124,9 @@ def solve_second_kind(
     if g.shape != (pencil.size,):
         raise ValueError(f"expected {pencil.size} coefficients, got {g.shape}")
     system = pencil.system_matrix(lam)
-    condition = float(np.linalg.cond(system))
+    condition = condition_number(
+        gesdd(np.array(system, dtype=complex, order="F"), vectors=False)
+    )
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise NearSingularError(condition)
     c = np.linalg.solve(system, g)
@@ -166,7 +181,7 @@ def solve_first_kind(system: np.ndarray, w: np.ndarray, cutoff: float) -> FirstK
     """
     if not 0 < cutoff < 1:
         raise ValueError("cutoff must lie in (0, 1)")
-    u, sigma, vh = np.linalg.svd(system)
+    u, sigma, vh = gesdd(np.array(system, dtype=complex, order="F"), vectors=True)
     if sigma.size == 0 or sigma[0] <= 0:
         raise DegenerateSystemError("system matrix is zero")
     keep = sigma >= cutoff * sigma[0]
@@ -225,13 +240,6 @@ def _relative(value: float, scale: float) -> float:
     return value / scale if scale > 0 else value
 
 
-def _plus_identity(matrix: np.ndarray, alpha: complex) -> np.ndarray:
-    """alpha I + matrix, as a new array."""
-    out = matrix.copy()
-    out.flat[:: out.shape[0] + 1] += alpha
-    return out
-
-
 def verify_equivalence(
     seq: KorotkovSequence,
     pencil: KernelPencil,
@@ -257,8 +265,10 @@ def verify_equivalence(
     grid over pencil.basis, built once for all lambdas.
 
     D = A0 - lambda A is factorized once: its SVD gives the series tail and,
-    with alpha = 0, the condition number; alpha I + D is a different matrix
-    and keeps its own np.linalg.cond.
+    with alpha = 0, the condition number; with alpha != 0 the condition is that
+    of alpha I + D, from its singular values alone. Everything read from D
+    itself comes first; D is then formed again in Fortran order and factored
+    in place, so that no other n x n copy of it is alive during that SVD.
     """
     alpha = pencil.alpha
     if alpha != seq.alpha:
@@ -270,7 +280,6 @@ def verify_equivalence(
     g = U.forward(forward_third_kind(seq.coefficient, seq.kernel, lam, phi))
     f = U.forward(phi)
 
-    # A0 - lambda A, formed once; every lambda-dependent quantity derives from it
     pk = pencil.pencil_kernel(lam)
     d = pk.matrix
     lhs = alpha * f + d @ f
@@ -278,16 +287,8 @@ def verify_equivalence(
     round_trip_fn = U.inverse(f)
     diff = GridFunction(phi.space, round_trip_fn.values - phi.values)
     round_trip = _relative(diff.norm(), phi.norm())
-
-    fact = m_factorize(d)
-    if alpha == 0:
-        condition = fact.condition
-    else:
-        condition = float(np.linalg.cond(_plus_identity(d, alpha)))
-
     carleman_sup = float(np.max(carleman_row_norms(pk, probes)))
-    tail = absolute_tail_sup(fact, probes, probes)
-    del fact  # no n x n factor is held into the first-kind solve
+    hs = hs_norm(pk)
 
     discarded = None
     first_kind = None
@@ -328,12 +329,24 @@ def verify_equivalence(
             truncated_directions=truncated,
             recovery_error=recovery,
         )
+        del gamma_pencil, fk_system
+    else:
+        shifted = np.array(d, order="F")
+        shifted.flat[:: pencil.size + 1] += alpha
+        condition = condition_number(gesdd(shifted, vectors=False))
+        del shifted
+    del pk, d  # no other n x n copy of D is alive during its SVD
+
+    fact = pencil.factorize(lam)
+    if alpha == 0:
+        condition = fact.condition
+    tail = absolute_tail_sup(fact, probes, probes)
 
     return EquivalenceReport(
         passage_residual=passage,
         round_trip_error=round_trip,
         condition=condition,
-        hs_norm=hs_norm(pk),
+        hs_norm=hs,
         carleman_sup=carleman_sup,
         tail_sup=tail,
         discarded_energy=discarded,

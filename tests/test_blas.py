@@ -1,17 +1,23 @@
-"""One BLAS thread for small pencils, restored afterwards."""
+"""numpy's bundled OpenBLAS: one BLAS thread for small pencils, restored
+afterwards, and the in-place zgesdd binding every SVD goes through."""
 
 import ctypes
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thirdkind.blas as blas
 import thirdkind.pipeline as pipeline
-from thirdkind import KernelPencil, NearSingularError, solve_second_kind
+from thirdkind import KernelPencil, NearSingularError, m_factorize, solve_second_kind
 from thirdkind.config import parse_config
 
-FUNCS = blas._openblas()
-pytestmark = pytest.mark.skipif(FUNCS is None, reason="numpy's OpenBLAS not found")
+LIB = blas._openblas()
+needs_openblas = pytest.mark.skipif(LIB is None, reason="numpy's OpenBLAS not found")
 
 CONFIG = {
     "depth": 6,
@@ -26,25 +32,32 @@ CONFIG = {
 
 
 def threads() -> int:
-    return FUNCS[1]()
+    return LIB.get_threads()
 
 
 @pytest.fixture
 def two_threads():
     """Start each test from two BLAS threads, so a count left at one shows."""
-    set_threads, get_threads = FUNCS
-    previous = get_threads()
-    set_threads(2)
+    previous = LIB.get_threads()
+    LIB.set_threads(2)
     yield
-    set_threads(previous)
+    LIB.set_threads(previous)
 
 
+@needs_openblas
+def test_loader_loads_once():
+    assert blas._openblas() is LIB
+    assert set(vars(LIB)) == {"set_threads", "get_threads", "zgesdd"}
+
+
+@needs_openblas
 def test_one_thread_inside_restored_after(two_threads):
     with blas.blas_threads_for(blas.SINGLE_THREAD_MAX_SIZE):
         assert threads() == 1
     assert threads() == 2
 
 
+@needs_openblas
 def test_restored_after_near_singular_error(two_threads):
     a = np.zeros((3, 3), dtype=complex)
     a[0, 0] = 1.0
@@ -55,20 +68,24 @@ def test_restored_after_near_singular_error(two_threads):
     assert threads() == 2
 
 
+@needs_openblas
 def test_large_size_left_alone(two_threads):
     with blas.blas_threads_for(512):
         assert threads() == 2
     assert threads() == 2
 
 
+@needs_openblas
 def test_missing_symbols_left_alone(two_threads, monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
-    assert blas._openblas() is None
+    assert blas._openblas.__wrapped__() is None
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
     with blas.blas_threads_for(128):
         assert threads() == 2
     assert threads() == 2
 
 
+@needs_openblas
 @pytest.mark.parametrize("run", [pipeline.run_reduction, pipeline.run_verification])
 def test_run_uses_one_thread_after_prepare(two_threads, monkeypatch, run):
     seen = {}
@@ -86,3 +103,122 @@ def test_run_uses_one_thread_after_prepare(two_threads, monkeypatch, run):
     # prepare keeps the inherited count; the per-lambda reports run on one
     assert seen == {"build_sequence": 2, "verify_equivalence": 1}
     assert threads() == 2
+
+
+# ---------------------------------------------------------------------------
+# zgesdd binding
+# ---------------------------------------------------------------------------
+
+
+def matrices():
+    rng = np.random.default_rng(91)
+    for n in (1, 2, 7, 64, 300):
+        yield f"random{n}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    yield "zero", np.zeros((7, 7), dtype=complex)
+    left = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+    right = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+    yield "rank5", left @ right
+
+
+MATRICES = dict(matrices())
+
+
+def assert_bitwise(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.flags.c_contiguous == expected.flags.c_contiguous
+    raw = [np.ascontiguousarray(x).view(np.uint8) for x in (got, expected)]
+    np.testing.assert_array_equal(*raw)
+
+
+def gesdd_of(a, vectors):
+    return blas.gesdd(np.array(a, order="F"), vectors=vectors)
+
+
+@needs_openblas
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_bitwise_equal_to_numpy(name):
+    a = MATRICES[name]
+    for got, expected in zip(gesdd_of(a, True), np.linalg.svd(a)):
+        assert_bitwise(got, expected)
+    assert_bitwise(gesdd_of(a, False), np.linalg.svd(a, compute_uv=False))
+
+
+@pytest.mark.parametrize("name", ["random7", "rank5"])
+def test_without_the_symbol_same_results(monkeypatch, name):
+    a = MATRICES[name]
+    expected = gesdd_of(a, True), gesdd_of(a, False)
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    got = gesdd_of(a, True), gesdd_of(a, False)
+    for g, e in zip(got[0], expected[0]):
+        assert_bitwise(g, e)
+    assert_bitwise(got[1], expected[1])
+
+
+@needs_openblas
+def test_input_is_overwritten_in_place():
+    a = np.array(MATRICES["random7"], order="F")
+    blas.gesdd(a, vectors=True)
+    assert not np.array_equal(a, MATRICES["random7"])
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_nan_raises_linalg_error(vectors):
+    a = np.array(MATRICES["random7"], order="F")
+    a[2, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        blas.gesdd(a, vectors=vectors)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((3, 3), dtype=complex),  # C order
+        np.zeros((3, 3), order="F"),  # real
+        np.zeros(3, dtype=complex),
+        np.broadcast_to(np.zeros(3, dtype=complex), (3, 3)).T,  # read-only
+    ],
+)
+def test_only_complex_fortran_matrices(a):
+    with pytest.raises(ValueError, match="Fortran-order"):
+        blas.gesdd(a, vectors=True)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_m_factorize_leaves_its_argument(order):
+    a = np.array(MATRICES["random64"], order=order)
+    kept = a.copy(order="A")
+    fact = m_factorize(a)
+    assert_bitwise(a, kept)
+    np.testing.assert_allclose((fact.u * fact.sigma) @ fact.vh, kept, atol=1e-12)
+
+
+# the CLI with the loader patched out; no option of the program is involved
+NO_OPENBLAS = (
+    "import sys; import thirdkind.blas as b; b._openblas = lambda: None; "
+    "from thirdkind.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def run_cli(argv_head, command, cfg, out):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # one thread in both runs: without the loader the count is not managed
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [*argv_head, command, "--config", str(cfg), "--out", str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+@needs_openblas
+@pytest.mark.parametrize("alpha", [0.25, 0.0])
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_cli_outputs_identical_without_the_symbol(tmp_path, command, alpha):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "depth": 7, "alpha": alpha}))
+    outs = [tmp_path / "binding", tmp_path / "fallback"]
+    run_cli([sys.executable, "-m", "thirdkind.cli"], command, cfg, outs[0])
+    run_cli([sys.executable, "-c", NO_OPENBLAS], command, cfg, outs[1])
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

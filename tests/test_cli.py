@@ -9,6 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thirdkind.cli
+import thirdkind.kernels
+import thirdkind.solvers
 from thirdkind.cli import main
 from thirdkind.config import ConfigError, load_config, parse_config
 from thirdkind.serialize import (
@@ -369,7 +372,9 @@ class TestLinAlgFailure:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        # every module of the package that binds the SVD entry point
+        for module in (thirdkind.kernels, thirdkind.solvers):
+            monkeypatch.setattr(module, "gesdd", no_convergence)
         cfg = write_config(tmp_path)
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
@@ -377,6 +382,44 @@ class TestLinAlgFailure:
         assert payload == {
             "error": {"type": "LinAlg", "message": "SVD did not converge"}
         }
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
+
+def numpy_allocation_error():
+    """The MemoryError subclass numpy raises when an array cannot be
+    allocated (named _ArrayMemoryError), built without allocating."""
+    exceptions = pytest.importorskip("numpy._core._exceptions")
+    return exceptions._ArrayMemoryError((2**31, 2**31), np.dtype(np.float64))
+
+
+class TestMemoryFailure:
+    """A failed allocation exits 3 with a "Memory" payload, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, target, report",
+        [
+            ("build-sequence", "prepare", "sequence.json"),
+            ("reduce", "run_reduction", "report.json"),
+            ("verify", "run_verification", "verify.json"),
+        ],
+    )
+    @pytest.mark.parametrize("error", ["plain", "numpy"])
+    def test_exit_three_with_payload(
+        self, tmp_path, capsys, monkeypatch, command, target, report, error
+    ):
+        exc = MemoryError("out of memory") if error == "plain" else numpy_allocation_error()
+
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(thirdkind.cli, target, fail)
+        cfg = write_config(tmp_path)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        payload = json.loads((out / report).read_text())
+        assert payload == {"error": {"type": "Memory", "message": str(exc)}}
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "Traceback" not in err

@@ -1,10 +1,14 @@
 """Forward model, reduction identities, and the reduced solvers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import thirdkind.blas
+import thirdkind.kernels
+import thirdkind.solvers
 from thirdkind import (
     AlphaNotZeroError,
     BilinearKernel,
@@ -177,7 +181,9 @@ class TestSolveSecondKind:
             solve_second_kind(pencil, 1.0, np.ones(n, dtype=complex))
 
     def test_nan_condition_is_near_singular(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "cond", lambda m: float("nan"))
+        monkeypatch.setattr(
+            thirdkind.solvers, "gesdd", lambda a, *, vectors: np.full(4, np.nan)
+        )
         with pytest.raises(NearSingularError) as err:
             solve_second_kind(self.identity_pencil(), 0.7, np.ones(4, dtype=complex))
         assert math.isnan(err.value.condition)
@@ -419,7 +425,8 @@ class TestVerifyEquivalence:
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_one_factorization_per_lambda(self, monkeypatch, alpha):
         """D = A0 - lambda A is factorized once; with alpha = 0 its SVD also
-        gives the condition, otherwise alpha I + D keeps np.linalg.cond."""
+        gives the condition (the other SVD is the first-kind solve's),
+        otherwise alpha I + D takes one values-only SVD."""
         _, _, seq, U = build_chain(6, alpha=alpha)
         rng = np.random.default_rng(74)
         phi = random_grid_function(rng, seq.space)
@@ -427,23 +434,43 @@ class TestVerifyEquivalence:
         pencil = reduce_problem(seq, U)
         m_matrix = multiplier_matrix(pencil.basis) if alpha == 0 else None
         probes = default_probes(pencil)
-        calls = {"svd": 0, "cond": 0}
-        for name in calls:
-            original = getattr(np.linalg, name)
+        calls = {"vectors": 0, "values": 0}
+        original = thirdkind.blas.gesdd
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(a, *, vectors):
+            calls["vectors" if vectors else "values"] += 1
+            return original(a, vectors=vectors)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+        # every module of the package that binds the entry point
+        for module in (thirdkind.kernels, thirdkind.solvers):
+            monkeypatch.setattr(module, "gesdd", counted)
         report = verify_equivalence(seq, pencil, U, lam, phi, probes, m_matrix=m_matrix)
         monkeypatch.undo()
         if alpha == 0:
-            assert calls == {"svd": 2, "cond": 0}
+            assert calls == {"vectors": 2, "values": 0}
         else:
-            assert calls == {"svd": 1, "cond": 1}
+            assert calls == {"vectors": 1, "values": 1}
         expected = np.linalg.cond(pencil.system_matrix(lam))
         assert report.condition == pytest.approx(expected, rel=1e-12)
+
+    def test_transient_memory_of_one_lambda(self):
+        """The per-lambda transient at N = 256 is the in-place SVD of D alone:
+        D, u, vh and the 5 N^2 real workspace make about 88 N^2 B, and any
+        other n x n complex array still alive during it adds 16 N^2 B."""
+        _, _, seq, U = build_chain(8, alpha=0.25)
+        pencil = reduce_problem(seq, U)
+        n = pencil.size
+        assert n == 256
+        phi = random_grid_function(np.random.default_rng(75), seq.space)
+        probes = default_probes(pencil)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            verify_equivalence(seq, pencil, U, 0.4 + 0.2j, phi, probes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 96 * n * n
 
     def test_probes_over_another_basis_rejected(self):
         _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
