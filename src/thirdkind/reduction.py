@@ -33,7 +33,8 @@ from .hermite import SmoothBasis
 from .measure import GridFunction, GridKernel, MeasureSpace
 from .rademacher import KorotkovSequence
 
-# Coefficient matrices are plain complex ndarrays with a_mn = <S b_n, b_m>.
+# Coefficient matrices are plain ndarrays with a_mn = <S b_n, b_m>: complex as
+# built here; `reduce_problem` keeps the pencil's float64 when exactly real.
 CoefficientMatrix = np.ndarray
 
 

@@ -84,8 +84,13 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    pairs = _float_pairs(matrix)
-    _write_rows(path, [], ",".join(["%.17g"] * pairs.shape[1]), pairs)
+    """Rows of re/im pairs; a real matrix writes the imaginary parts as the
+    "0" that +0.0 formats to, with no complex copy of it made."""
+    if np.iscomplexobj(matrix):
+        rows, entry = _float_pairs(matrix), "%.17g,%.17g"
+    else:
+        rows, entry = np.asarray(matrix, dtype=np.float64), "%.17g,0"
+    _write_rows(path, [], ",".join([entry] * np.shape(matrix)[1]), rows)
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:

@@ -53,7 +53,14 @@ def forward_third_kind(
 
 @dataclass(frozen=True, eq=False)
 class KernelPencil:
-    """Reduced equation data: shift alpha and matrices A0, A (lambda-free)."""
+    """Reduced equation data: shift alpha and matrices A0, A (lambda-free).
+
+    A0 and A are float64 or complex128; `reduce_problem` keeps them float64
+    when they are exactly real. The lambda-dependent matrices are complex
+    either way and do not depend on that dtype: a real matrix enters their
+    arithmetic as x + 0j, the value a complex one with zero imaginary part
+    holds.
+    """
 
     alpha: complex
     a0: CoefficientMatrix
@@ -69,12 +76,14 @@ class KernelPencil:
 
     def system_matrix(self, lam: complex) -> np.ndarray:
         """alpha I + A0 - lambda A; affine in lambda by construction."""
-        return (self.alpha * np.eye(self.size) + self.a0) - lam * self.a
+        return (self.alpha * np.eye(self.size) + self.a0) - np.multiply(
+            lam, self.a, dtype=complex
+        )
 
     def _pencil_matrix(self, lam: complex, order: str) -> np.ndarray:
         """A0 - lambda A in one new n x n array of the given memory order; the
         values do not depend on the order."""
-        d = np.multiply(self.a, -lam, order=order)
+        d = np.multiply(self.a, -lam, order=order, dtype=complex)
         d += self.a0
         return d
 
@@ -92,7 +101,8 @@ def reduce_problem(seq: KorotkovSequence, U: UnitarySurrogate) -> KernelPencil:
     """Transform the sequence's problem into the lambda-free reduced pencil.
 
     A0 and A are the matrices of H - alpha and K over U, with alpha, H and K
-    those the sequence was built for (H and K on its final grid). The
+    those the sequence was built for (H and K on its final grid), each kept
+    as float64 when it is exactly real (real H, K and alpha). The
     right-hand side is not needed (its reduced form is g = U.forward(psi)).
     At full truncation the identity alpha f + (A0 - lambda A) f = g holds to
     rounding whenever psi came from the forward model at phi and f is the
@@ -100,7 +110,17 @@ def reduce_problem(seq: KorotkovSequence, U: UnitarySurrogate) -> KernelPencil:
     """
     shifted = GridFunction(seq.space, seq.coefficient.values - seq.alpha)
     a0, a = pencil_matrices(U, shifted, seq.kernel)
+    a0 = _real_if_exact(a0)
+    a = _real_if_exact(a)
     return KernelPencil(alpha=seq.alpha, a0=a0, a=a)
+
+
+def _real_if_exact(m: np.ndarray) -> np.ndarray:
+    """The real part of `m` as a new float64 array when every imaginary part
+    is +0.0 (no -0.0, no NaN), so that x + 0j gives `m` back; else `m`."""
+    if m.imag.view(np.uint64).any():
+        return m
+    return np.ascontiguousarray(m.real)
 
 
 @dataclass(frozen=True)
@@ -269,6 +289,8 @@ def verify_equivalence(
     of alpha I + D, from its singular values alone. Everything read from D
     itself comes first; D is then formed again in Fortran order and factored
     in place, so that no other n x n copy of it is alive during that SVD.
+    With alpha = 0, D is dropped before the first-kind solve, so that M D is
+    that solve's only n x n input.
     """
     alpha = pencil.alpha
     if alpha != seq.alpha:
@@ -305,6 +327,7 @@ def verify_equivalence(
         slack = max(0.0, hs_gamma - bound)
         gap = coefficient_form_gap(gamma_pencil, probes, probes)
         first_q, last_q = adjoint_column_quarter_maxima(fk_system)
+        del gamma_pencil, pk, d  # M D is the only n x n input of the solve's SVD
         try:
             sol = solve_first_kind(fk_system, w, cutoff)
             discarded = sol.discarded_energy
@@ -329,13 +352,13 @@ def verify_equivalence(
             truncated_directions=truncated,
             recovery_error=recovery,
         )
-        del gamma_pencil, fk_system
+        del fk_system
     else:
         shifted = np.array(d, order="F")
         shifted.flat[:: pencil.size + 1] += alpha
         condition = condition_number(gesdd(shifted, vectors=False))
-        del shifted
-    del pk, d  # no other n x n copy of D is alive during its SVD
+        del shifted, pk, d
+    # no other n x n copy of D is alive during its SVD
 
     fact = pencil.factorize(lam)
     if alpha == 0:

@@ -1,6 +1,7 @@
 """One pencil per run: the pipeline reduces once and shares the result."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,33 @@ def test_probe_values_built_once_per_run(monkeypatch):
 
 
 DEPTH8 = {**CONFIG, "depth": 8, "lambda": [[0.5, 0.25]], "seed": 7}
+
+
+def test_battery_peaks_no_higher_than_a_report(monkeypatch):
+    """After the per-lambda reports, the battery's own stages (the affinity
+    check, the kernel calculus and the in-place factorization of D with its
+    reconstruction) stay within the reports' traced peak plus 4 N^2 B."""
+    report_peaks = []
+    original = pipeline.verify_equivalence
+
+    def measured(*args, **kwargs):
+        tracemalloc.reset_peak()
+        report = original(*args, **kwargs)
+        report_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return report
+
+    monkeypatch.setattr(pipeline, "verify_equivalence", measured)
+    config = parse_config({**DEPTH8, "alpha": 0.25})
+    tracemalloc.start()
+    try:
+        result = pipeline.run_verification(config)
+        _, battery_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = 256  # the pencil size at DEPTH8 (see _pencil_kernel)
+    assert len(result.reports) == len(report_peaks) == 1
+    assert battery_peak <= report_peaks[0] + 4 * n * n
 
 
 @functools.cache

@@ -73,6 +73,28 @@ def test_matrix_csv_of_transposed_view(tmp_path):
     assert path.read_text() == reference_matrix_csv(m)
 
 
+def special_real_matrix(rows, cols):
+    return np.resize(np.array(SPECIAL), rows * cols).reshape(rows, cols)
+
+
+@pytest.mark.parametrize(
+    "m", [special_real_matrix(3, 5), special_real_matrix(4, 6).T], ids=["rows", "view"]
+)
+def test_real_matrix_csv_bytes(tmp_path, m):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m)
+    assert path.read_text() == reference_matrix_csv(m)
+
+
+def test_real_matrix_writes_as_its_complex_form(tmp_path):
+    m = np.random.default_rng(8).standard_normal((6, 9))
+    m[0, :4] = [-0.0, 5e-324, -math.inf, math.nan]
+    real, wide = tmp_path / "real.csv", tmp_path / "wide.csv"
+    write_matrix_csv(real, m)
+    write_matrix_csv(wide, m.astype(complex))
+    assert real.read_bytes() == wide.read_bytes()
+
+
 def test_grid_function_csv_bytes(tmp_path):
     values = special_matrix(1, 12)[0]
     path = tmp_path / "f.csv"

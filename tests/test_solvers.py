@@ -34,6 +34,7 @@ from thirdkind import (
     solve_second_kind,
     verify_equivalence,
 )
+from thirdkind.config import make_kernel
 from thirdkind.kernels import probe_grid
 from thirdkind.pipeline import random_grid_function
 
@@ -144,6 +145,53 @@ class TestReduce:
         direct = pencil.system_matrix(lam)
         affine = pencil.system_matrix(0.0) - lam * pencil.a
         np.testing.assert_array_equal(direct, affine)
+
+
+def complex_constant_kernel(space):
+    return make_kernel({"kind": "constant", "value": [1.0, -0.5]}, space)
+
+
+def assert_same_bytes(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+class TestPencilDtype:
+    def test_real_problem_gives_float64_pencil(self):
+        # the benchmark's shape: H = y, exp(x y), real alpha
+        _, _, seq, U = build_chain(6, alpha=0.25)
+        pencil = reduce_problem(seq, U)
+        for m in (pencil.a0, pencil.a):
+            assert m.dtype == np.float64
+            assert m.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "alpha, kernel_factory, bands, complex_matrices",
+        [
+            (0.25 + 0.1j, exp_kernel, 1, ("a0",)),
+            (0.25, complex_constant_kernel, 3, ("a",)),
+        ],
+    )
+    def test_complex_data_keeps_complex128(
+        self, alpha, kernel_factory, bands, complex_matrices
+    ):
+        _, _, seq, U = build_chain(6, alpha, kernel_factory, bands=bands)
+        pencil = reduce_problem(seq, U)
+        for name in ("a0", "a"):
+            expected = np.complex128 if name in complex_matrices else np.float64
+            assert getattr(pencil, name).dtype == expected, name
+
+    @pytest.mark.parametrize("lam", [0.4 - 0.3j, 0.5])
+    def test_lambda_matrices_do_not_depend_on_the_dtype(self, lam):
+        _, _, seq, U = build_chain(6, alpha=0.25)
+        real = reduce_problem(seq, U)
+        wide = KernelPencil(real.alpha, real.a0.astype(complex), real.a.astype(complex))
+        assert_same_bytes(real.pencil_kernel(lam).matrix, wide.pencil_kernel(lam).matrix)
+        assert_same_bytes(real.system_matrix(lam), wide.system_matrix(lam))
+        fact, wide_fact = real.factorize(lam), wide.factorize(lam)
+        for name in ("u", "sigma", "vh"):
+            assert_same_bytes(getattr(fact, name), getattr(wide_fact, name))
+        assert fact.rank == wide_fact.rank
 
 
 class TestSolveSecondKind:
@@ -453,24 +501,29 @@ class TestVerifyEquivalence:
         expected = np.linalg.cond(pencil.system_matrix(lam))
         assert report.condition == pytest.approx(expected, rel=1e-12)
 
-    def test_transient_memory_of_one_lambda(self):
-        """The per-lambda transient at N = 256 is the in-place SVD of D alone:
-        D, u, vh and the 5 N^2 real workspace make about 88 N^2 B, and any
-        other n x n complex array still alive during it adds 16 N^2 B."""
-        _, _, seq, U = build_chain(8, alpha=0.25)
+    @pytest.mark.parametrize("alpha, bound", [(0.25, 96), (0.0, 112)])
+    def test_transient_memory_of_one_lambda(self, alpha, bound):
+        """The per-lambda transient at N = 256 is one in-place SVD: D (or, with
+        alpha = 0, M D and its Fortran copy), u, vh and the 5 N^2 real
+        workspace make about 88 N^2 B (104 N^2 B), and any other n x n complex
+        array still alive during it adds 16 N^2 B."""
+        _, _, seq, U = build_chain(8, alpha=alpha)
         pencil = reduce_problem(seq, U)
         n = pencil.size
         assert n == 256
         phi = random_grid_function(np.random.default_rng(75), seq.space)
         probes = default_probes(pencil)
+        m_matrix = multiplier_matrix(pencil.basis) if alpha == 0 else None
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            verify_equivalence(seq, pencil, U, 0.4 + 0.2j, phi, probes)
+            verify_equivalence(
+                seq, pencil, U, 0.4 + 0.2j, phi, probes, m_matrix=m_matrix
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before < 96 * n * n
+        assert peak - before < bound * n * n
 
     def test_probes_over_another_basis_rejected(self):
         _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
