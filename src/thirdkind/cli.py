@@ -107,16 +107,16 @@ def cmd_reduce(config: RunConfig, args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    write_json(out / "sequence.json", run.sequence.to_report())
+    write_json(out / "sequence.json", run.reduction.sequence.to_report())
     write_grid_function_csv(out / "phi.csv", run.phi.values)
 
     # the matrices do not depend on lambda; the run built them once
-    write_matrix_csv(out / "a0.csv", run.pencil.a0)
-    write_matrix_csv(out / "a.csv", run.pencil.a)
+    write_matrix_csv(out / "a0.csv", run.reduction.pencil.a0)
+    write_matrix_csv(out / "a.csv", run.reduction.pencil.a)
 
-    probes = run.probes.points
+    probes = run.reduction.probes.points
     for idx, lam in enumerate(config.lambdas):
-        pk = run.pencil.pencil_kernel(lam)
+        pk = run.reduction.pencil.pencil_kernel(lam)
         for i, j in ((0, 0), (1, 0), (0, 1)):
             samples = eval_kernel(pk, i, j, probes, probes)
             write_kernel_grid_csv(
@@ -131,7 +131,7 @@ def cmd_reduce(config: RunConfig, args) -> int:
             print(
                 f"strict mode: passage residual {worst:.3e} exceeds "
                 f"{config.tolerances['passage_residual']:.1e} "
-                f"(projected={run.surrogate.projected})",
+                f"(projected={run.reduction.surrogate.projected})",
                 file=sys.stderr,
             )
             return EXIT_NUMERICAL

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotBisectableError, SpaceMismatchError
+from .errors import SpaceMismatchError
 
 MAX_DEPTH = 24
 
@@ -160,25 +160,6 @@ def band_set(
     return MeasurableSet(H.space, np.nonzero(mask)[0])
 
 
-def bisect(E: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
-    """Split a set into equal-measure halves.
-
-    Deterministic rule: first half of the sorted index list vs second half.
-    The halves are disjoint, their union is E, and their measures add up to
-    the measure of E exactly (dyadic arithmetic).
-    """
-    count = E.cell_count
-    if count == 0 or count % 2:
-        raise NotBisectableError(
-            f"cannot halve a set of {count} cells; refine the grid first"
-        )
-    half = count // 2
-    return (
-        MeasurableSet(E.space, E.cell_indices[:half]),
-        MeasurableSet(E.space, E.cell_indices[half:]),
-    )
-
-
 def lift(f: GridFunction, space: MeasureSpace) -> GridFunction:
     """Carry a grid function to a finer grid by repeated subdivision."""
     if space.depth < f.space.depth:
@@ -251,14 +232,6 @@ def _matvec(entries: np.ndarray, values: np.ndarray) -> np.ndarray:
     if entries.dtype.kind == "f" and values.dtype.kind == "c":
         return entries @ values.real + 1j * (entries @ values.imag)
     return entries @ values
-
-
-def lift_kernel(K: GridKernel, space: MeasureSpace) -> GridKernel:
-    if space.depth < K.space.depth:
-        raise SpaceMismatchError("cannot lift to a coarser grid")
-    while K.space.depth < space.depth:
-        K = K.refined()
-    return K
 
 
 class MultiplicationOperator:

@@ -1,9 +1,10 @@
 """End-to-end orchestration shared by the CLI and the verification battery.
 
 One run: sample H and K on the grid, build the damping sequence (which may
-refine the grid), complete it to the paired unitary surrogate, reduce once
-to the lambda-free pencil (A0, A), and collect diagnostics per lambda on
-seeded manufactured problems against that one pencil.
+refine the grid), complete it to the paired unitary surrogate, derive the
+run's lambda-free `Reduction` from the two (the pencil (A0, A), the probe
+grid and, with alpha = 0, the multiplier matrix), and collect diagnostics
+per lambda on seeded manufactured problems against that one reduction.
 """
 
 from __future__ import annotations
@@ -15,18 +16,14 @@ import numpy as np
 from .blas import blas_threads_for
 from .config import RunConfig, make_coefficient, make_kernel
 from .errors import ConfigError
-from .hermite import multiplier_matrix
 from .kernels import (
     BilinearKernel,
-    ProbeGrid,
     adjoint_column_quarter_maxima,
     finite_difference_defect,
     probe_grid,
     series_consistency,
     vanishing_at_radius,
 )
-# unused here, but perfbench/tracer.py lists this module as a site binding it
-from .kernels import m_factorize  # noqa: F401
 from .measure import (
     GridFunction,
     IntegralOperator,
@@ -37,12 +34,12 @@ from .measure import (
 )
 from .rademacher import KorotkovSequence, build_sequence
 from .reduction import UnitarySurrogate, matrix_elements
-from .solvers import (
-    EquivalenceReport,
-    KernelPencil,
-    reduce_problem,
-    verify_equivalence,
-)
+from .solvers import EquivalenceReport, Reduction, verify_equivalence
+
+# unused here, but perfbench/tracer.py lists this module as a site binding them
+from .hermite import multiplier_matrix  # noqa: F401
+from .kernels import m_factorize  # noqa: F401
+from .solvers import reduce_problem  # noqa: F401
 
 
 def random_grid_function(
@@ -56,12 +53,8 @@ def random_grid_function(
 class ReductionRun:
     """Everything one reduce command produces."""
 
-    config: RunConfig
-    sequence: KorotkovSequence
-    surrogate: UnitarySurrogate
+    reduction: Reduction
     phi: GridFunction
-    pencil: KernelPencil
-    probes: ProbeGrid
     reports: list[EquivalenceReport]  # one per lambda, same order as config
 
 
@@ -92,57 +85,20 @@ def _surrogate(config: RunConfig, seq: KorotkovSequence) -> UnitarySurrogate:
         ) from None
 
 
-def _build_pencil(config: RunConfig, seq, surrogate):
-    """The run's lambda-free data, each built once per run: the pencil, the
-    Gaussian multiplier matrix over its basis when alpha = 0, and the basis
-    values at the probe grid."""
-    pencil = reduce_problem(seq, surrogate)
-    m_matrix = None
-    if pencil.alpha == 0:
-        m_matrix = multiplier_matrix(pencil.basis)
-    probes = ProbeGrid(
-        pencil.basis, probe_grid(config.probe_bound, config.probe_points)
-    )
-    return pencil, m_matrix, probes
-
-
-def _equivalence_reports(
-    config: RunConfig, seq, surrogate, phi, pencil, m_matrix, probes
-) -> list[EquivalenceReport]:
-    """One report per lambda of the config, all against the one pencil."""
-    return [
-        verify_equivalence(
-            seq,
-            pencil,
-            surrogate,
-            lam,
-            phi,
-            probes,
-            cutoff=config.cutoff,
-            m_matrix=m_matrix,
-        )
-        for lam in config.lambdas
-    ]
-
-
 def run_reduction(config: RunConfig) -> ReductionRun:
     seq = prepare(config)
     surrogate = _surrogate(config, seq)
     with blas_threads_for(surrogate.size):
         rng = np.random.default_rng(config.seed)
         phi = random_grid_function(rng, seq.space)
-        pencil, m_matrix, probes = _build_pencil(config, seq, surrogate)
-        return ReductionRun(
-            config=config,
-            sequence=seq,
-            surrogate=surrogate,
-            phi=phi,
-            pencil=pencil,
-            probes=probes,
-            reports=_equivalence_reports(
-                config, seq, surrogate, phi, pencil, m_matrix, probes
-            ),
+        reduction = Reduction(
+            seq, surrogate, probe_grid(config.probe_bound, config.probe_points)
         )
+        reports = [
+            verify_equivalence(reduction, lam, phi, config.cutoff)
+            for lam in config.lambdas
+        ]
+        return ReductionRun(reduction=reduction, phi=phi, reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +206,10 @@ def run_verification(config: RunConfig) -> VerificationResult:
         add("unitary_round_trip", trip_defect, tol["round_trip"])
 
         phi = random_grid_function(rng, space)
-        pencil, m_matrix, probes = _build_pencil(config, seq, surrogate)
+        reduction = Reduction(
+            seq, surrogate, probe_grid(config.probe_bound, config.probe_points)
+        )
+        pencil = reduction.pencil
 
         # adjoint consistency of the coefficient matrices
         mult = MultiplicationOperator(
@@ -267,9 +226,10 @@ def run_verification(config: RunConfig) -> VerificationResult:
             del adj  # not kept into the per-lambda loop, where peak memory is set
 
         # manufactured problems per lambda
-        reports = _equivalence_reports(
-            config, seq, surrogate, phi, pencil, m_matrix, probes
-        )
+        reports = [
+            verify_equivalence(reduction, lam, phi, config.cutoff)
+            for lam in config.lambdas
+        ]
         for idx, report in enumerate(reports):
             add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])
             add(f"round_trip_lambda{idx}", report.round_trip_error, tol["round_trip"])
@@ -324,7 +284,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
             add("hs_bound_slack", fk.bound_slack, 1e-9)
             # the multiplier's own damping profile is the deterministic decay
             # witness; the pipeline matrices' quarter maxima sit in the report
-            first_q, last_q = adjoint_column_quarter_maxima(m_matrix)
+            first_q, last_q = adjoint_column_quarter_maxima(reduction.m_matrix)
             add("multiplier_damping_decay_ratio", last_q / first_q, 1.0, strict_less=True)
             if fk.truncated_directions == 0:
                 add("first_kind_recovery", fk.recovery_error, 1e-8)

@@ -12,7 +12,7 @@ first-kind solve is ill-posed and needs a declared policy).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -121,6 +121,34 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     if m.imag.view(np.uint64).any():
         return m
     return np.ascontiguousarray(m.real)
+
+
+@dataclass(frozen=True, eq=False)
+class Reduction:
+    """One run's lambda-free data, derived from the sequence and its surrogate.
+
+    `pencil` is reduce_problem(sequence, surrogate), `probes` the basis values
+    at `probe_points`, and `m_matrix` the Gaussian multiplier matrix over the
+    pencil's basis when alpha = 0 (else None). None of them can be passed in,
+    so they always belong to the sequence. ValueError when the surrogate lives
+    on another grid than the sequence.
+    """
+
+    sequence: KorotkovSequence
+    surrogate: UnitarySurrogate
+    probe_points: np.ndarray
+    pencil: KernelPencil = field(init=False)
+    probes: ProbeGrid = field(init=False, repr=False)
+    m_matrix: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.surrogate.space != self.sequence.space:
+            raise ValueError("the surrogate lives on another grid than the sequence")
+        pencil = reduce_problem(self.sequence, self.surrogate)
+        object.__setattr__(self, "pencil", pencil)
+        object.__setattr__(self, "probes", ProbeGrid(pencil.basis, self.probe_points))
+        m_matrix = multiplier_matrix(pencil.basis) if pencil.alpha == 0 else None
+        object.__setattr__(self, "m_matrix", m_matrix)
 
 
 @dataclass(frozen=True)
@@ -261,28 +289,19 @@ def _relative(value: float, scale: float) -> float:
 
 
 def verify_equivalence(
-    seq: KorotkovSequence,
-    pencil: KernelPencil,
-    U: UnitarySurrogate,
-    lam: complex,
-    phi: GridFunction,
-    probes: ProbeGrid,
-    cutoff: float = 1e-10,
-    m_matrix: np.ndarray | None = None,
+    run: Reduction, lam: complex, phi: GridFunction, cutoff: float = 1e-10
 ) -> EquivalenceReport:
     """Manufacture psi from phi and measure every testable identity.
 
-    psi is the forward model of the sequence's H and K at lambda. `pencil` is
-    the lambda-free reduction of the sequence over U (`reduce_problem`), built
-    once per run; ValueError when its alpha or size says otherwise. Only
-    g = U psi and what depends on lambda are computed here.
+    psi is the forward model of the sequence's H and K at lambda; the pencil,
+    the probe grid and, with alpha = 0, the multiplier matrix are those of
+    `run`, built once per run. Only g = U psi and what depends on lambda are
+    computed here.
     Reports the relative passage residual ||alpha f + (A0 - lambda A) f - g||
     at f = U phi, the forward/inverse round trip error, and pencil-kernel
     diagnostics over the probe grid. With alpha = 0 the first-kind section is
-    added from `m_matrix`, the Gaussian multiplier matrix over pencil.basis:
-    multiplied-system residual, Hilbert-Schmidt bound slack, adjoint column
-    decay, and the truncated-spectral recovery error. `probes` is the probe
-    grid over pencil.basis, built once for all lambdas.
+    added: multiplied-system residual, Hilbert-Schmidt bound slack, adjoint
+    column decay, and the truncated-spectral recovery error.
 
     D = A0 - lambda A is factorized once: its SVD gives the series tail and,
     with alpha = 0, the condition number; with alpha != 0 the condition is that
@@ -292,13 +311,9 @@ def verify_equivalence(
     With alpha = 0, D is dropped before the first-kind solve, so that M D is
     that solve's only n x n input.
     """
+    seq, U, pencil = run.sequence, run.surrogate, run.pencil
+    probes, m_matrix = run.probes, run.m_matrix
     alpha = pencil.alpha
-    if alpha != seq.alpha:
-        raise ValueError(f"pencil has alpha = {alpha}, the sequence {seq.alpha}")
-    if pencil.size != U.size:
-        raise ValueError(f"pencil has size {pencil.size}, the surrogate {U.size}")
-    if alpha == 0 and m_matrix is None:
-        raise ValueError("alpha = 0 needs the multiplier matrix of the pencil's basis")
     g = U.forward(forward_third_kind(seq.coefficient, seq.kernel, lam, phi))
     f = U.forward(phi)
 

@@ -18,6 +18,7 @@ from thirdkind import (
     GridKernel,
     MeasurableSet,
     ProbeGrid,
+    Reduction,
     SmoothBasis,
     UnitarySurrogate,
     build_sequence,
@@ -166,9 +167,7 @@ def test_c4_equivalence_battery(tmp_path):
             _, _, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
             lam = inst["lambda"]
-            pencil = reduce_problem(seq, U)
-            probes = ProbeGrid(pencil.basis, probe_grid())
-            report = verify_equivalence(seq, pencil, U, lam, phi, probes)
+            report = verify_equivalence(Reduction(seq, U, probe_grid()), lam, phi)
             assert report.passage_residual <= 1e-9, f"trial {trial}"
             assert report.round_trip_error <= 1e-10, f"trial {trial}"
 
@@ -176,13 +175,13 @@ def test_c4_equivalence_battery(tmp_path):
                 # the matrices may not depend on lambda: byte-identical files
                 # from two reductions that served different lambdas
                 lam2 = lam * -0.5 + 0.3j
-                pencil1 = reduce_problem(seq, U)
-                verify_equivalence(seq, pencil1, U, lam, phi, probes)
-                pencil2 = reduce_problem(seq, U)
-                verify_equivalence(seq, pencil2, U, lam2, phi, probes)
+                run1 = Reduction(seq, U, probe_grid())
+                verify_equivalence(run1, lam, phi)
+                run2 = Reduction(seq, U, probe_grid())
+                verify_equivalence(run2, lam2, phi)
                 for tag, m1, m2 in (
-                    ("a0", pencil1.a0, pencil2.a0),
-                    ("a", pencil1.a, pencil2.a),
+                    ("a0", run1.pencil.a0, run2.pencil.a0),
+                    ("a", run1.pencil.a, run2.pencil.a),
                 ):
                     f1 = tmp_path / f"{tag}_{trial}_1.csv"
                     f2 = tmp_path / f"{tag}_{trial}_2.csv"

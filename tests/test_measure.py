@@ -14,12 +14,11 @@ from thirdkind import (
     NotBisectableError,
     SpaceMismatchError,
     band_set,
-    bisect,
     build_space,
     inner_product,
     lift,
-    lift_kernel,
     lift_set,
+    rademacher,
 )
 
 
@@ -120,25 +119,36 @@ class TestBandSet:
             seen |= cells
 
 
+def halves(E):
+    """The two leaves of rademacher(E, 1): the cells of sign + and of sign -."""
+    values = rademacher(E, 1).values
+    return (
+        MeasurableSet(E.space, np.flatnonzero(values > 0)),
+        MeasurableSet(E.space, np.flatnonzero(values < 0)),
+    )
+
+
 class TestBisect:
+    """The level-1 Rademacher function bisects its set by the sorted-half rule."""
+
     def test_full_interval_depth_one(self):
         space = build_space(1)
         E = MeasurableSet(space, [0, 1])
-        left, right = bisect(E)
+        left, right = halves(E)
         assert left.cell_indices.tolist() == [0]
         assert right.cell_indices.tolist() == [1]
 
     def test_sorted_half_rule(self):
         space = build_space(3)
         E = MeasurableSet(space, [2, 3, 4, 5])
-        left, right = bisect(E)
+        left, right = halves(E)
         assert left.cell_indices.tolist() == [2, 3]
         assert right.cell_indices.tolist() == [4, 5]
 
     def test_singleton_not_bisectable(self):
         space = build_space(3)
         with pytest.raises(NotBisectableError):
-            bisect(MeasurableSet(space, [7]))
+            rademacher(MeasurableSet(space, [7]), 1)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -159,7 +169,7 @@ class TestBisect:
             )
         )
         E = MeasurableSet(space, cells)
-        left, right = bisect(E)
+        left, right = halves(E)
         # dyadic arithmetic: equality is exact, not approximate
         assert left.measure + right.measure == E.measure
         assert left.measure == right.measure
@@ -245,7 +255,7 @@ class TestLifting:
         f = GridFunction(space, rng.standard_normal(8))
         coarse = K.apply(f)
         fine_space = build_space(5)
-        fine = lift_kernel(K, fine_space).apply(lift(f, fine_space))
+        fine = K.refined().refined().apply(lift(f, fine_space))
         np.testing.assert_allclose(
             fine.values, lift(coarse, fine_space).values, atol=1e-14
         )

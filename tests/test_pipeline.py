@@ -70,11 +70,12 @@ def test_verification_dict_keys_in_written_order():
 
 def test_run_carries_the_pencil_it_reports_on():
     run = pipeline.run_reduction(parse_config({**CONFIG, "alpha": 0.25}))
-    assert run.pencil.alpha == 0.25
-    assert run.pencil.size == run.surrogate.size
+    pencil = run.reduction.pencil
+    assert pencil.alpha == 0.25
+    assert pencil.size == run.reduction.surrogate.size
     # the pencil is Hermitian here (real H, real symmetric K)
-    np.testing.assert_allclose(run.pencil.a0, run.pencil.a0.conj().T, atol=1e-12)
-    np.testing.assert_allclose(run.pencil.a, run.pencil.a.conj().T, atol=1e-12)
+    np.testing.assert_allclose(pencil.a0, pencil.a0.conj().T, atol=1e-12)
+    np.testing.assert_allclose(pencil.a, pencil.a.conj().T, atol=1e-12)
 
 
 def test_reduction_needs_no_generic_matrix_elements(monkeypatch):
@@ -150,7 +151,7 @@ def _pencil_kernel(alpha):
     """The depth-8 pencil kernel at the config's lambda, reduced once per alpha
     and shared by the pass and mutant tests."""
     config = parse_config({**DEPTH8, "alpha": alpha})
-    pencil = pipeline.run_reduction(config).pencil
+    pencil = pipeline.run_reduction(config).reduction.pencil
     assert pencil.size == 256
     return pencil.pencil_kernel(config.lambdas[0]), config.tolerances
 

@@ -1,5 +1,6 @@
 """Forward model, reduction identities, and the reduced solvers."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,7 +21,7 @@ from thirdkind import (
     MultiplicationOperator,
     NearSingularError,
     ProbeGrid,
-    SmoothBasis,
+    Reduction,
     UnitarySurrogate,
     build_sequence,
     build_space,
@@ -56,11 +57,6 @@ def build_chain(depth, alpha, kernel_factory=exp_kernel, bands=3, eps0=0.25):
     seq = build_sequence(H, K, alpha, bands, eps0, 0.5, depth_max=depth + 4)
     U = UnitarySurrogate.from_sequence(seq, "full")
     return seq.coefficient, seq.kernel, seq, U
-
-
-def default_probes(pencil):
-    """The default probe grid (41 points on [-8, 8]) over the pencil's basis."""
-    return ProbeGrid(pencil.basis, probe_grid())
 
 
 class TestForward:
@@ -338,12 +334,69 @@ class TestFirstKind:
             solve_first_kind(system, fp.w, 1.0)
 
 
+class TestReduction:
+    @staticmethod
+    def chain_of(coefficient, depth=6, alpha=0.25, bands=3):
+        space = build_space(depth)
+        H = GridFunction.sample(space, coefficient)
+        K = exp_kernel(space)
+        seq = build_sequence(H, K, alpha, bands, 0.25, 0.5, depth_max=depth + 4)
+        return seq, UnitarySurrogate.from_sequence(seq, "full")
+
+    def test_pencil_of_another_sequence_cannot_be_formed(self):
+        """A pencil of H = y^2 next to the sequence of H = y (same alpha and
+        size) gave a passage residual of 0.33; the pair can no longer be formed."""
+        seq, U = self.chain_of(lambda y: y)
+        other_seq, other_U = self.chain_of(lambda y: y**2)
+        other = reduce_problem(other_seq, other_U)
+        assert other.alpha == seq.alpha == 0.25
+        assert other.size == U.size == 64
+        pts = probe_grid()
+        with pytest.raises(TypeError):
+            Reduction(seq, U, pts, pencil=other)
+        run = Reduction(seq, U, pts)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(run, pencil=other)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.pencil = other
+        own = reduce_problem(seq, U)
+        assert np.array_equal(run.pencil.a0, own.a0)
+        assert np.array_equal(run.pencil.a, own.a)
+        assert not np.array_equal(run.pencil.a0, other.a0)
+        phi = random_grid_function(np.random.default_rng(76), seq.space)
+        assert verify_equivalence(run, 0.4 + 0.2j, phi).passage_residual <= 1e-9
+
+    def test_surrogate_on_another_grid_rejected(self):
+        seq, _ = self.chain_of(lambda y: y)
+        _, coarse_U = self.chain_of(lambda y: y, depth=5, bands=2)
+        with pytest.raises(ValueError, match="another grid"):
+            Reduction(seq, coarse_U, probe_grid())
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.0])
+    def test_probes_and_multiplier_over_the_pencil_basis(self, alpha):
+        seq, U = self.chain_of(lambda y: y, depth=5, alpha=alpha, bands=2)
+        run = Reduction(seq, U, probe_grid(6.0, 9))
+        assert run.probes.basis == run.pencil.basis
+        np.testing.assert_array_equal(run.probes.points, probe_grid(6.0, 9))
+        if alpha != 0:
+            assert run.m_matrix is None
+        else:
+            np.testing.assert_array_equal(
+                run.m_matrix, multiplier_matrix(run.pencil.basis)
+            )
+
+
+def reduction_of(seq, U):
+    """The run's lambda-free data over the default probe grid (41 points on
+    [-8, 8])."""
+    return Reduction(seq, U, probe_grid())
+
+
 class TestVerifyEquivalence:
     def test_zero_solution_zero_residuals(self):
         _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
-        pencil = reduce_problem(seq, U)
         phi = GridFunction.zero(seq.space)
-        report = verify_equivalence(seq, pencil, U, 1.0, phi, default_probes(pencil))
+        report = verify_equivalence(reduction_of(seq, U), 1.0, phi)
         assert report.passage_residual == 0.0
         assert report.round_trip_error == 0.0
 
@@ -351,8 +404,7 @@ class TestVerifyEquivalence:
         _, _, seq, U = build_chain(6, alpha=0.25, kernel_factory=product_kernel)
         rng = np.random.default_rng(70)
         phi = random_grid_function(rng, seq.space)
-        pencil = reduce_problem(seq, U)
-        report = verify_equivalence(seq, pencil, U, 1.0, phi, default_probes(pencil))
+        report = verify_equivalence(reduction_of(seq, U), 1.0, phi)
         assert report.passage_residual <= 1e-9
         assert report.round_trip_error <= 1e-9
         assert report.first_kind is None
@@ -361,11 +413,7 @@ class TestVerifyEquivalence:
         _, _, seq, U = build_chain(6, alpha=0.0)
         rng = np.random.default_rng(71)
         phi = random_grid_function(rng, seq.space)
-        pencil = reduce_problem(seq, U)
-        m_matrix = multiplier_matrix(pencil.basis)
-        report = verify_equivalence(
-            seq, pencil, U, 0.4, phi, default_probes(pencil), m_matrix=m_matrix
-        )
+        report = verify_equivalence(reduction_of(seq, U), 0.4, phi)
         fk = report.first_kind
         assert fk is not None
         assert fk.residual <= 1e-9
@@ -376,8 +424,7 @@ class TestVerifyEquivalence:
         _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
         rng = np.random.default_rng(72)
         phi = random_grid_function(rng, seq.space)
-        pencil = reduce_problem(seq, U)
-        report = verify_equivalence(seq, pencil, U, 0.2, phi, default_probes(pencil))
+        report = verify_equivalence(reduction_of(seq, U), 0.2, phi)
         d = report.to_dict()
         for key in (
             "passage_residual",
@@ -397,11 +444,7 @@ class TestVerifyEquivalence:
         _, _, seq, U = build_chain(5, alpha=alpha, bands=2)
         rng = np.random.default_rng(75)
         phi = random_grid_function(rng, seq.space)
-        pencil = reduce_problem(seq, U)
-        m_matrix = multiplier_matrix(pencil.basis) if alpha == 0 else None
-        d = verify_equivalence(
-            seq, pencil, U, 0.2, phi, default_probes(pencil), m_matrix=m_matrix
-        ).to_dict()
+        d = verify_equivalence(reduction_of(seq, U), 0.2, phi).to_dict()
         keys = [
             "passage_residual",
             "round_trip_error",
@@ -438,37 +481,8 @@ class TestVerifyEquivalence:
             inst = random_problem_instance(rng, depth=int(rng.integers(6, 8)))
             _, _, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
-            pencil = reduce_problem(seq, U)
-            report = verify_equivalence(
-                seq, pencil, U, inst["lambda"], phi, default_probes(pencil)
-            )
+            report = verify_equivalence(reduction_of(seq, U), inst["lambda"], phi)
             assert report.passage_residual <= 1e-9
-
-    def test_alpha_zero_needs_multiplier_matrix(self):
-        _, _, seq, U = build_chain(5, alpha=0.0, bands=2)
-        pencil = reduce_problem(seq, U)
-        phi = GridFunction.zero(seq.space)
-        with pytest.raises(ValueError, match="multiplier matrix"):
-            verify_equivalence(seq, pencil, U, 0.4, phi, default_probes(pencil))
-
-    def test_pencil_of_another_alpha_rejected(self):
-        # H, K and alpha come from the sequence alone: a pencil reduced from
-        # a sequence at another alpha does not describe it
-        _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
-        _, _, other_seq, other_U = build_chain(5, alpha=0.3, bands=2)
-        other = reduce_problem(other_seq, other_U)
-        assert other.size == U.size
-        phi = GridFunction.zero(seq.space)
-        with pytest.raises(ValueError, match="alpha"):
-            verify_equivalence(seq, other, U, 0.4, phi, default_probes(other))
-
-    def test_pencil_of_another_size_rejected(self):
-        _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
-        pencil = reduce_problem(seq, U)
-        projected = UnitarySurrogate.from_sequence(seq, U.size // 2)
-        phi = GridFunction.zero(seq.space)
-        with pytest.raises(ValueError, match="size"):
-            verify_equivalence(seq, pencil, projected, 0.4, phi, default_probes(pencil))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_one_factorization_per_lambda(self, monkeypatch, alpha):
@@ -479,9 +493,7 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(74)
         phi = random_grid_function(rng, seq.space)
         lam = 0.4 + 0.2j
-        pencil = reduce_problem(seq, U)
-        m_matrix = multiplier_matrix(pencil.basis) if alpha == 0 else None
-        probes = default_probes(pencil)
+        run = reduction_of(seq, U)
         calls = {"vectors": 0, "values": 0}
         original = thirdkind.blas.gesdd
 
@@ -492,13 +504,13 @@ class TestVerifyEquivalence:
         # every module of the package that binds the entry point
         for module in (thirdkind.kernels, thirdkind.solvers):
             monkeypatch.setattr(module, "gesdd", counted)
-        report = verify_equivalence(seq, pencil, U, lam, phi, probes, m_matrix=m_matrix)
+        report = verify_equivalence(run, lam, phi)
         monkeypatch.undo()
         if alpha == 0:
             assert calls == {"vectors": 2, "values": 0}
         else:
             assert calls == {"vectors": 1, "values": 1}
-        expected = np.linalg.cond(pencil.system_matrix(lam))
+        expected = np.linalg.cond(run.pencil.system_matrix(lam))
         assert report.condition == pytest.approx(expected, rel=1e-12)
 
     def test_transient_memory_of_one_lambda(self):
@@ -515,27 +527,15 @@ class TestVerifyEquivalence:
     @staticmethod
     def check_transient_memory(alpha, bound):
         _, _, seq, U = build_chain(8, alpha=alpha)
-        pencil = reduce_problem(seq, U)
-        n = pencil.size
+        run = reduction_of(seq, U)
+        n = run.pencil.size
         assert n == 256
         phi = random_grid_function(np.random.default_rng(75), seq.space)
-        probes = default_probes(pencil)
-        m_matrix = multiplier_matrix(pencil.basis) if alpha == 0 else None
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            verify_equivalence(
-                seq, pencil, U, 0.4 + 0.2j, phi, probes, m_matrix=m_matrix
-            )
+            verify_equivalence(run, 0.4 + 0.2j, phi)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - before < bound * n * n
-
-    def test_probes_over_another_basis_rejected(self):
-        _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
-        pencil = reduce_problem(seq, U)
-        phi = GridFunction.zero(seq.space)
-        other = ProbeGrid(SmoothBasis(pencil.size + 1), probe_grid())
-        with pytest.raises(ValueError, match="probe grid"):
-            verify_equivalence(seq, pencil, U, 0.4, phi, other)
