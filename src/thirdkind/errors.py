@@ -53,9 +53,5 @@ class DegenerateSystemError(ThirdKindError):
     """Every singular value of the first-kind system fell below the cutoff."""
 
 
-class AlphaNotZeroError(ThirdKindError):
-    """First-kind reduction requires the pencil shift alpha to be exactly 0."""
-
-
 class ConfigError(ThirdKindError):
     """Run configuration failed validation."""

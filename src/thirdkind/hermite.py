@@ -87,11 +87,6 @@ class SmoothBasis:
         coef = derivative_coefficients(self.size, order)
         return coef @ hermite_function_values(self.size + order, pts)
 
-    def value(self, n: int, order: int, s) -> float | np.ndarray:
-        if not 0 <= n < self.size:
-            raise ValueError(f"basis index {n} out of range for size {self.size}")
-        return basis_value(n, order, s)
-
 
 # ||m|| in L2: (integral of e^{-s^2})^(1/2) = pi^(1/4)
 GAUSSIAN_L2_NORM = math.pi ** 0.25

@@ -234,14 +234,13 @@ def run_verification(config: RunConfig) -> VerificationResult:
             add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])
             add(f"round_trip_lambda{idx}", report.round_trip_error, tol["round_trip"])
 
-        # pencil affinity in lambda: same floating-point path, so exact
+        # pencil affinity in lambda, on the unshifted pencil (alpha is
+        # lambda-free): pencil_kernel's own product and sum, so exact
         lam_probe = 0.37 + 0.21j
-        affinity = np.max(
-            np.abs(
-                pencil.system_matrix(lam_probe)
-                - (pencil.system_matrix(0.0) - lam_probe * pencil.a)
-            )
-        )
+        affine = pencil.pencil_kernel(0.0).matrix
+        affine += np.multiply(pencil.a, -lam_probe, dtype=complex)
+        affinity = np.max(np.abs(pencil.pencil_kernel(lam_probe).matrix - affine))
+        del affine
         add("pencil_lambda_affinity", float(affinity), 0.0)
 
         # kernel calculus on the pencil kernel at the first lambda

@@ -4,9 +4,11 @@ The input problem is H(x) phi(x) - lambda (K phi)(x) = psi(x) on the grid.
 Reduction produces the lambda-independent pair of coefficient matrices
 A0 (from H - alpha) and A (from K); the reduced equation reads
 alpha f + (A0 - lambda A) f = g with f, g the forward coefficients of
-phi, psi. With alpha = 0, multiplying by the positive smooth m turns it
-into the first-kind system M (A0 - lambda A) f = M g, solved here by a
-truncated-spectral pseudoinverse (the reduction itself is exact; the
+phi, psi. `KernelPencil` is the one producer of D = A0 - lambda A and of
+alpha I + D (`system_matrix`, shared by the report and `solve_second_kind`).
+With alpha = 0, multiplying by the positive smooth m turns the equation
+into the first-kind system M D f = M g, M = `Reduction.m_matrix`, solved by
+a truncated-spectral pseudoinverse (the reduction itself is exact; the
 first-kind solve is ill-posed and needs a declared policy).
 """
 
@@ -17,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blas import gesdd
-from .errors import AlphaNotZeroError, DegenerateSystemError, NearSingularError
+from .errors import DegenerateSystemError, NearSingularError
 from .hermite import GAUSSIAN_L2_NORM, SmoothBasis, multiplier_matrix
 from .kernels import (
     BilinearKernel,
@@ -75,10 +77,11 @@ class KernelPencil:
         return SmoothBasis(self.size)
 
     def system_matrix(self, lam: complex) -> np.ndarray:
-        """alpha I + A0 - lambda A; affine in lambda by construction."""
-        return (self.alpha * np.eye(self.size) + self.a0) - np.multiply(
-            lam, self.a, dtype=complex
-        )
+        """alpha I + (A0 - lambda A) in one new Fortran-order array: D formed
+        as `factorize` forms it, with alpha then added on the diagonal."""
+        d = self._pencil_matrix(lam, "F")
+        d.flat[:: self.size + 1] += self.alpha
+        return d
 
     def _pencil_matrix(self, lam: complex, order: str) -> np.ndarray:
         """A0 - lambda A in one new n x n array of the given memory order; the
@@ -163,52 +166,23 @@ def solve_second_kind(
 ) -> SecondKindSolution:
     """Dense solve of (alpha I + A0 - lambda A) c = g with a condition gate.
 
-    Raises NearSingularError when the condition estimate exceeds 1e12,
-    signalling lambda near a characteristic value.
+    The condition is that of `pencil.system_matrix(lam)`, as the report
+    gives it. Raises NearSingularError, before any solve, when it is not
+    finite or exceeds 1e12, signalling lambda near a characteristic value.
     """
     if pencil.alpha == 0:
         raise ValueError("alpha must be nonzero for a genuine second-kind solve")
     g = np.asarray(g, dtype=complex)
     if g.shape != (pencil.size,):
         raise ValueError(f"expected {pencil.size} coefficients, got {g.shape}")
-    system = pencil.system_matrix(lam)
-    condition = condition_number(
-        gesdd(np.array(system, dtype=complex, order="F"), vectors=False)
-    )
+    condition = condition_number(gesdd(pencil.system_matrix(lam), vectors=False))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise NearSingularError(condition)
+    system = pencil.system_matrix(lam)
     c = np.linalg.solve(system, g)
     scale = float(np.linalg.norm(g))
     residual = float(np.linalg.norm(system @ c - g)) / (scale if scale else 1.0)
     return SecondKindSolution(coefficients=c, residual=residual, condition=condition)
-
-
-@dataclass(frozen=True, eq=False)
-class FirstKindProblem:
-    """First-kind data: pencil with alpha = 0, multiplier matrix M, w = M g."""
-
-    pencil: KernelPencil
-    m_matrix: np.ndarray
-    w: np.ndarray
-
-    def gamma_pencil(self, lam: complex) -> BilinearKernel:
-        return scale_by_multiplier(self.pencil.pencil_kernel(lam), self.m_matrix)
-
-
-def make_first_kind(pencil: KernelPencil, g: np.ndarray) -> FirstKindProblem:
-    """Multiply the reduced equation through by the Gaussian multiplier m.
-
-    Requires alpha exactly 0 (otherwise the equation keeps its second-kind
-    term and AlphaNotZeroError is raised). Since m is positive everywhere,
-    the scaling is invertible on evaluations and preserves solution sets.
-    """
-    if pencil.alpha != 0:
-        raise AlphaNotZeroError(f"alpha = {pencil.alpha} is not 0")
-    m_mat = multiplier_matrix(pencil.basis)
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (pencil.size,):
-        raise ValueError(f"expected {pencil.size} coefficients, got {g.shape}")
-    return FirstKindProblem(pencil=pencil, m_matrix=m_mat, w=m_mat @ g)
 
 
 @dataclass(frozen=True)
@@ -222,7 +196,8 @@ def solve_first_kind(system: np.ndarray, w: np.ndarray, cutoff: float) -> FirstK
     """Truncated-spectral pseudoinverse solve of system c = w.
 
     `system` is the first-kind matrix M (A0 - lambda A), for instance
-    `FirstKindProblem.gamma_pencil(lam).multiplied_matrix`. Singular values
+    `scale_by_multiplier(run.pencil.pencil_kernel(lam), run.m_matrix)
+    .multiplied_matrix` with w = run.m_matrix @ g. Singular values
     below cutoff * sigma_max are discarded; `discarded_energy` is the
     fraction of ||w||^2 lost to the discarded left singular directions.
     Raises DegenerateSystemError when nothing survives the cutoff.
@@ -305,9 +280,10 @@ def verify_equivalence(
 
     D = A0 - lambda A is factorized once: its SVD gives the series tail and,
     with alpha = 0, the condition number; with alpha != 0 the condition is that
-    of alpha I + D, from its singular values alone. Everything read from D
-    itself comes first; D is then formed again in Fortran order and factored
-    in place, so that no other n x n copy of it is alive during that SVD.
+    of `pencil.system_matrix(lam)`, alpha I + D, from its singular values
+    alone, taken after D is dropped. Everything read from D itself comes
+    first; D is then formed again in Fortran order and factored in place, so
+    that no other n x n copy of it is alive during that SVD.
     With alpha = 0, D is dropped before the first-kind solve, so that M D is
     that solve's only n x n input.
     """
@@ -369,10 +345,8 @@ def verify_equivalence(
         )
         del fk_system
     else:
-        shifted = np.array(d, order="F")
-        shifted.flat[:: pencil.size + 1] += alpha
-        condition = condition_number(gesdd(shifted, vectors=False))
-        del shifted, pk, d
+        del pk, d
+        condition = condition_number(gesdd(pencil.system_matrix(lam), vectors=False))
     # no other n x n copy of D is alive during its SVD
 
     fact = pencil.factorize(lam)

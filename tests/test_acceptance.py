@@ -26,10 +26,9 @@ from thirdkind import (
     forward_third_kind,
     inner_product,
     m_factorize,
-    make_first_kind,
     multiplier_matrix,
     rademacher,
-    reduce_problem,
+    scale_by_multiplier,
     series_consistency,
     solve_first_kind,
     verify_equivalence,
@@ -222,7 +221,7 @@ def test_c5_factorization_series():
                             assert sums[-1] >= abs(chk.direct) - 1e-12
 
 
-def _pipeline_pencil(depth, alpha, lam):
+def _pipeline_run(depth, alpha, lam):
     space = build_space(depth)
     H = GridFunction.sample(space, lambda y: y)
     centers = space.centers()
@@ -232,13 +231,13 @@ def _pipeline_pencil(depth, alpha, lam):
     rng = np.random.default_rng(99)
     phi = random_grid_function(rng, seq.space)
     psi = forward_third_kind(seq.coefficient, seq.kernel, lam, phi)
-    pencil = reduce_problem(seq, U)
-    return pencil, U.forward(psi), U.forward(phi)
+    run = Reduction(seq, U, probe_grid())
+    return run, U.forward(psi), U.forward(phi)
 
 
 def test_c6_kernel_smoothness():
     with _budget("6 smoothness suite", 30.0):
-        pencil, _, _ = _pipeline_pencil(6, alpha=0.25, lam=0.4)
+        pencil = _pipeline_run(6, alpha=0.25, lam=0.4)[0].pencil
         size = pencil.size
         assert size == 64
         pk = pencil.pencil_kernel(0.4)
@@ -261,12 +260,12 @@ def test_c6_kernel_smoothness():
 def test_c7_first_kind_multiplier():
     with _budget("7 first kind suite", 30.0):
         lam = 0.3
-        pencil, g, f = _pipeline_pencil(6, alpha=0.0, lam=lam)
-        fp = make_first_kind(pencil, g)
+        run, g, f = _pipeline_run(6, alpha=0.0, lam=lam)
+        w = run.m_matrix @ g
 
         # Hilbert-Schmidt bound with the probe-grid Carleman sup
-        gamma_pencil = fp.gamma_pencil(lam)
-        plain = pencil.pencil_kernel(lam)
+        plain = run.pencil.pencil_kernel(lam)
+        gamma_pencil = scale_by_multiplier(plain, run.m_matrix)
         probes = ProbeGrid(plain.basis, np.linspace(-8, 8, 161))
         sup = float(np.max(carleman_row_norms(plain, probes)))
         hs = hs_norm(gamma_pencil)
@@ -282,8 +281,8 @@ def test_c7_first_kind_multiplier():
             assert finite_difference_defect(gamma_pencil, i, j, pts, pts, step) <= 1e-5
 
         # multiplied-system identity at the forward image
-        residual = np.linalg.norm(gamma_pencil.multiplied_matrix @ f - fp.w)
-        assert residual <= 1e-9 * np.linalg.norm(fp.w)
+        residual = np.linalg.norm(gamma_pencil.multiplied_matrix @ f - w)
+        assert residual <= 1e-9 * np.linalg.norm(w)
 
         # manufacture-then-solve at a size where nothing is truncated
         space = build_space(4)
@@ -293,13 +292,13 @@ def test_c7_first_kind_multiplier():
         seq = build_sequence(H, K, 0.0, count=2, eps0=1.0, ratio=0.5, depth_max=8)
         U = UnitarySurrogate.from_sequence(seq, "full")
         rng = np.random.default_rng(100)
-        phi = random_grid_function(rng, seq.space)
-        psi = forward_third_kind(seq.coefficient, seq.kernel, lam, phi)
-        small_pencil = reduce_problem(seq, U)
-        small_fp = make_first_kind(small_pencil, U.forward(psi))
-        n = small_pencil.size
+        random_grid_function(rng, seq.space)  # a phi; c0 is the next draw
+        small = Reduction(seq, U, probe_grid())
+        n = small.pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        system = small_fp.gamma_pencil(lam).multiplied_matrix
+        system = scale_by_multiplier(
+            small.pencil.pencil_kernel(lam), small.m_matrix
+        ).multiplied_matrix
         sol = solve_first_kind(system, system @ c0, cutoff=1e-10)
         assert sol.kept == n  # no spectral truncation occurred
         assert np.linalg.norm(sol.coefficients - c0) <= 1e-8 * np.linalg.norm(c0)

@@ -88,11 +88,6 @@ class TestSmoothBasis:
         gram = (values * weights) @ values.T
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
-    def test_index_range_checked(self):
-        basis = SmoothBasis(4)
-        with pytest.raises(ValueError):
-            basis.value(4, 0, 0.0)
-
 
 class TestMultiplier:
     def test_gaussian_value_and_positivity(self):

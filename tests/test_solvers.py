@@ -11,7 +11,6 @@ import thirdkind.blas
 import thirdkind.kernels
 import thirdkind.solvers
 from thirdkind import (
-    AlphaNotZeroError,
     BilinearKernel,
     DegenerateSystemError,
     GridFunction,
@@ -26,7 +25,6 @@ from thirdkind import (
     build_sequence,
     build_space,
     forward_third_kind,
-    make_first_kind,
     matrix_elements,
     multiplier_matrix,
     reduce_problem,
@@ -138,8 +136,10 @@ class TestReduce:
         _, _, seq, U = build_chain(6, alpha=0.25)
         pencil = reduce_problem(seq, U)
         lam = 1.3 - 0.4j
-        direct = pencil.system_matrix(lam)
-        affine = pencil.system_matrix(0.0) - lam * pencil.a
+        direct = pencil.pencil_kernel(lam).matrix
+        affine = pencil.pencil_kernel(0.0).matrix + np.multiply(
+            pencil.a, -lam, dtype=complex
+        )
         np.testing.assert_array_equal(direct, affine)
 
 
@@ -251,44 +251,85 @@ class TestSolveSecondKind:
         assert sol.condition < 1e3
 
 
+def first_kind_system(run, lam):
+    """M (A0 - lambda A), the first-kind matrix the report solves."""
+    return scale_by_multiplier(run.pencil.pencil_kernel(lam), run.m_matrix).multiplied_matrix
+
+
+class TestOneSecondKindProducer:
+    """solve_second_kind and the report take the condition from the one
+    shifted matrix, KernelPencil.system_matrix."""
+
+    @staticmethod
+    def manufactured(depth, lam):
+        _, _, seq, U = build_chain(depth, alpha=0.25)
+        run = Reduction(seq, U, probe_grid())
+        phi = random_grid_function(np.random.default_rng(77), seq.space)
+        psi = forward_third_kind(seq.coefficient, seq.kernel, lam, phi)
+        return run, phi, U.forward(psi)
+
+    def test_condition_is_the_reports_and_the_solve_recovers_f(self):
+        lam = 0.4 + 0.2j
+        run, phi, g = self.manufactured(6, lam)
+        sol = solve_second_kind(run.pencil, lam, g)
+        assert sol.condition == verify_equivalence(run, lam, phi).condition
+        f = run.surrogate.forward(phi)
+        assert np.linalg.norm(sol.coefficients - f) <= 1e-8 * np.linalg.norm(f)
+
+    def test_transient_memory_of_one_solve(self):
+        """At N = 256 one solve holds one shifted matrix at a time: its
+        values-only SVD, then the LU solve and the residual, measured at
+        22 N^2 B; any stray n x n complex copy adds 16 N^2 B."""
+        lam = 0.4 + 0.2j
+        run, _, g = self.manufactured(8, lam)
+        n = run.pencil.size
+        assert n == 256
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            solve_second_kind(run.pencil, lam, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 38 * n * n
+
+
 class TestFirstKind:
-    def pencil_from_chain(self, depth=4):
+    def run_from_chain(self, depth=4):
         H, K, seq, U = build_chain(depth, alpha=0.0, bands=2, eps0=0.5)
         rng = np.random.default_rng(68)
         phi = random_grid_function(rng, seq.space)
-        pencil = reduce_problem(seq, U)
-        return pencil, U.forward(forward_third_kind(H, K, 0.3, phi)), U.forward(phi)
+        run = Reduction(seq, U, probe_grid())
+        return run, U.forward(forward_third_kind(H, K, 0.3, phi)), U.forward(phi)
 
     def test_zero_rhs(self):
-        pencil, g, _ = self.pencil_from_chain()
-        fp = make_first_kind(pencil, np.zeros_like(g))
-        np.testing.assert_array_equal(fp.w, 0.0)
+        run, g, _ = self.run_from_chain()
+        w = run.m_matrix @ np.zeros_like(g)
+        np.testing.assert_array_equal(w, 0.0)
+        sol = solve_first_kind(first_kind_system(run, 0.3), w, 1e-10)
+        np.testing.assert_array_equal(sol.coefficients, 0.0)
+        assert sol.discarded_energy == 0.0
 
-    def test_alpha_not_zero_rejected(self):
-        n = 4
-        pencil = KernelPencil(
-            0.5, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
-        )
-        with pytest.raises(AlphaNotZeroError):
-            make_first_kind(pencil, np.zeros(n, dtype=complex))
+    def test_alpha_not_zero_has_no_multiplier(self):
+        _, _, seq, U = build_chain(4, alpha=0.25, bands=2, eps0=0.5)
+        assert Reduction(seq, U, probe_grid()).m_matrix is None
 
     def test_hs_bound_with_gaussian_multiplier(self):
         from thirdkind import hs_norm
         from thirdkind.kernels import carleman_row_norms
 
-        pencil, g, _ = self.pencil_from_chain()
-        fp = make_first_kind(pencil, g)
-        plain = BilinearKernel(pencil.a)
-        gamma = scale_by_multiplier(plain, fp.m_matrix)
+        run, _, _ = self.run_from_chain()
+        plain = BilinearKernel(run.pencil.a)
+        gamma = scale_by_multiplier(plain, run.m_matrix)
         probes = ProbeGrid(plain.basis, probe_grid(8.0, 161))
         sup = float(np.max(carleman_row_norms(plain, probes)))
         assert hs_norm(gamma) <= sup * math.pi**0.25 + 1e-12
 
     def test_multiplied_identity_preserved(self):
-        pencil, g, f = self.pencil_from_chain()
-        fp = make_first_kind(pencil, g)
-        lhs = fp.gamma_pencil(0.3).multiplied_matrix @ f
-        assert np.linalg.norm(lhs - fp.w) <= 1e-9 * np.linalg.norm(fp.w)
+        run, g, f = self.run_from_chain()
+        w = run.m_matrix @ g
+        lhs = first_kind_system(run, 0.3) @ f
+        assert np.linalg.norm(lhs - w) <= 1e-9 * np.linalg.norm(w)
 
     def test_identity_system_any_cutoff(self):
         n = 5
@@ -301,14 +342,13 @@ class TestFirstKind:
     def test_manufacture_then_solve_recovery(self):
         # wide bands keep the grid at depth 4 (16 modes), where the
         # multiplier matrix is far from its truncation floor
-        H, K, seq, U = build_chain(4, alpha=0.0, bands=2, eps0=1.0)
+        _, _, seq, U = build_chain(4, alpha=0.0, bands=2, eps0=1.0)
         rng = np.random.default_rng(69)
-        phi = random_grid_function(rng, seq.space)
-        pencil = reduce_problem(seq, U)
-        fp = make_first_kind(pencil, U.forward(forward_third_kind(H, K, 0.3, phi)))
-        n = pencil.size
+        random_grid_function(rng, seq.space)  # a phi; c0 is the next draw
+        run = Reduction(seq, U, probe_grid())
+        n = run.pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        system = fp.gamma_pencil(0.3).multiplied_matrix
+        system = first_kind_system(run, 0.3)
         # well-conditioned at this size: nothing gets truncated
         assert np.linalg.cond(system) < 1e7
         sol = solve_first_kind(system, system @ c0, 1e-10)
@@ -317,21 +357,16 @@ class TestFirstKind:
 
     def test_degenerate_system(self):
         n = 4
-        pencil = KernelPencil(
-            0.0, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
-        )
-        fp = make_first_kind(pencil, np.ones(n, dtype=complex))
         with pytest.raises(DegenerateSystemError):
-            solve_first_kind(fp.gamma_pencil(0.5).multiplied_matrix, fp.w, 1e-10)
+            solve_first_kind(np.zeros((n, n)), np.ones(n), 1e-10)
 
     def test_cutoff_range_checked(self):
-        pencil, g, _ = self.pencil_from_chain()
-        fp = make_first_kind(pencil, g)
-        system = fp.gamma_pencil(0.3).multiplied_matrix
+        run, g, _ = self.run_from_chain()
+        system, w = first_kind_system(run, 0.3), run.m_matrix @ g
         with pytest.raises(ValueError):
-            solve_first_kind(system, fp.w, 0.0)
+            solve_first_kind(system, w, 0.0)
         with pytest.raises(ValueError):
-            solve_first_kind(system, fp.w, 1.0)
+            solve_first_kind(system, w, 1.0)
 
 
 class TestReduction:
@@ -510,7 +545,9 @@ class TestVerifyEquivalence:
             assert calls == {"vectors": 2, "values": 0}
         else:
             assert calls == {"vectors": 1, "values": 1}
-        expected = np.linalg.cond(run.pencil.system_matrix(lam))
+        # an oracle formed apart from KernelPencil.system_matrix, the report's
+        n, a0, a = run.pencil.size, run.pencil.a0, run.pencil.a
+        expected = np.linalg.cond(alpha * np.eye(n) + a0 - lam * a)
         assert report.condition == pytest.approx(expected, rel=1e-12)
 
     def test_transient_memory_of_one_lambda(self):
