@@ -7,9 +7,11 @@ Subcommands:
   verify           run the whole property battery; exit 0 iff every check holds
 
 Exit codes: 0 success, 1 configuration error, 2 construction failure
-(empty band, refinement budget exhausted), 3 numerical failure (failed
-checks, near-singular or degenerate systems, an SVD that does not converge,
-an allocation that fails).
+(empty band, refinement budget exhausted, an overflowing kernel image),
+3 numerical failure (failed checks, near-singular or degenerate systems, an
+SVD that does not converge, an allocation that fails). A failure after the
+output directory exists also writes {"error": {"type", "message", ...}} to
+the command's JSON file; every failure prints one stderr line, no traceback.
 """
 
 from __future__ import annotations
@@ -77,18 +79,27 @@ def _out_dir(config: RunConfig, args) -> Path:
     return path
 
 
+def _guarded(report: Path, work) -> tuple[int, object]:
+    """(EXIT_OK, work()); on a failure with an exit code, write {"error": ...}
+    to `report`, print one stderr line and return (that code, None)."""
+    try:
+        return EXIT_OK, work()
+    except ConfigError as exc:
+        failure, code, what = exc, EXIT_CONFIG, "config error"
+    except _CONSTRUCTION_ERRORS as exc:
+        failure, code, what = exc, EXIT_CONSTRUCTION, "construction failed"
+    except _NUMERICAL_ERRORS as exc:
+        failure, code, what = exc, EXIT_NUMERICAL, "numerical failure"
+    write_json(report, {"error": _error_payload(failure)})
+    print(f"{what}: {failure}", file=sys.stderr)
+    return code, None
+
+
 def cmd_build_sequence(config: RunConfig, args) -> int:
     out = _out_dir(config, args)
-    try:
-        seq = prepare(config)
-    except _CONSTRUCTION_ERRORS as exc:
-        write_json(out / "sequence.json", {"error": _error_payload(exc)})
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except MemoryError as exc:
-        write_json(out / "sequence.json", {"error": _error_payload(exc)})
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    code, seq = _guarded(out / "sequence.json", lambda: prepare(config))
+    if code:
+        return code
     write_json(out / "sequence.json", seq.to_report())
     print(out / "sequence.json")
     return EXIT_OK
@@ -96,16 +107,9 @@ def cmd_build_sequence(config: RunConfig, args) -> int:
 
 def cmd_reduce(config: RunConfig, args) -> int:
     out = _out_dir(config, args)
-    try:
-        run = run_reduction(config)
-    except _CONSTRUCTION_ERRORS as exc:
-        write_json(out / "report.json", {"error": _error_payload(exc)})
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except _NUMERICAL_ERRORS as exc:
-        write_json(out / "report.json", {"error": _error_payload(exc)})
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    code, run = _guarded(out / "report.json", lambda: run_reduction(config))
+    if code:
+        return code
 
     write_json(out / "sequence.json", run.reduction.sequence.to_report())
     write_grid_function_csv(out / "phi.csv", run.phi.values)
@@ -140,16 +144,9 @@ def cmd_reduce(config: RunConfig, args) -> int:
 
 def cmd_verify(config: RunConfig, args) -> int:
     out = _out_dir(config, args)
-    try:
-        result = run_verification(config)
-    except _CONSTRUCTION_ERRORS as exc:
-        write_json(out / "verify.json", {"error": _error_payload(exc)})
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except _NUMERICAL_ERRORS as exc:
-        write_json(out / "verify.json", {"error": _error_payload(exc)})
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    code, result = _guarded(out / "verify.json", lambda: run_verification(config))
+    if code:
+        return code
     write_json(out / "verify.json", result.to_dict())
     print(out / "verify.json")
     if not result.passed:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .measure import GridFunction, GridKernel, MeasureSpace
+from .measure import MAX_DEPTH, GridFunction, GridKernel, MeasureSpace
 from .serialize import read_grid_function_csv, read_matrix_csv
 
 _TOP_KEYS = {
@@ -36,16 +36,6 @@ _TOP_KEYS = {
     "strict",
     "tolerances",
     "out",
-}
-
-_TOLERANCE_KEYS = {
-    "passage_residual",
-    "round_trip",
-    "gram_defect",
-    "adjoint_defect",
-    "first_kind_residual",
-    "derivative_agreement",
-    "vanishing_tail",
 }
 
 DEFAULT_TOLERANCES = {
@@ -133,11 +123,13 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError(f"missing required key {key!r}")
 
     depth = need("depth")
-    if not _is_int(depth) or not 1 <= depth <= 24:
-        raise ConfigError(f"depth must be an integer in [1, 24], got {depth!r}")
-    depth_max = raw.get("depth_max", min(depth + 6, 24))
-    if not _is_int(depth_max) or not depth <= depth_max <= 24:
-        raise ConfigError(f"depth_max must be an integer in [depth, 24], got {depth_max!r}")
+    if not _is_int(depth) or not 1 <= depth <= MAX_DEPTH:
+        raise ConfigError(f"depth must be an integer in [1, {MAX_DEPTH}], got {depth!r}")
+    depth_max = raw.get("depth_max", min(depth + 6, MAX_DEPTH))
+    if not _is_int(depth_max) or not depth <= depth_max <= MAX_DEPTH:
+        raise ConfigError(
+            f"depth_max must be an integer in [depth, {MAX_DEPTH}], got {depth_max!r}"
+        )
 
     lam_raw = need("lambda", 0.0)
     if isinstance(lam_raw, list) and lam_raw and isinstance(lam_raw[0], list):
@@ -176,8 +168,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("seed must be a nonnegative integer")
 
     tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict) or set(tolerances) - _TOLERANCE_KEYS:
-        raise ConfigError(f"tolerances keys must be among {sorted(_TOLERANCE_KEYS)}")
+    if not isinstance(tolerances, dict) or set(tolerances) - DEFAULT_TOLERANCES.keys():
+        raise ConfigError(f"tolerances keys must be among {sorted(DEFAULT_TOLERANCES)}")
     merged_tol = dict(DEFAULT_TOLERANCES)
     merged_tol.update({k: _real(tolerances, k, None, "tolerances") for k in tolerances})
 

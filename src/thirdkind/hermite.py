@@ -58,17 +58,6 @@ def derivative_coefficients(count: int, order: int) -> np.ndarray:
     return coef
 
 
-def basis_value(n: int, i: int, s) -> float | np.ndarray:
-    """i-th derivative of u_n at s, by exact recurrence."""
-    if n < 0 or i < 0:
-        raise ValueError("basis index and derivative order must be >= 0")
-    scalar = np.ndim(s) == 0
-    pts = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    coef = derivative_coefficients(n + 1, i)[n]
-    vals = coef @ hermite_function_values(n + 1 + i, pts)
-    return float(vals[0]) if scalar else vals
-
-
 @dataclass(frozen=True)
 class SmoothBasis:
     """Truncated orthonormal basis {u_n : n < size} of L2(R)."""
@@ -81,6 +70,8 @@ class SmoothBasis:
 
     def value_matrix(self, order: int, s) -> np.ndarray:
         """Matrix of u_n^(order)(s_j), shape (size, len(s))."""
+        if order < 0:
+            raise ValueError("derivative order must be >= 0")
         pts = np.atleast_1d(np.asarray(s, dtype=np.float64))
         if order == 0:
             return hermite_function_values(self.size, pts)
@@ -96,13 +87,14 @@ def gaussian(order: int, s) -> np.ndarray:
     """order-th derivative of the multiplier m(s) = exp(-s^2/2) at s.
 
     Positive, square integrable, and all derivatives vanish at infinity.
-    Since m equals pi^(1/4) u_0, its derivatives come from the same exact
-    ladder as the basis.
+    Since m equals pi^(1/4) u_0, its derivatives are row 0 of the basis's
+    value matrix; the result has the shape of s.
     """
     s = np.asarray(s, dtype=np.float64)
     if order == 0:
         return np.exp(-0.5 * s * s)
-    return GAUSSIAN_L2_NORM * basis_value(0, order, s)
+    row = SmoothBasis(1).value_matrix(order, s.ravel())[0]
+    return GAUSSIAN_L2_NORM * row.reshape(s.shape)
 
 
 def multiplier_matrix(basis: SmoothBasis) -> np.ndarray:

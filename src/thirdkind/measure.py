@@ -39,10 +39,6 @@ class MeasureSpace:
         # exact: 2**-depth is a power of two
         return 2.0 ** (-self.depth)
 
-    @property
-    def total_measure(self) -> float:
-        return 1.0
-
     def centers(self) -> np.ndarray:
         """Midpoints of all cells, in index order."""
         return (np.arange(self.cell_count) + 0.5) * self.cell_width
@@ -160,21 +156,13 @@ def band_set(
     return MeasurableSet(H.space, np.nonzero(mask)[0])
 
 
-def lift(f: GridFunction, space: MeasureSpace) -> GridFunction:
-    """Carry a grid function to a finer grid by repeated subdivision."""
-    if space.depth < f.space.depth:
+def lift(x: GridFunction | MeasurableSet, space: MeasureSpace):
+    """Carry a grid function or set to a finer grid by repeated subdivision."""
+    if space.depth < x.space.depth:
         raise SpaceMismatchError("cannot lift to a coarser grid")
-    while f.space.depth < space.depth:
-        f = f.refined()
-    return f
-
-
-def lift_set(E: MeasurableSet, space: MeasureSpace) -> MeasurableSet:
-    if space.depth < E.space.depth:
-        raise SpaceMismatchError("cannot lift to a coarser grid")
-    while E.space.depth < space.depth:
-        E = E.refined()
-    return E
+    while x.space.depth < space.depth:
+        x = x.refined()
+    return x
 
 
 @dataclass(frozen=True, eq=False)

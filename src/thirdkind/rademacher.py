@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import EmptyBandError, NotBisectableError, ToleranceUnreachableError
 from .measure import (
+    MAX_DEPTH,
     GridFunction,
     GridKernel,
     MeasurableSet,
@@ -25,7 +26,6 @@ from .measure import (
     band_set,
     inner_product,
     lift,
-    lift_set,
 )
 
 
@@ -57,17 +57,21 @@ class IndexSelection:
     """Result of the Rademacher level search for one band.
 
     `kernel` and `band` are returned because the search may have refined the
-    working grid; they live on the (possibly finer) final space.
+    working grid; they live on the (possibly finer) final space, as does the
+    accepted function R_k with its image norms ||K R_k|| and ||K* R_k||.
     """
 
     k: int
     achieved: float
     kernel: GridKernel
     band: MeasurableSet
+    function: GridFunction
+    norm_kernel: float
+    norm_kernel_adjoint: float
 
 
 def select_index(
-    K: GridKernel, E: MeasurableSet, n: int, depth_max: int = 24
+    K: GridKernel, E: MeasurableSet, n: int, depth_max: int = MAX_DEPTH
 ) -> IndexSelection:
     """Smallest Rademacher level k with ||K R_k|| + ||K* R_k|| <= 1/n.
 
@@ -75,7 +79,8 @@ def select_index(
     count runs out, the grid is refined (kernel and band re-sampled by
     subdivision) up to `depth_max` and the search continues. Raises
     ToleranceUnreachableError with the best achieved value if the refinement
-    budget is exhausted.
+    budget is exhausted, and with inf at once if an image norm overflows:
+    refinement repeats K's entries, so it cannot shrink an overflowed image.
     """
     if E.is_empty:
         raise ValueError("band set must have positive measure")
@@ -89,9 +94,17 @@ def select_index(
             K = K.refined()
             E = E.refined()
         r = rademacher(E, k)
-        achieved = K.apply(r).norm() + K.apply_adjoint(r).norm()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                forward, backward = K.apply(r).norm(), K.apply_adjoint(r).norm()
+        except ValueError:  # GridFunction rejects an image that is not finite
+            forward = backward = math.inf
+        if not (math.isfinite(forward) and math.isfinite(backward)):
+            msg = f"the kernel image overflows at depth {E.space.depth} (level {k})"
+            raise ToleranceUnreachableError(math.inf, msg)
+        achieved = forward + backward
         if achieved <= target:
-            return IndexSelection(k, achieved, K, E)
+            return IndexSelection(k, achieved, K, E, r, forward, backward)
         best = min(best, achieved)
         k += 1
 
@@ -157,7 +170,7 @@ def build_sequence(
     count: int,
     eps0: float,
     ratio: float,
-    depth_max: int = 24,
+    depth_max: int = MAX_DEPTH,
 ) -> KorotkovSequence:
     """Build the damping sequence for S1 = H - alpha and S2 = K.
 
@@ -188,19 +201,17 @@ def build_sequence(
         if band.is_empty:
             raise EmptyBandError(n)
         sel = select_index(K, band, n, depth_max)
-        K, band = sel.kernel, sel.band
+        K, band, e = sel.kernel, sel.band, sel.function
         if K.space.depth > H.space.depth:
             H = lift(H, K.space)
-            bands = [lift_set(b, K.space) for b in bands]
+            bands = [lift(b, K.space) for b in bands]
             functions = [lift(f, K.space) for f in functions]
-        e = rademacher(band, sel.k)
-        s1 = GridFunction(H.space, (H.values - alpha) * e.values).norm()
         bands.append(band)
         levels.append(sel.k)
         functions.append(e)
-        norm_s1.append(s1)
-        norm_s2.append(K.apply(e).norm())
-        norm_s2a.append(K.apply_adjoint(e).norm())
+        norm_s1.append(GridFunction(H.space, (H.values - alpha) * e.values).norm())
+        norm_s2.append(sel.norm_kernel)
+        norm_s2a.append(sel.norm_kernel_adjoint)
 
     return KorotkovSequence(
         space=H.space,

@@ -425,6 +425,53 @@ class TestMemoryFailure:
         assert "Traceback" not in err
 
 
+class TestFailurePayloads:
+    """Every failure after the output directory exists writes its JSON."""
+
+    REPORTS = [
+        ("build-sequence", "sequence.json"),
+        ("reduce", "report.json"),
+        ("verify", "verify.json"),
+    ]
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings stay silent
+    @pytest.mark.parametrize("command, report", REPORTS)
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            # a rounding residue of the cancelling sums overflows the norm
+            {"kind": "constant", "value": 1e306},
+            # ||K R|| itself is about 1e299, so its squares overflow
+            {"kind": "rank_one", "left": {"kind": "constant", "value": 1e300},
+             "right": {"kind": "linear"}},
+        ],
+    )
+    def test_overflowing_kernel_image_exit_two(
+        self, tmp_path, capsys, command, report, kernel
+    ):
+        cfg = write_config(tmp_path, kernel=kernel)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        payload = json.loads((out / report).read_text())["error"]
+        assert payload["type"] == "ToleranceUnreachable"
+        assert payload["achieved"] == "inf"
+        assert payload["message"].startswith("the kernel image overflows at depth 6")
+        err = capsys.readouterr().err
+        assert err == f"construction failed: {payload['message']}\n"
+
+    @pytest.mark.parametrize("command, report", REPORTS)
+    def test_config_error_writes_payload(self, tmp_path, capsys, command, report):
+        cfg = write_config(tmp_path, kernel={"kind": "csv", "path": "absent.csv"})
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        payload = json.loads((out / report).read_text())
+        assert set(payload) == {"error"}
+        assert payload["error"]["type"] == "Config"
+        assert "cannot read" in payload["error"]["message"]
+        err = capsys.readouterr().err
+        assert err == f"config error: {payload['error']['message']}\n"
+
+
 class TestSerialization:
     def test_matrix_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(81)

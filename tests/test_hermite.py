@@ -10,7 +10,6 @@ from scipy.special import eval_hermite
 from thirdkind import (
     GAUSSIAN_L2_NORM,
     SmoothBasis,
-    basis_value,
     gaussian,
     multiplier_matrix,
 )
@@ -23,17 +22,22 @@ def hermite_closed_form(n, x):
     return eval_hermite(n, x) * np.exp(-0.5 * x * x) / norm
 
 
+def basis_value(n, order, s):
+    """u_n^(order) at the points s: row n of the value matrix."""
+    return SmoothBasis(n + 1).value_matrix(order, s)[n]
+
+
 class TestBasisValue:
     def test_ground_state_at_origin(self):
-        assert basis_value(0, 0, 0.0) == pytest.approx(math.pi**-0.25, abs=1e-15)
+        assert basis_value(0, 0, 0.0)[0] == pytest.approx(math.pi**-0.25, abs=1e-15)
 
     def test_ground_state_derivative(self):
         # u0'(s) = -s u0(s)
         expected = -math.pi**-0.25 * math.exp(-0.5)
-        assert basis_value(0, 1, 1.0) == pytest.approx(expected, abs=1e-15)
+        assert basis_value(0, 1, 1.0)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_first_state_odd(self):
-        assert basis_value(1, 0, 0.0) == 0.0
+        assert basis_value(1, 0, 0.0)[0] == 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 12])
     def test_matches_closed_form(self, n):
@@ -48,34 +52,38 @@ class TestBasisValue:
         # term (roughly h^2 |u^(i+3)| / 6, up to ~1.8e3 here) below that
         s = np.linspace(-4, 4, 17)
         h = 2e-5
-        for n in range(16):
-            for i in range(3):
-                fd = (basis_value(n, i, s + h) - basis_value(n, i, s - h)) / (2 * h)
-                exact = basis_value(n, i + 1, s)
-                assert np.max(np.abs(fd - exact)) < 1e-6
+        basis = SmoothBasis(16)
+        for i in range(3):
+            fd = (basis.value_matrix(i, s + h) - basis.value_matrix(i, s - h)) / (2 * h)
+            exact = basis.value_matrix(i + 1, s)
+            assert np.max(np.abs(fd - exact)) < 1e-6
 
     def test_tail_decay(self):
         for n in range(0, 32, 5):
             s = 8.0 + math.sqrt(2.0 * n)
             for i in range(3):
-                assert abs(basis_value(n, i, s)) < 1e-8
-                assert abs(basis_value(n, i, -s)) < 1e-8
+                assert np.all(np.abs(basis_value(n, i, [s, -s])) < 1e-8)
 
     def test_rejects_negative_orders(self):
         with pytest.raises(ValueError):
-            basis_value(-1, 0, 0.0)
+            SmoothBasis(0)
         with pytest.raises(ValueError):
-            basis_value(0, -1, 0.0)
+            SmoothBasis(1).value_matrix(-1, 0.0)
+        with pytest.raises(ValueError):
+            gaussian(-1, 0.0)
 
 
 class TestSmoothBasis:
     def test_value_matrix_matches_scalar_path(self):
+        # a batch of points gives the columns of one point at a time
         basis = SmoothBasis(8)
         s = np.array([-1.3, 0.0, 0.7, 2.2])
         for order in (0, 1, 2):
             mat = basis.value_matrix(order, s)
-            for n in range(8):
-                np.testing.assert_allclose(mat[n], basis_value(n, order, s), atol=1e-13)
+            for j, point in enumerate(s):
+                np.testing.assert_allclose(
+                    mat[:, j], basis.value_matrix(order, point)[:, 0], atol=1e-13
+                )
 
     @pytest.mark.parametrize("n", [16, 128, 256])
     def test_orthonormal_by_quadrature(self, n):
@@ -129,8 +137,8 @@ class TestMultiplierMatrix:
         for p, q in ((0, 0), (1, 1), (2, 4), (3, 3), (0, 6)):
             expected, _ = quad(
                 lambda s, p=p, q=q: math.exp(-0.5 * s * s)
-                * basis_value(p, 0, s)
-                * basis_value(q, 0, s),
+                * basis_value(p, 0, s)[0]
+                * basis_value(q, 0, s)[0],
                 -12,
                 12,
             )

@@ -17,7 +17,6 @@ from thirdkind import (
     build_space,
     inner_product,
     lift,
-    lift_set,
     rademacher,
 )
 
@@ -33,7 +32,7 @@ class TestBuildSpace:
         space = build_space(3)
         assert space.cell_count == 8
         assert space.cell_width == 0.125
-        assert space.cell_count * space.cell_width == space.total_measure
+        assert space.cell_count * space.cell_width == 1.0
 
     @pytest.mark.parametrize("depth", [0, -1, 25])
     def test_depth_out_of_range(self, depth):
@@ -263,7 +262,7 @@ class TestLifting:
     def test_lift_set_children(self):
         space = build_space(2)
         E = MeasurableSet(space, [1, 3])
-        fine = lift_set(E, build_space(3))
+        fine = lift(E, build_space(3))
         assert fine.cell_indices.tolist() == [2, 3, 6, 7]
         assert fine.measure == E.measure
 
@@ -271,3 +270,5 @@ class TestLifting:
         f = GridFunction.constant(build_space(4), 1.0)
         with pytest.raises(SpaceMismatchError):
             lift(f, build_space(3))
+        with pytest.raises(SpaceMismatchError):
+            lift(MeasurableSet(build_space(4), [0]), build_space(3))

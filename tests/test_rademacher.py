@@ -142,6 +142,39 @@ class TestSelectIndex:
             select_index(K, full_interval(space), n=100, depth_max=2)
         assert err.value.achieved == pytest.approx(2.0, rel=1e-12)
 
+    def test_selection_carries_the_accepted_function_and_norms(self):
+        space = build_space(8)
+        c = space.centers()
+        K = GridKernel(space, np.exp(np.outer(c, c)))
+        sel = select_index(K, MeasurableSet(space, np.arange(8, 40)), n=3)
+        np.testing.assert_array_equal(sel.function.values, rademacher(sel.band, sel.k).values)
+        assert sel.norm_kernel == sel.kernel.apply(sel.function).norm()
+        assert sel.norm_kernel_adjoint == sel.kernel.apply_adjoint(sel.function).norm()
+        assert sel.achieved == sel.norm_kernel + sel.norm_kernel_adjoint
+
+    @pytest.mark.parametrize("kernel", ["spike", "aligned"])
+    def test_overflowing_image_stops_without_refining(self, monkeypatch, kernel):
+        # levels 1-3 fit the 8-cell band at depth 6, so a search that went on
+        # would refine for level 4; an overflowed norm stops it at level 1.
+        # spike: the image 1e300 R_k w is finite but its norm overflows;
+        # aligned: the rows match R_1's signs, so the image itself is inf
+        space = build_space(6)
+        E = MeasurableSet(space, np.arange(8))
+        if kernel == "spike":
+            entries = 1e300 * np.eye(64)
+        else:
+            entries = np.zeros((64, 64))
+            entries[:, :4], entries[:, 4:8] = 1e308, -1e308
+
+        def no_refinement(self):
+            raise AssertionError("the level search refined the grid")
+
+        monkeypatch.setattr(GridKernel, "refined", no_refinement)
+        with pytest.raises(ToleranceUnreachableError) as err:
+            select_index(GridKernel(space, entries), E, n=1, depth_max=12)
+        assert err.value.achieved == math.inf
+        assert str(err.value) == "the kernel image overflows at depth 6 (level 1)"
+
 
 class TestBuildSequence:
     def test_linear_coefficient_band_norms(self):
