@@ -14,7 +14,8 @@ SVD factors of A: the series values at probe points come from those factors
 in O(n^2) per point, and the explicit n x n matrices W, V are formed only
 when asked for (the verification battery's reconstruction and series checks).
 Probe diagnostics read the basis values at their points from a `ProbeGrid`,
-which builds them once with the points they belong to.
+which builds them once with the points they belong to; the finite-difference
+check reads its derivative values from a `ValueTable`, one per order.
 """
 
 from __future__ import annotations
@@ -65,29 +66,64 @@ def _pair_eval(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nd
     return left.T @ matrix @ np.conj(right)
 
 
-def eval_kernel(kernel: BilinearKernel, i: int, j: int, s, t):
+@dataclass(frozen=True, eq=False)
+class ValueTable:
+    """The basis values u_n^(order)(s) for order <= max_order at a fixed set
+    of points, one `SmoothBasis.value_matrix` per order over all of them.
+
+    `value_matrix(order, s)` gives what the basis's own does, read as
+    columns of the table; every point of s must be one of the table's.
+    """
+
+    basis: SmoothBasis
+    points: np.ndarray
+    max_order: int
+    tables: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pts = np.unique(np.asarray(self.points, dtype=np.float64))
+        object.__setattr__(self, "points", pts)
+        tables = tuple(self.basis.value_matrix(k, pts) for k in range(self.max_order + 1))
+        object.__setattr__(self, "tables", tables)
+
+    def value_matrix(self, order: int, s) -> np.ndarray:
+        if not 0 <= order <= self.max_order:
+            raise ValueError(f"the table holds derivative orders 0 to {self.max_order}")
+        pts = np.atleast_1d(np.asarray(s, dtype=np.float64))
+        idx = np.minimum(np.searchsorted(self.points, pts), self.points.size - 1)
+        if not np.array_equal(self.points[idx], pts):
+            raise ValueError("a point is not in the table")
+        return self.tables[order][:, idx]
+
+
+def eval_kernel(
+    kernel: BilinearKernel, i: int, j: int, s, t, table: ValueTable | None = None
+):
     """Partial derivative d^{i+j} T / ds^i dt^j at (s, t); scalars or 1-d arrays.
 
     Gaussian-scaled kernels use the Leibniz expansion
     sum_{r<=i} C(i, r) m^(i-r)(s) d^{r+j} T, with the plain kernel's exact
     derivatives inside; the order-0 case is the exact pointwise m(s) T(s, t).
+    With `table` the basis values are read from it instead of built here.
     """
     if i < 0 or j < 0:
         raise ValueError("derivative orders must be >= 0")
     scalar = np.ndim(s) == 0 and np.ndim(t) == 0
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    basis = kernel.basis
-    right = basis.value_matrix(j, t_arr)
+    if table is None:
+        values = kernel.basis.value_matrix
+    else:
+        _check_grid(kernel.basis, table)
+        values = table.value_matrix
+    right = values(j, t_arr)
     if kernel.multiplied_matrix is None:
-        out = _pair_eval(kernel.matrix, basis.value_matrix(i, s_arr), right)
+        out = _pair_eval(kernel.matrix, values(i, s_arr), right)
     else:
         out = np.zeros((s_arr.size, t_arr.size), dtype=complex)
         for r in range(i + 1):
             weight = comb(i, r) * gaussian(i - r, s_arr)
-            out += weight[:, None] * _pair_eval(
-                kernel.matrix, basis.value_matrix(r, s_arr), right
-            )
+            out += weight[:, None] * _pair_eval(kernel.matrix, values(r, s_arr), right)
     return complex(out[0, 0]) if scalar else out
 
 
@@ -140,7 +176,7 @@ class ProbeGrid:
         object.__setattr__(self, "values", self.basis.value_matrix(0, pts))
 
 
-def _check_grid(basis: SmoothBasis, *grids: ProbeGrid) -> None:
+def _check_grid(basis: SmoothBasis, *grids: ProbeGrid | ValueTable) -> None:
     for grid in grids:
         if grid.basis != basis:
             raise ValueError(f"probe grid is over {grid.basis}, expected {basis}")
@@ -207,11 +243,11 @@ class MFactorization:
 
     def polar_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Explicit (W, V) = (U_pol P, P) with P = |A|^(1/2), formed on each
-        call (three n x n products) and not kept here."""
-        p = (self.vh.conj().T * np.sqrt(self.sigma)) @ self.vh
+        call (two n x n products) and not kept here."""
+        root = np.sqrt(self.sigma)
+        p = (self.vh.conj().T * root) @ self.vh
         r = self.rank
-        u_pol = self.u[:, :r] @ self.vh[:r, :]
-        return u_pol @ p, p
+        return (self.u[:, :r] * root[:r]) @ self.vh[:r], p
 
 
 def m_factorize(matrix: np.ndarray) -> MFactorization:
@@ -339,6 +375,20 @@ def absolute_tail_sup(
     return float(np.max(sums)) if sums.size else 0.0
 
 
+def _shifted(points: np.ndarray, step: float) -> np.ndarray:
+    """The four shifted grids +h, -h, +h/2, -h/2 of `points`, one after the
+    other."""
+    shifts = np.array([step, -step, step / 2, -step / 2])[:, None]
+    return (points + shifts).ravel()
+
+
+def finite_difference_points(points, step: float) -> np.ndarray:
+    """Every point `finite_difference_defect` evaluates at along one axis:
+    `points` and their four shifted grids."""
+    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    return np.concatenate([points, _shifted(points, step)])
+
+
 def finite_difference_defect(
     kernel: BilinearKernel,
     i: int,
@@ -346,6 +396,7 @@ def finite_difference_defect(
     s_points: np.ndarray,
     t_points: np.ndarray,
     step: float = 1e-4,
+    table: ValueTable | None = None,
 ) -> float:
     """Max gap between the (i, j) derivative and a Richardson-extrapolated
     central difference.
@@ -355,20 +406,21 @@ def finite_difference_defect(
     one. With D(h) the central difference at step h, the estimate
     D(h/2) + (D(h/2) - D(h)) / 3 cancels the h^2 truncation term, leaving
     O(h^4), so the oracle's own error stays far below the ladder's.
+    With `table` the basis values are read from it; it must hold the
+    `finite_difference_points` of both axes up to order max(i, j).
     """
     if i == 0 and j == 0:
         raise ValueError("nothing to difference at order (0, 0)")
     s_points = np.atleast_1d(np.asarray(s_points, dtype=np.float64))
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.float64))
-    exact = eval_kernel(kernel, i, j, s_points, t_points)
-    # the four shifted grids in one evaluation: +h, -h, +h/2, -h/2
-    shifts = np.array([step, -step, step / 2, -step / 2])[:, None]
+    exact = eval_kernel(kernel, i, j, s_points, t_points, table)
+    # the four shifted grids in one evaluation
     ns, nt = s_points.size, t_points.size
     if i > 0:
-        grid = eval_kernel(kernel, i - 1, j, (s_points + shifts).ravel(), t_points)
+        grid = eval_kernel(kernel, i - 1, j, _shifted(s_points, step), t_points, table)
         hi, lo, hi2, lo2 = grid.reshape(4, ns, nt)
     else:
-        grid = eval_kernel(kernel, i, j - 1, s_points, (t_points + shifts).ravel())
+        grid = eval_kernel(kernel, i, j - 1, s_points, _shifted(t_points, step), table)
         hi, lo, hi2, lo2 = grid.reshape(ns, 4, nt).transpose(1, 0, 2)
     coarse = (hi - lo) / (2 * step)
     fine = (hi2 - lo2) / step

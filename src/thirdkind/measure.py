@@ -233,6 +233,10 @@ class MultiplicationOperator:
         _require_same_space(self.space, f.space)
         return GridFunction(self.space, self.symbol.values * f.values)
 
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The operator applied to each row of a (k, cell count) array."""
+        return rows * self.symbol.values
+
     def adjoint(self) -> "MultiplicationOperator":
         return MultiplicationOperator(
             GridFunction(self.space, np.conj(self.symbol.values))
@@ -251,6 +255,14 @@ class IntegralOperator:
         if self.conjugate_transpose:
             return self.kernel.apply_adjoint(f)
         return self.kernel.apply(f)
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The operator applied to each row of a (k, cell count) array, as
+        `apply` does to one function but in one matrix product."""
+        entries, w = self.kernel.entries, self.space.cell_width
+        if self.conjugate_transpose:
+            return np.conj(_matvec(entries.T, np.conj(rows.T))).T * w
+        return _matvec(entries, rows.T).T * w
 
     def adjoint(self) -> "IntegralOperator":
         return IntegralOperator(self.kernel, not self.conjugate_transpose)

@@ -18,8 +18,10 @@ from .config import RunConfig, make_coefficient, make_kernel
 from .errors import ConfigError
 from .kernels import (
     BilinearKernel,
+    ValueTable,
     adjoint_column_quarter_maxima,
     finite_difference_defect,
+    finite_difference_points,
     probe_grid,
     series_consistency,
     vanishing_at_radius,
@@ -95,7 +97,7 @@ def run_reduction(config: RunConfig) -> ReductionRun:
             seq, surrogate, probe_grid(config.probe_bound, config.probe_points)
         )
         reports = [
-            verify_equivalence(reduction, lam, phi, config.cutoff)
+            verify_equivalence(reduction, lam, phi, config.cutoff)[0]
             for lam in config.lambdas
         ]
         return ReductionRun(reduction=reduction, phi=phi, reports=reports)
@@ -132,21 +134,48 @@ class VerificationResult:
 
 def kernel_derivative_fd_defect(kernel: BilinearKernel) -> float:
     """Worst finite-difference defect of the kernel's (i, j) derivatives,
-    0 < i + j <= 3, on a 5 x 5 grid of [-2.5, 2.5]^2."""
+    0 < i + j <= 3, on a 5 x 5 grid of [-2.5, 2.5]^2. The basis values come
+    from one table per derivative order over every point the differences
+    take."""
     fd_points = np.linspace(-2.5, 2.5, 5)
+    # higher orders carry larger magnitudes; shrink the step to keep the
+    # truncation term comparable across orders
+    steps = {1: 1e-4, 2: 1e-5, 3: 1e-5}
+    table = ValueTable(
+        kernel.basis,
+        np.concatenate([finite_difference_points(fd_points, h) for h in set(steps.values())]),
+        max(steps),
+    )
     fd_defect = 0.0
     for i in range(4):
         for j in range(4 - i):
             if i == j == 0:
                 continue
-            # higher orders carry larger magnitudes; shrink the step to keep
-            # the truncation term comparable across orders
-            step = 1e-4 if i + j == 1 else 1e-5
             fd_defect = max(
                 fd_defect,
-                finite_difference_defect(kernel, i, j, fd_points, fd_points, step=step),
+                finite_difference_defect(
+                    kernel, i, j, fd_points, fd_points, steps[i + j], table
+                ),
             )
     return fd_defect
+
+
+def factorization_defects(
+    kernel: BilinearKernel, w: np.ndarray, v: np.ndarray
+) -> tuple[float, float]:
+    """How well the explicit factors W, V of the kernel's coefficient matrix
+    A reproduce it: the relative Frobenius norm of W V* - A, and the worst
+    gap between the direct and the factorized series at three points."""
+    residual = w @ v.conj().T
+    residual -= kernel.coefficient_matrix
+    recon = float(np.linalg.norm(residual, "fro"))
+    del residual
+    scale = float(np.linalg.norm(kernel.coefficient_matrix, "fro"))
+    series_defect = 0.0
+    for s, t in ((0.3, -0.7), (-1.1, 0.4), (0.0, 0.0)):
+        chk = series_consistency(kernel, w, v, 0, 0, s, t)
+        series_defect = max(series_defect, abs(chk.direct - chk.via_factorization))
+    return (recon / scale if scale else recon), series_defect
 
 
 def run_verification(config: RunConfig) -> VerificationResult:
@@ -216,19 +245,32 @@ def run_verification(config: RunConfig) -> VerificationResult:
             GridFunction(space, seq.coefficient.values - pencil.alpha)
         )
         integ = IntegralOperator(seq.kernel)
+        # the dense rows of the surrogate serve both checks; neither they nor
+        # a matrix is kept into the per-lambda reports, where peak memory is set
+        b_rows = surrogate.b_matrix
         for name, op, direct in (("multiplication", mult, pencil.a0), ("integral", integ, pencil.a)):
-            adj = matrix_elements(op.adjoint(), surrogate.b_functions)
+            adj = matrix_elements(op.adjoint(), b_rows)
             add(
                 f"adjoint_consistency_{name}",
                 float(np.max(np.abs(adj - direct.conj().T))),
                 tol["adjoint_defect"],
             )
-            del adj  # not kept into the per-lambda loop, where peak memory is set
+            del adj
+        del b_rows
 
-        # manufactured problems per lambda
-        reports = [
-            verify_equivalence(reduction, lam, phi, config.cutoff)
-            for lam in config.lambdas
+        # manufactured problems per lambda. Report 0's factorization of D at
+        # the first lambda also gives the explicit W, V, the independent
+        # oracle of the reconstruction and series checks listed below; it is
+        # dropped before the next report, and the SVD is not kept
+        lam0 = config.lambdas[0]
+        report, fact = verify_equivalence(reduction, lam0, phi, config.cutoff)
+        w, v = fact.polar_factors()
+        del fact
+        recon, series_defect = factorization_defects(pencil.pencil_kernel(lam0), w, v)
+        del w, v
+        reports = [report] + [
+            verify_equivalence(reduction, lam, phi, config.cutoff)[0]
+            for lam in config.lambdas[1:]
         ]
         for idx, report in enumerate(reports):
             add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])
@@ -244,7 +286,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
         add("pencil_lambda_affinity", float(affinity), 0.0)
 
         # kernel calculus on the pencil kernel at the first lambda
-        pk = pencil.pencil_kernel(config.lambdas[0])
+        pk = pencil.pencil_kernel(lam0)
         add(
             "kernel_derivative_fd_defect",
             kernel_derivative_fd_defect(pk),
@@ -257,23 +299,8 @@ def run_verification(config: RunConfig) -> VerificationResult:
             vanishing_at_radius(pk, radius, probe_grid(config.probe_bound, 9)),
             tol["vanishing_tail"],
         )
-
-        # the explicit W, V are the independent oracle; the SVD is not kept.
-        # D is factored in place while no other copy of it is alive, and
-        # formed again for the residual, which is taken in place
         del pk
-        w, v = pencil.factorize(config.lambdas[0]).polar_factors()
-        pk = pencil.pencil_kernel(config.lambdas[0])
-        residual = w @ v.conj().T
-        residual -= pk.coefficient_matrix
-        recon = float(np.linalg.norm(residual, "fro"))
-        del residual
-        scale = float(np.linalg.norm(pk.coefficient_matrix, "fro"))
-        add("factorization_reconstruction", recon / scale if scale else recon, 1e-10)
-        series_defect = 0.0
-        for s, t in ((0.3, -0.7), (-1.1, 0.4), (0.0, 0.0)):
-            chk = series_consistency(pk, w, v, 0, 0, s, t)
-            series_defect = max(series_defect, abs(chk.direct - chk.via_factorization))
+        add("factorization_reconstruction", recon, 1e-10)
         add("series_consistency", series_defect, 1e-10)
 
         # first-kind section

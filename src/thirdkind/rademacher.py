@@ -24,7 +24,6 @@ from .measure import (
     MeasurableSet,
     MeasureSpace,
     band_set,
-    inner_product,
     lift,
 )
 
@@ -136,11 +135,9 @@ class KorotkovSequence:
         return len(self.functions)
 
     def gram_matrix(self) -> np.ndarray:
-        g = np.empty((len(self), len(self)), dtype=complex)
-        for i, f in enumerate(self.functions):
-            for j, h in enumerate(self.functions):
-                g[i, j] = inner_product(f, h)
-        return g
+        """g_ij = <e_i, e_j>, as w F F^h over the stacked values F."""
+        f = np.array([e.values for e in self.functions])
+        return self.space.cell_width * (f @ f.conj().T)
 
     def to_report(self) -> dict:
         """Per-band summary in serializable form."""

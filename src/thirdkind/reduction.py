@@ -121,20 +121,20 @@ def _complete(
     )
 
 
-def matrix_elements(op, b_basis: Sequence[GridFunction]) -> CoefficientMatrix:
+def matrix_elements(op, b_rows: np.ndarray) -> CoefficientMatrix:
     """Coefficient matrix a_mn = <S b_n, b_m> of an operator on the grid.
 
-    `op` must expose apply(GridFunction) -> GridFunction over the basis's
-    space. The adjoint operator's matrix is the conjugate transpose. This is
-    the generic path, one operator application per basis function; see
-    `pencil_matrices` for the two operators of the reduction.
+    `b_rows` holds the basis functions b_n as the rows of a (size, cell
+    count) array, such as `UnitarySurrogate.b_matrix`, and `op` has a `space`
+    and apply_rows(rows) -> rows over it. The adjoint operator's matrix is
+    the conjugate transpose. This is the generic dense path, the operator
+    applied to all rows in one product; see `pencil_matrices` for the two
+    operators of the reduction.
     """
-    space = b_basis[0].space
-    if getattr(op, "space", space) != space:
+    space = op.space
+    if b_rows.ndim != 2 or b_rows.shape[1] != space.cell_count:
         raise SpaceMismatchError("operator and basis live on different grids")
-    stacked = np.array([b.values for b in b_basis])
-    applied = np.array([op.apply(b).values for b in b_basis])
-    return space.cell_width * (stacked.conj() @ applied.T)
+    return space.cell_width * (b_rows.conj() @ op.apply_rows(b_rows).T)
 
 
 def pencil_matrices(

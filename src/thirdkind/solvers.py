@@ -192,7 +192,9 @@ class FirstKindSolution:
     kept: int
 
 
-def solve_first_kind(system: np.ndarray, w: np.ndarray, cutoff: float) -> FirstKindSolution:
+def solve_first_kind(
+    system: np.ndarray, w: np.ndarray, cutoff: float, *, overwrite_system: bool = False
+) -> FirstKindSolution:
     """Truncated-spectral pseudoinverse solve of system c = w.
 
     `system` is the first-kind matrix M (A0 - lambda A), for instance
@@ -201,10 +203,17 @@ def solve_first_kind(system: np.ndarray, w: np.ndarray, cutoff: float) -> FirstK
     below cutoff * sigma_max are discarded; `discarded_energy` is the
     fraction of ||w||^2 lost to the discarded left singular directions.
     Raises DegenerateSystemError when nothing survives the cutoff.
+    `system` is copied and left as it is, unless `overwrite_system` is set
+    and it is a writeable complex Fortran-order array: the SVD then
+    overwrites it, and no copy is made.
     """
     if not 0 < cutoff < 1:
         raise ValueError("cutoff must lie in (0, 1)")
-    u, sigma, vh = gesdd(np.array(system, dtype=complex, order="F"), vectors=True)
+    a = np.asarray(system)
+    in_place = a.dtype == np.complex128 and a.flags.f_contiguous and a.flags.writeable
+    if not (overwrite_system and in_place):
+        a = np.array(system, dtype=complex, order="F")
+    u, sigma, vh = gesdd(a, vectors=True)
     if sigma.size == 0 or sigma[0] <= 0:
         raise DegenerateSystemError("system matrix is zero")
     keep = sigma >= cutoff * sigma[0]
@@ -265,8 +274,12 @@ def _relative(value: float, scale: float) -> float:
 
 def verify_equivalence(
     run: Reduction, lam: complex, phi: GridFunction, cutoff: float = 1e-10
-) -> EquivalenceReport:
+) -> tuple[EquivalenceReport, MFactorization]:
     """Manufacture psi from phi and measure every testable identity.
+
+    Returns the report together with the factorization of D = A0 - lambda A
+    that it takes its tail and condition from; a caller that needs no more
+    of D drops it at once.
 
     psi is the forward model of the sequence's H and K at lambda; the pencil,
     the probe grid and, with alpha = 0, the multiplier matrix are those of
@@ -284,8 +297,9 @@ def verify_equivalence(
     alone, taken after D is dropped. Everything read from D itself comes
     first; D is then formed again in Fortran order and factored in place, so
     that no other n x n copy of it is alive during that SVD.
-    With alpha = 0, D is dropped before the first-kind solve, so that M D is
-    that solve's only n x n input.
+    With alpha = 0, D is dropped before the first-kind solve, and M D is
+    read first in C order, then moved to Fortran order and factored in
+    place, so that the solve's SVD input is its only copy.
     """
     seq, U, pencil = run.sequence, run.surrogate, run.pencil
     probes, m_matrix = run.probes, run.m_matrix
@@ -318,9 +332,10 @@ def verify_equivalence(
         slack = max(0.0, hs_gamma - bound)
         gap = coefficient_form_gap(gamma_pencil, probes, probes)
         first_q, last_q = adjoint_column_quarter_maxima(fk_system)
-        del gamma_pencil, pk, d  # M D is the only n x n input of the solve's SVD
+        del gamma_pencil, pk, d
+        fk_system = np.asfortranarray(fk_system)  # the solve's only copy of M D
         try:
-            sol = solve_first_kind(fk_system, w, cutoff)
+            sol = solve_first_kind(fk_system, w, cutoff, overwrite_system=True)
             discarded = sol.discarded_energy
             truncated = pencil.size - sol.kept
             recovery = _relative(
@@ -364,4 +379,4 @@ def verify_equivalence(
         discarded_energy=discarded,
         projected=U.projected,
         first_kind=first_kind,
-    )
+    ), fact

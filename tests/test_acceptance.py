@@ -166,7 +166,7 @@ def test_c4_equivalence_battery(tmp_path):
             _, _, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
             lam = inst["lambda"]
-            report = verify_equivalence(Reduction(seq, U, probe_grid()), lam, phi)
+            report, _ = verify_equivalence(Reduction(seq, U, probe_grid()), lam, phi)
             assert report.passage_residual <= 1e-9, f"trial {trial}"
             assert report.round_trip_error <= 1e-10, f"trial {trial}"
 

@@ -239,6 +239,22 @@ class TestOperators:
         )
 
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_apply_rows_is_apply_on_each_row(self, kind):
+        space = build_space(4)
+        rng = np.random.default_rng(41)
+        entries = rng.standard_normal((16, 16))
+        if kind == "complex":
+            entries = entries + 1j * rng.standard_normal((16, 16))
+        rows = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        symbol = GridFunction(space, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        integral = IntegralOperator(GridKernel(space, entries))
+        mult = MultiplicationOperator(symbol)
+        for op in (integral, integral.adjoint(), mult, mult.adjoint()):
+            one_by_one = [op.apply(GridFunction(space, r)).values for r in rows]
+            np.testing.assert_allclose(op.apply_rows(rows), one_by_one, rtol=0, atol=1e-13)
+
+
 class TestLifting:
     def test_lift_preserves_norms(self):
         space = build_space(3)

@@ -216,6 +216,8 @@ class TestBuildSequence:
         seq = build_sequence(H, K, 0.25, count=3, eps0=0.25, ratio=0.5, depth_max=12)
         gram = seq.gram_matrix()
         assert np.max(np.abs(gram - np.eye(len(seq)))) <= 1e-12
+        pairwise = [[inner_product(f, h) for h in seq.functions] for f in seq.functions]
+        np.testing.assert_allclose(gram, pairwise, rtol=0, atol=1e-15)
 
     def test_kernel_decay_bound(self):
         space = build_space(8)

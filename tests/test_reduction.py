@@ -34,6 +34,12 @@ def gram(functions):
     return g
 
 
+def rows(functions):
+    """The functions' values as the rows of one array, as matrix_elements
+    takes a basis."""
+    return np.array([f.values for f in functions])
+
+
 def exp_kernel(space):
     c = space.centers()
     return GridKernel(space, np.exp(np.outer(c, c)))
@@ -209,8 +215,8 @@ class TestMatrixElements:
         K = GridKernel(space, np.zeros((16, 16)))
         U = UnitarySurrogate.from_sequence(family(space), "full")
         shifted = GridFunction(space, H.values - alpha)
-        a0 = matrix_elements(MultiplicationOperator(shifted), U.b_functions)
-        a = matrix_elements(IntegralOperator(K), U.b_functions)
+        a0 = matrix_elements(MultiplicationOperator(shifted), U.b_matrix)
+        a = matrix_elements(IntegralOperator(K), U.b_matrix)
         assert np.max(np.abs(a0)) == 0.0
         assert np.max(np.abs(a)) == 0.0
         rng = np.random.default_rng(63)
@@ -224,7 +230,7 @@ class TestMatrixElements:
 
     def test_identity_operator(self):
         space = build_space(2)
-        basis = complete_basis([], space)
+        basis = rows(complete_basis([], space))
         ident = MultiplicationOperator(GridFunction.constant(space, 1.0))
         a = matrix_elements(ident, basis)
         np.testing.assert_allclose(a, np.eye(4), atol=1e-14)
@@ -232,7 +238,7 @@ class TestMatrixElements:
     def test_multiplication_by_linear_on_indicators(self):
         # cell centers 0.25 and 0.75 appear on the diagonal
         space = build_space(1)
-        basis = complete_basis([], space)
+        basis = rows(complete_basis([], space))
         op = MultiplicationOperator(GridFunction.sample(space, lambda y: y))
         a = matrix_elements(op, basis)
         np.testing.assert_allclose(a, np.diag([0.25, 0.75]), atol=1e-14)
@@ -240,7 +246,7 @@ class TestMatrixElements:
     def test_constant_kernel_on_indicators(self):
         # (K f)(x) = integral of f, so every entry is 0.5 at depth 1
         space = build_space(1)
-        basis = complete_basis([], space)
+        basis = rows(complete_basis([], space))
         op = IntegralOperator(GridKernel(space, np.ones((2, 2))))
         a = matrix_elements(op, basis)
         np.testing.assert_allclose(a, np.full((2, 2), 0.5), atol=1e-14)
@@ -249,7 +255,7 @@ class TestMatrixElements:
         space = build_space(4)
         rng = np.random.default_rng(12)
         n = space.cell_count
-        basis = complete_basis([], space)
+        basis = rows(complete_basis([], space))
         K = GridKernel(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         op = IntegralOperator(K)
         a = matrix_elements(op, basis)
@@ -258,20 +264,20 @@ class TestMatrixElements:
 
     def test_hermitian_for_real_shifted_multiplication(self):
         seq = three_band_sequence(6)
-        basis = complete_basis(seq.functions, seq.space)
+        basis = rows(complete_basis(seq.functions, seq.space))
         shifted = GridFunction(seq.space, seq.coefficient.values - 0.25)
         a = matrix_elements(MultiplicationOperator(shifted), basis)
         assert np.max(np.abs(a - a.conj().T)) <= 1e-12
 
     def test_space_mismatch(self):
-        basis = complete_basis([], build_space(2))
+        basis = rows(complete_basis([], build_space(2)))
         op = MultiplicationOperator(GridFunction.constant(build_space(3), 1.0))
         with pytest.raises(SpaceMismatchError):
             matrix_elements(op, basis)
 
 
 def generic_pencil(U, symbol, kernel):
-    b = U.b_functions
+    b = U.b_matrix
     return (
         matrix_elements(MultiplicationOperator(symbol), b),
         matrix_elements(IntegralOperator(kernel), b),
