@@ -15,7 +15,7 @@ in O(n^2) per point, and the explicit n x n matrices W, V are formed only
 when asked for (the verification battery's reconstruction and series checks).
 Probe diagnostics read the basis values at their points from a `ProbeGrid`,
 which builds them once with the points they belong to; the finite-difference
-check reads its derivative values from a `ValueTable`, one per order.
+check over all orders builds one table of basis values per derivative order.
 """
 
 from __future__ import annotations
@@ -66,65 +66,34 @@ def _pair_eval(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nd
     return left.T @ matrix @ np.conj(right)
 
 
-@dataclass(frozen=True, eq=False)
-class ValueTable:
-    """The basis values u_n^(order)(s) for order <= max_order at a fixed set
-    of points, one `SmoothBasis.value_matrix` per order over all of them.
-
-    `value_matrix(order, s)` gives what the basis's own does, read as
-    columns of the table; every point of s must be one of the table's.
-    """
-
-    basis: SmoothBasis
-    points: np.ndarray
-    max_order: int
-    tables: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        pts = np.unique(np.asarray(self.points, dtype=np.float64))
-        object.__setattr__(self, "points", pts)
-        tables = tuple(self.basis.value_matrix(k, pts) for k in range(self.max_order + 1))
-        object.__setattr__(self, "tables", tables)
-
-    def value_matrix(self, order: int, s) -> np.ndarray:
-        if not 0 <= order <= self.max_order:
-            raise ValueError(f"the table holds derivative orders 0 to {self.max_order}")
-        pts = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        idx = np.minimum(np.searchsorted(self.points, pts), self.points.size - 1)
-        if not np.array_equal(self.points[idx], pts):
-            raise ValueError("a point is not in the table")
-        return self.tables[order][:, idx]
-
-
-def eval_kernel(
-    kernel: BilinearKernel, i: int, j: int, s, t, table: ValueTable | None = None
-):
+def eval_kernel(kernel: BilinearKernel, i: int, j: int, s, t):
     """Partial derivative d^{i+j} T / ds^i dt^j at (s, t); scalars or 1-d arrays.
 
     Gaussian-scaled kernels use the Leibniz expansion
     sum_{r<=i} C(i, r) m^(i-r)(s) d^{r+j} T, with the plain kernel's exact
     derivatives inside; the order-0 case is the exact pointwise m(s) T(s, t).
-    With `table` the basis values are read from it instead of built here.
     """
     if i < 0 or j < 0:
         raise ValueError("derivative orders must be >= 0")
     scalar = np.ndim(s) == 0 and np.ndim(t) == 0
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if table is None:
-        values = kernel.basis.value_matrix
-    else:
-        _check_grid(kernel.basis, table)
-        values = table.value_matrix
-    right = values(j, t_arr)
-    if kernel.multiplied_matrix is None:
-        out = _pair_eval(kernel.matrix, values(i, s_arr), right)
-    else:
-        out = np.zeros((s_arr.size, t_arr.size), dtype=complex)
-        for r in range(i + 1):
-            weight = comb(i, r) * gaussian(i - r, s_arr)
-            out += weight[:, None] * _pair_eval(kernel.matrix, values(r, s_arr), right)
+    basis = kernel.basis
+    right = basis.value_matrix(j, t_arr)
+    out = _eval_from_values(kernel, i, s_arr, lambda r: basis.value_matrix(r, s_arr), right)
     return complex(out[0, 0]) if scalar else out
+
+
+def _eval_from_values(kernel: BilinearKernel, i: int, s: np.ndarray, left, right: np.ndarray):
+    """`eval_kernel` at the points s from basis values: left(r) gives the
+    order-r values at s, and `right` the values of the t side's order."""
+    if kernel.multiplied_matrix is None:
+        return _pair_eval(kernel.matrix, left(i), right)
+    out = np.zeros((s.size, right.shape[1]), dtype=complex)
+    for r in range(i + 1):
+        weight = comb(i, r) * gaussian(i - r, s)
+        out += weight[:, None] * _pair_eval(kernel.matrix, left(r), right)
+    return out
 
 
 def carleman(kernel: BilinearKernel, side: str, order: int, x: float) -> np.ndarray:
@@ -176,7 +145,7 @@ class ProbeGrid:
         object.__setattr__(self, "values", self.basis.value_matrix(0, pts))
 
 
-def _check_grid(basis: SmoothBasis, *grids: ProbeGrid | ValueTable) -> None:
+def _check_grid(basis: SmoothBasis, *grids: ProbeGrid) -> None:
     for grid in grids:
         if grid.basis != basis:
             raise ValueError(f"probe grid is over {grid.basis}, expected {basis}")
@@ -382,13 +351,6 @@ def _shifted(points: np.ndarray, step: float) -> np.ndarray:
     return (points + shifts).ravel()
 
 
-def finite_difference_points(points, step: float) -> np.ndarray:
-    """Every point `finite_difference_defect` evaluates at along one axis:
-    `points` and their four shifted grids."""
-    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    return np.concatenate([points, _shifted(points, step)])
-
-
 def finite_difference_defect(
     kernel: BilinearKernel,
     i: int,
@@ -396,7 +358,6 @@ def finite_difference_defect(
     s_points: np.ndarray,
     t_points: np.ndarray,
     step: float = 1e-4,
-    table: ValueTable | None = None,
 ) -> float:
     """Max gap between the (i, j) derivative and a Richardson-extrapolated
     central difference.
@@ -406,21 +367,66 @@ def finite_difference_defect(
     one. With D(h) the central difference at step h, the estimate
     D(h/2) + (D(h/2) - D(h)) / 3 cancels the h^2 truncation term, leaving
     O(h^4), so the oracle's own error stays far below the ladder's.
-    With `table` the basis values are read from it; it must hold the
-    `finite_difference_points` of both axes up to order max(i, j).
     """
-    if i == 0 and j == 0:
-        raise ValueError("nothing to difference at order (0, 0)")
     s_points = np.atleast_1d(np.asarray(s_points, dtype=np.float64))
     t_points = np.atleast_1d(np.asarray(t_points, dtype=np.float64))
-    exact = eval_kernel(kernel, i, j, s_points, t_points, table)
+    s_grids = (s_points, _shifted(s_points, step))
+    t_grids = (t_points, _shifted(t_points, step))
+    basis = kernel.basis
+    return _fd_defect(
+        kernel, i, j, s_points, t_points, step,
+        lambda order, shifted: basis.value_matrix(order, s_grids[shifted]),
+        lambda order, shifted: basis.value_matrix(order, t_grids[shifted]),
+    )
+
+
+def finite_difference_defect_all_orders(
+    kernel: BilinearKernel, points: np.ndarray, steps: dict[int, float]
+) -> float:
+    """Worst `finite_difference_defect` over every (i, j) with
+    0 < i + j <= max(steps), on the grid points x points, with step
+    steps[i + j]. The basis values come from one table per derivative order
+    over `points` and their shifted grids at every step."""
+    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    n, top = points.size, max(steps)
+    distinct = sorted(set(steps.values()))
+    # columns: points, then the four shifted grids at each distinct step
+    union = np.concatenate([points] + [_shifted(points, h) for h in distinct])
+    tables = [kernel.basis.value_matrix(k, union) for k in range(top + 1)]
+
+    def values_at(step):
+        first = n + 4 * n * distinct.index(step)
+        cols = (slice(0, n), slice(first, first + 4 * n))
+        return lambda order, shifted: tables[order][:, cols[shifted]]
+
+    worst = 0.0
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            if i or j:
+                step = steps[i + j]
+                values = values_at(step)
+                worst = max(worst, _fd_defect(kernel, i, j, points, points, step, values, values))
+    return worst
+
+
+def _fd_defect(kernel, i, j, s, t, step, s_values, t_values) -> float:
+    """`finite_difference_defect` from basis values: s_values(order, shifted)
+    gives the order's values at s, or at its four shifted grids, and
+    t_values the same at t."""
+    if i == 0 and j == 0:
+        raise ValueError("nothing to difference at order (0, 0)")
+    exact = _eval_from_values(kernel, i, s, lambda r: s_values(r, False), t_values(j, False))
+    ns, nt = s.size, t.size
     # the four shifted grids in one evaluation
-    ns, nt = s_points.size, t_points.size
     if i > 0:
-        grid = eval_kernel(kernel, i - 1, j, _shifted(s_points, step), t_points, table)
+        grid = _eval_from_values(
+            kernel, i - 1, _shifted(s, step), lambda r: s_values(r, True), t_values(j, False)
+        )
         hi, lo, hi2, lo2 = grid.reshape(4, ns, nt)
     else:
-        grid = eval_kernel(kernel, i, j - 1, s_points, _shifted(t_points, step), table)
+        grid = _eval_from_values(
+            kernel, i, s, lambda r: s_values(r, False), t_values(j - 1, True)
+        )
         hi, lo, hi2, lo2 = grid.reshape(ns, 4, nt).transpose(1, 0, 2)
     coarse = (hi - lo) / (2 * step)
     fine = (hi2 - lo2) / step

@@ -18,10 +18,8 @@ from .config import RunConfig, make_coefficient, make_kernel
 from .errors import ConfigError
 from .kernels import (
     BilinearKernel,
-    ValueTable,
     adjoint_column_quarter_maxima,
-    finite_difference_defect,
-    finite_difference_points,
+    finite_difference_defect_all_orders,
     probe_grid,
     series_consistency,
     vanishing_at_radius,
@@ -134,30 +132,12 @@ class VerificationResult:
 
 def kernel_derivative_fd_defect(kernel: BilinearKernel) -> float:
     """Worst finite-difference defect of the kernel's (i, j) derivatives,
-    0 < i + j <= 3, on a 5 x 5 grid of [-2.5, 2.5]^2. The basis values come
-    from one table per derivative order over every point the differences
-    take."""
-    fd_points = np.linspace(-2.5, 2.5, 5)
+    0 < i + j <= 3, on a 5 x 5 grid of [-2.5, 2.5]^2."""
     # higher orders carry larger magnitudes; shrink the step to keep the
     # truncation term comparable across orders
-    steps = {1: 1e-4, 2: 1e-5, 3: 1e-5}
-    table = ValueTable(
-        kernel.basis,
-        np.concatenate([finite_difference_points(fd_points, h) for h in set(steps.values())]),
-        max(steps),
+    return finite_difference_defect_all_orders(
+        kernel, np.linspace(-2.5, 2.5, 5), {1: 1e-4, 2: 1e-5, 3: 1e-5}
     )
-    fd_defect = 0.0
-    for i in range(4):
-        for j in range(4 - i):
-            if i == j == 0:
-                continue
-            fd_defect = max(
-                fd_defect,
-                finite_difference_defect(
-                    kernel, i, j, fd_points, fd_points, steps[i + j], table
-                ),
-            )
-    return fd_defect
 
 
 def factorization_defects(

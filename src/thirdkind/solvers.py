@@ -192,9 +192,7 @@ class FirstKindSolution:
     kept: int
 
 
-def solve_first_kind(
-    system: np.ndarray, w: np.ndarray, cutoff: float, *, overwrite_system: bool = False
-) -> FirstKindSolution:
+def solve_first_kind(system: np.ndarray, w: np.ndarray, cutoff: float) -> FirstKindSolution:
     """Truncated-spectral pseudoinverse solve of system c = w.
 
     `system` is the first-kind matrix M (A0 - lambda A), for instance
@@ -203,16 +201,16 @@ def solve_first_kind(
     below cutoff * sigma_max are discarded; `discarded_energy` is the
     fraction of ||w||^2 lost to the discarded left singular directions.
     Raises DegenerateSystemError when nothing survives the cutoff.
-    `system` is copied and left as it is, unless `overwrite_system` is set
-    and it is a writeable complex Fortran-order array: the SVD then
-    overwrites it, and no copy is made.
+    `system` is left as it is: the SVD factors a Fortran-order copy.
     """
+    return _solve_first_kind(np.array(system, dtype=complex, order="F"), w, cutoff)
+
+
+def _solve_first_kind(a: np.ndarray, w: np.ndarray, cutoff: float) -> FirstKindSolution:
+    """`solve_first_kind` on a writeable complex Fortran-order `a`, which
+    the SVD overwrites."""
     if not 0 < cutoff < 1:
         raise ValueError("cutoff must lie in (0, 1)")
-    a = np.asarray(system)
-    in_place = a.dtype == np.complex128 and a.flags.f_contiguous and a.flags.writeable
-    if not (overwrite_system and in_place):
-        a = np.array(system, dtype=complex, order="F")
     u, sigma, vh = gesdd(a, vectors=True)
     if sigma.size == 0 or sigma[0] <= 0:
         raise DegenerateSystemError("system matrix is zero")
@@ -335,7 +333,7 @@ def verify_equivalence(
         del gamma_pencil, pk, d
         fk_system = np.asfortranarray(fk_system)  # the solve's only copy of M D
         try:
-            sol = solve_first_kind(fk_system, w, cutoff, overwrite_system=True)
+            sol = _solve_first_kind(fk_system, w, cutoff)
             discarded = sol.discarded_energy
             truncated = pencil.size - sol.kept
             recovery = _relative(

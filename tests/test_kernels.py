@@ -21,12 +21,11 @@ from thirdkind import (
     series_consistency,
 )
 from thirdkind.kernels import (
-    ValueTable,
     absolute_tail_sup,
     adjoint_column_quarter_maxima,
     coefficient_form_gap,
     finite_difference_defect,
-    finite_difference_points,
+    finite_difference_defect_all_orders,
     vanishing_at_radius,
 )
 
@@ -88,40 +87,23 @@ class TestSynthesizeAndEval:
         for i, j in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0)):
             assert finite_difference_defect(T, i, j, pts, pts, step=1e-4) <= 1e-5
 
-    def test_value_table_reads_the_basis_values(self):
-        basis = SmoothBasis(12)
-        pts = np.linspace(-2.0, 2.0, 5)
-        table = ValueTable(basis, finite_difference_points(pts, 1e-4), 3)
-        for order in range(4):
-            for subset in (pts, pts[::-1], finite_difference_points(pts, 1e-4)[5:]):
-                np.testing.assert_allclose(
-                    table.value_matrix(order, subset),
-                    basis.value_matrix(order, subset),
-                    rtol=0,
-                    atol=1e-13,
-                )
-        with pytest.raises(ValueError, match="not in the table"):
-            table.value_matrix(0, [0.1])
-        with pytest.raises(ValueError, match="orders"):
-            table.value_matrix(4, pts)
-
     @pytest.mark.parametrize("multiplied", [False, True])
-    def test_fd_defect_from_a_table(self, multiplied):
+    def test_fd_defect_all_orders_matches_each_order(self, multiplied):
         T = random_kernel(16, seed=7)
         if multiplied:
             T = scale_by_multiplier(T, multiplier_matrix(T.basis))
         pts = np.linspace(-2.5, 2.5, 5)
-        table = ValueTable(T.basis, finite_difference_points(pts, 1e-4), 3)
-        for i, j in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 3)):
-            direct = finite_difference_defect(T, i, j, pts, pts, step=1e-4)
-            tabled = finite_difference_defect(T, i, j, pts, pts, 1e-4, table)
-            # both are rounding over the step; they agree at that level
-            assert abs(tabled - direct) <= 1e-10
-            assert tabled <= 1e-5
-        with pytest.raises(ValueError, match="probe grid"):
-            finite_difference_defect(
-                random_kernel(8, seed=1), 1, 0, pts, pts, 1e-4, table
-            )
+        steps = {1: 1e-4, 2: 1e-5, 3: 1e-5}
+        direct = max(
+            finite_difference_defect(T, i, j, pts, pts, step=steps[i + j])
+            for i in range(4)
+            for j in range(4 - i)
+            if i or j
+        )
+        tabled = finite_difference_defect_all_orders(T, pts, steps)
+        # both are rounding over the step; they agree at that level
+        assert abs(tabled - direct) <= 1e-10
+        assert tabled <= 1e-5
 
     def test_linearity_in_coefficients(self):
         basis = SmoothBasis(5)
