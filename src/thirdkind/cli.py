@@ -75,7 +75,10 @@ def _out_dir(config: RunConfig, args) -> Path:
     if out is None:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out!r} as the output directory: {exc}") from None
     return path
 
 

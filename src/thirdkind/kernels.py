@@ -13,9 +13,13 @@ whose absolute partial sums witness absolute convergence. It is kept as the
 SVD factors of A: the series values at probe points come from those factors
 in O(n^2) per point, and the explicit n x n matrices W, V are formed only
 when asked for (the verification battery's reconstruction and series checks).
-Probe diagnostics read the basis values at their points from a `ProbeGrid`,
-which builds them once with the points they belong to; the finite-difference
-check over all orders builds one table of basis values per derivative order.
+
+Each concept has one producer here: `carleman` gives the section vectors of
+either side at any order, one column per point of a `ProbeGrid` (which builds
+the basis values once with the points they belong to); `_leibniz` forms the
+Leibniz sum of a Gaussian-scaled kernel for every evaluation; and
+`finite_difference_defect` checks every derivative order against central
+differences read from one table of basis values per order.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ def _pair_eval(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nd
     return left.T @ matrix @ np.conj(right)
 
 
+def _leibniz(kernel: BilinearKernel, i: int, s: np.ndarray, piece):
+    """piece(i) for a plain kernel. For a Gaussian-scaled one, the Leibniz sum
+    sum_{r<=i} C(i, r) m^(i-r)(s) piece(r) of m(s) times the plain kernel's
+    order-r piece; `s` is shaped to broadcast against each piece."""
+    if kernel.multiplied_matrix is None:
+        return piece(i)
+    return sum(comb(i, r) * gaussian(i - r, s) * piece(r) for r in range(i + 1))
+
+
 def eval_kernel(kernel: BilinearKernel, i: int, j: int, s, t):
     """Partial derivative d^{i+j} T / ds^i dt^j at (s, t); scalars or 1-d arrays.
 
@@ -80,50 +93,11 @@ def eval_kernel(kernel: BilinearKernel, i: int, j: int, s, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     basis = kernel.basis
     right = basis.value_matrix(j, t_arr)
-    out = _eval_from_values(kernel, i, s_arr, lambda r: basis.value_matrix(r, s_arr), right)
+    out = _leibniz(
+        kernel, i, s_arr[:, None],
+        lambda r: _pair_eval(kernel.matrix, basis.value_matrix(r, s_arr), right),
+    )
     return complex(out[0, 0]) if scalar else out
-
-
-def _eval_from_values(kernel: BilinearKernel, i: int, s: np.ndarray, left, right: np.ndarray):
-    """`eval_kernel` at the points s from basis values: left(r) gives the
-    order-r values at s, and `right` the values of the t side's order."""
-    if kernel.multiplied_matrix is None:
-        return _pair_eval(kernel.matrix, left(i), right)
-    out = np.zeros((s.size, right.shape[1]), dtype=complex)
-    for r in range(i + 1):
-        weight = comb(i, r) * gaussian(i - r, s)
-        out += weight[:, None] * _pair_eval(kernel.matrix, left(r), right)
-    return out
-
-
-def carleman(kernel: BilinearKernel, side: str, order: int, x: float) -> np.ndarray:
-    """Coefficient vector of a Carleman section derivative.
-
-    Row side: the map s -> conj(T(s, .)), derivative of the given order at
-    x, so component n is conj(sum_m a_mn u_m^(order)(x)). Column side: the
-    map t -> T(., t), component m is sum_n a_mn conj(u_n^(order)(x)).
-    Gaussian-scaled kernels use the Leibniz form on the row side and apply
-    the multiplier's coefficient matrix on the column side.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if side not in ("row", "column"):
-        raise ValueError("side must be 'row' or 'column'")
-    basis = kernel.basis
-    if kernel.multiplied_matrix is None:
-        u = basis.value_matrix(order, x)[:, 0]
-        if side == "row":
-            return np.conj(kernel.matrix.T @ u)
-        return kernel.matrix @ np.conj(u)
-    if side == "column":
-        u = basis.value_matrix(order, x)[:, 0]
-        return kernel.multiplied_matrix @ np.conj(u)
-    out = np.zeros(basis.size, dtype=complex)
-    for r in range(order + 1):
-        u_r = basis.value_matrix(r, x)[:, 0]
-        weight = comb(order, r) * float(gaussian(order - r, x))
-        out += weight * np.conj(kernel.matrix.T @ u_r)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +125,30 @@ def _check_grid(basis: SmoothBasis, *grids: ProbeGrid) -> None:
             raise ValueError(f"probe grid is over {grid.basis}, expected {basis}")
 
 
-def carleman_row_norms(kernel: BilinearKernel, probes: ProbeGrid) -> np.ndarray:
-    """||t(s_j)|| for all probe points at once (order 0)."""
-    _check_grid(kernel.basis, probes)
-    norms = np.linalg.norm(kernel.matrix.T @ probes.values.astype(complex), axis=0)
-    if kernel.multiplied_matrix is not None:
-        norms = norms * gaussian(0, probes.points)
-    return norms
+def carleman(kernel: BilinearKernel, side: str, order: int, grid: ProbeGrid) -> np.ndarray:
+    """Coefficient vectors of a Carleman section derivative, one column per
+    point x of the grid; their column norms are the section norms.
+
+    Row side: the map s -> conj(T(s, .)), derivative of the given order at
+    x, so component n is conj(sum_m a_mn u_m^(order)(x)). Column side: the
+    map t -> T(., t), component m is sum_n a_mn conj(u_n^(order)(x)).
+    Gaussian-scaled kernels use the Leibniz form on the row side and apply
+    the multiplier's coefficient matrix on the column side.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if side not in ("row", "column"):
+        raise ValueError("side must be 'row' or 'column'")
+    _check_grid(kernel.basis, grid)
+
+    def values(r: int) -> np.ndarray:
+        return grid.values if r == 0 else grid.basis.value_matrix(r, grid.points)
+
+    if side == "column":
+        return kernel.coefficient_matrix @ np.conj(values(order))
+    return _leibniz(
+        kernel, order, grid.points, lambda r: np.conj(kernel.matrix.T @ values(r))
+    )
 
 
 def condition_number(sigma: np.ndarray) -> float:
@@ -301,8 +292,8 @@ def coefficient_form_gap(kernel: BilinearKernel, s: ProbeGrid, t: ProbeGrid) -> 
     _check_grid(kernel.basis, s, t)
     if kernel.multiplied_matrix is None:
         return 0.0
-    exact = gaussian(0, s.points)[:, None] * _pair_eval(
-        kernel.matrix, s.values, t.values
+    exact = _leibniz(
+        kernel, 0, s.points[:, None], lambda r: _pair_eval(kernel.matrix, s.values, t.values)
     )
     via_coeff = _pair_eval(kernel.multiplied_matrix, s.values, t.values)
     return float(np.max(np.abs(exact - via_coeff)))
@@ -344,93 +335,54 @@ def absolute_tail_sup(
     return float(np.max(sums)) if sums.size else 0.0
 
 
-def _shifted(points: np.ndarray, step: float) -> np.ndarray:
-    """The four shifted grids +h, -h, +h/2, -h/2 of `points`, one after the
-    other."""
-    shifts = np.array([step, -step, step / 2, -step / 2])[:, None]
-    return (points + shifts).ravel()
-
-
 def finite_difference_defect(
-    kernel: BilinearKernel,
-    i: int,
-    j: int,
-    s_points: np.ndarray,
-    t_points: np.ndarray,
-    step: float = 1e-4,
-) -> float:
-    """Max gap between the (i, j) derivative and a Richardson-extrapolated
-    central difference.
+    kernel: BilinearKernel, points, steps: dict[int, float]
+) -> dict[tuple[int, int], float]:
+    """{(i, j): max gap between the (i, j) derivative and a
+    Richardson-extrapolated central difference} on the grid points x points,
+    for every 0 < i + j <= max(steps), with step steps[i + j].
 
     The difference is taken on the analytic derivative one order lower (in s
     when i > 0, else in t), so each order is validated against the previous
     one. With D(h) the central difference at step h, the estimate
     D(h/2) + (D(h/2) - D(h)) / 3 cancels the h^2 truncation term, leaving
-    O(h^4), so the oracle's own error stays far below the ladder's.
+    O(h^4), so the oracle's own error stays far below the ladder's. The basis
+    values come from one table per derivative order over `points` and, for
+    every distinct step h, their four shifted grids +h, -h, +h/2, -h/2.
     """
-    s_points = np.atleast_1d(np.asarray(s_points, dtype=np.float64))
-    t_points = np.atleast_1d(np.asarray(t_points, dtype=np.float64))
-    s_grids = (s_points, _shifted(s_points, step))
-    t_grids = (t_points, _shifted(t_points, step))
-    basis = kernel.basis
-    return _fd_defect(
-        kernel, i, j, s_points, t_points, step,
-        lambda order, shifted: basis.value_matrix(order, s_grids[shifted]),
-        lambda order, shifted: basis.value_matrix(order, t_grids[shifted]),
-    )
-
-
-def finite_difference_defect_all_orders(
-    kernel: BilinearKernel, points: np.ndarray, steps: dict[int, float]
-) -> float:
-    """Worst `finite_difference_defect` over every (i, j) with
-    0 < i + j <= max(steps), on the grid points x points, with step
-    steps[i + j]. The basis values come from one table per derivative order
-    over `points` and their shifted grids at every step."""
     points = np.atleast_1d(np.asarray(points, dtype=np.float64))
     n, top = points.size, max(steps)
     distinct = sorted(set(steps.values()))
-    # columns: points, then the four shifted grids at each distinct step
-    union = np.concatenate([points] + [_shifted(points, h) for h in distinct])
+    shifted = [(points + np.array([h, -h, h / 2, -h / 2])[:, None]).ravel() for h in distinct]
+    union = np.concatenate([points, *shifted])
     tables = [kernel.basis.value_matrix(k, union) for k in range(top + 1)]
+    here = slice(0, n)
 
-    def values_at(step):
-        first = n + 4 * n * distinct.index(step)
-        cols = (slice(0, n), slice(first, first + 4 * n))
-        return lambda order, shifted: tables[order][:, cols[shifted]]
+    def derivative(i, s_cols, j, t_cols, s):
+        """d^{i+j} T at the table columns s_cols (the points s) x t_cols."""
+        return _leibniz(
+            kernel, i, s[:, None],
+            lambda r: _pair_eval(kernel.matrix, tables[r][:, s_cols], tables[j][:, t_cols]),
+        )
 
-    worst = 0.0
+    defects = {}
     for i in range(top + 1):
-        for j in range(top + 1 - i):
-            if i or j:
-                step = steps[i + j]
-                values = values_at(step)
-                worst = max(worst, _fd_defect(kernel, i, j, points, points, step, values, values))
-    return worst
-
-
-def _fd_defect(kernel, i, j, s, t, step, s_values, t_values) -> float:
-    """`finite_difference_defect` from basis values: s_values(order, shifted)
-    gives the order's values at s, or at its four shifted grids, and
-    t_values the same at t."""
-    if i == 0 and j == 0:
-        raise ValueError("nothing to difference at order (0, 0)")
-    exact = _eval_from_values(kernel, i, s, lambda r: s_values(r, False), t_values(j, False))
-    ns, nt = s.size, t.size
-    # the four shifted grids in one evaluation
-    if i > 0:
-        grid = _eval_from_values(
-            kernel, i - 1, _shifted(s, step), lambda r: s_values(r, True), t_values(j, False)
-        )
-        hi, lo, hi2, lo2 = grid.reshape(4, ns, nt)
-    else:
-        grid = _eval_from_values(
-            kernel, i, s, lambda r: s_values(r, False), t_values(j - 1, True)
-        )
-        hi, lo, hi2, lo2 = grid.reshape(ns, 4, nt).transpose(1, 0, 2)
-    coarse = (hi - lo) / (2 * step)
-    fine = (hi2 - lo2) / step
-    return float(np.max(np.abs(fine + (fine - coarse) / 3 - exact)))
+        for j in range(0 if i else 1, top + 1 - i):
+            step = steps[i + j]
+            k = distinct.index(step)
+            moved = slice(n + 4 * n * k, n + 4 * n * (k + 1))
+            exact = derivative(i, here, j, here, points)
+            # the four shifted grids in one evaluation
+            if i > 0:
+                grid = derivative(i - 1, moved, j, here, shifted[k])
+                hi, lo, hi2, lo2 = grid.reshape(4, n, n)
+            else:
+                grid = derivative(i, here, j - 1, moved, points)
+                hi, lo, hi2, lo2 = grid.reshape(n, 4, n).transpose(1, 0, 2)
+            coarse = (hi - lo) / (2 * step)
+            fine = (hi2 - lo2) / step
+            defects[i, j] = float(np.max(np.abs(fine + (fine - coarse) / 3 - exact)))
+    return defects
 
 
 def vanishing_at_radius(kernel: BilinearKernel, radius: float, t_probe) -> float:
@@ -444,7 +396,8 @@ def vanishing_at_radius(kernel: BilinearKernel, radius: float, t_probe) -> float
     t_probe = np.atleast_1d(np.asarray(t_probe, dtype=np.float64))
     corner = float(np.max(np.abs(eval_kernel(kernel, 0, 0, edges, t_probe))))
     side = float(np.max(np.abs(eval_kernel(kernel, 0, 0, t_probe, edges))))
-    row = float(np.max(carleman_row_norms(kernel, ProbeGrid(kernel.basis, edges))))
+    sections = carleman(kernel, "row", 0, ProbeGrid(kernel.basis, edges))
+    row = float(np.max(np.linalg.norm(sections, axis=0)))
     return max(corner, side, row)
 
 

@@ -47,11 +47,6 @@ class MeasureSpace:
         return MeasureSpace(self.depth + 1)
 
 
-def build_space(depth: int) -> MeasureSpace:
-    """Build the dyadic partition of [0, 1) at the given number of levels."""
-    return MeasureSpace(depth)
-
-
 def _require_same_space(a: MeasureSpace, b: MeasureSpace) -> None:
     if a != b:
         raise SpaceMismatchError(f"grids at depth {a.depth} and {b.depth} do not match")
@@ -82,11 +77,6 @@ class MeasurableSet:
     @property
     def is_empty(self) -> bool:
         return self.cell_indices.size == 0
-
-    def indicator(self) -> "GridFunction":
-        values = np.zeros(self.space.cell_count)
-        values[self.cell_indices] = 1.0
-        return GridFunction(self.space, values)
 
     def refined(self) -> "MeasurableSet":
         """Same point set on the next finer grid: cell i becomes 2i, 2i+1."""
@@ -119,14 +109,6 @@ class GridFunction:
     def refined(self) -> "GridFunction":
         """Re-sample the piecewise-constant representative on the finer grid."""
         return GridFunction(self.space.refined(), np.repeat(self.values, 2))
-
-    @classmethod
-    def zero(cls, space: MeasureSpace) -> "GridFunction":
-        return cls(space, np.zeros(space.cell_count))
-
-    @classmethod
-    def constant(cls, space: MeasureSpace, value: complex) -> "GridFunction":
-        return cls(space, np.full(space.cell_count, value))
 
     @classmethod
     def sample(cls, space: MeasureSpace, func) -> "GridFunction":

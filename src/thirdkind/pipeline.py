@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .kernels import (
     BilinearKernel,
     adjoint_column_quarter_maxima,
-    finite_difference_defect_all_orders,
+    finite_difference_defect,
     probe_grid,
     series_consistency,
     vanishing_at_radius,
@@ -29,7 +29,6 @@ from .measure import (
     IntegralOperator,
     MeasureSpace,
     MultiplicationOperator,
-    build_space,
     inner_product,
 )
 from .rademacher import KorotkovSequence, build_sequence
@@ -61,7 +60,7 @@ class ReductionRun:
 def prepare(config: RunConfig) -> KorotkovSequence:
     """Sample H and K on the grid and build the damping sequence (no solves
     yet); the sequence carries alpha, its final grid, and H and K there."""
-    space = build_space(config.depth)
+    space = MeasureSpace(config.depth)
     return build_sequence(
         make_coefficient(config.coefficient, space),
         make_kernel(config.kernel, space),
@@ -135,9 +134,10 @@ def kernel_derivative_fd_defect(kernel: BilinearKernel) -> float:
     0 < i + j <= 3, on a 5 x 5 grid of [-2.5, 2.5]^2."""
     # higher orders carry larger magnitudes; shrink the step to keep the
     # truncation term comparable across orders
-    return finite_difference_defect_all_orders(
+    defects = finite_difference_defect(
         kernel, np.linspace(-2.5, 2.5, 5), {1: 1e-4, 2: 1e-5, 3: 1e-5}
     )
+    return max(defects.values())
 
 
 def factorization_defects(

@@ -27,7 +27,7 @@ from .kernels import (
     ProbeGrid,
     absolute_tail_sup,
     adjoint_column_quarter_maxima,
-    carleman_row_norms,
+    carleman,
     coefficient_form_gap,
     condition_number,
     hs_norm,
@@ -312,7 +312,7 @@ def verify_equivalence(
     round_trip_fn = U.inverse(f)
     diff = GridFunction(phi.space, round_trip_fn.values - phi.values)
     round_trip = _relative(diff.norm(), phi.norm())
-    carleman_sup = float(np.max(carleman_row_norms(pk, probes)))
+    carleman_sup = float(np.max(np.linalg.norm(carleman(pk, "row", 0, probes), axis=0)))
     hs = hs_norm(pk)
 
     discarded = None

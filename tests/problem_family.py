@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from thirdkind import UnitarySurrogate, build_sequence, build_space
+from thirdkind import MeasureSpace, UnitarySurrogate, build_sequence
 from thirdkind.config import make_coefficient, make_kernel
 
 
@@ -41,7 +41,7 @@ def random_problem_instance(rng: np.random.Generator, depth: int) -> dict:
 
 def build_problem_instance(instance: dict, count: int = 3, eps0: float = 0.25):
     """Materialize a drawn instance: returns (H, K, sequence, surrogate)."""
-    space = build_space(instance["depth"])
+    space = MeasureSpace(instance["depth"])
     H = make_coefficient(instance["coefficient"], space)
     K = make_kernel(instance["kernel"], space)
     seq = build_sequence(

@@ -17,12 +17,12 @@ from thirdkind import (
     GridFunction,
     GridKernel,
     MeasurableSet,
+    MeasureSpace,
     ProbeGrid,
     Reduction,
     SmoothBasis,
     UnitarySurrogate,
     build_sequence,
-    build_space,
     forward_third_kind,
     inner_product,
     m_factorize,
@@ -35,7 +35,7 @@ from thirdkind import (
 )
 from thirdkind.kernels import (
     adjoint_column_quarter_maxima,
-    carleman_row_norms,
+    carleman,
     finite_difference_defect,
     hs_norm,
     probe_grid,
@@ -71,7 +71,7 @@ class _budget:
 def test_c1_rademacher_orthonormality():
     with _budget("1 rademacher suite", 1.0):
         depth = 10
-        space = build_space(depth)
+        space = MeasureSpace(depth)
         E = MeasurableSet(space, np.arange(space.cell_count))
         functions = [rademacher(E, n) for n in range(1, 9)]
 
@@ -80,7 +80,7 @@ def test_c1_rademacher_orthonormality():
         )
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
 
-        one = GridFunction.constant(space, 1.0)
+        one = GridFunction(space, np.ones(space.cell_count))
         for f in functions:
             assert abs(inner_product(f, one)) <= 1e-14
 
@@ -94,7 +94,7 @@ def test_c1_rademacher_orthonormality():
 def test_c2_damping_sequence_bounds():
     with _budget("2 damping sequence suite", 10.0):
         depth = 12
-        space = build_space(depth)
+        space = MeasureSpace(depth)
         H = GridFunction.sample(space, lambda y: y)
         centers = space.centers()
         K = GridKernel(space, np.exp(np.outer(centers, centers)))
@@ -135,7 +135,7 @@ def test_c2_damping_sequence_bounds():
 
 def test_c3_surrogate_unitarity():
     with _budget("3 unitarity suite", 10.0):
-        space = build_space(8)
+        space = MeasureSpace(8)
         H = GridFunction.sample(space, lambda y: y)
         centers = space.centers()
         K = GridKernel(space, np.exp(np.outer(centers, centers)))
@@ -222,7 +222,7 @@ def test_c5_factorization_series():
 
 
 def _pipeline_run(depth, alpha, lam):
-    space = build_space(depth)
+    space = MeasureSpace(depth)
     H = GridFunction.sample(space, lambda y: y)
     centers = space.centers()
     K = GridKernel(space, np.exp(np.outer(centers, centers)))
@@ -243,18 +243,15 @@ def test_c6_kernel_smoothness():
         pk = pencil.pencil_kernel(0.4)
 
         pts = np.linspace(-4, 4, 9)
-        for i in range(4):
-            for j in range(4 - i):
-                if i == j == 0:
-                    continue
-                step = 1e-4 if i + j == 1 else 1e-5
-                assert finite_difference_defect(pk, i, j, pts, pts, step) <= 1e-5
+        defects = finite_difference_defect(pk, pts, {1: 1e-4, 2: 1e-5, 3: 1e-5})
+        assert len(defects) == 9  # every (i, j) with 0 < i + j <= 3
+        for defect in defects.values():
+            assert defect <= 1e-5
 
         radius = 8.0 + math.sqrt(2.0 * size)
         assert vanishing_at_radius(pk, radius, pts) <= 1e-6
-        for x in (radius, -radius):
-            edge = ProbeGrid(pk.basis, np.array([x]))
-            assert float(carleman_row_norms(pk, edge)[0]) <= 1e-6
+        edges = ProbeGrid(pk.basis, np.array([radius, -radius]))
+        assert np.max(np.linalg.norm(carleman(pk, "row", 0, edges), axis=0)) <= 1e-6
 
 
 def test_c7_first_kind_multiplier():
@@ -267,7 +264,7 @@ def test_c7_first_kind_multiplier():
         plain = run.pencil.pencil_kernel(lam)
         gamma_pencil = scale_by_multiplier(plain, run.m_matrix)
         probes = ProbeGrid(plain.basis, np.linspace(-8, 8, 161))
-        sup = float(np.max(carleman_row_norms(plain, probes)))
+        sup = float(np.max(np.linalg.norm(carleman(plain, "row", 0, probes), axis=0)))
         hs = hs_norm(gamma_pencil)
         assert np.isfinite(hs)
         slack = max(0.0, hs - sup * math.pi**0.25)
@@ -276,16 +273,16 @@ def test_c7_first_kind_multiplier():
 
         # multiplier derivative expansion against finite differences
         pts = np.linspace(-3, 3, 7)
+        defects = finite_difference_defect(gamma_pencil, pts, {1: 1e-4, 2: 1e-5, 3: 1e-5})
         for i, j in ((1, 0), (1, 1), (2, 0), (2, 1)):
-            step = 1e-4 if i + j == 1 else 1e-5
-            assert finite_difference_defect(gamma_pencil, i, j, pts, pts, step) <= 1e-5
+            assert defects[i, j] <= 1e-5
 
         # multiplied-system identity at the forward image
         residual = np.linalg.norm(gamma_pencil.multiplied_matrix @ f - w)
         assert residual <= 1e-9 * np.linalg.norm(w)
 
         # manufacture-then-solve at a size where nothing is truncated
-        space = build_space(4)
+        space = MeasureSpace(4)
         H = GridFunction.sample(space, lambda y: y)
         centers = space.centers()
         K = GridKernel(space, np.exp(np.outer(centers, centers)))

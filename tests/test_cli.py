@@ -156,9 +156,9 @@ class TestBuildSequenceCommand:
         assert code == 0
 
     def test_kernel_csv_with_nan_exit_one(self, tmp_path, capsys):
-        from thirdkind import build_space
+        from thirdkind import MeasureSpace
 
-        c = build_space(6).centers()
+        c = MeasureSpace(6).centers()
         entries = np.exp(np.outer(c, c))
         entries[3, 5] = np.nan
         write_matrix_csv(tmp_path / "k.csv", entries)
@@ -241,10 +241,10 @@ class TestBuildSequenceCommand:
         ],
     )
     def test_every_builtin_key_accepted(self, spec):
-        from thirdkind import build_space
+        from thirdkind import MeasureSpace
         from thirdkind.config import make_coefficient, make_kernel
 
-        space = build_space(3)
+        space = MeasureSpace(3)
         K = make_kernel(spec, space)
         assert K.entries.shape == (8, 8)
         if spec["kind"] == "rank_one":
@@ -471,6 +471,20 @@ class TestFailurePayloads:
         err = capsys.readouterr().err
         assert err == f"config error: {payload['error']['message']}\n"
 
+    @pytest.mark.parametrize("command, report", REPORTS)
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_unusable_out_exit_one(self, tmp_path, capsys, command, report, target):
+        # an existing file, or a path through one, cannot be the output
+        # directory; no directory exists, so no JSON is written either
+        cfg = write_config(tmp_path)
+        (tmp_path / "afile").write_text("kept")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot use") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "kept"
+        assert not list(tmp_path.glob(f"**/{report}"))
+
 
 class TestSerialization:
     def test_matrix_csv_round_trip(self, tmp_path):
@@ -501,10 +515,10 @@ class TestSerialization:
 
     def test_csv_coefficient_input(self, tmp_path):
         # a coefficient supplied as a file reproduces the sampled built-in
-        from thirdkind import GridFunction, build_space
+        from thirdkind import GridFunction, MeasureSpace
         from thirdkind.config import make_coefficient
 
-        space = build_space(4)
+        space = MeasureSpace(4)
         direct = GridFunction.sample(space, lambda y: y)
         path = tmp_path / "h.csv"
         write_grid_function_csv(path, direct.values)
@@ -512,10 +526,10 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.values, direct.values)
 
     def test_csv_kernel_input(self, tmp_path):
-        from thirdkind import GridKernel, build_space
+        from thirdkind import GridKernel, MeasureSpace
         from thirdkind.config import make_kernel
 
-        space = build_space(3)
+        space = MeasureSpace(3)
         c = space.centers()
         direct = GridKernel(space, np.exp(np.outer(c, c)))
         path = tmp_path / "k.csv"
@@ -531,10 +545,10 @@ class TestSerialization:
         assert phi.size == 64
 
     def test_relative_csv_path_resolved_against_config(self, tmp_path):
-        from thirdkind import GridFunction, build_space
+        from thirdkind import GridFunction, MeasureSpace
         from thirdkind.config import make_coefficient
 
-        space = build_space(4)
+        space = MeasureSpace(4)
         direct = GridFunction.sample(space, lambda y: 2.0 * y)
         write_grid_function_csv(tmp_path / "h.csv", direct.values)
         cfg_path = write_config(

@@ -25,7 +25,6 @@ from thirdkind.kernels import (
     adjoint_column_quarter_maxima,
     coefficient_form_gap,
     finite_difference_defect,
-    finite_difference_defect_all_orders,
     vanishing_at_radius,
 )
 
@@ -84,26 +83,38 @@ class TestSynthesizeAndEval:
         # the stencil's own h^2 term stays well under the 1e-5 budget
         T = random_kernel(16, seed=7)
         pts = np.linspace(-4, 4, 7)
+        defects = finite_difference_defect(T, pts, {1: 1e-4, 2: 1e-4, 3: 1e-4})
         for i, j in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0)):
-            assert finite_difference_defect(T, i, j, pts, pts, step=1e-4) <= 1e-5
+            assert defects[i, j] <= 1e-5
 
     @pytest.mark.parametrize("multiplied", [False, True])
     def test_fd_defect_all_orders_matches_each_order(self, multiplied):
+        # reference: the Richardson stencil of each (i, j), built here from
+        # eval_kernel at explicitly shifted points, with no shared table
         T = random_kernel(16, seed=7)
         if multiplied:
             T = scale_by_multiplier(T, multiplier_matrix(T.basis))
         pts = np.linspace(-2.5, 2.5, 5)
         steps = {1: 1e-4, 2: 1e-5, 3: 1e-5}
-        direct = max(
-            finite_difference_defect(T, i, j, pts, pts, step=steps[i + j])
-            for i in range(4)
-            for j in range(4 - i)
-            if i or j
-        )
-        tabled = finite_difference_defect_all_orders(T, pts, steps)
-        # both are rounding over the step; they agree at that level
-        assert abs(tabled - direct) <= 1e-10
-        assert tabled <= 1e-5
+        defects = finite_difference_defect(T, pts, steps)
+        assert set(defects) == {(i, j) for i in range(4) for j in range(4 - i) if i or j}
+        for (i, j), defect in defects.items():
+
+            def central(h):
+                if i:
+                    hi = eval_kernel(T, i - 1, j, pts + h, pts)
+                    lo = eval_kernel(T, i - 1, j, pts - h, pts)
+                else:
+                    hi = eval_kernel(T, i, j - 1, pts, pts + h)
+                    lo = eval_kernel(T, i, j - 1, pts, pts - h)
+                return (hi - lo) / (2 * h)
+
+            coarse, fine = central(steps[i + j]), central(steps[i + j] / 2)
+            exact = eval_kernel(T, i, j, pts, pts)
+            reference = float(np.max(np.abs(fine + (fine - coarse) / 3 - exact)))
+            # both are rounding over the step; they agree at that level
+            assert abs(defect - reference) <= 1e-10
+            assert defect <= 1e-5
 
     def test_linearity_in_coefficients(self):
         basis = SmoothBasis(5)
@@ -122,21 +133,21 @@ class TestSynthesizeAndEval:
 class TestCarleman:
     def test_rank_one_row_section(self):
         T = rank_one_kernel()
-        vec = carleman(T, "row", 0, 0.0)
+        vec = carleman(T, "row", 0, ProbeGrid(T.basis, [0.0]))[:, 0]
         expected = np.zeros(4, dtype=complex)
         expected[0] = math.pi**-0.25
         np.testing.assert_allclose(vec, expected, atol=1e-14)
 
     def test_zero_kernel(self):
         T = BilinearKernel(np.zeros((3, 3)))
-        np.testing.assert_array_equal(carleman(T, "row", 0, 0.3), 0.0)
-        np.testing.assert_array_equal(carleman(T, "column", 2, -1.0), 0.0)
+        np.testing.assert_array_equal(carleman(T, "row", 0, ProbeGrid(T.basis, [0.3])), 0.0)
+        np.testing.assert_array_equal(carleman(T, "column", 2, ProbeGrid(T.basis, [-1.0])), 0.0)
 
     def test_row_norm_against_quadrature(self):
         # ||t(s)||^2 must equal the t-integral of |T(s, t)|^2
         T = random_kernel(6, seed=33)
         s0 = 0.4
-        norm = np.linalg.norm(carleman(T, "row", 0, s0))
+        norm = np.linalg.norm(carleman(T, "row", 0, ProbeGrid(T.basis, [s0]))[:, 0])
         integrand = lambda t: abs(eval_kernel(T, 0, 0, s0, t)) ** 2
         expected, _ = quad(integrand, -14, 14, limit=200)
         assert norm**2 == pytest.approx(expected, abs=1e-6)
@@ -144,7 +155,7 @@ class TestCarleman:
     def test_column_norm_against_quadrature(self):
         T = random_kernel(6, seed=34)
         t0 = -0.8
-        norm = np.linalg.norm(carleman(T, "column", 0, t0))
+        norm = np.linalg.norm(carleman(T, "column", 0, ProbeGrid(T.basis, [t0]))[:, 0])
         integrand = lambda s: abs(eval_kernel(T, 0, 0, s, t0)) ** 2
         expected, _ = quad(integrand, -14, 14, limit=200)
         assert norm**2 == pytest.approx(expected, abs=1e-6)
@@ -154,23 +165,39 @@ class TestCarleman:
         # reproduces the column section of A: the basis is real-valued
         T = random_kernel(8, seed=35)
         T_star = BilinearKernel(T.matrix.conj().T)
+        grid = ProbeGrid(T.basis, [0.9])
         for order in (0, 1, 2):
-            x = 0.9
-            col = carleman(T, "column", order, x)
-            row_star = carleman(T_star, "row", order, x)
+            col = carleman(T, "column", order, grid)
+            row_star = carleman(T_star, "row", order, grid)
             assert np.max(np.abs(col - row_star)) <= 1e-12
 
     def test_row_derivative_is_coefficient_ladder(self):
         # differentiating the section in s only touches the u_m(s) factor
         T = random_kernel(5, seed=36)
         s0, h = 0.2, 1e-5
-        fd = (carleman(T, "row", 0, s0 + h) - carleman(T, "row", 0, s0 - h)) / (2 * h)
-        exact = carleman(T, "row", 1, s0)
+        hi, lo = carleman(T, "row", 0, ProbeGrid(T.basis, [s0 + h, s0 - h])).T
+        fd = (hi - lo) / (2 * h)
+        exact = carleman(T, "row", 1, ProbeGrid(T.basis, [s0]))[:, 0]
         assert np.max(np.abs(fd - exact)) <= 1e-7
+
+    @pytest.mark.parametrize("multiplied", [False, True])
+    def test_grid_columns_are_pointwise_sections(self, multiplied):
+        # column k of a grid's sections is the section at point k alone
+        T = random_kernel(8, seed=37)
+        if multiplied:
+            T = scale_by_multiplier(T, multiplier_matrix(T.basis))
+        xs = [-2.0, -0.3, 0.0, 1.7]
+        for side in ("row", "column"):
+            for order in (0, 1, 2):
+                sections = carleman(T, side, order, ProbeGrid(T.basis, xs))
+                assert sections.shape == (8, 4)
+                for k, x in enumerate(xs):
+                    alone = carleman(T, side, order, ProbeGrid(T.basis, [x]))[:, 0]
+                    np.testing.assert_allclose(sections[:, k], alone, rtol=0, atol=1e-13)
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            carleman(rank_one_kernel(), "diagonal", 0, 0.0)
+            carleman(rank_one_kernel(), "diagonal", 0, ProbeGrid(SmoothBasis(4), [0.0]))
 
 
 class TestMFactorization:
@@ -283,7 +310,7 @@ class TestMultiplierKernels:
         M = multiplier_matrix(T.basis)
         G = scale_by_multiplier(T, M)
         s = np.linspace(-8, 8, 161)
-        sup = float(np.max([np.linalg.norm(carleman(T, "row", 0, x)) for x in s]))
+        sup = float(np.max(np.linalg.norm(carleman(T, "row", 0, ProbeGrid(T.basis, s)), axis=0)))
         assert hs_norm(G) <= sup * math.pi**0.25 + 1e-12
 
     def test_leibniz_derivative_fd(self):
@@ -291,17 +318,18 @@ class TestMultiplierKernels:
         M = multiplier_matrix(T.basis)
         G = scale_by_multiplier(T, M)
         pts = np.linspace(-2, 2, 5)
+        defects = finite_difference_defect(G, pts, {1: 1e-4, 2: 1e-4, 3: 1e-4})
         for i, j in ((1, 0), (2, 0), (1, 1), (2, 1)):
-            assert finite_difference_defect(G, i, j, pts, pts, step=1e-4) <= 1e-5
+            assert defects[i, j] <= 1e-5
 
     def test_row_section_has_multiplier_factor(self):
         T = random_kernel(6, seed=48)
         M = multiplier_matrix(T.basis)
         G = scale_by_multiplier(T, M)
-        s0 = 0.6
+        s0 = ProbeGrid(T.basis, [0.6])
         np.testing.assert_allclose(
             carleman(G, "row", 0, s0),
-            float(gaussian(0, s0)) * carleman(T, "row", 0, s0),
+            float(gaussian(0, 0.6)) * carleman(T, "row", 0, s0),
             atol=1e-13,
         )
 
@@ -309,7 +337,7 @@ class TestMultiplierKernels:
         T = random_kernel(6, seed=49)
         M = multiplier_matrix(T.basis)
         G = scale_by_multiplier(T, M)
-        t0 = -0.4
+        t0 = ProbeGrid(T.basis, [-0.4])
         np.testing.assert_allclose(
             carleman(G, "column", 0, t0),
             M @ carleman(T, "column", 0, t0),
@@ -408,14 +436,13 @@ class TestProbes:
         np.testing.assert_array_equal(probes.values, basis.value_matrix(0, probes.points))
 
     def test_grid_over_another_basis_rejected(self):
-        from thirdkind.kernels import carleman_row_norms
-
         T = random_kernel(8, seed=58)
         G = scale_by_multiplier(T, multiplier_matrix(T.basis))
         own = ProbeGrid(T.basis, np.linspace(-3, 3, 5))
         other = ProbeGrid(SmoothBasis(9), np.linspace(-3, 3, 5))
-        with pytest.raises(ValueError, match="probe grid"):
-            carleman_row_norms(T, other)
+        for side in ("row", "column"):
+            with pytest.raises(ValueError, match="probe grid"):
+                carleman(T, side, 0, other)
         for s, t in ((own, other), (other, own)):
             with pytest.raises(ValueError, match="probe grid"):
                 coefficient_form_gap(G, s, t)

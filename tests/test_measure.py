@@ -10,11 +10,11 @@ from thirdkind import (
     GridKernel,
     IntegralOperator,
     MeasurableSet,
+    MeasureSpace,
     MultiplicationOperator,
     NotBisectableError,
     SpaceMismatchError,
     band_set,
-    build_space,
     inner_product,
     lift,
     rademacher,
@@ -23,13 +23,13 @@ from thirdkind import (
 
 class TestBuildSpace:
     def test_depth_one_cells(self):
-        space = build_space(1)
+        space = MeasureSpace(1)
         assert space.cell_count == 2
         assert space.cell_width == 0.5
         np.testing.assert_allclose(space.centers(), [0.25, 0.75])
 
     def test_depth_three_measures(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         assert space.cell_count == 8
         assert space.cell_width == 0.125
         assert space.cell_count * space.cell_width == 1.0
@@ -37,44 +37,44 @@ class TestBuildSpace:
     @pytest.mark.parametrize("depth", [0, -1, 25])
     def test_depth_out_of_range(self, depth):
         with pytest.raises(ValueError):
-            build_space(depth)
+            MeasureSpace(depth)
 
 
 class TestInnerProduct:
     def test_unit_constant(self):
-        space = build_space(3)
-        one = GridFunction.constant(space, 1.0)
+        space = MeasureSpace(3)
+        one = GridFunction(space, np.ones(space.cell_count))
         assert inner_product(one, one) == 1.0
 
     def test_disjoint_supports(self):
-        space = build_space(3)
-        left = MeasurableSet(space, np.arange(4)).indicator()
-        right = MeasurableSet(space, np.arange(4, 8)).indicator()
+        space = MeasureSpace(3)
+        left = GridFunction(space, np.repeat([1.0, 0.0], 4))
+        right = GridFunction(space, np.repeat([0.0, 1.0], 4))
         assert inner_product(left, right) == 0.0
 
     def test_half_indicator_with_itself(self):
         # direct sum over 4 of 8 cells: 4 * 1 * 2**-3
-        space = build_space(3)
-        half = MeasurableSet(space, np.arange(4)).indicator()
+        space = MeasureSpace(3)
+        half = GridFunction(space, np.repeat([1.0, 0.0], 4))
         expected = sum(1.0 * 1.0 * 2.0**-3 for _ in range(4))
         assert inner_product(half, half) == expected == 0.5
 
     def test_space_mismatch(self):
-        f = GridFunction.constant(build_space(2), 1.0)
-        g = GridFunction.constant(build_space(3), 1.0)
+        f = GridFunction(MeasureSpace(2), np.ones(4))
+        g = GridFunction(MeasureSpace(3), np.ones(8))
         with pytest.raises(SpaceMismatchError):
             inner_product(f, g)
 
     def test_conjugate_symmetry(self):
-        space = build_space(4)
+        space = MeasureSpace(4)
         rng = np.random.default_rng(3)
         f = GridFunction(space, rng.standard_normal(16) + 1j * rng.standard_normal(16))
         g = GridFunction(space, rng.standard_normal(16) + 1j * rng.standard_normal(16))
         assert inner_product(f, g) == pytest.approx(np.conj(inner_product(g, f)))
 
     def test_norm_positive_definite(self):
-        space = build_space(3)
-        f = GridFunction.zero(space)
+        space = MeasureSpace(3)
+        f = GridFunction(space, np.zeros(space.cell_count))
         assert f.norm() == 0.0
         g = GridFunction(space, np.eye(8)[5] * 1e-8)
         assert g.norm() > 0.0
@@ -83,31 +83,31 @@ class TestInnerProduct:
 class TestBandSet:
     def test_linear_coefficient_band(self):
         # centers 1/16, 3/16, ..., 15/16; |y| in (0.25, 0.5] picks 5/16, 7/16
-        space = build_space(3)
+        space = MeasureSpace(3)
         H = GridFunction.sample(space, lambda y: y)
         E = band_set(H, 0.0, 0.25, 0.5)
         assert E.cell_indices.tolist() == [2, 3]
 
     def test_constant_equals_alpha(self):
-        space = build_space(3)
-        H = GridFunction.constant(space, 2.0 + 1.0j)
+        space = MeasureSpace(3)
+        H = GridFunction(space, np.full(space.cell_count, 2.0 + 1.0j))
         E = band_set(H, 2.0 + 1.0j, 0.1, 1.0)
         assert E.is_empty
 
     def test_outer_band(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         H = GridFunction.sample(space, lambda y: y)
         E = band_set(H, 0.0, 0.5, 1.0)
         assert E.cell_indices.tolist() == [4, 5, 6, 7]
 
     def test_bad_bounds(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         H = GridFunction.sample(space, lambda y: y)
         with pytest.raises(ValueError):
             band_set(H, 0.0, 0.5, 0.25)
 
     def test_consecutive_bands_disjoint(self):
-        space = build_space(6)
+        space = MeasureSpace(6)
         H = GridFunction.sample(space, lambda y: y)
         eps = [0.5 * 2.0**-n for n in range(5)]
         bands = [band_set(H, 0.0, eps[i + 1], eps[i]) for i in range(4)]
@@ -131,21 +131,21 @@ class TestBisect:
     """The level-1 Rademacher function bisects its set by the sorted-half rule."""
 
     def test_full_interval_depth_one(self):
-        space = build_space(1)
+        space = MeasureSpace(1)
         E = MeasurableSet(space, [0, 1])
         left, right = halves(E)
         assert left.cell_indices.tolist() == [0]
         assert right.cell_indices.tolist() == [1]
 
     def test_sorted_half_rule(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         E = MeasurableSet(space, [2, 3, 4, 5])
         left, right = halves(E)
         assert left.cell_indices.tolist() == [2, 3]
         assert right.cell_indices.tolist() == [4, 5]
 
     def test_singleton_not_bisectable(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         with pytest.raises(NotBisectableError):
             rademacher(MeasurableSet(space, [7]), 1)
 
@@ -155,7 +155,7 @@ class TestBisect:
         data=st.data(),
     )
     def test_measure_additivity_exact(self, depth, data):
-        space = build_space(depth)
+        space = MeasureSpace(depth)
         size = data.draw(
             st.integers(1, space.cell_count // 2).map(lambda k: 2 * k)
         )
@@ -180,14 +180,14 @@ class TestBisect:
 
 class TestGridKernel:
     def test_apply_is_weighted_matvec(self):
-        space = build_space(2)
+        space = MeasureSpace(2)
         K = GridKernel(space, np.eye(4))
         f = GridFunction(space, np.array([1.0, 2.0, 3.0, 4.0]))
         out = K.apply(f)
         np.testing.assert_allclose(out.values, f.values * space.cell_width)
 
     def test_adjoint_is_conjugate_transpose(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         rng = np.random.default_rng(5)
         entries = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         K = GridKernel(space, entries)
@@ -198,7 +198,7 @@ class TestGridKernel:
 
     def test_adjoint_inner_product_identity(self):
         # <Kf, g> == <f, K* g> is what makes the adjoint an adjoint
-        space = build_space(4)
+        space = MeasureSpace(4)
         rng = np.random.default_rng(6)
         n = space.cell_count
         K = GridKernel(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -212,7 +212,7 @@ class TestGridKernel:
         "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)]
     )
     def test_rejects_non_finite_entries(self, bad):
-        space = build_space(2)
+        space = MeasureSpace(2)
         entries = np.ones((4, 4), dtype=type(bad) if isinstance(bad, complex) else float)
         entries[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -221,16 +221,16 @@ class TestGridKernel:
 
 class TestOperators:
     def test_multiplication_adjoint(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         h = GridFunction(space, np.arange(8) * (0.5 + 0.25j))
         op = MultiplicationOperator(h)
-        f = GridFunction.constant(space, 1.0)
+        f = GridFunction(space, np.ones(space.cell_count))
         np.testing.assert_allclose(
             op.adjoint().apply(f).values, np.conj(h.values)
         )
 
     def test_integral_double_adjoint(self):
-        space = build_space(2)
+        space = MeasureSpace(2)
         K = GridKernel(space, np.arange(16.0).reshape(4, 4))
         op = IntegralOperator(K)
         f = GridFunction(space, np.array([1.0, -1.0, 2.0, 0.5]))
@@ -241,7 +241,7 @@ class TestOperators:
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_apply_rows_is_apply_on_each_row(self, kind):
-        space = build_space(4)
+        space = MeasureSpace(4)
         rng = np.random.default_rng(41)
         entries = rng.standard_normal((16, 16))
         if kind == "complex":
@@ -257,34 +257,34 @@ class TestOperators:
 
 class TestLifting:
     def test_lift_preserves_norms(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         rng = np.random.default_rng(8)
         f = GridFunction(space, rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        fine = lift(f, build_space(6))
+        fine = lift(f, MeasureSpace(6))
         assert fine.norm() == pytest.approx(f.norm(), rel=1e-15)
 
     def test_lift_set_and_kernel_commute_with_apply(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         rng = np.random.default_rng(9)
         K = GridKernel(space, rng.standard_normal((8, 8)))
         f = GridFunction(space, rng.standard_normal(8))
         coarse = K.apply(f)
-        fine_space = build_space(5)
+        fine_space = MeasureSpace(5)
         fine = K.refined().refined().apply(lift(f, fine_space))
         np.testing.assert_allclose(
             fine.values, lift(coarse, fine_space).values, atol=1e-14
         )
 
     def test_lift_set_children(self):
-        space = build_space(2)
+        space = MeasureSpace(2)
         E = MeasurableSet(space, [1, 3])
-        fine = lift(E, build_space(3))
+        fine = lift(E, MeasureSpace(3))
         assert fine.cell_indices.tolist() == [2, 3, 6, 7]
         assert fine.measure == E.measure
 
     def test_cannot_lift_coarser(self):
-        f = GridFunction.constant(build_space(4), 1.0)
+        f = GridFunction(MeasureSpace(4), np.ones(16))
         with pytest.raises(SpaceMismatchError):
-            lift(f, build_space(3))
+            lift(f, MeasureSpace(3))
         with pytest.raises(SpaceMismatchError):
-            lift(MeasurableSet(build_space(4), [0]), build_space(3))
+            lift(MeasurableSet(MeasureSpace(4), [0]), MeasureSpace(3))

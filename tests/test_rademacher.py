@@ -10,10 +10,10 @@ from thirdkind import (
     GridFunction,
     GridKernel,
     MeasurableSet,
+    MeasureSpace,
     NotBisectableError,
     ToleranceUnreachableError,
     build_sequence,
-    build_space,
     inner_product,
     rademacher,
     select_index,
@@ -39,36 +39,36 @@ def oracle_rademacher_values(space, cells, n):
 class TestRademacher:
     def test_level_two_sign_pattern(self):
         # +1, -1, +1, -1 on the four quarters of [0, 1)
-        space = build_space(2)
+        space = MeasureSpace(2)
         r = rademacher(full_interval(space), 2)
         np.testing.assert_array_equal(r.values, [1.0, -1.0, 1.0, -1.0])
 
     def test_half_support_normalization(self):
         # mu E = 1/2 so the amplitude is sqrt(2), zero off E
-        space = build_space(2)
+        space = MeasureSpace(2)
         E = MeasurableSet(space, [0, 1])
         r = rademacher(E, 1)
         s2 = math.sqrt(2.0)
         np.testing.assert_allclose(r.values, [s2, -s2, 0.0, 0.0])
 
     def test_levels_orthogonal(self):
-        space = build_space(5)
+        space = MeasureSpace(5)
         E = full_interval(space)
         r1 = rademacher(E, 1)
         r2 = rademacher(E, 2)
         assert inner_product(r1, r2) == 0.0
 
     def test_unit_norm_and_zero_mean(self):
-        space = build_space(6)
+        space = MeasureSpace(6)
         E = MeasurableSet(space, np.arange(8, 40))
         for n in (1, 2, 3):
             r = rademacher(E, n)
             assert r.norm() == pytest.approx(1.0, abs=1e-14)
-            one = GridFunction.constant(space, 1.0)
+            one = GridFunction(space, np.ones(space.cell_count))
             assert abs(inner_product(r, one)) <= 1e-15
 
     def test_divisibility_required(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         E = MeasurableSet(space, [0, 1, 2])
         with pytest.raises(NotBisectableError):
             rademacher(E, 1)
@@ -76,7 +76,7 @@ class TestRademacher:
             rademacher(MeasurableSet(space, [0, 1]), 2)
 
     def test_matches_oracle(self):
-        space = build_space(5)
+        space = MeasureSpace(5)
         cells = np.arange(4, 20)
         r = rademacher(MeasurableSet(space, cells), 3)
         np.testing.assert_array_equal(
@@ -87,14 +87,14 @@ class TestRademacher:
 class TestSelectIndex:
     def test_constant_kernel_level_one(self):
         # Rademacher functions have zero mean, so a constant kernel kills them
-        space = build_space(4)
+        space = MeasureSpace(4)
         K = GridKernel(space, np.ones((16, 16)))
         sel = select_index(K, full_interval(space), n=3)
         assert sel.k == 1
         assert sel.achieved == 0.0
 
     def test_rank_one_constant_factors(self):
-        space = build_space(4)
+        space = MeasureSpace(4)
         ones = np.ones(16)
         K = GridKernel(space, np.outer(ones, ones))
         sel = select_index(K, full_interval(space), n=5)
@@ -103,7 +103,7 @@ class TestSelectIndex:
 
     def test_exp_kernel_depth_12(self):
         # frozen from a first run; the oracle below recomputes independently
-        space = build_space(12)
+        space = MeasureSpace(12)
         c = space.centers()
         K = GridKernel(space, np.exp(np.outer(c, c)))
         sel = select_index(K, full_interval(space), n=4)
@@ -117,14 +117,14 @@ class TestSelectIndex:
         assert sel.achieved == pytest.approx(forward + backward, rel=1e-12)
 
     def test_empty_band_rejected(self):
-        space = build_space(3)
+        space = MeasureSpace(3)
         K = GridKernel(space, np.ones((8, 8)))
         with pytest.raises(ValueError):
             select_index(K, MeasurableSet(space, []), n=1)
 
     def test_refinement_extends_divisibility(self):
         # three cells admit no level-1 split until the grid doubles
-        space = build_space(3)
+        space = MeasureSpace(3)
         K = GridKernel(space, np.ones((8, 8)))
         E = MeasurableSet(space, [1, 2, 5])
         sel = select_index(K, E, n=2)
@@ -136,14 +136,14 @@ class TestSelectIndex:
     def test_tolerance_unreachable_reports_best(self):
         # a spike kernel acts as the identity on the grid, so the norms stay
         # near 2; with no refinement budget the search must give up
-        space = build_space(2)
+        space = MeasureSpace(2)
         K = GridKernel(space, np.eye(4) / space.cell_width)
         with pytest.raises(ToleranceUnreachableError) as err:
             select_index(K, full_interval(space), n=100, depth_max=2)
         assert err.value.achieved == pytest.approx(2.0, rel=1e-12)
 
     def test_selection_carries_the_accepted_function_and_norms(self):
-        space = build_space(8)
+        space = MeasureSpace(8)
         c = space.centers()
         K = GridKernel(space, np.exp(np.outer(c, c)))
         sel = select_index(K, MeasurableSet(space, np.arange(8, 40)), n=3)
@@ -158,7 +158,7 @@ class TestSelectIndex:
         # would refine for level 4; an overflowed norm stops it at level 1.
         # spike: the image 1e300 R_k w is finite but its norm overflows;
         # aligned: the rows match R_1's signs, so the image itself is inf
-        space = build_space(6)
+        space = MeasureSpace(6)
         E = MeasurableSet(space, np.arange(8))
         if kernel == "spike":
             entries = 1e300 * np.eye(64)
@@ -180,7 +180,7 @@ class TestBuildSequence:
     def test_linear_coefficient_band_norms(self):
         # continuum value (7/12) 4^-n; the grid value agrees to 2**-depth
         depth = 10
-        space = build_space(depth)
+        space = MeasureSpace(depth)
         H = GridFunction.sample(space, lambda y: y)
         K = GridKernel(space, np.ones((space.cell_count,) * 2))
         seq = build_sequence(H, K, 0.0, count=4, eps0=1.0, ratio=0.5, depth_max=14)
@@ -192,15 +192,15 @@ class TestBuildSequence:
             assert seq.norm_coefficient[n - 1] <= seq.epsilons[n - 1]
 
     def test_constant_coefficient_empty_band(self):
-        space = build_space(4)
-        H = GridFunction.constant(space, 5.0)
+        space = MeasureSpace(4)
+        H = GridFunction(space, np.full(space.cell_count, 5.0))
         K = GridKernel(space, np.ones((16, 16)))
         with pytest.raises(EmptyBandError) as err:
             build_sequence(H, K, 3.0, count=2, eps0=0.5, ratio=0.5)
         assert err.value.band == 1
 
     def test_constant_kernel_all_levels_one(self):
-        space = build_space(8)
+        space = MeasureSpace(8)
         H = GridFunction.sample(space, lambda y: y)
         K = GridKernel(space, np.ones((space.cell_count,) * 2))
         seq = build_sequence(H, K, 0.0, count=3, eps0=1.0, ratio=0.5, depth_max=12)
@@ -209,7 +209,7 @@ class TestBuildSequence:
         np.testing.assert_array_equal(seq.norm_kernel_adjoint, 0.0)
 
     def test_orthonormality(self):
-        space = build_space(8)
+        space = MeasureSpace(8)
         H = GridFunction.sample(space, lambda y: y)
         c = space.centers()
         K = GridKernel(space, np.exp(np.outer(c, c)))
@@ -220,7 +220,7 @@ class TestBuildSequence:
         np.testing.assert_allclose(gram, pairwise, rtol=0, atol=1e-15)
 
     def test_kernel_decay_bound(self):
-        space = build_space(8)
+        space = MeasureSpace(8)
         H = GridFunction.sample(space, lambda y: y)
         c = space.centers()
         K = GridKernel(space, np.exp(np.outer(c, c)))
@@ -231,7 +231,7 @@ class TestBuildSequence:
 
     def test_multiplication_self_adjoint_norms(self):
         # |H - alpha| is what enters; the adjoint multiplies by the conjugate
-        space = build_space(7)
+        space = MeasureSpace(7)
         H = GridFunction.sample(space, lambda y: y)
         K = GridKernel(space, np.ones((space.cell_count,) * 2))
         seq = build_sequence(H, K, 0.5, count=2, eps0=0.25, ratio=0.5)
@@ -248,7 +248,7 @@ class TestBuildSequence:
     def test_refinement_lifts_everything(self):
         # eps schedule forcing a 1-cell band at depth 4: the level search
         # must refine, and earlier bands must follow to the final grid
-        space = build_space(4)
+        space = MeasureSpace(4)
         H = GridFunction.sample(space, lambda y: y)
         c = space.centers()
         K = GridKernel(space, np.exp(np.outer(c, c)))
@@ -261,7 +261,7 @@ class TestBuildSequence:
         assert np.max(np.abs(gram - np.eye(len(seq)))) <= 1e-12
 
     def test_parameter_validation(self):
-        space = build_space(4)
+        space = MeasureSpace(4)
         H = GridFunction.sample(space, lambda y: y)
         K = GridKernel(space, np.ones((16, 16)))
         with pytest.raises(ValueError):
@@ -272,7 +272,7 @@ class TestBuildSequence:
             build_sequence(H, K, 0.0, count=2, eps0=-1.0, ratio=0.5)
 
     def test_report_shape(self):
-        space = build_space(6)
+        space = MeasureSpace(6)
         H = GridFunction.sample(space, lambda y: y)
         K = GridKernel(space, np.ones((64, 64)))
         seq = build_sequence(H, K, 0.0, count=2, eps0=0.5, ratio=0.5)

@@ -11,12 +11,12 @@ from thirdkind import (
     GridKernel,
     IntegralOperator,
     MeasurableSet,
+    MeasureSpace,
     MultiplicationOperator,
     SpaceMismatchError,
     UnitarySurrogate,
     band_set,
     build_sequence,
-    build_space,
     complete_basis,
     inner_product,
     matrix_elements,
@@ -75,7 +75,7 @@ def dense_complete_basis(functions, space):
 def complex_family():
     """Three orthonormal functions with disjoint, interleaved supports and
     complex values of non-constant modulus, one of them on a single cell."""
-    space = build_space(5)
+    space = MeasureSpace(5)
     rng = np.random.default_rng(41)
     supports = ([2, 5, 6, 11, 12, 13, 20, 31], [3, 4, 14, 15, 16, 17], [9])
     functions = []
@@ -95,7 +95,7 @@ def family(space, functions=()):
 
 
 def three_band_sequence(depth):
-    space = build_space(depth)
+    space = MeasureSpace(depth)
     H = GridFunction.sample(space, lambda y: y)
     seq = build_sequence(H, exp_kernel(space), 0.25, 3, 0.25, 0.5, depth_max=depth + 4)
     return seq
@@ -103,7 +103,7 @@ def three_band_sequence(depth):
 
 class TestCompleteBasis:
     def test_empty_family_depth_one(self):
-        space = build_space(1)
+        space = MeasureSpace(1)
         basis = complete_basis([], space)
         s2 = math.sqrt(2.0)
         np.testing.assert_allclose(basis[0].values, [s2, 0.0])
@@ -112,7 +112,7 @@ class TestCompleteBasis:
     def test_rademacher_then_constant(self):
         # orthogonalizing the first indicator against R_1 leaves the
         # constant function, up to sign
-        space = build_space(1)
+        space = MeasureSpace(1)
         E = MeasurableSet(space, [0, 1])
         r1 = rademacher(E, 1)
         basis = complete_basis([r1], space)
@@ -142,14 +142,14 @@ class TestCompleteBasis:
         assert np.max(np.abs(basis - reference)) <= 1e-14
 
     def test_matches_dense_sweep_empty_family(self):
-        space = build_space(5)
+        space = MeasureSpace(5)
         basis = np.array([f.values for f in complete_basis([], space)])
         np.testing.assert_array_equal(basis, dense_complete_basis([], space))
 
     def test_matches_dense_sweep_full_support(self):
         # a constant has every cell in its support: the sweep is the dense one
-        space = build_space(5)
-        one = [GridFunction.constant(space, 1.0)]
+        space = MeasureSpace(5)
+        one = [GridFunction(space, np.ones(space.cell_count))]
         basis = np.array([f.values for f in complete_basis(one, space)])
         assert np.max(np.abs(basis - dense_complete_basis(one, space))) <= 1e-14
 
@@ -167,25 +167,25 @@ class TestCompleteBasis:
         assert np.max(np.abs(basis - reference)) <= 1e-14
 
     def test_rejects_non_orthonormal_start(self):
-        space = build_space(2)
-        one = GridFunction.constant(space, 1.0)
+        space = MeasureSpace(2)
+        one = GridFunction(space, np.ones(space.cell_count))
         with pytest.raises(ValueError):
             complete_basis([one, one], space)
         with pytest.raises(ValueError, match="not orthonormal"):
-            complete_basis([GridFunction.constant(space, 2.0)], space)
+            complete_basis([GridFunction(space, np.full(space.cell_count, 2.0))], space)
         with pytest.raises(ValueError, match="not orthonormal"):
-            complete_basis([GridFunction.zero(space)], space)
+            complete_basis([GridFunction(space, np.zeros(space.cell_count))], space)
 
     def test_rejects_overlapping_supports(self):
         # orthonormal, but the supports overlap: the closed form does not apply
-        space = build_space(1)
+        space = MeasureSpace(1)
         r1 = rademacher(MeasurableSet(space, [0, 1]), 1)
         with pytest.raises(ValueError, match="disjoint supports"):
-            complete_basis([r1, GridFunction.constant(space, 1.0)], space)
+            complete_basis([r1, GridFunction(space, np.ones(space.cell_count))], space)
 
     def test_storage_is_cells_and_band_blocks(self):
         # depth 12, basis size 512: a dense basis would hold 16 * 512 * 4096 B
-        space = build_space(12)
+        space = MeasureSpace(12)
         H = GridFunction.sample(space, lambda y: y)
         bands = [band_set(H, 0.25, 0.25 * 0.5 ** (i + 1), 0.25 * 0.5**i) for i in (1, 2, 3)]
         functions = [rademacher(E, k) for k, E in zip((3, 2, 1), bands)]
@@ -209,9 +209,9 @@ class TestMatrixElements:
     def test_constant_coefficient_gives_zero_matrices(self):
         # H identically alpha makes the shifted symbol vanish; with a zero
         # kernel the reduced equation collapses to alpha f = g
-        space = build_space(4)
+        space = MeasureSpace(4)
         alpha = 0.75
-        H = GridFunction.constant(space, alpha)
+        H = GridFunction(space, np.full(space.cell_count, alpha))
         K = GridKernel(space, np.zeros((16, 16)))
         U = UnitarySurrogate.from_sequence(family(space), "full")
         shifted = GridFunction(space, H.values - alpha)
@@ -229,15 +229,15 @@ class TestMatrixElements:
         )
 
     def test_identity_operator(self):
-        space = build_space(2)
+        space = MeasureSpace(2)
         basis = rows(complete_basis([], space))
-        ident = MultiplicationOperator(GridFunction.constant(space, 1.0))
+        ident = MultiplicationOperator(GridFunction(space, np.ones(space.cell_count)))
         a = matrix_elements(ident, basis)
         np.testing.assert_allclose(a, np.eye(4), atol=1e-14)
 
     def test_multiplication_by_linear_on_indicators(self):
         # cell centers 0.25 and 0.75 appear on the diagonal
-        space = build_space(1)
+        space = MeasureSpace(1)
         basis = rows(complete_basis([], space))
         op = MultiplicationOperator(GridFunction.sample(space, lambda y: y))
         a = matrix_elements(op, basis)
@@ -245,14 +245,14 @@ class TestMatrixElements:
 
     def test_constant_kernel_on_indicators(self):
         # (K f)(x) = integral of f, so every entry is 0.5 at depth 1
-        space = build_space(1)
+        space = MeasureSpace(1)
         basis = rows(complete_basis([], space))
         op = IntegralOperator(GridKernel(space, np.ones((2, 2))))
         a = matrix_elements(op, basis)
         np.testing.assert_allclose(a, np.full((2, 2), 0.5), atol=1e-14)
 
     def test_adjoint_is_conjugate_transpose(self):
-        space = build_space(4)
+        space = MeasureSpace(4)
         rng = np.random.default_rng(12)
         n = space.cell_count
         basis = rows(complete_basis([], space))
@@ -270,8 +270,8 @@ class TestMatrixElements:
         assert np.max(np.abs(a - a.conj().T)) <= 1e-12
 
     def test_space_mismatch(self):
-        basis = rows(complete_basis([], build_space(2)))
-        op = MultiplicationOperator(GridFunction.constant(build_space(3), 1.0))
+        basis = rows(complete_basis([], MeasureSpace(2)))
+        op = MultiplicationOperator(GridFunction(MeasureSpace(3), np.ones(8)))
         with pytest.raises(SpaceMismatchError):
             matrix_elements(op, basis)
 
@@ -324,7 +324,7 @@ class TestPencilMatrices:
     @pytest.mark.parametrize("size", ["full", 11])
     def test_empty_family(self, size):
         # no bands: every row is an indicator and the pencil is pure gathers
-        space = build_space(5)
+        space = MeasureSpace(5)
         U = UnitarySurrogate.from_sequence(family(space), size)
         rng = np.random.default_rng(32)
         n = space.cell_count
@@ -344,10 +344,10 @@ class TestPencilMatrices:
         assert_pencils_match(U, symbol, K)
 
     def test_space_mismatch(self):
-        U = UnitarySurrogate.from_sequence(family(build_space(3)), "full")
-        other = build_space(2)
+        U = UnitarySurrogate.from_sequence(family(MeasureSpace(3)), "full")
+        other = MeasureSpace(2)
         with pytest.raises(SpaceMismatchError):
-            pencil_matrices(U, GridFunction.constant(other, 1.0), GridKernel(other, np.eye(4)))
+            pencil_matrices(U, GridFunction(other, np.ones(other.cell_count)), GridKernel(other, np.eye(4)))
 
 
 class TestUnitarySurrogate:
@@ -375,7 +375,7 @@ class TestUnitarySurrogate:
     def test_zero_maps_to_zero(self):
         seq = three_band_sequence(6)
         U = UnitarySurrogate.from_sequence(seq, "full")
-        c = U.forward(GridFunction.zero(seq.space))
+        c = U.forward(GridFunction(seq.space, np.zeros(seq.space.cell_count)))
         np.testing.assert_array_equal(c, 0.0)
         back = U.inverse(np.zeros(U.size, dtype=complex))
         np.testing.assert_array_equal(back.values, 0.0)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import thirdkind.blas
 import thirdkind.kernels
@@ -17,13 +18,15 @@ from thirdkind import (
     GridKernel,
     IntegralOperator,
     KernelPencil,
+    MeasureSpace,
     MultiplicationOperator,
     NearSingularError,
     ProbeGrid,
     Reduction,
     UnitarySurrogate,
     build_sequence,
-    build_space,
+    carleman,
+    eval_kernel,
     forward_third_kind,
     matrix_elements,
     multiplier_matrix,
@@ -49,7 +52,7 @@ def product_kernel(space):
 
 
 def build_chain(depth, alpha, kernel_factory=exp_kernel, bands=3, eps0=0.25):
-    space = build_space(depth)
+    space = MeasureSpace(depth)
     H = GridFunction.sample(space, lambda y: y)
     K = kernel_factory(space)
     seq = build_sequence(H, K, alpha, bands, eps0, 0.5, depth_max=depth + 4)
@@ -59,7 +62,7 @@ def build_chain(depth, alpha, kernel_factory=exp_kernel, bands=3, eps0=0.25):
 
 class TestForward:
     def test_lambda_zero_is_multiplication(self):
-        space = build_space(4)
+        space = MeasureSpace(4)
         H = GridFunction.sample(space, lambda y: y * y)
         K = exp_kernel(space)
         rng = np.random.default_rng(61)
@@ -69,28 +72,28 @@ class TestForward:
 
     def test_pure_integral_part(self):
         # H = 0, K = 1, lambda = 1, phi = 1: psi = -integral of phi = -1
-        space = build_space(5)
-        H = GridFunction.zero(space)
+        space = MeasureSpace(5)
+        H = GridFunction(space, np.zeros(space.cell_count))
         K = GridKernel(space, np.ones((32, 32)))
-        phi = GridFunction.constant(space, 1.0)
+        phi = GridFunction(space, np.ones(space.cell_count))
         out = forward_third_kind(H, K, 1.0, phi)
         np.testing.assert_allclose(out.values, -1.0, atol=1e-14)
 
     def test_zero_input(self):
-        space = build_space(4)
+        space = MeasureSpace(4)
         H = GridFunction.sample(space, lambda y: y)
-        out = forward_third_kind(H, exp_kernel(space), 0.5, GridFunction.zero(space))
+        out = forward_third_kind(H, exp_kernel(space), 0.5, GridFunction(space, np.zeros(space.cell_count)))
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_inputs_on_another_grid_rejected(self):
-        space, other = build_space(4), build_space(5)
+        space, other = MeasureSpace(4), MeasureSpace(5)
         H = GridFunction.sample(space, lambda y: y)
         K = exp_kernel(space)
-        phi = GridFunction.zero(space)
+        phi = GridFunction(space, np.zeros(space.cell_count))
         for args in (
             (GridFunction.sample(other, lambda y: y), K, phi),
             (H, exp_kernel(other), phi),
-            (H, K, GridFunction.zero(other)),
+            (H, K, GridFunction(other, np.zeros(other.cell_count))),
         ):
             with pytest.raises(ValueError, match="different grids"):
                 forward_third_kind(args[0], args[1], 0.3, args[2])
@@ -316,13 +319,12 @@ class TestFirstKind:
 
     def test_hs_bound_with_gaussian_multiplier(self):
         from thirdkind import hs_norm
-        from thirdkind.kernels import carleman_row_norms
 
         run, _, _ = self.run_from_chain()
         plain = BilinearKernel(run.pencil.a)
         gamma = scale_by_multiplier(plain, run.m_matrix)
         probes = ProbeGrid(plain.basis, probe_grid(8.0, 161))
-        sup = float(np.max(carleman_row_norms(plain, probes)))
+        sup = float(np.max(np.linalg.norm(carleman(plain, "row", 0, probes), axis=0)))
         assert hs_norm(gamma) <= sup * math.pi**0.25 + 1e-12
 
     def test_multiplied_identity_preserved(self):
@@ -383,7 +385,7 @@ class TestFirstKind:
 class TestReduction:
     @staticmethod
     def chain_of(coefficient, depth=6, alpha=0.25, bands=3):
-        space = build_space(depth)
+        space = MeasureSpace(depth)
         H = GridFunction.sample(space, coefficient)
         K = exp_kernel(space)
         seq = build_sequence(H, K, alpha, bands, 0.25, 0.5, depth_max=depth + 4)
@@ -432,6 +434,49 @@ class TestReduction:
             )
 
 
+def rank_one_kernel(space):
+    """K(x, y) = (2x + 1/2) exp(-3y/2): left != right, so K is not symmetric."""
+    spec = {
+        "kind": "rank_one",
+        "left": {"kind": "linear", "scale": 2.0, "offset": 0.5},
+        "right": {"kind": "exp", "scale": -1.5},
+    }
+    return make_kernel(spec, space)
+
+
+class TestBiCarleman:
+    """Both Carleman sides of a pencil kernel that is not symmetric; on the
+    benchmark's exp(x y) pencil, D(lambda) is complex symmetric and the
+    column side equals the row side."""
+
+    @pytest.fixture(scope="class")
+    def pencil_kernel(self):
+        _, _, seq, U = build_chain(6, 0.25, rank_one_kernel)
+        run = reduction_of(seq, U)
+        return run.pencil.pencil_kernel(0.4 + 0.2j), run.probes
+
+    def test_column_side_differs_from_row_side(self, pencil_kernel):
+        pk, probes = pencil_kernel
+        assert pk.matrix.shape == (64, 64)
+        row = np.linalg.norm(carleman(pk, "row", 0, probes), axis=0)
+        column = np.linalg.norm(carleman(pk, "column", 0, probes), axis=0)
+        # measured 0.053 at the largest gap, with both sups near 0.70
+        assert np.max(np.abs(column - row)) >= 0.02
+
+    @pytest.mark.parametrize("x", [-1.3, 0.2, 2.6])
+    def test_each_side_against_quadrature(self, pencil_kernel, x):
+        # ||T(x, .)||^2 and ||T(., x)||^2, integrated over [-20, 20], where
+        # every u_n with n < 64 has decayed
+        pk, _ = pencil_kernel
+        grid = ProbeGrid(pk.basis, [x])
+        row = np.linalg.norm(carleman(pk, "row", 0, grid)[:, 0])
+        column = np.linalg.norm(carleman(pk, "column", 0, grid)[:, 0])
+        over_t, _ = quad(lambda t: abs(eval_kernel(pk, 0, 0, x, t)) ** 2, -20, 20, limit=400)
+        over_s, _ = quad(lambda s: abs(eval_kernel(pk, 0, 0, s, x)) ** 2, -20, 20, limit=400)
+        assert row**2 == pytest.approx(over_t, abs=1e-6)
+        assert column**2 == pytest.approx(over_s, abs=1e-6)
+
+
 def reduction_of(seq, U):
     """The run's lambda-free data over the default probe grid (41 points on
     [-8, 8])."""
@@ -441,7 +486,7 @@ def reduction_of(seq, U):
 class TestVerifyEquivalence:
     def test_zero_solution_zero_residuals(self):
         _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
-        phi = GridFunction.zero(seq.space)
+        phi = GridFunction(seq.space, np.zeros(seq.space.cell_count))
         report, _ = verify_equivalence(reduction_of(seq, U), 1.0, phi)
         assert report.passage_residual == 0.0
         assert report.round_trip_error == 0.0
