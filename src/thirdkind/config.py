@@ -158,6 +158,8 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     probe_points = probe.get("points", 41)
     if not _is_int(probe_points) or probe_bound <= 0 or probe_points < 3:
         raise ConfigError("probe bound must be positive and points an integer >= 3")
+    if not math.isfinite(0.5 * probe_bound * probe_bound):  # the Hermite values' exponent
+        raise ConfigError(f"probe bound {probe_bound:g} is too large: 0.5 * bound**2 overflows")
 
     cutoff = _real(raw, "cutoff", 1e-10, "config")
     if not 0 < cutoff < 1:

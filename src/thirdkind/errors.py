@@ -21,9 +21,9 @@ class EmptyBandError(ThirdKindError):
     index that came up empty.
     """
 
-    def __init__(self, band: int, message: str | None = None):
+    def __init__(self, band: int):
         self.band = band
-        super().__init__(message or f"band {band} is empty at this resolution")
+        super().__init__(f"band {band} is empty at this resolution")
 
 
 class ToleranceUnreachableError(ThirdKindError):

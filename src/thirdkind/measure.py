@@ -1,12 +1,12 @@
 """Dyadic grid model of the underlying measure space.
 
-The ambient space is Y = [0, 1) with Lebesgue measure, discretized into
-2**depth half-open cells of equal measure 2**-depth. Measurable sets are
-unions of cells, functions are piecewise constant per cell, and kernels are
-sampled at cell-center pairs (midpoint rule). All measures are dyadic
-rationals, so set algebra (bisection, band extraction, refinement) is exact
-in double precision. Nonatomicity is emulated by grid refinement: every cell
-splits into two children of half the measure.
+The ambient space is Y = [0, 1) with Lebesgue measure, in 2**depth half-open
+cells of equal measure 2**-depth. Measurable sets are unions of cells,
+functions are piecewise constant per cell, and kernels are sampled at
+cell-center pairs (midpoint rule) and act, as do their adjoints, by weighted
+matrix products. All measures are dyadic rationals, so set algebra
+(bisection, band extraction, refinement) is exact in double precision.
+Nonatomicity is emulated by grid refinement: each cell splits in two halves.
 """
 
 from __future__ import annotations
@@ -177,13 +177,13 @@ class GridKernel:
         return GridFunction(self.space, _matvec(self.entries, f.values) * self.space.cell_width)
 
     def apply_adjoint(self, f: GridFunction) -> GridFunction:
-        # (K* f)(x) = sum_y conj(K(y, x)) f(y) w, without materializing K^H
         _require_same_space(self.space, f.space)
-        out = np.conj(_matvec(self.entries.T, np.conj(f.values)))
-        return GridFunction(self.space, out * self.space.cell_width)
+        return GridFunction(self.space, self.adjoint_image(f.values))
 
-    def adjoint(self) -> "GridKernel":
-        return GridKernel(self.space, np.conj(self.entries.T))
+    def adjoint_image(self, x: np.ndarray) -> np.ndarray:
+        """(K* x)(s) = sum_t conj(K(t, s)) x(t) w, without materializing K^H, for
+        a (cell count,) array or each row of a (k, cell count) block at once."""
+        return np.conj(_matvec(self.entries.T, np.conj(x.T))).T * self.space.cell_width
 
     def refined(self) -> "GridKernel":
         """Re-sample the piecewise-constant kernel on the finer grid."""
@@ -203,48 +203,3 @@ def _matvec(entries: np.ndarray, values: np.ndarray) -> np.ndarray:
         return entries @ values.real + 1j * (entries @ values.imag)
     return entries @ values
 
-
-class MultiplicationOperator:
-    """Multiplication by a grid function; adjoint is conjugate multiplication."""
-
-    def __init__(self, symbol: GridFunction):
-        self.symbol = symbol
-        self.space = symbol.space
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        _require_same_space(self.space, f.space)
-        return GridFunction(self.space, self.symbol.values * f.values)
-
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The operator applied to each row of a (k, cell count) array."""
-        return rows * self.symbol.values
-
-    def adjoint(self) -> "MultiplicationOperator":
-        return MultiplicationOperator(
-            GridFunction(self.space, np.conj(self.symbol.values))
-        )
-
-
-class IntegralOperator:
-    """Integral operator induced by a grid kernel (or its adjoint)."""
-
-    def __init__(self, kernel: GridKernel, conjugate_transpose: bool = False):
-        self.kernel = kernel
-        self.conjugate_transpose = conjugate_transpose
-        self.space = kernel.space
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        if self.conjugate_transpose:
-            return self.kernel.apply_adjoint(f)
-        return self.kernel.apply(f)
-
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The operator applied to each row of a (k, cell count) array, as
-        `apply` does to one function but in one matrix product."""
-        entries, w = self.kernel.entries, self.space.cell_width
-        if self.conjugate_transpose:
-            return np.conj(_matvec(entries.T, np.conj(rows.T))).T * w
-        return _matvec(entries, rows.T).T * w
-
-    def adjoint(self) -> "IntegralOperator":
-        return IntegralOperator(self.kernel, not self.conjugate_transpose)

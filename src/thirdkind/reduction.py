@@ -3,10 +3,10 @@
 The map is determined by pairing two orthonormal bases: a completed basis
 {b_n} of the grid space whose leading entries are the damping sequence
 {e_n}, and the smooth basis {u_n}. Forward application reads off the
-coefficients of a grid function in {b_n} (interpreted as coefficients in
-{u_n}); the inverse synthesizes. In full truncation (basis size = cell
-count) the pairing is unitary up to rounding, so conjugated operators are
-represented exactly by their coefficient matrices a_mn = <S b_n, b_m>.
+coefficients of a grid function in {b_n} (as coefficients in {u_n}); the
+inverse synthesizes. In full truncation (basis size = cell count) the
+pairing is unitary up to rounding, so an operator S is represented exactly
+by its matrix a_mn = <S b_n, b_m>, read off the images S b_n of the rows.
 
 The e_n have pairwise disjoint supports (one band each), so the completed
 basis has a closed form: outside the bands it is the cell indicators, and on
@@ -63,7 +63,7 @@ def complete_basis(
     pairwise disjoint (ValueError otherwise). This is the dense view of
     `UnitarySurrogate.from_sequence` at full truncation.
     """
-    return _complete(functions, space, space.cell_count).b_functions
+    return [GridFunction(space, r) for r in _complete(functions, space, space.cell_count).b_matrix]
 
 
 def _complete(
@@ -121,20 +121,18 @@ def _complete(
     )
 
 
-def matrix_elements(op, b_rows: np.ndarray) -> CoefficientMatrix:
-    """Coefficient matrix a_mn = <S b_n, b_m> of an operator on the grid.
+def matrix_elements(
+    space: MeasureSpace, b_rows: np.ndarray, images: np.ndarray
+) -> CoefficientMatrix:
+    """Coefficient matrix a_mn = <S b_n, b_m> = w conj(B) images^T of S on `space`.
 
-    `b_rows` holds the basis functions b_n as the rows of a (size, cell
-    count) array, such as `UnitarySurrogate.b_matrix`, and `op` has a `space`
-    and apply_rows(rows) -> rows over it. The adjoint operator's matrix is
-    the conjugate transpose. This is the generic dense path, the operator
-    applied to all rows in one product; see `pencil_matrices` for the two
-    operators of the reduction.
+    B = `b_rows` holds the basis functions b_n as rows, like `U.b_matrix`, and
+    `images` their images S b_n the same way: the generic dense path, where
+    `pencil_matrices` is the structured one of the reduction's two operators.
     """
-    space = op.space
-    if b_rows.ndim != 2 or b_rows.shape[1] != space.cell_count:
+    if b_rows.ndim != 2 or b_rows.shape[1] != space.cell_count or images.shape != b_rows.shape:
         raise SpaceMismatchError("operator and basis live on different grids")
-    return space.cell_width * (b_rows.conj() @ op.apply_rows(b_rows).T)
+    return space.cell_width * (b_rows.conj() @ images.T)
 
 
 def pencil_matrices(
@@ -220,10 +218,6 @@ class UnitarySurrogate:
         for band in self.bands:
             B[np.ix_(band.rows, band.cells)] = band.block
         return B
-
-    @property
-    def b_functions(self) -> list[GridFunction]:
-        return [GridFunction(self.space, row) for row in self.b_matrix]
 
     @classmethod
     def from_sequence(

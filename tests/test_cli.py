@@ -93,6 +93,8 @@ class TestConfigParsing:
             ({"lambda": [[0.3, float("inf")]]}, "lambda (im) must be finite"),
             ({"alpha": float("nan")}, "alpha must be finite"),
             ({"alpha": [0.25]}, "alpha: expected a number or [re, im] pair"),
+            ({"probe": {"bound": 1e160}}, "probe bound 1e+160 is too large"),
+            ({"probe": {"bound": 1.5e308}}, "probe bound 1.5e+308 is too large"),
         ],
     )
     def test_values_checked_before_use(self, tmp_path, capsys, override, message):
@@ -101,6 +103,29 @@ class TestConfigParsing:
         assert code == 1
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("bound, code", [(1.5e308, 1), (1e150, 0)])
+    def test_probe_bound_the_hermite_values_can_take(self, tmp_path, bound, code):
+        # 0.5 * bound**2 overflows from about 1.9e154 on, and the probes'
+        # Hermite values with it: such a bound is a config error
+        cfg = write_config(tmp_path, probe={"bound": bound})
+        out = tmp_path / "o"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "thirdkind.cli", "reduce", "--config", str(cfg)]
+        done = subprocess.run(
+            [*argv, "--out", str(out)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == code
+        if code:
+            assert done.stderr.startswith("config error: probe bound")
+            assert done.stderr.count("\n") == 1
+            assert "Traceback" not in done.stderr
+            assert not out.exists()
+        else:
+            assert done.stderr == ""
+            assert (out / "report_lambda0.json").exists()
 
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

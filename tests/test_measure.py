@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from thirdkind import (
     GridFunction,
     GridKernel,
-    IntegralOperator,
     MeasurableSet,
     MeasureSpace,
-    MultiplicationOperator,
     NotBisectableError,
     SpaceMismatchError,
     band_set,
@@ -193,7 +191,7 @@ class TestGridKernel:
         K = GridKernel(space, entries)
         f = GridFunction(space, rng.standard_normal(8) + 1j * rng.standard_normal(8))
         via_method = K.apply_adjoint(f)
-        via_matrix = K.adjoint().apply(f)
+        via_matrix = GridKernel(space, np.conj(entries.T)).apply(f)
         np.testing.assert_allclose(via_method.values, via_matrix.values, atol=1e-14)
 
     def test_adjoint_inner_product_identity(self):
@@ -221,26 +219,22 @@ class TestGridKernel:
 
 class TestOperators:
     def test_multiplication_adjoint(self):
+        # the battery's image of a row block under (H - alpha)*: rows times conj
         space = MeasureSpace(3)
         h = GridFunction(space, np.arange(8) * (0.5 + 0.25j))
-        op = MultiplicationOperator(h)
-        f = GridFunction(space, np.ones(space.cell_count))
-        np.testing.assert_allclose(
-            op.adjoint().apply(f).values, np.conj(h.values)
-        )
+        rows = np.ones((1, space.cell_count))
+        np.testing.assert_allclose((rows * np.conj(h.values))[0], np.conj(h.values))
 
     def test_integral_double_adjoint(self):
+        # K* of the conjugate-transpose kernel is K
         space = MeasureSpace(2)
         K = GridKernel(space, np.arange(16.0).reshape(4, 4))
-        op = IntegralOperator(K)
         f = GridFunction(space, np.array([1.0, -1.0, 2.0, 0.5]))
-        np.testing.assert_allclose(
-            op.adjoint().adjoint().apply(f).values, op.apply(f).values
-        )
-
+        twice = GridKernel(space, np.conj(K.entries.T)).apply_adjoint(f)
+        np.testing.assert_allclose(twice.values, K.apply(f).values)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_apply_rows_is_apply_on_each_row(self, kind):
+    def test_adjoint_image_is_apply_adjoint_on_each_row(self, kind):
         space = MeasureSpace(4)
         rng = np.random.default_rng(41)
         entries = rng.standard_normal((16, 16))
@@ -248,11 +242,23 @@ class TestOperators:
             entries = entries + 1j * rng.standard_normal((16, 16))
         rows = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
         symbol = GridFunction(space, rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        integral = IntegralOperator(GridKernel(space, entries))
-        mult = MultiplicationOperator(symbol)
-        for op in (integral, integral.adjoint(), mult, mult.adjoint()):
-            one_by_one = [op.apply(GridFunction(space, r)).values for r in rows]
-            np.testing.assert_allclose(op.apply_rows(rows), one_by_one, rtol=0, atol=1e-13)
+        K = GridKernel(space, entries)
+        w = space.cell_width
+
+        def per_row(apply):
+            return [apply(GridFunction(space, r)).values for r in rows]
+
+        # (block, one function at a time): K* and K against their sums, and
+        # the battery's multiplication images against the pointwise products
+        pairs = (
+            (K.adjoint_image(rows), per_row(K.apply_adjoint)),
+            (rows @ np.conj(entries) * w, per_row(K.apply_adjoint)),
+            (rows @ entries.T * w, per_row(K.apply)),
+            (rows * symbol.values, [symbol.values * r for r in rows]),
+            (rows * np.conj(symbol.values), [np.conj(symbol.values) * r for r in rows]),
+        )
+        for block, one_by_one in pairs:
+            np.testing.assert_allclose(block, one_by_one, rtol=0, atol=1e-13)
 
 
 class TestLifting:

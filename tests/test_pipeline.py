@@ -81,7 +81,8 @@ def test_run_carries_the_pencil_it_reports_on():
 
 def test_reduction_needs_no_generic_matrix_elements(monkeypatch):
     """The pencil comes from the structured path; only the battery's two
-    adjoint checks use the generic operator-application path."""
+    adjoint checks use the generic dense path, on their adjoint images of the
+    surrogate's rows."""
     calls = []
     original = reduction.matrix_elements
 
@@ -96,6 +97,27 @@ def test_reduction_needs_no_generic_matrix_elements(monkeypatch):
     assert len(calls) == 0
     pipeline.run_verification(config)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("moved", ["a0", "a"])
+def test_adjoint_oracle_catches_a_moved_entry(monkeypatch, moved):
+    """The adjoint checks read the operators, not the pencil: moving one
+    off-diagonal entry of A0 or A by 1e-6 fails that matrix's check only."""
+    original = solvers.pencil_matrices
+
+    def perturbed(*args, **kwargs):
+        a0, a = original(*args, **kwargs)
+        (a0 if moved == "a0" else a)[1, 2] += 1e-6
+        return a0, a
+
+    monkeypatch.setattr(solvers, "pencil_matrices", perturbed)
+    result = pipeline.run_verification(parse_config({**CONFIG, "alpha": 0.25}))
+    checks = {c.name: c for c in result.checks}
+    hit = "multiplication" if moved == "a0" else "integral"
+    missed = "integral" if moved == "a0" else "multiplication"
+    assert checks[f"adjoint_consistency_{hit}"].value >= 9e-7
+    assert not checks[f"adjoint_consistency_{hit}"].passed
+    assert checks[f"adjoint_consistency_{missed}"].passed
 
 
 def test_probe_values_built_once_per_run(monkeypatch):

@@ -9,10 +9,8 @@ import pytest
 from thirdkind import (
     GridFunction,
     GridKernel,
-    IntegralOperator,
     MeasurableSet,
     MeasureSpace,
-    MultiplicationOperator,
     SpaceMismatchError,
     UnitarySurrogate,
     band_set,
@@ -38,6 +36,12 @@ def rows(functions):
     """The functions' values as the rows of one array, as matrix_elements
     takes a basis."""
     return np.array([f.values for f in functions])
+
+
+def kernel_image(K, b):
+    """w K b^T as rows: the images of the rows of `b` under K, from the
+    entries."""
+    return (K.entries @ b.T).T * K.space.cell_width
 
 
 def exp_kernel(space):
@@ -215,8 +219,9 @@ class TestMatrixElements:
         K = GridKernel(space, np.zeros((16, 16)))
         U = UnitarySurrogate.from_sequence(family(space), "full")
         shifted = GridFunction(space, H.values - alpha)
-        a0 = matrix_elements(MultiplicationOperator(shifted), U.b_matrix)
-        a = matrix_elements(IntegralOperator(K), U.b_matrix)
+        B = U.b_matrix
+        a0 = matrix_elements(space, B, B * shifted.values)
+        a = matrix_elements(space, B, kernel_image(K, B))
         assert np.max(np.abs(a0)) == 0.0
         assert np.max(np.abs(a)) == 0.0
         rng = np.random.default_rng(63)
@@ -231,24 +236,22 @@ class TestMatrixElements:
     def test_identity_operator(self):
         space = MeasureSpace(2)
         basis = rows(complete_basis([], space))
-        ident = MultiplicationOperator(GridFunction(space, np.ones(space.cell_count)))
-        a = matrix_elements(ident, basis)
+        a = matrix_elements(space, basis, basis * np.ones(space.cell_count))
         np.testing.assert_allclose(a, np.eye(4), atol=1e-14)
 
     def test_multiplication_by_linear_on_indicators(self):
         # cell centers 0.25 and 0.75 appear on the diagonal
         space = MeasureSpace(1)
         basis = rows(complete_basis([], space))
-        op = MultiplicationOperator(GridFunction.sample(space, lambda y: y))
-        a = matrix_elements(op, basis)
+        symbol = GridFunction.sample(space, lambda y: y)
+        a = matrix_elements(space, basis, basis * symbol.values)
         np.testing.assert_allclose(a, np.diag([0.25, 0.75]), atol=1e-14)
 
     def test_constant_kernel_on_indicators(self):
         # (K f)(x) = integral of f, so every entry is 0.5 at depth 1
         space = MeasureSpace(1)
         basis = rows(complete_basis([], space))
-        op = IntegralOperator(GridKernel(space, np.ones((2, 2))))
-        a = matrix_elements(op, basis)
+        a = matrix_elements(space, basis, kernel_image(GridKernel(space, np.ones((2, 2))), basis))
         np.testing.assert_allclose(a, np.full((2, 2), 0.5), atol=1e-14)
 
     def test_adjoint_is_conjugate_transpose(self):
@@ -257,30 +260,32 @@ class TestMatrixElements:
         n = space.cell_count
         basis = rows(complete_basis([], space))
         K = GridKernel(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        op = IntegralOperator(K)
-        a = matrix_elements(op, basis)
-        a_star = matrix_elements(op.adjoint(), basis)
+        a = matrix_elements(space, basis, kernel_image(K, basis))
+        a_star = matrix_elements(space, basis, K.adjoint_image(basis))
         assert np.max(np.abs(a_star - a.conj().T)) <= 1e-10
 
     def test_hermitian_for_real_shifted_multiplication(self):
         seq = three_band_sequence(6)
         basis = rows(complete_basis(seq.functions, seq.space))
         shifted = GridFunction(seq.space, seq.coefficient.values - 0.25)
-        a = matrix_elements(MultiplicationOperator(shifted), basis)
+        a = matrix_elements(seq.space, basis, basis * shifted.values)
         assert np.max(np.abs(a - a.conj().T)) <= 1e-12
 
     def test_space_mismatch(self):
         basis = rows(complete_basis([], MeasureSpace(2)))
-        op = MultiplicationOperator(GridFunction(MeasureSpace(3), np.ones(8)))
         with pytest.raises(SpaceMismatchError):
-            matrix_elements(op, basis)
+            matrix_elements(MeasureSpace(3), basis, basis)
+        with pytest.raises(SpaceMismatchError):
+            matrix_elements(MeasureSpace(2), basis, basis[:, :2])
 
 
 def generic_pencil(U, symbol, kernel):
+    """The dense oracle: the operators' images of every row, formed here from
+    the symbol and the kernel's entries."""
     b = U.b_matrix
     return (
-        matrix_elements(MultiplicationOperator(symbol), b),
-        matrix_elements(IntegralOperator(kernel), b),
+        matrix_elements(U.space, b, b * symbol.values),
+        matrix_elements(U.space, b, kernel_image(kernel, b)),
     )
 
 
@@ -354,7 +359,7 @@ class TestUnitarySurrogate:
     def test_forward_of_basis_vector(self):
         seq = three_band_sequence(6)
         U = UnitarySurrogate.from_sequence(seq, "full")
-        b3 = U.b_functions[3]
+        b3 = GridFunction(seq.space, U.b_matrix[3])
         c = U.forward(b3)
         expected = np.zeros(U.size)
         expected[3] = 1.0
@@ -396,7 +401,7 @@ class TestUnitarySurrogate:
         e1 = np.zeros(U.size)
         e1[0] = 1.0
         np.testing.assert_allclose(
-            U.inverse(e1).values, U.b_functions[0].values, atol=1e-14
+            U.inverse(e1).values, U.b_matrix[0], atol=1e-14
         )
 
     @pytest.mark.parametrize("size", ["full", 40])

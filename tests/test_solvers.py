@@ -16,10 +16,8 @@ from thirdkind import (
     DegenerateSystemError,
     GridFunction,
     GridKernel,
-    IntegralOperator,
     KernelPencil,
     MeasureSpace,
-    MultiplicationOperator,
     NearSingularError,
     ProbeGrid,
     Reduction,
@@ -122,17 +120,17 @@ class TestReduce:
         assert np.linalg.norm(lhs - g) <= 1e-9 * np.linalg.norm(g)
 
     def test_pencil_is_the_sequence_problem(self):
-        # alpha, H and K come from the sequence: A0 against the generic
-        # operator-application path for H - alpha on the final grid
+        # alpha, H and K come from the sequence: the pencil against the dense
+        # images of every row under H - alpha and K on the final grid
         H, K, seq, U = build_chain(5, alpha=0.25, bands=2)
         pencil = reduce_problem(seq, U)
         assert pencil.alpha == seq.alpha == 0.25
-        shifted = MultiplicationOperator(GridFunction(seq.space, H.values - 0.25))
+        B, w = U.b_matrix, seq.space.cell_width
         np.testing.assert_allclose(
-            pencil.a0, matrix_elements(shifted, U.b_matrix), rtol=0, atol=1e-13
+            pencil.a0, matrix_elements(seq.space, B, B * (H.values - 0.25)), rtol=0, atol=1e-13
         )
         np.testing.assert_allclose(
-            pencil.a, matrix_elements(IntegralOperator(K), U.b_matrix), rtol=0, atol=1e-13
+            pencil.a, matrix_elements(seq.space, B, (K.entries @ B.T).T * w), rtol=0, atol=1e-13
         )
 
     def test_pencil_is_affine_in_lambda(self):

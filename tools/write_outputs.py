@@ -1,0 +1,105 @@
+"""Write every output of a fixed set of CLI runs, for a byte-identity diff.
+
+Usage, from the root of a checkout:
+
+    python3 tools/write_outputs.py CHECKOUT OUTDIR
+
+Runs the CLI of CHECKOUT (``python -m thirdkind.cli`` with
+``PYTHONPATH=CHECKOUT/src``) on one BLAS thread, once per command below, and
+writes for each command a directory OUTDIR/<name> with its config, its output
+files, and its stdout, stderr and exit code. OUTDIR is replaced by ``$OUT`` in
+stdout and stderr, so two checkouts written to two directories compare with
+
+    diff -r OUTDIR_A OUTDIR_B
+
+The commands:
+
+* ``reduce`` on the config of every benchmark workload, seeds 101 and 202;
+* ``verify`` on ``verify-sweep-d9`` and ``first-kind-d7``, seeds 101 and 202;
+* ``reduce`` and ``verify`` on a depth-8, alpha = 0 ``rank_one`` config;
+* ``build-sequence`` on ``reduce-d10``, seed 202.
+
+The workload configs come from ``Workload.config`` of this repository's
+``perfbench/run.py``, so both checkouts get the same inputs.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RANK_ONE_D8 = {
+    "depth": 8,
+    "alpha": 0.0,
+    "lambda": [[0.3, 0.1], [0.5, -0.2]],
+    "eps0": 0.25,
+    "ratio": 0.5,
+    "bands": 3,
+    "coefficient": {"kind": "linear"},
+    "kernel": {
+        "kind": "rank_one",
+        "left": {"kind": "exp", "scale": 0.5},
+        "right": {"kind": "linear", "scale": 2.0, "offset": 0.1},
+    },
+    "seed": 7,
+}
+
+
+def _workloads() -> dict:
+    sys.dont_write_bytecode = True  # leave no cache beside perfbench/run.py
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def commands() -> list[tuple[str, str, dict]]:
+    """(run name, CLI command, config) for every run, in order."""
+    workloads = _workloads()
+    runs = []
+    for seed in (101, 202):
+        for name, workload in workloads.items():
+            runs.append((f"reduce-{name}-{seed}", "reduce", workload.config(seed)))
+        for name in ("verify-sweep-d9", "first-kind-d7"):
+            runs.append((f"verify-{name}-{seed}", "verify", workloads[name].config(seed)))
+    runs.append(("reduce-rank-one-d8", "reduce", RANK_ONE_D8))
+    runs.append(("verify-rank-one-d8", "verify", RANK_ONE_D8))
+    d10 = workloads["reduce-d10"].config(202)
+    runs.append(("build-sequence-reduce-d10-202", "build-sequence", d10))
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 1
+    checkout, outdir = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(checkout / "src")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for name, command, config in commands():
+        run = outdir / name
+        (run / "out").mkdir(parents=True, exist_ok=True)
+        (run / "config.json").write_text(json.dumps(config, indent=1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "thirdkind.cli", command,
+             "--config", str(run / "config.json"), "--out", str(run / "out")],
+            capture_output=True, text=True, env=env, cwd=checkout,
+        )
+        (run / "stdout.txt").write_text(proc.stdout.replace(str(outdir), "$OUT"))
+        (run / "stderr.txt").write_text(proc.stderr.replace(str(outdir), "$OUT"))
+        (run / "exit_code.txt").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
