@@ -1,33 +1,45 @@
 """numpy's bundled OpenBLAS: the thread count for small problems, and zgesdd.
 
 The per-lambda work is dense N x N linear algebra. Below a size, a second
-OpenBLAS thread only spins, so the runs there use one thread. That also
-makes their outputs independent of the thread count the process started with.
+OpenBLAS thread buys little wall time for its CPU time, so the runs there
+use one thread, and `beside` runs two such SVDs on two Python threads
+instead. One thread also makes their outputs independent of the thread
+count the process started with.
 
 Every SVD of the package goes through `gesdd`. It calls the LAPACK routine
 that numpy.linalg.svd calls, with the same arguments, but on a Fortran-order
-array the caller gives up, and into the arrays it returns. numpy.linalg.svd
-also keeps a Fortran copy of its input and copies both singular-vector sets
-into new arrays; here the n x n transient is the input, u, vh and the real
-workspace.
+array the caller gives up, and into the arrays it returns; a square matrix
+with vectors goes through that routine's own steps, one call each, so that
+each workspace is freed when its step ends. numpy.linalg.svd also keeps a
+Fortran copy of its input and copies both singular-vector sets into new
+arrays.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import glob
 import os
+import threading
 import types
+from collections.abc import Callable
 
 import numpy as np
 
-# Complex SVD, scipy-openblas 0.3.31 on 2 vCPUs, wall / CPU time:
-#   n = 128: 1 thread 6.9 ms / 9 ms, 2 threads 8.2 / 16 ms
-#   n = 256: 1 thread 30 / 37 ms,    2 threads 32 / 63 ms
-#   n = 512: 1 thread 226 / 226 ms,  2 threads 175 / 341 ms
-# Up to n = 256 the second thread saves no wall time and doubles the CPU time.
-SINGLE_THREAD_MAX_SIZE = 256
+# Complex SVD with vectors (`gesdd`), scipy-openblas 0.3.31 on 2 vCPUs,
+# median wall / CPU time in ms; "pair" is a report's two SVDs, the values of
+# one n x n matrix and the full SVD of another, serial or `beside`:
+#   n      1 thread     2 threads     pair, 2 threads   pair beside, 1 each
+#   128    8.9 / 8.9    9.2 / 17      15 / 31           9.3 / 17
+#   256    37 / 37      40 / 80       60 / 119          32 / 51
+#   512    243 / 243    204 / 405     282 / 560         233 / 364
+#   1024   1897 / 1896  1321 / 2611   2025 / 3994       2123 / 3113
+# Up to n = 512 a second OpenBLAS thread saves at most a sixth of the wall
+# time for about twice the CPU time, and the pair beside is faster than
+# serial on two threads; at n = 1024 it is not.
+SINGLE_THREAD_MAX_SIZE = 512
 
 # rows per block of the in-place transposition of u and vh
 _BLOCK = 64
@@ -35,32 +47,48 @@ _BLOCK = 64
 
 @functools.cache
 def _openblas() -> types.SimpleNamespace | None:
-    """The thread-count functions and zgesdd of numpy's bundled OpenBLAS
-    (ILP64), or None when the library or one of its symbols is not there.
-    Loaded on the first call, so importing the package does not load it."""
-    import ctypes
-
+    """The thread-count functions, zgesdd and the LAPACK routines of its
+    square path in numpy's bundled OpenBLAS (ILP64), or None when the library
+    or one of its symbols is not there. Loaded on the first call, so
+    importing the package does not load it."""
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    char, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+    # argument types, in order, with Fortran's hidden string lengths last
+    signatures = {
+        "set_threads": ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
+        "get_threads": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+        # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, rwork, iwork, info
+        "zgesdd": ("scipy_zgesdd_64_", [char, i64, i64, ptr, i64, ptr, ptr, i64, ptr,
+                                        i64, ptr, i64, ptr, ptr, i64, length], None),
+        # norm, m, n, a, lda, work
+        "zlange": ("scipy_zlange_64_", [char, i64, i64, ptr, i64, ptr, length],
+                   ctypes.c_double),
+        # type, kl, ku, cfrom, cto, m, n, a, lda, info
+        "zlascl": ("scipy_zlascl_64_", [char, i64, i64, f64, f64, i64, i64, ptr, i64,
+                                        i64, length], None),
+        "dlascl": ("scipy_dlascl_64_", [char, i64, i64, f64, f64, i64, i64, ptr, i64,
+                                        i64, length], None),
+        # m, n, a, lda, d, e, tauq, taup, work, lwork, info
+        "zgebrd": ("scipy_zgebrd_64_", [i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+                                        i64, i64], None),
+        # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info
+        "dbdsdc": ("scipy_dbdsdc_64_", [char, char, i64, ptr, ptr, ptr, i64, ptr, i64,
+                                        ptr, ptr, ptr, ptr, i64, length, length], None),
+        # vect, side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork, info
+        "zunmbr": ("scipy_zunmbr_64_", [char, char, char, i64, i64, i64, ptr, i64, ptr,
+                                        ptr, i64, ptr, i64, i64, length, length,
+                                        length], None),
+    }
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
             lib = ctypes.CDLL(path)
-            set_threads = lib.scipy_openblas_set_num_threads64_
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            zgesdd = lib.scipy_zgesdd_64_
+            functions = {name: getattr(lib, symbol) for name, (symbol, _, _) in signatures.items()}
         except (OSError, AttributeError):
             continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-        # jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, rwork, iwork,
-        # info, and the hidden length of jobz
-        zgesdd.argtypes = [ctypes.c_char_p, int_p, int_p, ptr, int_p, ptr, ptr,
-                           int_p, ptr, int_p, ptr, int_p, ptr, ptr, int_p,
-                           ctypes.c_size_t]
-        zgesdd.restype = None
-        return types.SimpleNamespace(
-            set_threads=set_threads, get_threads=get_threads, zgesdd=zgesdd
-        )
+        for name, (_, argtypes, restype) in signatures.items():
+            functions[name].argtypes, functions[name].restype = argtypes, restype
+        return types.SimpleNamespace(**functions)
     return None
 
 
@@ -93,6 +121,41 @@ def _c_order(f: np.ndarray) -> np.ndarray:
     return c
 
 
+def beside(lane: Callable, main: Callable, size: int) -> tuple:
+    """(lane(), main()). For `size` <= SINGLE_THREAD_MAX_SIZE, where
+    `blas_threads_for` leaves each call one BLAS thread, lane() runs on a
+    second thread while this one runs main(), so two SVDs keep both cores
+    busy; above it they run one after the other, lane() first. Either way
+    the lane's exception, when it raises, is the one that propagates, and
+    its thread has ended when this returns or raises."""
+    if size > SINGLE_THREAD_MAX_SIZE:
+        first = lane()
+        return first, main()
+    done: list = []
+
+    def run():
+        try:
+            done.append((lane(), None))
+        except BaseException as exc:  # handed to the caller below
+            done.append((None, exc))
+
+    thread = threading.Thread(target=run, name="thirdkind-lane")
+    thread.start()
+    try:
+        second = main()
+    except BaseException:
+        thread.join()
+        _, error = done[0]
+        if error is not None:
+            raise error
+        raise
+    thread.join()
+    first, error = done[0]
+    if error is not None:
+        raise error
+    return first, second
+
+
 def gesdd(a: np.ndarray, *, vectors: bool):
     """numpy.linalg.svd(a, compute_uv=vectors), computed in place by zgesdd.
 
@@ -101,8 +164,10 @@ def gesdd(a: np.ndarray, *, vectors: bool):
     returns them, since a matrix-vector product rounds differently on another
     layout; otherwise s alone. Bit for bit numpy's result: the same
     routine, workspace query and workspace sizes, on the same thread count.
+    A square `a` with vectors (n >= 2) goes through zgesdd's own steps for
+    M = N (`_square_svd`), so that each workspace lives only for its step.
     Raises LinAlgError("SVD did not converge") on any nonzero info (-4 for a
-    NaN entry). Without the OpenBLAS symbol it calls numpy.linalg.svd, which
+    NaN entry). Without the OpenBLAS symbols it calls numpy.linalg.svd, which
     gives the same values with a larger transient.
     """
     if (
@@ -114,9 +179,9 @@ def gesdd(a: np.ndarray, *, vectors: bool):
     lib = _openblas()
     if lib is None:
         return np.linalg.svd(a, compute_uv=vectors)
-    import ctypes
-
     m, n = a.shape
+    if vectors and m == n > 1:
+        return _square_svd(lib, a)
     mn, mx = min(m, n), max(m, n)
     s = np.empty(mn)
     if vectors:
@@ -130,25 +195,116 @@ def gesdd(a: np.ndarray, *, vectors: bool):
         lrwork = 7 * mn
     iwork = np.empty(8 * mn, dtype=np.int64)
     rwork = np.empty(max(lrwork, 1))
-    info = ctypes.c_int64(0)
-
-    def i64(v: int):
-        return ctypes.byref(ctypes.c_int64(v))
-
-    def call(work: np.ndarray, lwork: int) -> None:
-        lib.zgesdd(
-            jobz, i64(m), i64(n), a.ctypes.data, i64(max(m, 1)), s.ctypes.data,
-            u.ctypes.data, i64(u.shape[0]), vh.ctypes.data, i64(vh.shape[0]),
-            work.ctypes.data, i64(lwork), rwork.ctypes.data, iwork.ctypes.data,
-            ctypes.byref(info), 1,
-        )
-        if info.value:
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-    query = np.zeros(1, dtype=complex)
-    call(query, -1)
-    lwork = max(1, int(query[0].real))
-    call(np.empty(lwork, dtype=complex), lwork)
+    lwork = _query(lib, jobz, a)
+    work = np.empty(lwork, dtype=complex)
+    info = _Info()
+    lib.zgesdd(
+        jobz, _i(m), _i(n), a.ctypes.data, _i(max(m, 1)), s.ctypes.data,
+        u.ctypes.data, _i(u.shape[0]), vh.ctypes.data, _i(vh.shape[0]),
+        work.ctypes.data, _i(lwork), rwork.ctypes.data, iwork.ctypes.data, info.ref, 1,
+    )
+    info.check()
     if not vectors:
         return s
     return _c_order(u), s, _c_order(vh)
+
+
+def _square_svd(lib: types.SimpleNamespace, a: np.ndarray):
+    """gesdd(a, vectors=True) for a square `a` with n >= 2, as zgesdd takes
+    it (its path 6a: M >= N, M < 5N/3, jobz 'A'), one step per call:
+
+      scale a when its largest |entry| lies outside [smlnum, bignum];
+      zgebrd:            a = Q B P^H, B real upper bidiagonal (s, e);
+      dbdsdc('U', 'I'):  B = ru diag(s) rvt;
+      zunmbr('P'):       vh = rvt P^H;
+      zunmbr('Q'):       u = Q ru;
+      undo the scaling of s.
+
+    Every call gets the arguments zgesdd passes it, workspace sizes
+    included, so the bits are zgesdd's. The 3 N^2 + 4 N real workspace of
+    dbdsdc is freed before vh is allocated, and ru and rvt each once copied
+    into u and vh; the peak is a, ru, rvt and that workspace, 56 N^2 B,
+    where zgesdd holds a, u, vh and its whole real workspace, 88 N^2 B.
+    """
+    n = a.shape[0]
+    ptr = a.ctypes.data
+    lwork = _query(lib, b"A", a)
+    info = _Info()
+
+    anrm = lib.zlange(b"M", _i(n), _i(n), ptr, _i(n), None, 1)
+    if np.isnan(anrm):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    # zgesdd's bounds: sqrt(dlamch('S')) / dlamch('P') and its reciprocal
+    smlnum = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+    bignum = 1.0 / smlnum
+    scaled_to = smlnum if 0.0 < anrm < smlnum else bignum if anrm > bignum else None
+    if scaled_to is not None:
+        lib.zlascl(b"G", _i(0), _i(0), _f(anrm), _f(scaled_to), _i(n), _i(n), ptr, _i(n),
+                   info.ref, 1)
+
+    s, e = np.empty(n), np.empty(n)
+    # tauq, taup, then the work every step gets, lwork - 2n long
+    work = np.empty(lwork, dtype=complex)
+    tauq, taup, rest = (work[i:].ctypes.data for i in (0, n, 2 * n))
+    lrest = _i(lwork - 2 * n)
+    lib.zgebrd(_i(n), _i(n), ptr, _i(n), s.ctypes.data, e.ctypes.data, tauq, taup, rest,
+               lrest, info.ref)
+
+    ru = np.empty((n, n), order="F")
+    rvt = np.empty((n, n), order="F")
+    bd_work = np.empty(3 * n * n + 4 * n)
+    iwork = np.empty(8 * n, dtype=np.int64)
+    lib.dbdsdc(b"U", b"I", _i(n), s.ctypes.data, e.ctypes.data, ru.ctypes.data, _i(n),
+               rvt.ctypes.data, _i(n), None, None, bd_work.ctypes.data, iwork.ctypes.data,
+               info.ref, 1, 1)
+    del bd_work, iwork
+    info.check()
+
+    vh = np.empty((n, n), dtype=complex, order="F")
+    vh[...] = rvt
+    del rvt
+    lib.zunmbr(b"P", b"R", b"C", _i(n), _i(n), _i(n), ptr, _i(n), taup, vh.ctypes.data,
+               _i(n), rest, lrest, info.ref, 1, 1, 1)
+    u = np.empty((n, n), dtype=complex, order="F")
+    u[...] = ru
+    del ru
+    lib.zunmbr(b"Q", b"L", b"N", _i(n), _i(n), _i(n), ptr, _i(n), tauq, u.ctypes.data,
+               _i(n), rest, lrest, info.ref, 1, 1, 1)
+
+    if scaled_to is not None:
+        lib.dlascl(b"G", _i(0), _i(0), _f(scaled_to), _f(anrm), _i(n), _i(1), s.ctypes.data,
+                   _i(n), info.ref, 1)
+    return _c_order(u), s, _c_order(vh)
+
+
+def _query(lib: types.SimpleNamespace, jobz: bytes, a: np.ndarray) -> int:
+    """zgesdd's optimal complex workspace length for `a` and `jobz`, the
+    length numpy.linalg.svd allocates."""
+    m, n = a.shape
+    dummy = np.zeros(1, dtype=complex)
+    ld = _i(max(m, n, 1))  # valid leading dimensions; nothing is referenced
+    info = _Info()
+    lib.zgesdd(jobz, _i(m), _i(n), a.ctypes.data, _i(max(m, 1)), None, None, ld, None,
+               ld, dummy.ctypes.data, _i(-1), None, None, info.ref, 1)
+    info.check()
+    return max(1, int(dummy[0].real))
+
+
+class _Info:
+    """LAPACK's info argument; `check` raises on a nonzero value."""
+
+    def __init__(self):
+        self.value = ctypes.c_int64(0)
+        self.ref = ctypes.byref(self.value)
+
+    def check(self) -> None:
+        if self.value.value:
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _i(v: int):
+    return ctypes.byref(ctypes.c_int64(v))
+
+
+def _f(v: float):
+    return ctypes.byref(ctypes.c_double(v))

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import blas_threads_for
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -122,14 +123,18 @@ def cmd_reduce(config: RunConfig, args) -> int:
     write_matrix_csv(out / "a.csv", run.reduction.pencil.a)
 
     probes = run.reduction.probes.points
-    for idx, lam in enumerate(config.lambdas):
-        pk = run.reduction.pencil.pencil_kernel(lam)
-        for i, j in ((0, 0), (1, 0), (0, 1)):
-            samples = eval_kernel(pk, i, j, probes, probes)
-            write_kernel_grid_csv(
-                out / f"kernel_lambda{idx}_i{i}_j{j}.csv", probes, probes, samples
-            )
-        write_json(out / f"report_lambda{idx}.json", run.reports[idx].to_dict())
+    pencil = run.reduction.pencil
+    # on the reports' BLAS thread count, so that the samples' bytes do not
+    # depend on the count the process started with either
+    with blas_threads_for(pencil.size):
+        for idx, lam in enumerate(config.lambdas):
+            pk = pencil.pencil_kernel(lam)
+            for i, j in ((0, 0), (1, 0), (0, 1)):
+                samples = eval_kernel(pk, i, j, probes, probes)
+                write_kernel_grid_csv(
+                    out / f"kernel_lambda{idx}_i{i}_j{j}.csv", probes, probes, samples
+                )
+            write_json(out / f"report_lambda{idx}.json", run.reports[idx].to_dict())
     print(out)
 
     if config.strict:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measure import MAX_DEPTH, GridFunction, GridKernel, MeasureSpace
+from .rademacher import epsilon_schedule
 from .serialize import read_grid_function_csv, read_matrix_csv
 
 _TOP_KEYS = {
@@ -146,6 +147,17 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     bands = need("bands", 3)
     if not _is_int(bands) or bands < 1:
         raise ConfigError("bands must be a positive integer")
+    # band n needs eps_{n+1} < eps_n; at most 2**depth_max bands are nonempty,
+    # so the sequence never reaches a band past those
+    eps = epsilon_schedule(eps0, ratio, min(bands, 2**depth_max))
+    stalled = np.flatnonzero(eps[1:] >= eps[:-1])
+    if stalled.size:
+        k = int(stalled[0]) + 1
+        raise ConfigError(
+            f"eps0 * ratio**k underflows: eps0 {eps0!r} and ratio {ratio!r} give "
+            f"{float(eps[k - 1])!r} at k = {k} and {float(eps[k])!r} at k = {k + 1}, "
+            f"so band {k} of {bands} is not an interval"
+        )
 
     basis_size = raw.get("basis_size", "full")
     if basis_size != "full" and (not _is_int(basis_size) or basis_size < 1):

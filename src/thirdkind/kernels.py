@@ -31,6 +31,7 @@ import numpy as np
 
 from .blas import gesdd
 from .hermite import SmoothBasis, gaussian
+from .measure import scaled_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +306,7 @@ def hs_norm(kernel: BilinearKernel) -> float:
     Equals the L2 double integral of |kernel|^2 by orthonormality of the
     basis (for Gaussian-scaled kernels this is the coefficient-form view M A).
     """
-    return float(np.linalg.norm(kernel.coefficient_matrix, "fro"))
+    return float(scaled_norm(kernel.coefficient_matrix))
 
 
 def probe_grid(bound: float = 8.0, points: int = 41) -> np.ndarray:
@@ -397,7 +398,7 @@ def vanishing_at_radius(kernel: BilinearKernel, radius: float, t_probe) -> float
     corner = float(np.max(np.abs(eval_kernel(kernel, 0, 0, edges, t_probe))))
     side = float(np.max(np.abs(eval_kernel(kernel, 0, 0, t_probe, edges))))
     sections = carleman(kernel, "row", 0, ProbeGrid(kernel.basis, edges))
-    row = float(np.max(np.linalg.norm(sections, axis=0)))
+    row = float(np.max(scaled_norm(sections, axis=0)))
     return max(corner, side, row)
 
 
@@ -410,7 +411,7 @@ def adjoint_column_quarter_maxima(matrix: np.ndarray) -> tuple[float, float]:
     any bounded A. Returns (max over first quarter, max over last quarter).
     """
     a = np.asarray(matrix)
-    norms = np.linalg.norm(a.conj().T, axis=0)  # column norms of the adjoint
+    norms = scaled_norm(a.conj().T, axis=0)  # column norms of the adjoint
     n = norms.size
     quarter = max(1, n // 4)
     return float(np.max(norms[:quarter])), float(np.max(norms[-quarter:]))

@@ -20,6 +20,22 @@ from .errors import SpaceMismatchError
 MAX_DEPTH = 24
 
 
+def scaled_norm(x: np.ndarray, axis: int | None = None):
+    """np.linalg.norm(x, axis=axis), the 2-norm of x or of each slice along
+    `axis`; where that overflows although the slice is finite, the norm
+    scaled by the slice's largest modulus m, m * ||x / m||, which stays
+    finite up to about 1.8e308. Elsewhere the plain norm's bits are kept."""
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(x, axis=axis)
+    overflowed = np.isinf(plain)
+    if not overflowed.any():
+        return plain
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = np.max(np.abs(x), axis=axis, keepdims=True)
+        scaled = np.linalg.norm(x / m, axis=axis) * np.squeeze(m, axis=axis)
+    return np.where(overflowed & np.isfinite(scaled), scaled, plain)
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
     """Dyadic partition of [0, 1) into 2**depth equal cells."""
@@ -104,7 +120,7 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values) * np.sqrt(self.space.cell_width))
+        return float(scaled_norm(self.values) * np.sqrt(self.space.cell_width))
 
     def refined(self) -> "GridFunction":
         """Re-sample the piecewise-constant representative on the finer grid."""

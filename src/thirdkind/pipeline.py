@@ -24,7 +24,7 @@ from .kernels import (
     series_consistency,
     vanishing_at_radius,
 )
-from .measure import GridFunction, MeasureSpace, inner_product
+from .measure import GridFunction, MeasureSpace, inner_product, scaled_norm
 from .rademacher import KorotkovSequence, build_sequence
 from .reduction import UnitarySurrogate, matrix_elements
 from .solvers import EquivalenceReport, Reduction, verify_equivalence
@@ -142,9 +142,9 @@ def factorization_defects(
     gap between the direct and the factorized series at three points."""
     residual = w @ v.conj().T
     residual -= kernel.coefficient_matrix
-    recon = float(np.linalg.norm(residual, "fro"))
+    recon = float(scaled_norm(residual))
     del residual
-    scale = float(np.linalg.norm(kernel.coefficient_matrix, "fro"))
+    scale = float(scaled_norm(kernel.coefficient_matrix))
     series_defect = 0.0
     for s, t in ((0.3, -0.7), (-1.1, 0.4), (0.0, 0.0)):
         chk = series_consistency(kernel, w, v, 0, 0, s, t)

@@ -78,8 +78,10 @@ def select_index(
     count runs out, the grid is refined (kernel and band re-sampled by
     subdivision) up to `depth_max` and the search continues. Raises
     ToleranceUnreachableError with the best achieved value if the refinement
-    budget is exhausted, and with inf at once if an image norm overflows:
-    refinement repeats K's entries, so it cannot shrink an overflowed image.
+    budget is exhausted, and with inf at once if the square of an image norm
+    overflows (a norm above about 1.3e154, or an image that is not finite):
+    refinement repeats K's entries, so it cannot bring such an image down to
+    1/n.
     """
     if E.is_empty:
         raise ValueError("band set must have positive measure")
@@ -98,7 +100,7 @@ def select_index(
                 forward, backward = K.apply(r).norm(), K.apply_adjoint(r).norm()
         except ValueError:  # GridFunction rejects an image that is not finite
             forward = backward = math.inf
-        if not (math.isfinite(forward) and math.isfinite(backward)):
+        if not math.isfinite(forward * forward + backward * backward):
             msg = f"the kernel image overflows at depth {E.space.depth} (level {k})"
             raise ToleranceUnreachableError(math.inf, msg)
         achieved = forward + backward
@@ -160,6 +162,12 @@ class KorotkovSequence:
         }
 
 
+def epsilon_schedule(eps0: float, ratio: float, count: int) -> np.ndarray:
+    """eps_n = eps0 * ratio**n for n = 1, ..., count + 1: the bounds of the
+    bands E_1, ..., E_count of `build_sequence`."""
+    return eps0 * np.power(ratio, np.arange(1, count + 2))
+
+
 def build_sequence(
     H: GridFunction,
     K: GridKernel,
@@ -187,7 +195,7 @@ def build_sequence(
     if depth_max < H.space.depth:
         raise ValueError("depth_max below the starting depth")
 
-    epsilons = eps0 * np.power(ratio, np.arange(1, count + 2))
+    epsilons = epsilon_schedule(eps0, ratio, count)
     bands: list[MeasurableSet] = []
     levels: list[int] = []
     functions: list[GridFunction] = []

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .blas import gesdd
+from .blas import beside, gesdd
 from .errors import DegenerateSystemError, NearSingularError
 from .hermite import GAUSSIAN_L2_NORM, SmoothBasis, multiplier_matrix
 from .kernels import (
@@ -34,7 +34,7 @@ from .kernels import (
     m_factorize_in_place,
     scale_by_multiplier,
 )
-from .measure import GridFunction, GridKernel
+from .measure import GridFunction, GridKernel, scaled_norm
 from .rademacher import KorotkovSequence
 from .reduction import CoefficientMatrix, UnitarySurrogate, pencil_matrices
 # unused here, but perfbench/tracer.py lists this module as a site binding it
@@ -180,8 +180,8 @@ def solve_second_kind(
         raise NearSingularError(condition)
     system = pencil.system_matrix(lam)
     c = np.linalg.solve(system, g)
-    scale = float(np.linalg.norm(g))
-    residual = float(np.linalg.norm(system @ c - g)) / (scale if scale else 1.0)
+    scale = float(scaled_norm(g))
+    residual = float(scaled_norm(system @ c - g)) / (scale if scale else 1.0)
     return SecondKindSolution(coefficients=c, residual=residual, condition=condition)
 
 
@@ -292,9 +292,11 @@ def verify_equivalence(
     D = A0 - lambda A is factorized once: its SVD gives the series tail and,
     with alpha = 0, the condition number; with alpha != 0 the condition is that
     of `pencil.system_matrix(lam)`, alpha I + D, from its singular values
-    alone, taken after D is dropped. Everything read from D itself comes
-    first; D is then formed again in Fortran order and factored in place, so
-    that no other n x n copy of it is alive during that SVD.
+    alone, formed after D is dropped and taken beside the factorization of D
+    (`blas.beside`: on a second thread up to SINGLE_THREAD_MAX_SIZE).
+    Everything read from D itself comes first; D is then formed again in
+    Fortran order and factored in place, so that no other n x n copy of it
+    is alive during that SVD.
     With alpha = 0, D is dropped before the first-kind solve, and M D is
     read first in C order, then moved to Fortran order and factored in
     place, so that the solve's SVD input is its only copy.
@@ -308,11 +310,11 @@ def verify_equivalence(
     pk = pencil.pencil_kernel(lam)
     d = pk.matrix
     lhs = alpha * f + d @ f
-    passage = _relative(float(np.linalg.norm(lhs - g)), float(np.linalg.norm(g)))
+    passage = _relative(float(scaled_norm(lhs - g)), float(scaled_norm(g)))
     round_trip_fn = U.inverse(f)
     diff = GridFunction(phi.space, round_trip_fn.values - phi.values)
     round_trip = _relative(diff.norm(), phi.norm())
-    carleman_sup = float(np.max(np.linalg.norm(carleman(pk, "row", 0, probes), axis=0)))
+    carleman_sup = float(np.max(scaled_norm(carleman(pk, "row", 0, probes), axis=0)))
     hs = hs_norm(pk)
 
     discarded = None
@@ -322,7 +324,7 @@ def verify_equivalence(
         gamma_pencil = scale_by_multiplier(pk, m_matrix)
         fk_system = gamma_pencil.multiplied_matrix  # M (A0 - lambda A)
         fk_residual = _relative(
-            float(np.linalg.norm(fk_system @ f - w)), float(np.linalg.norm(w))
+            float(scaled_norm(fk_system @ f - w)), float(scaled_norm(w))
         )
         hs_gamma = hs_norm(gamma_pencil)
         # sup_s ||t(s)|| of the plain pencil feeds the Hilbert-Schmidt bound
@@ -337,7 +339,7 @@ def verify_equivalence(
             discarded = sol.discarded_energy
             truncated = pencil.size - sol.kept
             recovery = _relative(
-                float(np.linalg.norm(sol.coefficients - f)), float(np.linalg.norm(f))
+                float(scaled_norm(sol.coefficients - f)), float(scaled_norm(f))
             )
         except DegenerateSystemError:
             discarded = 1.0
@@ -357,14 +359,21 @@ def verify_equivalence(
             recovery_error=recovery,
         )
         del fk_system
+        # no other n x n copy of D is alive during its SVD
+        fact = pencil.factorize(lam)
+        condition = fact.condition
     else:
         del pk, d
-        condition = condition_number(gesdd(pencil.system_matrix(lam), vectors=False))
-    # no other n x n copy of D is alive during its SVD
-
-    fact = pencil.factorize(lam)
-    if alpha == 0:
-        condition = fact.condition
+        # formed on this thread; no other n x n copy of D is alive during the
+        # two SVDs
+        shifted = pencil.system_matrix(lam)
+        values, fact = beside(
+            lambda: gesdd(shifted, vectors=False),
+            lambda: pencil.factorize(lam),
+            pencil.size,
+        )
+        del shifted
+        condition = condition_number(values)
     tail = absolute_tail_sup(fact, probes, probes)
 
     return EquivalenceReport(

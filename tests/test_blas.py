@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,11 @@ def two_threads():
 @needs_openblas
 def test_loader_loads_once():
     assert blas._openblas() is LIB
-    assert set(vars(LIB)) == {"set_threads", "get_threads", "zgesdd"}
+    assert set(vars(LIB)) == {
+        "set_threads", "get_threads", "zgesdd",
+        # zgesdd's steps for a square matrix with vectors
+        "zlange", "zlascl", "zgebrd", "dbdsdc", "zunmbr", "dlascl",
+    }
 
 
 @needs_openblas
@@ -70,7 +76,7 @@ def test_restored_after_near_singular_error(two_threads):
 
 @needs_openblas
 def test_large_size_left_alone(two_threads):
-    with blas.blas_threads_for(512):
+    with blas.blas_threads_for(1024):
         assert threads() == 2
     assert threads() == 2
 
@@ -105,6 +111,38 @@ def test_run_uses_one_thread_after_prepare(two_threads, monkeypatch, run):
     assert threads() == 2
 
 
+def test_beside_takes_a_second_thread_up_to_the_single_thread_size():
+    here = threading.get_ident()
+    lane, main = blas.beside(threading.get_ident, threading.get_ident, 512)
+    assert main == here != lane
+    assert blas.beside(threading.get_ident, threading.get_ident, 1024) == (here, here)
+
+
+@pytest.mark.parametrize("failing", ["lane", "main", "both"])
+def test_beside_finishes_both_sides_before_raising(failing):
+    """Each side runs to its end, the lane's thread is gone, and the lane's
+    error wins, as when it ran first."""
+    finished = []
+
+    def lane():
+        time.sleep(0.05)  # still running when main raises
+        finished.append("lane")
+        if failing != "main":
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+    def main():
+        finished.append("main")
+        if failing != "lane":
+            raise MemoryError("out of memory")
+
+    before = threading.active_count()
+    expected = MemoryError if failing == "main" else np.linalg.LinAlgError
+    with pytest.raises(expected):
+        blas.beside(lane, main, 64)
+    assert sorted(finished) == ["lane", "main"]
+    assert threading.active_count() == before
+
+
 # ---------------------------------------------------------------------------
 # zgesdd binding
 # ---------------------------------------------------------------------------
@@ -118,6 +156,10 @@ def matrices():
     left = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
     right = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
     yield "rank5", left @ right
+    # largest |entry| above zgesdd's bignum (1.5e138) and below its smlnum
+    # (6.7e-139): both take its scaling
+    yield "huge", 1e300 * (rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48)))
+    yield "tiny", 1e-300 * (rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48)))
 
 
 MATRICES = dict(matrices())

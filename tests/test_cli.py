@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,31 @@ class TestConfigParsing:
         assert code == 1
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("command", ["build-sequence", "reduce", "verify"])
+    def test_underflowing_epsilon_schedule_exit_one(self, tmp_path, capsys, command):
+        # 5e-324 * 0.5 rounds to 0: the first band would be (0, 0]
+        cfg = write_config(tmp_path, eps0=5e-324, ratio=0.5)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eps0 * ratio**k underflows")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "eps0, ratio, bands, code",
+        [(1e-320, 0.5, 3, 0), (1e-322, 0.5, 3, 0), (1e-322, 0.5, 4, 1), (5e-324, 0.75, 1, 1)],
+    )
+    def test_epsilon_schedule_decreases_strictly(self, eps0, ratio, bands, code):
+        # band n is eps0 * ratio**(n + 1) < |H - alpha| <= eps0 * ratio**n; at
+        # 5e-324 * 0.75 the product rounds back to 5e-324, an empty interval
+        config = {**BASE, "eps0": eps0, "ratio": ratio, "bands": bands}
+        if code:
+            with pytest.raises(ConfigError, match="underflows"):
+                parse_config(config)
+        else:
+            assert parse_config(config).eps0 == eps0
 
     @pytest.mark.parametrize("bound, code", [(1.5e308, 1), (1e150, 0)])
     def test_probe_bound_the_hermite_values_can_take(self, tmp_path, bound, code):
@@ -348,6 +375,15 @@ class TestThreadCountIndependence:
     @pytest.mark.parametrize("command", ["reduce", "verify"])
     def test_outputs_byte_identical_on_one_and_two_threads(self, tmp_path, command):
         cfg = write_config(tmp_path, depth=7, **{"lambda": [[0.3, 0.2], [0.6, -0.15]]})
+        self.check_identical(tmp_path, command, cfg)
+
+    def test_reduce_at_the_single_thread_size(self, tmp_path):
+        # depth 9 is N = 512, the largest size run on one BLAS thread, where
+        # alpha I + D's values-only SVD runs beside the factorization of D
+        cfg = write_config(tmp_path, depth=9, **{"lambda": [[0.39, -0.26]]})
+        self.check_identical(tmp_path, "reduce", cfg)
+
+    def check_identical(self, tmp_path, command, cfg):
         outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), outs):
             self.run_cli(command, cfg, out, threads)
@@ -389,6 +425,23 @@ class TestVerifyCommand:
         assert "failed checks" in capsys.readouterr().err
 
 
+class TestHugeLambda:
+    def test_reduce_writes_finite_numbers_without_warnings(self, tmp_path, recwarn):
+        """With lambda = 1e300, A0 - lambda A has entries near 1e300, whose
+        squares overflow: the report's norms are scaled, so every number
+        written is finite and numpy warns of no overflow."""
+        cfg = write_config(tmp_path, **{"lambda": 1e300})
+        out = tmp_path / "huge"
+        assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [str(w.message) for w in recwarn] == []
+        report = json.loads((out / "report_lambda0.json").read_text())
+        assert report["passage_residual"] < 1e-12
+        assert report["hs_norm"] > 1e299
+        # the JSON writer and the CSVs' %.17g spell a non-finite number so
+        for path in sorted(out.iterdir()):
+            assert not re.search(r"\b(nan|inf)\b", path.read_text()), path.name
+
+
 class TestLinAlgFailure:
     @pytest.mark.parametrize(
         "command, report", [("reduce", "report.json"), ("verify", "verify.json")]
@@ -410,6 +463,34 @@ class TestLinAlgFailure:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "error, kind",
+        [
+            (np.linalg.LinAlgError("SVD did not converge"), "LinAlg"),
+            (MemoryError("out of memory"), "Memory"),
+        ],
+    )
+    def test_lane_failure_exit_three(self, tmp_path, capsys, monkeypatch, error, kind):
+        """alpha I + D's values-only SVD fails on its own thread: the report
+        still ends with both SVDs finished and that thread gone."""
+        original = thirdkind.solvers.gesdd
+
+        def values_fail(a, *, vectors):
+            if not vectors:
+                raise error
+            return original(a, vectors=vectors)
+
+        monkeypatch.setattr(thirdkind.solvers, "gesdd", values_fail)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "verify"
+        before = threading.active_count()
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        assert threading.active_count() == before
+        payload = json.loads((out / "verify.json").read_text())
+        assert payload == {"error": {"type": kind, "message": str(error)}}
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def numpy_allocation_error():

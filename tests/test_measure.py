@@ -17,6 +17,7 @@ from thirdkind import (
     lift,
     rademacher,
 )
+from thirdkind.measure import scaled_norm
 
 
 class TestBuildSpace:
@@ -36,6 +37,29 @@ class TestBuildSpace:
     def test_depth_out_of_range(self, depth):
         with pytest.raises(ValueError):
             MeasureSpace(depth)
+
+
+class TestScaledNorm:
+    def test_plain_bits_where_nothing_overflows(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))
+        assert scaled_norm(x) == np.linalg.norm(x, "fro")
+        np.testing.assert_array_equal(scaled_norm(x, axis=0), np.linalg.norm(x, axis=0))
+
+    def test_finite_where_the_squares_overflow(self, recwarn):
+        # the spike of 1e300 on 8 of 64 cells: ||v|| = 1e300 * sqrt(8)
+        values = np.zeros(64)
+        values[:8] = 1e300
+        f = GridFunction(MeasureSpace(6), values)
+        assert f.norm() == pytest.approx(1e300 * np.sqrt(8 / 64), rel=1e-15)
+        x = np.array([[1e300, 1.0], [1e300j, 2.0]])
+        np.testing.assert_allclose(scaled_norm(x, axis=0), [1e300 * np.sqrt(2), np.sqrt(5)])
+        assert scaled_norm(x) == pytest.approx(1e300 * np.sqrt(2), rel=1e-15)
+        assert list(recwarn) == []
+
+    def test_non_finite_input_kept(self):
+        assert scaled_norm(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(scaled_norm(np.array([np.nan, 1e300])))
 
 
 class TestInnerProduct:

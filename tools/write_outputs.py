@@ -17,9 +17,11 @@ The commands:
 * ``reduce`` on the config of every benchmark workload, seeds 101 and 202;
 * ``verify`` on ``verify-sweep-d9`` and ``first-kind-d7``, seeds 101 and 202;
 * ``reduce`` and ``verify`` on a depth-8, alpha = 0 ``rank_one`` config;
-* ``build-sequence`` on ``reduce-d10``, seed 202.
+* ``build-sequence`` on ``reduce-d10``, seed 202;
+* ``reduce`` at depth 11 (N = 2048) with one lambda, seed 202, above the
+  size whose SVDs run on one BLAS thread; about 30 s on one thread.
 
-The workload configs come from ``Workload.config`` of this repository's
+The configs come from ``Workload.config`` of this repository's
 ``perfbench/run.py``, so both checkouts get the same inputs.
 """
 
@@ -51,18 +53,19 @@ RANK_ONE_D8 = {
 }
 
 
-def _workloads() -> dict:
+def _perfbench():
     sys.dont_write_bytecode = True  # leave no cache beside perfbench/run.py
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve their module by name
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
 def commands() -> list[tuple[str, str, dict]]:
     """(run name, CLI command, config) for every run, in order."""
-    workloads = _workloads()
+    perfbench = _perfbench()
+    workloads = perfbench.WORKLOADS
     runs = []
     for seed in (101, 202):
         for name, workload in workloads.items():
@@ -73,6 +76,8 @@ def commands() -> list[tuple[str, str, dict]]:
     runs.append(("verify-rank-one-d8", "verify", RANK_ONE_D8))
     d10 = workloads["reduce-d10"].config(202)
     runs.append(("build-sequence-reduce-d10-202", "build-sequence", d10))
+    d11 = perfbench.Workload("reduce-d11", "reduce", 11, 0.25, 1).config(202)
+    runs.append(("reduce-d11-202", "reduce", d11))
     return runs
 
 
