@@ -6,13 +6,13 @@ use one thread, and `beside` runs two such SVDs on two Python threads
 instead. One thread also makes their outputs independent of the thread
 count the process started with.
 
-Every SVD of the package goes through `gesdd`. It calls the LAPACK routine
-that numpy.linalg.svd calls, with the same arguments, but on a Fortran-order
-array the caller gives up, and into the arrays it returns; a square matrix
-with vectors goes through that routine's own steps, one call each, so that
-each workspace is freed when its step ends. numpy.linalg.svd also keeps a
-Fortran copy of its input and copies both singular-vector sets into new
-arrays.
+Every SVD of the package goes through `gesdd`. For a square matrix it makes
+the steps of the LAPACK routine that numpy.linalg.svd calls, zgesdd, one
+call each with that routine's arguments, on a Fortran-order array the
+caller gives up and into the arrays it returns, so that each workspace is
+freed when its step ends; numpy.linalg.svd also keeps a Fortran copy of its
+input and copies both singular-vector sets into new arrays. Every other
+shape goes to numpy.linalg.svd.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ _BLOCK = 64
 
 @functools.cache
 def _openblas() -> types.SimpleNamespace | None:
-    """The thread-count functions, zgesdd and the LAPACK routines of its
-    square path in numpy's bundled OpenBLAS (ILP64), or None when the library
-    or one of its symbols is not there. Loaded on the first call, so
-    importing the package does not load it."""
+    """The thread-count functions, zgesdd (for its workspace query) and the
+    LAPACK routines of its square path in numpy's bundled OpenBLAS (ILP64),
+    or None when the library or one of its symbols is not there. Loaded on
+    the first call, so importing the package does not load it."""
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
     char, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
     # argument types, in order, with Fortran's hidden string lengths last
@@ -157,18 +157,20 @@ def beside(lane: Callable, main: Callable, size: int) -> tuple:
 
 
 def gesdd(a: np.ndarray, *, vectors: bool):
-    """numpy.linalg.svd(a, compute_uv=vectors), computed in place by zgesdd.
+    """numpy.linalg.svd(a, compute_uv=vectors), computed in place by zgesdd's
+    own steps.
 
-    `a` is a writeable complex128 Fortran-order matrix; zgesdd overwrites it.
-    With `vectors` returns (u, s, vh), u and vh square and in C order as numpy
-    returns them, since a matrix-vector product rounds differently on another
-    layout; otherwise s alone. Bit for bit numpy's result: the same
-    routine, workspace query and workspace sizes, on the same thread count.
-    A square `a` with vectors (n >= 2) goes through zgesdd's own steps for
-    M = N (`_square_svd`), so that each workspace lives only for its step.
-    Raises LinAlgError("SVD did not converge") on any nonzero info (-4 for a
-    NaN entry). Without the OpenBLAS symbols it calls numpy.linalg.svd, which
-    gives the same values with a larger transient.
+    `a` is a writeable complex128 Fortran-order matrix, which may be
+    overwritten. With `vectors` returns (u, s, vh), u and vh square and in C
+    order as numpy returns them, since a matrix-vector product rounds
+    differently on another layout; otherwise s alone. A square `a` with
+    n >= 2 goes through the steps zgesdd takes for M = N (`_square_svd`), so
+    that each workspace lives only for its step; every other shape, and
+    every matrix when the OpenBLAS symbols are missing, goes to
+    numpy.linalg.svd itself. Bit for bit numpy's result either way: the same
+    routines, workspace query and workspace sizes, on the same thread count.
+    Raises LinAlgError("SVD did not converge") on any nonzero info or a NaN
+    entry.
     """
     if (
         a.dtype != np.complex128
@@ -177,59 +179,43 @@ def gesdd(a: np.ndarray, *, vectors: bool):
     ):
         raise ValueError("gesdd needs a writeable 2-d complex128 Fortran-order array")
     lib = _openblas()
-    if lib is None:
-        return np.linalg.svd(a, compute_uv=vectors)
     m, n = a.shape
-    if vectors and m == n > 1:
-        return _square_svd(lib, a)
-    mn, mx = min(m, n), max(m, n)
-    s = np.empty(mn)
-    if vectors:
-        jobz = b"A"
-        u = np.empty((m, m), dtype=complex, order="F")
-        vh = np.empty((n, n), dtype=complex, order="F")
-        lrwork = max(5 * mn * mn + 5 * mn, 2 * mx * mn + 2 * mn * mn + mn)
-    else:
-        jobz = b"N"
-        u = vh = np.empty((1, 1), dtype=complex)
-        lrwork = 7 * mn
-    iwork = np.empty(8 * mn, dtype=np.int64)
-    rwork = np.empty(max(lrwork, 1))
-    lwork = _query(lib, jobz, a)
-    work = np.empty(lwork, dtype=complex)
-    info = _Info()
-    lib.zgesdd(
-        jobz, _i(m), _i(n), a.ctypes.data, _i(max(m, 1)), s.ctypes.data,
-        u.ctypes.data, _i(u.shape[0]), vh.ctypes.data, _i(vh.shape[0]),
-        work.ctypes.data, _i(lwork), rwork.ctypes.data, iwork.ctypes.data, info.ref, 1,
-    )
-    info.check()
-    if not vectors:
-        return s
-    return _c_order(u), s, _c_order(vh)
+    if lib is None or m != n or n < 2:
+        return np.linalg.svd(a, compute_uv=vectors)
+    return _square_svd(lib, a, vectors)
 
 
-def _square_svd(lib: types.SimpleNamespace, a: np.ndarray):
-    """gesdd(a, vectors=True) for a square `a` with n >= 2, as zgesdd takes
-    it (its path 6a: M >= N, M < 5N/3, jobz 'A'), one step per call:
+def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
+    """gesdd(a, vectors=vectors) for a square `a` with n >= 2, as zgesdd
+    takes it (M >= N, M < 5N/3: its path 6a for jobz 'A', 6n for jobz 'N'),
+    one step per call:
 
+      query zgesdd's optimal complex workspace for that jobz;
       scale a when its largest |entry| lies outside [smlnum, bignum];
       zgebrd:            a = Q B P^H, B real upper bidiagonal (s, e);
-      dbdsdc('U', 'I'):  B = ru diag(s) rvt;
-      zunmbr('P'):       vh = rvt P^H;
-      zunmbr('Q'):       u = Q ru;
+      without vectors,
+        dbdsdc('U', 'N'):  the singular values s of B;
+      with vectors,
+        dbdsdc('U', 'I'):  B = ru diag(s) rvt;
+        zunmbr('P'):       vh = rvt P^H;
+        zunmbr('Q'):       u = Q ru;
       undo the scaling of s.
 
     Every call gets the arguments zgesdd passes it, workspace sizes
-    included, so the bits are zgesdd's. The 3 N^2 + 4 N real workspace of
-    dbdsdc is freed before vh is allocated, and ru and rvt each once copied
-    into u and vh; the peak is a, ru, rvt and that workspace, 56 N^2 B,
-    where zgesdd holds a, u, vh and its whole real workspace, 88 N^2 B.
+    included, so the bits are zgesdd's. With vectors, the 3 N^2 + 4 N real
+    workspace of dbdsdc is freed before vh is allocated, and ru and rvt each
+    once copied into u and vh; the peak is a, ru, rvt and that workspace,
+    56 N^2 B, where zgesdd holds a, u, vh and its whole real workspace,
+    88 N^2 B.
     """
     n = a.shape[0]
     ptr = a.ctypes.data
-    lwork = _query(lib, b"A", a)
     info = _Info()
+    query = np.zeros(1, dtype=complex)
+    lib.zgesdd(b"A" if vectors else b"N", _i(n), _i(n), ptr, _i(n), None, None, _i(n),
+               None, _i(n), query.ctypes.data, _i(-1), None, None, info.ref, 1)
+    info.check()
+    lwork = max(1, int(query[0].real))
 
     anrm = lib.zlange(b"M", _i(n), _i(n), ptr, _i(n), None, 1)
     if np.isnan(anrm):
@@ -250,44 +236,40 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray):
     lib.zgebrd(_i(n), _i(n), ptr, _i(n), s.ctypes.data, e.ctypes.data, tauq, taup, rest,
                lrest, info.ref)
 
-    ru = np.empty((n, n), order="F")
-    rvt = np.empty((n, n), order="F")
-    bd_work = np.empty(3 * n * n + 4 * n)
     iwork = np.empty(8 * n, dtype=np.int64)
-    lib.dbdsdc(b"U", b"I", _i(n), s.ctypes.data, e.ctypes.data, ru.ctypes.data, _i(n),
-               rvt.ctypes.data, _i(n), None, None, bd_work.ctypes.data, iwork.ctypes.data,
-               info.ref, 1, 1)
-    del bd_work, iwork
-    info.check()
+    if not vectors:
+        bd_work = np.empty(4 * n)
+        lib.dbdsdc(b"U", b"N", _i(n), s.ctypes.data, e.ctypes.data, None, _i(1), None,
+                   _i(1), None, None, bd_work.ctypes.data, iwork.ctypes.data, info.ref,
+                   1, 1)
+        info.check()
+    else:
+        ru = np.empty((n, n), order="F")
+        rvt = np.empty((n, n), order="F")
+        bd_work = np.empty(3 * n * n + 4 * n)
+        lib.dbdsdc(b"U", b"I", _i(n), s.ctypes.data, e.ctypes.data, ru.ctypes.data, _i(n),
+                   rvt.ctypes.data, _i(n), None, None, bd_work.ctypes.data,
+                   iwork.ctypes.data, info.ref, 1, 1)
+        del bd_work, iwork
+        info.check()
 
-    vh = np.empty((n, n), dtype=complex, order="F")
-    vh[...] = rvt
-    del rvt
-    lib.zunmbr(b"P", b"R", b"C", _i(n), _i(n), _i(n), ptr, _i(n), taup, vh.ctypes.data,
-               _i(n), rest, lrest, info.ref, 1, 1, 1)
-    u = np.empty((n, n), dtype=complex, order="F")
-    u[...] = ru
-    del ru
-    lib.zunmbr(b"Q", b"L", b"N", _i(n), _i(n), _i(n), ptr, _i(n), tauq, u.ctypes.data,
-               _i(n), rest, lrest, info.ref, 1, 1, 1)
+        vh = np.empty((n, n), dtype=complex, order="F")
+        vh[...] = rvt
+        del rvt
+        lib.zunmbr(b"P", b"R", b"C", _i(n), _i(n), _i(n), ptr, _i(n), taup, vh.ctypes.data,
+                   _i(n), rest, lrest, info.ref, 1, 1, 1)
+        u = np.empty((n, n), dtype=complex, order="F")
+        u[...] = ru
+        del ru
+        lib.zunmbr(b"Q", b"L", b"N", _i(n), _i(n), _i(n), ptr, _i(n), tauq, u.ctypes.data,
+                   _i(n), rest, lrest, info.ref, 1, 1, 1)
 
     if scaled_to is not None:
         lib.dlascl(b"G", _i(0), _i(0), _f(scaled_to), _f(anrm), _i(n), _i(1), s.ctypes.data,
                    _i(n), info.ref, 1)
+    if not vectors:
+        return s
     return _c_order(u), s, _c_order(vh)
-
-
-def _query(lib: types.SimpleNamespace, jobz: bytes, a: np.ndarray) -> int:
-    """zgesdd's optimal complex workspace length for `a` and `jobz`, the
-    length numpy.linalg.svd allocates."""
-    m, n = a.shape
-    dummy = np.zeros(1, dtype=complex)
-    ld = _i(max(m, n, 1))  # valid leading dimensions; nothing is referenced
-    info = _Info()
-    lib.zgesdd(jobz, _i(m), _i(n), a.ctypes.data, _i(max(m, 1)), None, None, ld, None,
-               ld, dummy.ctypes.data, _i(-1), None, None, info.ref, 1)
-    info.check()
-    return max(1, int(dummy[0].real))
 
 
 class _Info:

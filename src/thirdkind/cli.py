@@ -9,9 +9,10 @@ Subcommands:
 Exit codes: 0 success, 1 configuration error, 2 construction failure
 (empty band, refinement budget exhausted, an overflowing kernel image),
 3 numerical failure (failed checks, near-singular or degenerate systems, an
-SVD that does not converge, an allocation that fails). A failure after the
-output directory exists also writes {"error": {"type", "message", ...}} to
-the command's JSON file; every failure prints one stderr line, no traceback.
+SVD that does not converge, an allocation that fails, a manufactured
+right-hand side that overflows). A failure after the output directory
+exists also writes {"error": {"type", "message", ...}} to the command's JSON
+file; every failure prints one stderr line, no traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     EmptyBandError,
     NearSingularError,
     NotBisectableError,
+    RightHandSideOverflowError,
     ToleranceUnreachableError,
 )
 from .kernels import eval_kernel
@@ -54,6 +56,7 @@ _CONSTRUCTION_ERRORS = (EmptyBandError, ToleranceUnreachableError, NotBisectable
 _NUMERICAL_ERRORS = (
     NearSingularError,
     DegenerateSystemError,
+    RightHandSideOverflowError,
     np.linalg.LinAlgError,
     MemoryError,
 )

@@ -49,6 +49,15 @@ class NearSingularError(ThirdKindError):
         super().__init__(f"system condition estimate {condition:.3e} exceeds limit")
 
 
+class RightHandSideOverflowError(ThirdKindError):
+    """The manufactured right-hand side psi = H phi - lambda K phi overflows
+    double precision: the problem is well posed, but its data cannot be
+    represented."""
+
+    def __init__(self, lam: complex):
+        super().__init__(f"psi = H phi - lambda K phi overflows at lambda = {lam}")
+
+
 class DegenerateSystemError(ThirdKindError):
     """Every singular value of the first-kind system fell below the cutoff."""
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blas import beside, gesdd
-from .errors import DegenerateSystemError, NearSingularError
+from .errors import DegenerateSystemError, NearSingularError, RightHandSideOverflowError
 from .hermite import GAUSSIAN_L2_NORM, SmoothBasis, multiplier_matrix
 from .kernels import (
     BilinearKernel,
@@ -46,11 +46,16 @@ CONDITION_LIMIT = 1e12
 def forward_third_kind(
     H: GridFunction, K: GridKernel, lam: complex, phi: GridFunction
 ) -> GridFunction:
-    """psi = H phi - lambda K phi, evaluated cellwise with midpoint quadrature."""
+    """psi = H phi - lambda K phi, evaluated cellwise with midpoint quadrature.
+    Raises RightHandSideOverflowError when a value of psi overflows."""
     if not H.space == K.space == phi.space:
         raise ValueError("coefficient, kernel and function live on different grids")
     k_phi = K.apply(phi)
-    return GridFunction(H.space, H.values * phi.values - lam * k_phi.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = H.values * phi.values - lam * k_phi.values
+    if not np.all(np.isfinite(psi)):
+        raise RightHandSideOverflowError(lam)
+    return GridFunction(H.space, psi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +225,13 @@ def _solve_first_kind(a: np.ndarray, w: np.ndarray, cutoff: float) -> FirstKindS
     projections = u.conj().T @ w
     inv = projections[keep] / sigma[keep]
     c = vh.conj().T[:, keep] @ inv
-    total = float(np.linalg.norm(w) ** 2)
-    discarded = float(np.sum(np.abs(projections[~keep]) ** 2)) / total if total else 0.0
+    with np.errstate(over="ignore"):
+        total = float(np.linalg.norm(w) ** 2)
+        lost = float(np.sum(np.abs(projections[~keep]) ** 2))
+    if np.isfinite(total) and np.isfinite(lost):
+        discarded = lost / total if total else 0.0
+    else:  # a square overflowed: the same fraction from scaled norms
+        discarded = (float(scaled_norm(projections[~keep])) / float(scaled_norm(w))) ** 2
     return FirstKindSolution(
         coefficients=c, discarded_energy=discarded, kept=int(np.sum(keep))
     )

@@ -1,5 +1,5 @@
 """numpy's bundled OpenBLAS: one BLAS thread for small pencils, restored
-afterwards, and the in-place zgesdd binding every SVD goes through."""
+afterwards, and the in-place zgesdd steps every square SVD goes through."""
 
 import ctypes
 import json
@@ -160,6 +160,9 @@ def matrices():
     # (6.7e-139): both take its scaling
     yield "huge", 1e300 * (rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48)))
     yield "tiny", 1e-300 * (rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48)))
+    # not square: numpy.linalg.svd itself
+    yield "tall40x24", rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
+    yield "wide24x40", rng.standard_normal((24, 40)) + 1j * rng.standard_normal((24, 40))
 
 
 MATRICES = dict(matrices())
@@ -183,6 +186,28 @@ def test_bitwise_equal_to_numpy(name):
     for got, expected in zip(gesdd_of(a, True), np.linalg.svd(a)):
         assert_bitwise(got, expected)
     assert_bitwise(gesdd_of(a, False), np.linalg.svd(a, compute_uv=False))
+
+
+def random_square(n):
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@needs_openblas
+def test_values_bitwise_equal_to_numpy_on_one_thread():
+    """The lane's shape: N = 512, values only, on the report's one thread."""
+    a = random_square(512)
+    with blas.blas_threads_for(512):
+        assert_bitwise(gesdd_of(a, False), np.linalg.svd(a, compute_uv=False))
+
+
+@needs_openblas
+def test_values_bitwise_equal_to_numpy_on_two_threads(two_threads):
+    """reduce-d10's shape: N = 1024, values only, on the inherited two threads."""
+    a = random_square(1024)
+    with blas.blas_threads_for(1024):
+        assert threads() == 2
+        assert_bitwise(gesdd_of(a, False), np.linalg.svd(a, compute_uv=False))
 
 
 @pytest.mark.parametrize("name", ["random7", "rank5"])

@@ -425,21 +425,68 @@ class TestVerifyCommand:
         assert "failed checks" in capsys.readouterr().err
 
 
+def assert_all_finite(out):
+    # the JSON writer and the CSVs' %.17g spell a non-finite number so
+    for path in sorted(out.iterdir()):
+        assert not re.search(r"\b(nan|inf)\b", path.read_text()), path.name
+
+
 class TestHugeLambda:
-    def test_reduce_writes_finite_numbers_without_warnings(self, tmp_path, recwarn):
+    @pytest.mark.parametrize("alpha", [0.25, 0.0])
+    def test_reduce_writes_finite_numbers_without_warnings(self, tmp_path, recwarn, alpha):
         """With lambda = 1e300, A0 - lambda A has entries near 1e300, whose
-        squares overflow: the report's norms are scaled, so every number
+        squares overflow: the report's norms, and with alpha = 0 the
+        first-kind solve's discarded energy, are scaled, so every number
         written is finite and numpy warns of no overflow."""
-        cfg = write_config(tmp_path, **{"lambda": 1e300})
+        cfg = write_config(tmp_path, alpha=alpha, **{"lambda": 1e300})
         out = tmp_path / "huge"
         assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
         assert [str(w.message) for w in recwarn] == []
         report = json.loads((out / "report_lambda0.json").read_text())
         assert report["passage_residual"] < 1e-12
         assert report["hs_norm"] > 1e299
-        # the JSON writer and the CSVs' %.17g spell a non-finite number so
-        for path in sorted(out.iterdir()):
-            assert not re.search(r"\b(nan|inf)\b", path.read_text()), path.name
+        assert_all_finite(out)
+
+    def test_first_kind_with_a_huge_kernel_writes_finite_numbers(self, tmp_path, recwarn):
+        """exp_xy at scale 709 has entries near 8e307: with alpha = 0 the
+        squares of w's norm overflow at an ordinary lambda."""
+        kernel = {"kind": "exp_xy", "scale": 709}
+        cfg = write_config(tmp_path, alpha=0.0, kernel=kernel, **{"lambda": [0.3, 0.1]})
+        out = tmp_path / "huge"
+        assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [str(w.message) for w in recwarn] == []
+        report = json.loads((out / "report_lambda0.json").read_text())
+        assert 0 <= report["discarded_energy"] < 1e-12
+        assert report["first_kind"]["discarded_energy"] == report["discarded_energy"]
+        assert_all_finite(out)
+
+
+class TestRightHandSideOverflow:
+    @pytest.mark.parametrize(
+        "command, report", [("reduce", "report.json"), ("verify", "verify.json")]
+    )
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"alpha": 0.0, "kernel": {"kind": "exp_xy", "scale": 709}},
+            {"depth": 5, "bands": 2, "kernel": {"kind": "constant", "value": 1e300}},
+        ],
+        ids=["exp_xy-709-alpha-0", "constant-1e300"],
+    )
+    def test_exit_three_without_traceback(
+        self, tmp_path, capsys, recwarn, command, report, overrides
+    ):
+        """lambda K phi overflows at lambda = 1e300: the manufactured problem
+        cannot be represented, which is a numerical failure, not a crash."""
+        cfg = write_config(tmp_path, **overrides, **{"lambda": 1e300})
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert [str(w.message) for w in recwarn] == []
+        payload = json.loads((out / report).read_text())
+        assert payload["error"]["type"] == "RightHandSideOverflow"
+        assert "overflows" in payload["error"]["message"]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 class TestLinAlgFailure:

@@ -21,6 +21,7 @@ from thirdkind import (
     NearSingularError,
     ProbeGrid,
     Reduction,
+    RightHandSideOverflowError,
     UnitarySurrogate,
     build_sequence,
     carleman,
@@ -95,6 +96,16 @@ class TestForward:
         ):
             with pytest.raises(ValueError, match="different grids"):
                 forward_third_kind(args[0], args[1], 0.3, args[2])
+
+    @pytest.mark.parametrize("lam", [1e300, -1e300, 1e200 + 1e200j])
+    def test_overflowing_right_hand_side_raises_without_warning(self, lam, recwarn):
+        space = MeasureSpace(4)
+        H = GridFunction.sample(space, lambda y: y)
+        K = GridKernel(space, np.full((16, 16), 1e300))
+        phi = GridFunction(space, np.ones(space.cell_count))
+        with pytest.raises(RightHandSideOverflowError, match="overflows"):
+            forward_third_kind(H, K, lam, phi)
+        assert [str(w.message) for w in recwarn] == []
 
 
 class TestReduce:

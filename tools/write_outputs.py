@@ -5,10 +5,11 @@ Usage, from the root of a checkout:
     python3 tools/write_outputs.py CHECKOUT OUTDIR
 
 Runs the CLI of CHECKOUT (``python -m thirdkind.cli`` with
-``PYTHONPATH=CHECKOUT/src``) on one BLAS thread, once per command below, and
-writes for each command a directory OUTDIR/<name> with its config, its output
-files, and its stdout, stderr and exit code. OUTDIR is replaced by ``$OUT`` in
-stdout and stderr, so two checkouts written to two directories compare with
+``PYTHONPATH=CHECKOUT/src``) once per command below, each on one BLAS thread
+unless it says otherwise, and writes for each command a directory
+OUTDIR/<name> with its config, its output files, and its stdout, stderr and
+exit code. OUTDIR is replaced by ``$OUT`` in stdout and stderr, so two
+checkouts written to two directories compare with
 
     diff -r OUTDIR_A OUTDIR_B
 
@@ -19,7 +20,10 @@ The commands:
 * ``reduce`` and ``verify`` on a depth-8, alpha = 0 ``rank_one`` config;
 * ``build-sequence`` on ``reduce-d10``, seed 202;
 * ``reduce`` at depth 11 (N = 2048) with one lambda, seed 202, above the
-  size whose SVDs run on one BLAS thread; about 30 s on one thread.
+  size whose SVDs run on one BLAS thread; about 30 s on one thread;
+* ``reduce`` on ``reduce-d10``, seed 202, on two BLAS threads
+  (``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` = 2), which N = 1024
+  keeps for its SVDs; about 6 s.
 
 The configs come from ``Workload.config`` of this repository's
 ``perfbench/run.py``, so both checkouts get the same inputs.
@@ -62,22 +66,24 @@ def _perfbench():
     return module
 
 
-def commands() -> list[tuple[str, str, dict]]:
-    """(run name, CLI command, config) for every run, in order."""
+def commands() -> list[tuple[str, str, dict, int]]:
+    """(run name, CLI command, config, BLAS threads) for every run, in order."""
     perfbench = _perfbench()
     workloads = perfbench.WORKLOADS
     runs = []
     for seed in (101, 202):
         for name, workload in workloads.items():
-            runs.append((f"reduce-{name}-{seed}", "reduce", workload.config(seed)))
+            runs.append((f"reduce-{name}-{seed}", "reduce", workload.config(seed), 1))
         for name in ("verify-sweep-d9", "first-kind-d7"):
-            runs.append((f"verify-{name}-{seed}", "verify", workloads[name].config(seed)))
-    runs.append(("reduce-rank-one-d8", "reduce", RANK_ONE_D8))
-    runs.append(("verify-rank-one-d8", "verify", RANK_ONE_D8))
+            config = workloads[name].config(seed)
+            runs.append((f"verify-{name}-{seed}", "verify", config, 1))
+    runs.append(("reduce-rank-one-d8", "reduce", RANK_ONE_D8, 1))
+    runs.append(("verify-rank-one-d8", "verify", RANK_ONE_D8, 1))
     d10 = workloads["reduce-d10"].config(202)
-    runs.append(("build-sequence-reduce-d10-202", "build-sequence", d10))
+    runs.append(("build-sequence-reduce-d10-202", "build-sequence", d10, 1))
     d11 = perfbench.Workload("reduce-d11", "reduce", 11, 0.25, 1).config(202)
-    runs.append(("reduce-d11-202", "reduce", d11))
+    runs.append(("reduce-d11-202", "reduce", d11, 1))
+    runs.append(("reduce-reduce-d10-202-two-threads", "reduce", d10, 2))
     return runs
 
 
@@ -88,9 +94,9 @@ def main(argv: list[str]) -> int:
     checkout, outdir = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(checkout / "src")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    for name, command, config in commands():
+    for name, command, config, threads in commands():
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
         run = outdir / name
         (run / "out").mkdir(parents=True, exist_ok=True)
         (run / "config.json").write_text(json.dumps(config, indent=1))
