@@ -8,8 +8,9 @@ together with all derivatives. Values follow the stable two-term recurrence
     u_{n+1} = sqrt(2/(n+1)) s u_n - sqrt(n/(n+1)) u_{n-1},
 
 and derivatives use the exact ladder u_n' = sqrt(n/2) u_{n-1}
-- sqrt((n+1)/2) u_{n+1}, applied in coefficient space; no numerical
-differentiation anywhere.
+- sqrt((n+1)/2) u_{n+1}, a banded step on a table of values: one
+recurrence of size + order rows, then one step per order, each row n
+reading rows n - 1 and n + 1; no numerical differentiation anywhere.
 
 The module also houses the positive multiplier m used to pass from the
 second-kind to the first-kind form, the Gaussian m(s) = exp(-s^2/2)
@@ -24,38 +25,53 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# log(2) in two parts, as fdlibm splits it: k * _LN2_HI is exact for |k| < 2^21
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
 def hermite_function_values(count: int, s) -> np.ndarray:
-    """Values of u_0 .. u_{count-1} at the points s, shape (count, *s.shape)."""
+    """Values of u_0 .. u_{count-1} at the points s, shape (count, *s.shape).
+
+    Where the seed u_0 is subnormal or 0 (|s| above about 37.6), the
+    recurrence runs on u_n 2^-e with an integer exponent e per point (Bunck,
+    BIT 49, 2009): e starts from -s^2/2 in base 2 and grows by 500 whenever
+    a scaled value passes 2^500, and ldexp unscales each row. Elsewhere e is
+    0 and the values are the plain recurrence's, bit for bit.
+    """
     s = np.asarray(s, dtype=np.float64)
+    x = -0.5 * s * s
+    cur = math.pi ** -0.25 * np.exp(x)
+    far = cur < np.finfo(np.float64).tiny
+    scaled = bool(np.any(far))
+    e = np.zeros(s.shape, dtype=np.int64)
+    if scaled:
+        x = np.maximum(x, -(2.0**30))  # beyond, u_n underflows for every n < 2^29
+        e = np.where(far, np.floor(x / math.log(2.0)), 0.0).astype(np.int64)
+        cur = np.where(far, math.pi ** -0.25 * np.exp((x - e * _LN2_HI) - e * _LN2_LO), cur)
+    prev = np.zeros_like(cur)
     out = np.empty((count,) + s.shape)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * s * s)
-    if count > 1:
-        out[1] = math.sqrt(2.0) * s * out[0]
-    for n in range(1, count - 1):
-        out[n + 1] = (
-            math.sqrt(2.0 / (n + 1)) * s * out[n]
-            - math.sqrt(n / (n + 1.0)) * out[n - 1]
-        )
+    for n in range(count):
+        if n:
+            prev, cur = cur, math.sqrt(2.0 / n) * s * cur - math.sqrt((n - 1.0) / n) * prev
+        if scaled:
+            big = np.abs(cur) > 2.0**500
+            if big.any():
+                cur, prev = (np.where(big, v * 2.0**-500, v) for v in (cur, prev))
+                e = e + 500 * big
+        out[n] = np.ldexp(cur, e) if scaled else cur
     return out
 
 
-def derivative_coefficients(count: int, order: int) -> np.ndarray:
-    """Expansion of u_n^(order) in the basis, rows n < count, cols m < count+order.
-
-    One application of the ladder sends coefficients c to
-    c'[k] = sqrt((k+1)/2) c[k+1] - sqrt(k/2) c[k-1].
-    """
-    width = count + order
-    coef = np.eye(count, width)
-    idx = np.arange(width, dtype=np.float64)
-    up = np.sqrt((idx + 1.0) / 2.0)
-    down = np.sqrt(idx / 2.0)
-    for _ in range(order):
-        nxt = np.zeros_like(coef)
-        nxt[:, :-1] = coef[:, 1:] * up[:-1]
-        nxt[:, 1:] -= coef[:, :-1] * down[1:]
-        coef = nxt
-    return coef
+def ladder_step(values: np.ndarray) -> np.ndarray:
+    """One derivative order of a value table: from rows n <= count of
+    u_n^(k) at some points (a 2-d array), rows n < count of u_n^(k+1), by
+    the ladder u_n' = sqrt(n/2) u_{n-1} - sqrt((n+1)/2) u_{n+1}."""
+    n = np.arange(values.shape[0] - 1, dtype=np.float64)[:, None]
+    up = np.sqrt((n + 1.0) / 2.0)
+    down = np.sqrt(n / 2.0)
+    out = -up * values[1:]
+    out[1:] += down[1:] * values[:-2]
+    return out
 
 
 @dataclass(frozen=True)
@@ -70,13 +86,18 @@ class SmoothBasis:
 
     def value_matrix(self, order: int, s) -> np.ndarray:
         """Matrix of u_n^(order)(s_j), shape (size, len(s))."""
-        if order < 0:
+        return self.value_matrices(order, s)[order]
+
+    def value_matrices(self, top: int, s) -> list[np.ndarray]:
+        """[value_matrix(k, s) for k = 0 .. top], from one recurrence of
+        size + top rows and `top` successive ladder steps."""
+        if top < 0:
             raise ValueError("derivative order must be >= 0")
         pts = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        if order == 0:
-            return hermite_function_values(self.size, pts)
-        coef = derivative_coefficients(self.size, order)
-        return coef @ hermite_function_values(self.size + order, pts)
+        tables = [hermite_function_values(self.size + top, pts)]
+        for _ in range(top):
+            tables.append(ladder_step(tables[-1]))
+        return [table[: self.size] for table in tables]
 
 
 # ||m|| in L2: (integral of e^{-s^2})^(1/2) = pi^(1/4)

@@ -19,7 +19,9 @@ either side at any order, one column per point of a `ProbeGrid` (which builds
 the basis values once with the points they belong to); `_leibniz` forms the
 Leibniz sum of a Gaussian-scaled kernel for every evaluation; and
 `finite_difference_defect` checks every derivative order against central
-differences read from one table of basis values per order.
+differences. Where several derivative orders meet at one point set (the
+Leibniz pieces, the difference tables), their basis values come from one
+recurrence and successive ladder steps (`SmoothBasis.value_matrices`).
 """
 
 from __future__ import annotations
@@ -92,11 +94,10 @@ def eval_kernel(kernel: BilinearKernel, i: int, j: int, s, t):
     scalar = np.ndim(s) == 0 and np.ndim(t) == 0
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    basis = kernel.basis
-    right = basis.value_matrix(j, t_arr)
+    right = kernel.basis.value_matrix(j, t_arr)
+    left = kernel.basis.value_matrices(i, s_arr)
     out = _leibniz(
-        kernel, i, s_arr[:, None],
-        lambda r: _pair_eval(kernel.matrix, basis.value_matrix(r, s_arr), right),
+        kernel, i, s_arr[:, None], lambda r: _pair_eval(kernel.matrix, left[r], right)
     )
     return complex(out[0, 0]) if scalar else out
 
@@ -141,14 +142,11 @@ def carleman(kernel: BilinearKernel, side: str, order: int, grid: ProbeGrid) -> 
     if side not in ("row", "column"):
         raise ValueError("side must be 'row' or 'column'")
     _check_grid(kernel.basis, grid)
-
-    def values(r: int) -> np.ndarray:
-        return grid.values if r == 0 else grid.basis.value_matrix(r, grid.points)
-
+    tables = [grid.values] if order == 0 else grid.basis.value_matrices(order, grid.points)
     if side == "column":
-        return kernel.coefficient_matrix @ np.conj(values(order))
+        return kernel.coefficient_matrix @ np.conj(tables[order])
     return _leibniz(
-        kernel, order, grid.points, lambda r: np.conj(kernel.matrix.T @ values(r))
+        kernel, order, grid.points, lambda r: np.conj(kernel.matrix.T @ tables[r])
     )
 
 
@@ -314,25 +312,21 @@ def probe_grid(bound: float = 8.0, points: int = 41) -> np.ndarray:
     return np.linspace(-bound, bound, points)
 
 
-def absolute_tail_sup(
-    fact: MFactorization, s: ProbeGrid, t: ProbeGrid, start: int | None = None
-) -> float:
-    """Sup over the probe grid of the absolute series tail beyond `start`.
+def absolute_tail_sup(fact: MFactorization, s: ProbeGrid, t: ProbeGrid) -> float:
+    """Sup over the probe grid of the absolute series tail from n = size/2.
 
     `fact` factors the kernel's coefficient matrix, and `s`, `t` carry the
     basis values at the probe points. The series is the canonical factorized
-    one; the default tail starts at n = size/2. This is the finite-truncation
-    observable standing in for absolute/uniform convergence of the infinite
-    expansion. Since |w conj(v)| = |w| |v|, the tail sums over all probe pairs
-    are one real product |W_tail^T u_s|^T |V_tail^T u_t|.
+    one. This is the finite-truncation observable standing in for
+    absolute/uniform convergence of the infinite expansion. Since
+    |w conj(v)| = |w| |v|, the tail sums over all probe pairs are one real
+    product |W_tail^T u_s|^T |V_tail^T u_t|.
     """
     n = fact.sigma.size
     _check_grid(SmoothBasis(n), s, t)
-    if start is None:
-        start = n // 2
     w_vals = fact.w_values(s.values)  # (n, S)
     v_vals = fact.v_values(t.values)  # (n, T)
-    sums = np.abs(w_vals[start:]).T @ np.abs(v_vals[start:])  # (S, T)
+    sums = np.abs(w_vals[n // 2 :]).T @ np.abs(v_vals[n // 2 :])  # (S, T)
     return float(np.max(sums)) if sums.size else 0.0
 
 
@@ -348,7 +342,7 @@ def finite_difference_defect(
     one. With D(h) the central difference at step h, the estimate
     D(h/2) + (D(h/2) - D(h)) / 3 cancels the h^2 truncation term, leaving
     O(h^4), so the oracle's own error stays far below the ladder's. The basis
-    values come from one table per derivative order over `points` and, for
+    values of every order come from one recurrence over `points` and, for
     every distinct step h, their four shifted grids +h, -h, +h/2, -h/2.
     """
     points = np.atleast_1d(np.asarray(points, dtype=np.float64))
@@ -356,7 +350,7 @@ def finite_difference_defect(
     distinct = sorted(set(steps.values()))
     shifted = [(points + np.array([h, -h, h / 2, -h / 2])[:, None]).ravel() for h in distinct]
     union = np.concatenate([points, *shifted])
-    tables = [kernel.basis.value_matrix(k, union) for k in range(top + 1)]
+    tables = kernel.basis.value_matrices(top, union)
     here = slice(0, n)
 
     def derivative(i, s_cols, j, t_cols, s):

@@ -22,6 +22,23 @@ def hermite_closed_form(n, x):
     return eval_hermite(n, x) * np.exp(-0.5 * x * x) / norm
 
 
+def derivative_coefficients(count, order):
+    """Dense reference ladder: the expansion of u_n^(order) in the basis, rows
+    n < count, columns m < count + order. One application sends coefficients
+    c to c'[k] = sqrt((k+1)/2) c[k+1] - sqrt(k/2) c[k-1]."""
+    width = count + order
+    coef = np.eye(count, width)
+    idx = np.arange(width, dtype=np.float64)
+    up = np.sqrt((idx + 1.0) / 2.0)
+    down = np.sqrt(idx / 2.0)
+    for _ in range(order):
+        nxt = np.zeros_like(coef)
+        nxt[:, :-1] = coef[:, 1:] * up[:-1]
+        nxt[:, 1:] -= coef[:, :-1] * down[1:]
+        coef = nxt
+    return coef
+
+
 def basis_value(n, order, s):
     """u_n^(order) at the points s: row n of the value matrix."""
     return SmoothBasis(n + 1).value_matrix(order, s)[n]
@@ -85,6 +102,19 @@ class TestSmoothBasis:
                     mat[:, j], basis.value_matrix(order, point)[:, 0], atol=1e-13
                 )
 
+    @pytest.mark.parametrize("n", [64, 1024, 2048])
+    def test_ladder_steps_match_the_dense_ladder(self, n):
+        # every order of one recurrence against the dense reference applied
+        # to a table of n + order values, out to the edge of the basis
+        edge = math.sqrt(2.0 * n) + 6.0
+        s = np.linspace(-edge, edge, 86)
+        tables = SmoothBasis(n).value_matrices(3, s)
+        np.testing.assert_array_equal(tables[0], hermite_function_values(n, s))
+        for order in (1, 2, 3):
+            dense = derivative_coefficients(n, order) @ hermite_function_values(n + order, s)
+            np.testing.assert_array_equal(tables[order], SmoothBasis(n).value_matrix(order, s))
+            assert np.max(np.abs(tables[order] - dense)) <= 1e-15 * np.max(np.abs(dense))
+
     @pytest.mark.parametrize("n", [16, 128, 256])
     def test_orthonormal_by_quadrature(self, n):
         # independent route: the trapezoid rule on [-40, 40] at step 0.05,
@@ -95,6 +125,54 @@ class TestSmoothBasis:
         weights[[0, -1]] = 0.025
         gram = (values * weights) @ values.T
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+
+
+def plain_recurrence(count, s, dtype=np.float64):
+    """The two-term recurrence seeded with pi^(-1/4) exp(-s^2/2), in `dtype`."""
+    s = np.asarray(s, dtype=dtype)
+    out = np.empty((count,) + s.shape, dtype=dtype)
+    out[0] = np.asarray(math.pi, dtype=dtype) ** dtype(-0.25) * np.exp(-s * s / 2)
+    out[1] = np.sqrt(dtype(2)) * s * out[0]
+    for n in range(1, count - 1):
+        out[n + 1] = (
+            np.sqrt(dtype(2) / (n + 1)) * s * out[n] - np.sqrt(dtype(n) / (n + 1)) * out[n - 1]
+        )
+    return out
+
+
+class TestValuesOnR:
+    """The seed exp(-s^2/2) is subnormal beyond |s| of about 37.6 and 0 beyond
+    38.6, while u_n with n near s^2/2 is of order 1 there."""
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_indritz_bound_out_to_the_edge(self, n):
+        # |u_n(s)| <= pi^(-1/4) for every n and s (Indritz, Proc. AMS 12, 1961);
+        # the unscaled seed read 0.948 at s = 38.603
+        edge = math.sqrt(2.0 * n) + 6.0
+        s = np.concatenate([np.linspace(0, edge, 1200), np.linspace(37, 39, 2001)])
+        values = hermite_function_values(n, s)
+        assert np.max(np.abs(values)) <= math.pi**-0.25
+        assert np.all(np.max(np.abs(values), axis=0) > 0)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).minexp > -16000, reason="long double has no wider exponent range"
+    )
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_matches_an_extended_range_recurrence(self, n):
+        # np.longdouble holds the seed out to |s| of about 150. The agreement at
+        # each point is relative to the largest |u_n| there; the double rounding
+        # of s^2/2 alone moves every value at |s| = 50 by about 1e-13
+        edge = math.sqrt(2.0 * n) + 6.0
+        s = np.concatenate([np.linspace(0, edge, 600), np.linspace(37, 39, 201)])
+        got = hermite_function_values(n, s)
+        ref = plain_recurrence(n, s, np.longdouble)
+        scale = np.max(np.abs(ref), axis=0).astype(np.float64)
+        assert np.all(np.max(np.abs(got - ref), axis=0).astype(np.float64) <= 1e-12 * scale)
+
+    def test_plain_recurrence_where_the_seed_is_normal(self):
+        # the scaled path is taken only where the seed is subnormal or 0
+        s = np.linspace(-37.5, 37.5, 301)
+        np.testing.assert_array_equal(hermite_function_values(300, s), plain_recurrence(300, s))
 
 
 class TestMultiplier:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import thirdkind.blas as blas
 import thirdkind.hermite as hermite
 import thirdkind.kernels as kernels
 import thirdkind.pipeline as pipeline
@@ -142,10 +143,17 @@ def test_probe_values_built_once_per_run(monkeypatch):
 DEPTH8 = {**CONFIG, "depth": 8, "lambda": [[0.5, 0.25]], "seed": 7}
 
 
+def _serial_beside(lane, main, size):
+    """blas.beside in the order it takes above SINGLE_THREAD_MAX_SIZE: lane()
+    first, then main(), on this thread."""
+    return blas.beside(lane, main, blas.SINGLE_THREAD_MAX_SIZE + 1)
+
+
 def _traced_peaks(monkeypatch, run, config):
     """Traced peaks of one run, started from zero: one per per-lambda report,
     and one per stretch outside them (before the first, between each two,
-    and after the last)."""
+    and after the last). The report's two SVDs run one after the other, so
+    that no peak depends on whether the lane still holds its workspace."""
     reports, outside = [], []
     original = pipeline.verify_equivalence
 
@@ -158,6 +166,7 @@ def _traced_peaks(monkeypatch, run, config):
         return result
 
     monkeypatch.setattr(pipeline, "verify_equivalence", measured)
+    monkeypatch.setattr(solvers, "beside", _serial_beside)
     tracemalloc.start()
     try:
         run(config)
@@ -221,45 +230,36 @@ def test_fd_check_passes_at_256(alpha):
     assert pipeline.kernel_derivative_fd_defect(pk) <= tol["derivative_agreement"]
 
 
-def _mutated_derivative_coefficients(k, factor):
-    """hermite.derivative_coefficients with the ladder's up[k] scaled by
-    1 + factor."""
+def _mutated_ladder_step(k, factor):
+    """hermite.ladder_step with the ladder's up[k] scaled by 1 + factor."""
 
-    def derivative_coefficients(count, order):
-        width = count + order
-        coef = np.eye(count, width)
-        idx = np.arange(width, dtype=np.float64)
-        up = np.sqrt((idx + 1.0) / 2.0)
-        if k < width:
+    def ladder_step(values):
+        n = np.arange(values.shape[0] - 1, dtype=np.float64)[:, None]
+        up = np.sqrt((n + 1.0) / 2.0)
+        if k < up.shape[0]:
             up[k] *= 1.0 + factor
-        down = np.sqrt(idx / 2.0)
-        for _ in range(order):
-            nxt = np.zeros_like(coef)
-            nxt[:, :-1] = coef[:, 1:] * up[:-1]
-            nxt[:, 1:] -= coef[:, :-1] * down[1:]
-            coef = nxt
-        return coef
+        down = np.sqrt(n / 2.0)
+        out = -up * values[1:]
+        out[1:] += down[1:] * values[:-2]
+        return out
 
-    return derivative_coefficients
+    return ladder_step
 
 
 def test_unmutated_copy_is_the_ladder():
-    # the mutants below differ from the shipped ladder in up[k] only
-    for order in (1, 2, 3):
-        np.testing.assert_array_equal(
-            _mutated_derivative_coefficients(3, 0.0)(40, order),
-            hermite.derivative_coefficients(40, order),
-        )
+    # the mutants below differ from the shipped step in up[k] only
+    values = hermite.hermite_function_values(43, np.linspace(-6, 6, 13))
+    for _ in range(3):
+        stepped = hermite.ladder_step(values)
+        np.testing.assert_array_equal(_mutated_ladder_step(3, 0.0)(values), stepped)
+        values = stepped
 
 
 @pytest.mark.parametrize("k, factor", [(3, 1e-4), (40, 1e-5), (120, 1e-6)])
 def test_fd_check_catches_a_ladder_error_at_256(monkeypatch, k, factor):
     pk, tol = _pencil_kernel(0.25)
-    monkeypatch.setattr(
-        hermite, "derivative_coefficients", _mutated_derivative_coefficients(k, factor)
-    )
+    monkeypatch.setattr(hermite, "ladder_step", _mutated_ladder_step(k, factor))
     assert pipeline.kernel_derivative_fd_defect(pk) > tol["derivative_agreement"]
-
 
 
 def test_nan_check_value_fails(monkeypatch):

@@ -1,0 +1,53 @@
+"""`tools/write_outputs.py --compare` on two small output trees."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "write_outputs", ROOT / "tools" / "write_outputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_numeric_differences_are_bounded(tmp_path, capsys):
+    same = {"run/exit_code.txt": "0\n", "run/out/report_lambda0.json": '{"x": 2}\n'}
+    before = _tree(tmp_path / "a", {**same, "run/out/k.csv": "s,t\n-8,1e-3\n"})
+    after = _tree(tmp_path / "b", {**same, "run/out/k.csv": "s,t\n-8,1.1e-3\n"})
+    assert _tool().main(["--compare", str(before), str(after)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "run/out/k.csv: 1 of 2 numbers differ, largest by 1.25e-05 of the largest magnitude 8",
+        "largest numeric difference: 1.25e-05, in run/out/k.csv",
+    ]
+
+
+def test_other_differences_are_flagged(tmp_path, capsys):
+    before = _tree(tmp_path / "a", {
+        "run/exit_code.txt": "0\n",
+        "run/stderr.txt": "",
+        "run/out/report_lambda0.json": '{"lambda0": 1.5, "v": null}\n',
+        "run/out/only.csv": "1\n",
+    })
+    after = _tree(tmp_path / "b", {
+        "run/exit_code.txt": "3\n",
+        "run/stderr.txt": "failed checks: x\n",
+        "run/out/report_lambda0.json": '{"lambda1": 1.5, "v": 1.0}\n',
+    })
+    assert _tool().main(["--compare", str(before), str(after)]) == 1
+    flagged = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
+    assert flagged == {
+        "run/exit_code.txt", "run/stderr.txt", "run/out/report_lambda0.json", "run/out/only.csv"
+    }

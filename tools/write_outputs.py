@@ -3,6 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/write_outputs.py CHECKOUT OUTDIR
+    python3 tools/write_outputs.py --compare BEFORE AFTER
 
 Runs the CLI of CHECKOUT (``python -m thirdkind.cli`` with
 ``PYTHONPATH=CHECKOUT/src``) once per command below, each on one BLAS thread
@@ -27,6 +28,14 @@ The commands:
 
 The configs come from ``Workload.config`` of this repository's
 ``perfbench/run.py``, so both checkouts get the same inputs.
+
+``--compare BEFORE AFTER`` reads two such directories and prints one line
+per file that differs: how many of its numbers differ, and the largest
+difference relative to the file's largest magnitude; a last line names the
+largest of these. A difference that is
+not in a number (a file in one tree only, a changed key or word, any change
+to an exit code or to stderr) is printed as ``NOT NUMERIC``, and then the
+exit code is 1.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,9 +97,51 @@ def commands() -> list[tuple[str, str, dict, int]]:
     return runs
 
 
+# a decimal number standing alone: not the digits of a name such as lambda0
+NUMBER = re.compile(r"(?<![\w.+-])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+TEXT_ONLY = {"exit_code.txt", "stderr.txt"}  # any change to these is a finding
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print every file that differs between two output trees with its
+    largest numeric difference; 1 when some difference is not numeric."""
+    names = sorted(
+        {path.relative_to(root) for root in (before, after) for path in root.rglob("*")
+         if path.is_file()}
+    )
+    found, worst_file = False, (0.0, None)
+    for name in names:
+        if not ((before / name).is_file() and (after / name).is_file()):
+            print(f"{name}: NOT NUMERIC, in one tree only")
+            found = True
+            continue
+        old, new = (before / name).read_text(), (after / name).read_text()
+        if old == new:
+            continue
+        if name.name in TEXT_ONLY or NUMBER.sub("#", old) != NUMBER.sub("#", new):
+            print(f"{name}: NOT NUMERIC")
+            found = True
+            continue
+        pairs = list(zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new))))
+        scale = max(max(abs(a), abs(b)) for a, b in pairs)
+        worst = max(abs(a - b) for a, b in pairs)
+        moved = sum(a != b for a, b in pairs)
+        relative = worst / scale if scale else worst
+        worst_file = max(worst_file, (relative, str(name)))
+        print(
+            f"{name}: {moved} of {len(pairs)} numbers differ, largest by "
+            f"{relative:.3g} of the largest magnitude {scale:.6g}"
+        )
+    if worst_file[1]:
+        print(f"largest numeric difference: {worst_file[0]:.3g}, in {worst_file[1]}")
+    return int(found)
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 1
     checkout, outdir = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     env = dict(os.environ)
