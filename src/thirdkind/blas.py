@@ -131,29 +131,25 @@ def beside(lane: Callable, main: Callable, size: int) -> tuple:
     if size > SINGLE_THREAD_MAX_SIZE:
         first = lane()
         return first, main()
-    done: list = []
+    # a plain thread: concurrent.futures imports logging, which costs about
+    # 20 ms at startup, or 4 MiB of verify's d9 peak when imported mid-run
+    done = {}
 
     def run():
         try:
-            done.append((lane(), None))
-        except BaseException as exc:  # handed to the caller below
-            done.append((None, exc))
+            done["value"] = lane()
+        except BaseException as exc:  # raised on the calling thread below
+            done["error"] = exc
 
     thread = threading.Thread(target=run, name="thirdkind-lane")
     thread.start()
     try:
         second = main()
-    except BaseException:
+    finally:
         thread.join()
-        _, error = done[0]
-        if error is not None:
-            raise error
-        raise
-    thread.join()
-    first, error = done[0]
-    if error is not None:
-        raise error
-    return first, second
+        if "error" in done:
+            raise done["error"]  # the lane's error replaces main's
+    return done["value"], second
 
 
 def gesdd(a: np.ndarray, *, vectors: bool):

@@ -321,29 +321,29 @@ def make_coefficient(spec: dict, space: MeasureSpace) -> GridFunction:
 
 
 def make_kernel(spec: dict, space: MeasureSpace) -> GridKernel:
-    """Sample a named kernel built-in (or CSV matrix) at cell-center pairs."""
+    """Sample a named kernel built-in (or CSV matrix) at cell-center pairs;
+    every built-in but `exp_xy` is sampled as left(x) conj(right(y))."""
     kind = _check_keys(spec, {**_KERNEL_KEYS, **_CSV_KEYS}, "kernel")
     if kind == "csv":
         entries = _read_csv(read_matrix_csv, spec, "kernel")
         if entries.shape != (space.cell_count, space.cell_count):
             raise ConfigError("kernel CSV shape does not match the grid")
         return GridKernel(space, entries)
-    if kind == "constant":
-        value = _as_complex(spec.get("value", 1.0), "kernel")
-        fill = value if value.imag else value.real
-        n = space.cell_count
-        return GridKernel(space, np.full((n, n), fill))
-    if kind == "product_xy":
-        return GridKernel.sample(space, lambda x, y: x * y)
     if kind == "exp_xy":
         scale = _real(spec, "scale", 1.0, "kernel")
 
         def func(x, y):
             exponent = scale * x * y
             return np.exp(exponent, out=exponent)  # one n x n array, not two
-    else:  # rank_one: left(x) conj(right(y))
-        left = _scalar_builtin(spec.get("left", {"kind": "identity"}), "kernel.left")
-        right = _scalar_builtin(spec.get("right", {"kind": "identity"}), "kernel.right")
+    else:
+        identity = {"kind": "identity"}
+        if kind == "constant":  # value (x) identity; the spec is a constant's own
+            left, right = _scalar_builtin(spec, "kernel"), _scalar_builtin(identity, "kernel")
+        elif kind == "product_xy":  # linear (x) linear
+            left = right = _scalar_builtin({"kind": "linear"}, "kernel")
+        else:
+            left = _scalar_builtin(spec.get("left", identity), "kernel.left")
+            right = _scalar_builtin(spec.get("right", identity), "kernel.right")
 
         def func(x, y):
             return np.asarray(left(x)) * np.conj(np.asarray(right(y)))

@@ -36,16 +36,17 @@ def hermite_function_values(count: int, s) -> np.ndarray:
     recurrence runs on u_n 2^-e with an integer exponent e per point (Bunck,
     BIT 49, 2009): e starts from -s^2/2 in base 2 and grows by 500 whenever
     a scaled value passes 2^500, and ldexp unscales each row. Elsewhere e is
-    0 and the values are the plain recurrence's, bit for bit.
+    0 and the values are the plain recurrence's, bit for bit. Every u_n
+    with n below 10^7 underflows to 0 beyond |s| = 2^15, so the points there,
+    +-inf among them, take the values at +-2^15: 0.
     """
-    s = np.asarray(s, dtype=np.float64)
+    s = np.clip(np.asarray(s, dtype=np.float64), -(2.0**15), 2.0**15)
     x = -0.5 * s * s
     cur = math.pi ** -0.25 * np.exp(x)
     far = cur < np.finfo(np.float64).tiny
     scaled = bool(np.any(far))
     e = np.zeros(s.shape, dtype=np.int64)
     if scaled:
-        x = np.maximum(x, -(2.0**30))  # beyond, u_n underflows for every n < 2^29
         e = np.where(far, np.floor(x / math.log(2.0)), 0.0).astype(np.int64)
         cur = np.where(far, math.pi ** -0.25 * np.exp((x - e * _LN2_HI) - e * _LN2_LO), cur)
     prev = np.zeros_like(cur)

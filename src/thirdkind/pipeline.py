@@ -125,15 +125,8 @@ class VerificationResult:
 
 def kernel_derivative_fd_defect(kernel: BilinearKernel) -> float:
     """Worst finite-difference defect of the kernel's (i, j) derivatives,
-    0 < i + j <= 3, on a 5 x 5 grid of [-2.5, 2.5]^2."""
-    # the steps as first chosen, smaller for the higher orders. Below h of
-    # about 1e-4 the defect is mostly the rounding of the difference quotient
-    # (about eps |d^(k-1) T| / h), not its O(h^4) truncation term, so the
-    # smaller steps raise it; how to choose them per order and N is open
-    defects = finite_difference_defect(
-        kernel, np.linspace(-2.5, 2.5, 5), {1: 1e-4, 2: 1e-5, 3: 1e-5}
-    )
-    return max(defects.values())
+    0 < i + j <= 3, on a 5 x 5 grid of [-2.5, 2.5]^2, at the step FD_STEP."""
+    return max(finite_difference_defect(kernel, np.linspace(-2.5, 2.5, 5)).values())
 
 
 def factorization_defects(
@@ -270,10 +263,9 @@ def run_verification(config: RunConfig) -> VerificationResult:
             tol["derivative_agreement"],
         )
 
-        radius = 8.0 + np.sqrt(2.0 * surrogate.size)
         add(
             "kernel_vanishing_at_radius",
-            vanishing_at_radius(pk, radius, probe_grid(config.probe_bound, 9)),
+            vanishing_at_radius(pk, probe_grid(config.probe_bound, 9)),
             tol["vanishing_tail"],
         )
         del pk

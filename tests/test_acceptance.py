@@ -243,13 +243,13 @@ def test_c6_kernel_smoothness():
         pk = pencil.pencil_kernel(0.4)
 
         pts = np.linspace(-4, 4, 9)
-        defects = finite_difference_defect(pk, pts, {1: 1e-4, 2: 1e-5, 3: 1e-5})
+        defects = finite_difference_defect(pk, pts)
         assert len(defects) == 9  # every (i, j) with 0 < i + j <= 3
         for defect in defects.values():
             assert defect <= 1e-5
 
         radius = 8.0 + math.sqrt(2.0 * size)
-        assert vanishing_at_radius(pk, radius, pts) <= 1e-6
+        assert vanishing_at_radius(pk, pts) <= 1e-6
         edges = ProbeGrid(pk.basis, np.array([radius, -radius]))
         assert np.max(np.linalg.norm(carleman(pk, "row", 0, edges), axis=0)) <= 1e-6
 
@@ -273,7 +273,7 @@ def test_c7_first_kind_multiplier():
 
         # multiplier derivative expansion against finite differences
         pts = np.linspace(-3, 3, 7)
-        defects = finite_difference_defect(gamma_pencil, pts, {1: 1e-4, 2: 1e-5, 3: 1e-5})
+        defects = finite_difference_defect(gamma_pencil, pts)
         for i, j in ((1, 0), (1, 1), (2, 0), (2, 1)):
             assert defects[i, j] <= 1e-5
 

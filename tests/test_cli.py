@@ -304,6 +304,24 @@ class TestBuildSequenceCommand:
             b = make_coefficient(spec["right"], space).values
             np.testing.assert_array_equal(K.entries, np.outer(a, np.conj(b)))
 
+    @pytest.mark.parametrize("value", [2.5, [0.5, -0.25], -0.0])
+    def test_rank_one_builtins_sample_bit_for_bit(self, value):
+        """constant (value x identity) and product_xy (linear x linear) go
+        through the rank-one product and keep the entries of np.full and x y."""
+        from thirdkind import MeasureSpace
+        from thirdkind.config import make_kernel
+
+        space = MeasureSpace(6)
+        x = space.centers()
+        fill = complex(*value) if isinstance(value, list) else value
+        for spec, expected in (
+            ({"kind": "constant", "value": value}, np.full((64, 64), fill)),
+            ({"kind": "product_xy"}, x[:, None] * x[None, :]),
+        ):
+            entries = make_kernel(spec, space).entries
+            assert entries.dtype == expected.dtype
+            assert entries.tobytes() == expected.tobytes()
+
 
 class TestReduceCommand:
     def test_outputs_present_and_residual_small(self, tmp_path):

@@ -174,6 +174,18 @@ class TestValuesOnR:
         s = np.linspace(-37.5, 37.5, 301)
         np.testing.assert_array_equal(hermite_function_values(300, s), plain_recurrence(300, s))
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_every_order_vanishes_at_infinity(self, order):
+        # u_n^(k)(+-inf) = 0, and at points too large to square (1e200) too,
+        # with no overflow or invalid-value warning; the finite points beside
+        # them keep the bits they have alone
+        finite = np.array([0.5, -3.0, 40.0, -1e5])
+        s = np.array([np.inf, 0.5, -np.inf, -3.0, 1e200, 40.0, -1e300, -1e5])
+        basis = SmoothBasis(64)
+        values = basis.value_matrix(order, s)
+        np.testing.assert_array_equal(values[:, [0, 2, 4, 6]], 0.0)
+        np.testing.assert_array_equal(values[:, [1, 3, 5, 7]], basis.value_matrix(order, finite))
+
 
 class TestMultiplier:
     def test_gaussian_value_and_positivity(self):

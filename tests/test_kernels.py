@@ -21,6 +21,7 @@ from thirdkind import (
     series_consistency,
 )
 from thirdkind.kernels import (
+    FD_STEP,
     absolute_tail_sup,
     adjoint_column_quarter_maxima,
     coefficient_form_gap,
@@ -83,20 +84,20 @@ class TestSynthesizeAndEval:
         # the stencil's own h^2 term stays well under the 1e-5 budget
         T = random_kernel(16, seed=7)
         pts = np.linspace(-4, 4, 7)
-        defects = finite_difference_defect(T, pts, {1: 1e-4, 2: 1e-4, 3: 1e-4})
+        defects = finite_difference_defect(T, pts)
         for i, j in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0)):
             assert defects[i, j] <= 1e-5
 
     @pytest.mark.parametrize("multiplied", [False, True])
     def test_fd_defect_all_orders_matches_each_order(self, multiplied):
-        # reference: the Richardson stencil of each (i, j), built here from
-        # eval_kernel at explicitly shifted points, with no shared table
+        # reference: the Richardson stencil of each (i, j) at the one step,
+        # built here from eval_kernel at explicitly shifted points, with no
+        # shared table
         T = random_kernel(16, seed=7)
         if multiplied:
             T = scale_by_multiplier(T, multiplier_matrix(T.basis))
         pts = np.linspace(-2.5, 2.5, 5)
-        steps = {1: 1e-4, 2: 1e-5, 3: 1e-5}
-        defects = finite_difference_defect(T, pts, steps)
+        defects = finite_difference_defect(T, pts)
         assert set(defects) == {(i, j) for i in range(4) for j in range(4 - i) if i or j}
         for (i, j), defect in defects.items():
 
@@ -109,7 +110,7 @@ class TestSynthesizeAndEval:
                     lo = eval_kernel(T, i, j - 1, pts, pts - h)
                 return (hi - lo) / (2 * h)
 
-            coarse, fine = central(steps[i + j]), central(steps[i + j] / 2)
+            coarse, fine = central(FD_STEP), central(FD_STEP / 2)
             exact = eval_kernel(T, i, j, pts, pts)
             reference = float(np.max(np.abs(fine + (fine - coarse) / 3 - exact)))
             # both are rounding over the step; they agree at that level
@@ -318,7 +319,7 @@ class TestMultiplierKernels:
         M = multiplier_matrix(T.basis)
         G = scale_by_multiplier(T, M)
         pts = np.linspace(-2, 2, 5)
-        defects = finite_difference_defect(G, pts, {1: 1e-4, 2: 1e-4, 3: 1e-4})
+        defects = finite_difference_defect(G, pts)
         for i, j in ((1, 0), (2, 0), (1, 1), (2, 1)):
             assert defects[i, j] <= 1e-5
 
@@ -394,10 +395,18 @@ class TestHsNorm:
 
 class TestProbes:
     def test_vanishing_at_radius(self):
+        # read at the radius 8 + sqrt(2N), from samples and row sections there
         T = random_kernel(16, seed=53, scale=1.0)
-        radius = 8.0 + math.sqrt(2.0 * 16)
+        edges = np.array([-1.0, 1.0]) * (8.0 + math.sqrt(2.0 * 16))
         probe = np.linspace(-8, 8, 9)
-        assert vanishing_at_radius(T, radius, probe) < 1e-8
+        sections = carleman(T, "row", 0, ProbeGrid(T.basis, edges))
+        expected = max(
+            np.max(np.abs(eval_kernel(T, 0, 0, edges, probe))),
+            np.max(np.abs(eval_kernel(T, 0, 0, probe, edges))),
+            np.max(np.linalg.norm(sections, axis=0)),
+        )
+        assert vanishing_at_radius(T, probe) == pytest.approx(expected, rel=1e-12)
+        assert 0 < expected < 1e-8
 
     def test_tail_sup_nonnegative_and_small_for_rank_one(self):
         T = rank_one_kernel(8)

@@ -1,6 +1,7 @@
 """`tools/write_outputs.py --compare` on two small output trees."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +52,25 @@ def test_other_differences_are_flagged(tmp_path, capsys):
     assert flagged == {
         "run/exit_code.txt", "run/stderr.txt", "run/out/report_lambda0.json", "run/out/only.csv"
     }
+
+
+def test_moved_json_numbers_are_named(tmp_path, capsys):
+    checks = [
+        {"name": "sequence_gram_defect", "value": 1e-16, "tolerance": 1e-10, "passed": True},
+        {"name": "kernel_derivative_fd_defect", "value": 1.1e-05, "tolerance": 1e-05,
+         "passed": False},
+    ]
+    moved = [dict(checks[0]), {**checks[1], "value": 5.6e-07}]
+    report = {"condition": 804.5, "discarded_energy": None, "spectrum": [1.0, float("nan")]}
+    before = _tree(tmp_path / "a", {"run/out/verify.json": json.dumps(
+        {"checks": checks, "reports": [report]})})
+    after = _tree(tmp_path / "b", {"run/out/verify.json": json.dumps(
+        {"checks": moved, "reports": [{**report, "spectrum": [1.5, float("nan")]}]})})
+    assert _tool().main(["--compare", str(before), str(after)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("run/out/verify.json: 2 of ")
+    assert lines[1:3] == [
+        "  checks[kernel_derivative_fd_defect].value: 1.1e-05 -> 5.6e-07",
+        "  reports[0].spectrum[0]: 1.0 -> 1.5",
+    ]
+    assert lines[3].startswith("largest numeric difference: ")

@@ -31,8 +31,11 @@ The configs come from ``Workload.config`` of this repository's
 
 ``--compare BEFORE AFTER`` reads two such directories and prints one line
 per file that differs: how many of its numbers differ, and the largest
-difference relative to the file's largest magnitude; a last line names the
-largest of these. A difference that is
+difference relative to the file's largest magnitude. For a ``.json`` file it
+then prints the key path of each number that moved, with its two values; a
+list item that has a ``name`` (a check of ``verify.json``) is named by it, as
+in ``checks[kernel_derivative_fd_defect].value``. A last line names the
+file with the largest difference. A difference that is
 not in a number (a file in one tree only, a changed key or word, any change
 to an exit code or to stderr) is printed as ``NOT NUMERIC``, and then the
 exit code is 1.
@@ -102,6 +105,20 @@ NUMBER = re.compile(r"(?<![\w.+-])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\
 TEXT_ONLY = {"exit_code.txt", "stderr.txt"}  # any change to these is a finding
 
 
+def moved_paths(old, new, path=""):
+    """(key path, old, new) of every value that differs between two parsed
+    JSON documents of one shape; a list item with a "name" is named by it."""
+    if isinstance(old, dict):
+        for key in old:
+            yield from moved_paths(old[key], new[key], f"{path}.{key}" if path else key)
+    elif isinstance(old, list):
+        for index, (a, b) in enumerate(zip(old, new)):
+            label = a.get("name", index) if isinstance(a, dict) else index
+            yield from moved_paths(a, b, f"{path}[{label}]")
+    elif old != new and not (old != old and new != new):  # NaN stays NaN
+        yield path, old, new
+
+
 def compare(before: Path, after: Path) -> int:
     """Print every file that differs between two output trees with its
     largest numeric difference; 1 when some difference is not numeric."""
@@ -132,6 +149,9 @@ def compare(before: Path, after: Path) -> int:
             f"{name}: {moved} of {len(pairs)} numbers differ, largest by "
             f"{relative:.3g} of the largest magnitude {scale:.6g}"
         )
+        if name.suffix == ".json":
+            for path, a, b in moved_paths(json.loads(old), json.loads(new)):
+                print(f"  {path}: {a!r} -> {b!r}")
     if worst_file[1]:
         print(f"largest numeric difference: {worst_file[0]:.3g}, in {worst_file[1]}")
     return int(found)
