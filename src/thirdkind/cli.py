@@ -18,6 +18,7 @@ file; every failure prints one stderr line, no traceback.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -118,8 +119,8 @@ def cmd_reduce(config: RunConfig, args) -> int:
     if code:
         return code
 
-    write_json(out / "sequence.json", run.reduction.sequence.to_report())
-    write_grid_function_csv(out / "phi.csv", run.phi.values)
+    write_json(out / "sequence.json", run.sequence_report)
+    write_grid_function_csv(out / "phi.csv", run.reduction.phi.values)
 
     # the matrices do not depend on lambda; the run built them once
     write_matrix_csv(out / "a0.csv", run.reduction.pencil.a0)
@@ -167,7 +168,28 @@ def cmd_verify(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _return_freed_memory() -> None:
+    """Fix glibc's mmap threshold at 1 MiB, so that RSS follows live bytes.
+
+    glibc raises its threshold to the size of each mapped block it frees
+    (up to 32 MiB), so freed N x N arrays of 8-24 MiB come back from the
+    heap and stay resident after their next free. At 1 MiB every complex
+    N x N array from N = 256 on is mapped when made and unmapped when freed;
+    a lower threshold would map the small SVDs' workspaces too. Where the C
+    library has no mallopt, nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD, as glibc's malloc.h numbers it
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code. Fixes the process's
+    allocator policy first (`_return_freed_memory`)."""
+    _return_freed_memory()
     parser = argparse.ArgumentParser(
         prog="thirdkind",
         description="Reduce third-kind integral equations to smooth kernel pencils.",

@@ -203,10 +203,19 @@ class MFactorization:
     def polar_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Explicit (W, V) = (U_pol P, P) with P = |A|^(1/2), formed on each
         call (two n x n products) and not kept here."""
-        root = np.sqrt(self.sigma)
-        p = (self.vh.conj().T * root) @ self.vh
+        return self.w_factor(), polar_root(self.sigma, self.vh)
+
+    def w_factor(self) -> np.ndarray:
+        """W = U_pol P = u_r diag(sqrt(sigma_r)) vh_r, formed on each call."""
         r = self.rank
-        return (self.u[:, :r] * root[:r]) @ self.vh[:r], p
+        return (self.u[:, :r] * np.sqrt(self.sigma[:r])) @ self.vh[:r]
+
+
+def polar_root(sigma: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """P = |A|^(1/2) = vh^h diag(sqrt(sigma)) vh, the V of
+    `MFactorization.polar_factors`, from A's singular values and right
+    singular vectors alone, so that a caller can drop u before forming it."""
+    return (vh.conj().T * np.sqrt(sigma)) @ vh
 
 
 def m_factorize(matrix: np.ndarray) -> MFactorization:

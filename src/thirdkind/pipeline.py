@@ -2,9 +2,10 @@
 
 One run: sample H and K on the grid, build the damping sequence (which may
 refine the grid), complete it to the paired unitary surrogate, derive the
-run's lambda-free `Reduction` from the two (the pencil (A0, A), the probe
-grid and, with alpha = 0, the multiplier matrix), and collect diagnostics
-per lambda on seeded manufactured problems against that one reduction.
+run's lambda-free `Reduction` from the two and a seeded phi (the pencil
+(A0, A), the probe grid, the manufactured problem's lambda-free half and,
+with alpha = 0, the multiplier matrix), drop the sequence with its dense
+kernel sample, and collect diagnostics per lambda against that one reduction.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .kernels import (
     BilinearKernel,
     adjoint_column_quarter_maxima,
     finite_difference_defect,
+    polar_root,
     probe_grid,
     series_consistency,
     vanishing_at_radius,
@@ -27,7 +29,7 @@ from .kernels import (
 from .measure import GridFunction, MeasureSpace, inner_product, scaled_norm
 from .rademacher import KorotkovSequence, build_sequence
 from .reduction import UnitarySurrogate, matrix_elements
-from .solvers import EquivalenceReport, Reduction, verify_equivalence
+from .solvers import EquivalenceReport, KernelPencil, Reduction, verify_equivalence
 
 # unused here, but perfbench/tracer.py lists this module as a site binding them
 from .hermite import multiplier_matrix  # noqa: F401
@@ -44,10 +46,11 @@ def random_grid_function(
 
 @dataclass(frozen=True, eq=False)
 class ReductionRun:
-    """Everything one reduce command produces."""
+    """Everything one reduce command produces; `reduction.phi` is the
+    manufactured solution of every report."""
 
+    sequence_report: dict  # KorotkovSequence.to_report() of the run's sequence
     reduction: Reduction
-    phi: GridFunction
     reports: list[EquivalenceReport]  # one per lambda, same order as config
 
 
@@ -81,17 +84,17 @@ def _surrogate(config: RunConfig, seq: KorotkovSequence) -> UnitarySurrogate:
 def run_reduction(config: RunConfig) -> ReductionRun:
     seq = prepare(config)
     surrogate = _surrogate(config, seq)
+    sequence_report = seq.to_report()
     with blas_threads_for(surrogate.size):
-        rng = np.random.default_rng(config.seed)
-        phi = random_grid_function(rng, seq.space)
-        reduction = Reduction(
-            seq, surrogate, probe_grid(config.probe_bound, config.probe_points)
-        )
+        phi = random_grid_function(np.random.default_rng(config.seed), seq.space)
+        points = probe_grid(config.probe_bound, config.probe_points)
+        reduction = Reduction(seq, surrogate, points, phi)
+        del seq  # the lambda loop reads no kernel sample
         reports = [
-            verify_equivalence(reduction, lam, phi, config.cutoff)[0]
+            verify_equivalence(reduction, lam, config.cutoff)[0]
             for lam in config.lambdas
         ]
-        return ReductionRun(reduction=reduction, phi=phi, reports=reports)
+        return ReductionRun(sequence_report, reduction, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +133,18 @@ def kernel_derivative_fd_defect(kernel: BilinearKernel) -> float:
 
 
 def factorization_defects(
-    kernel: BilinearKernel, w: np.ndarray, v: np.ndarray
+    pencil: KernelPencil, lam: complex, w: np.ndarray, v: np.ndarray
 ) -> tuple[float, float]:
-    """How well the explicit factors W, V of the kernel's coefficient matrix
-    A reproduce it: the relative Frobenius norm of W V* - A, and the worst
-    gap between the direct and the factorized series at three points."""
-    residual = w @ v.conj().T
+    """How well the explicit factors W, V of D = A0 - lambda A reproduce it:
+    the relative Frobenius norm of W V* - D, and the worst gap between the
+    direct and the factorized series of `pencil.pencil_kernel(lam)` at three
+    points. W V* reads V* as the transpose of v conjugated in place (and
+    conjugated back after), and D is formed after it, so that neither a
+    conjugate copy of V nor D is alive beside the product."""
+    np.conjugate(v, out=v)
+    residual = w @ v.T
+    np.conjugate(v, out=v)
+    kernel = pencil.pencil_kernel(lam)
     residual -= kernel.coefficient_matrix
     recon = float(scaled_norm(residual))
     del residual
@@ -204,9 +213,8 @@ def run_verification(config: RunConfig) -> VerificationResult:
         add("unitary_round_trip", trip_defect, tol["round_trip"])
 
         phi = random_grid_function(rng, space)
-        reduction = Reduction(
-            seq, surrogate, probe_grid(config.probe_bound, config.probe_points)
-        )
+        points = probe_grid(config.probe_bound, config.probe_points)
+        reduction = Reduction(seq, surrogate, points, phi)
         pencil = reduction.pencil
 
         # adjoint consistency: each adjoint's matrix, from its images of the
@@ -227,19 +235,23 @@ def run_verification(config: RunConfig) -> VerificationResult:
             )
             del adj
         del b_rows
+        del seq  # the lambda loop reads no kernel sample
 
         # manufactured problems per lambda. Report 0's factorization of D at
         # the first lambda also gives the explicit W, V, the independent
         # oracle of the reconstruction and series checks listed below; it is
-        # dropped before the next report, and the SVD is not kept
+        # dropped before the next report, and the SVD is not kept. W comes
+        # first and u goes before V is formed
         lam0 = config.lambdas[0]
-        report, fact = verify_equivalence(reduction, lam0, phi, config.cutoff)
-        w, v = fact.polar_factors()
+        report, fact = verify_equivalence(reduction, lam0, config.cutoff)
+        w, sigma, vh = fact.w_factor(), fact.sigma, fact.vh
         del fact
-        recon, series_defect = factorization_defects(pencil.pencil_kernel(lam0), w, v)
+        v = polar_root(sigma, vh)
+        del vh
+        recon, series_defect = factorization_defects(pencil, lam0, w, v)
         del w, v
         reports = [report] + [
-            verify_equivalence(reduction, lam, phi, config.cutoff)[0]
+            verify_equivalence(reduction, lam, config.cutoff)[0]
             for lam in config.lambdas[1:]
         ]
         for idx, report in enumerate(reports):

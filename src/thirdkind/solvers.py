@@ -14,7 +14,7 @@ first-kind solve is ill-posed and needs a declared policy).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
@@ -44,13 +44,17 @@ CONDITION_LIMIT = 1e12
 
 
 def forward_third_kind(
-    H: GridFunction, K: GridKernel, lam: complex, phi: GridFunction
+    H: GridFunction, K: GridKernel | GridFunction, lam: complex, phi: GridFunction
 ) -> GridFunction:
     """psi = H phi - lambda K phi, evaluated cellwise with midpoint quadrature.
-    Raises RightHandSideOverflowError when a value of psi overflows."""
+
+    `K` is the kernel, or its image K phi (`K.apply(phi)`) when the caller
+    applies K once for many lambdas, as a `Reduction` does; psi is the same
+    bit for bit. Raises RightHandSideOverflowError when a value of psi
+    overflows."""
     if not H.space == K.space == phi.space:
         raise ValueError("coefficient, kernel and function live on different grids")
-    k_phi = K.apply(phi)
+    k_phi = K if isinstance(K, GridFunction) else K.apply(phi)
     with np.errstate(over="ignore", invalid="ignore"):
         psi = H.values * phi.values - lam * k_phi.values
     if not np.all(np.isfinite(psi)):
@@ -133,30 +137,51 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Reduction:
-    """One run's lambda-free data, derived from the sequence and its surrogate.
+    """One run's lambda-free data, derived from the sequence, its surrogate
+    and the run's manufactured solution phi.
 
     `pencil` is reduce_problem(sequence, surrogate), `probes` the basis values
     at `probe_points`, and `m_matrix` the Gaussian multiplier matrix over the
-    pencil's basis when alpha = 0 (else None). None of them can be passed in,
-    so they always belong to the sequence. ValueError when the surrogate lives
-    on another grid than the sequence.
+    pencil's basis when alpha = 0 (else None). The manufactured problem's
+    lambda-free half is here too: `f` = U phi, the `round_trip_error` of
+    U^-1 f against phi, and `k_phi` = K phi, from which each lambda's
+    psi = H phi - lambda K phi is formed with `coefficient` = H. None of them
+    can be passed in, so they always belong to the sequence.
+
+    The sequence itself is not kept: the lambda loop reads nothing else of
+    it, so its dense kernel sample is freed with it. ValueError when the
+    surrogate or phi lives on another grid than the sequence.
     """
 
-    sequence: KorotkovSequence
+    sequence: InitVar[KorotkovSequence]
     surrogate: UnitarySurrogate
     probe_points: np.ndarray
+    phi: GridFunction
     pencil: KernelPencil = field(init=False)
     probes: ProbeGrid = field(init=False, repr=False)
     m_matrix: np.ndarray | None = field(init=False, repr=False)
+    coefficient: GridFunction = field(init=False, repr=False)
+    k_phi: GridFunction = field(init=False, repr=False)
+    f: np.ndarray = field(init=False, repr=False)
+    round_trip_error: float = field(init=False)
 
-    def __post_init__(self):
-        if self.surrogate.space != self.sequence.space:
-            raise ValueError("the surrogate lives on another grid than the sequence")
-        pencil = reduce_problem(self.sequence, self.surrogate)
+    def __post_init__(self, sequence: KorotkovSequence):
+        for name, part in (("surrogate", self.surrogate), ("phi", self.phi)):
+            if part.space != sequence.space:
+                raise ValueError(f"the {name} lives on another grid than the sequence")
+        pencil = reduce_problem(sequence, self.surrogate)
         object.__setattr__(self, "pencil", pencil)
         object.__setattr__(self, "probes", ProbeGrid(pencil.basis, self.probe_points))
         m_matrix = multiplier_matrix(pencil.basis) if pencil.alpha == 0 else None
         object.__setattr__(self, "m_matrix", m_matrix)
+        phi = self.phi
+        object.__setattr__(self, "coefficient", sequence.coefficient)
+        object.__setattr__(self, "k_phi", sequence.kernel.apply(phi))
+        f = self.surrogate.forward(phi)
+        object.__setattr__(self, "f", f)
+        back = self.surrogate.inverse(f)
+        diff = GridFunction(phi.space, back.values - phi.values)
+        object.__setattr__(self, "round_trip_error", _relative(diff.norm(), phi.norm()))
 
 
 @dataclass(frozen=True)
@@ -220,21 +245,21 @@ def _solve_first_kind(a: np.ndarray, w: np.ndarray, cutoff: float) -> FirstKindS
     if sigma.size == 0 or sigma[0] <= 0:
         raise DegenerateSystemError("system matrix is zero")
     keep = sigma >= cutoff * sigma[0]
-    if not np.any(keep):
+    k = int(np.count_nonzero(keep))  # a prefix: sigma does not increase
+    if k == 0:
         raise DegenerateSystemError("all singular values fell below the cutoff")
-    projections = u.conj().T @ w
-    inv = projections[keep] / sigma[keep]
-    c = vh.conj().T[:, keep] @ inv
+    # u^H w and vh_k^H inv as conjugated products, with no n x n conjugate
+    projections = np.conj(u.T @ np.conj(w))
+    inv = projections[:k] / sigma[:k]
+    c = np.conj(vh[:k].T @ np.conj(inv))
     with np.errstate(over="ignore"):
         total = float(np.linalg.norm(w) ** 2)
-        lost = float(np.sum(np.abs(projections[~keep]) ** 2))
+        lost = float(np.sum(np.abs(projections[k:]) ** 2))
     if np.isfinite(total) and np.isfinite(lost):
         discarded = lost / total if total else 0.0
     else:  # a square overflowed: the same fraction from scaled norms
-        discarded = (float(scaled_norm(projections[~keep])) / float(scaled_norm(w))) ** 2
-    return FirstKindSolution(
-        coefficients=c, discarded_energy=discarded, kept=int(np.sum(keep))
-    )
+        discarded = (float(scaled_norm(projections[k:])) / float(scaled_norm(w))) ** 2
+    return FirstKindSolution(coefficients=c, discarded_energy=discarded, kept=k)
 
 
 @dataclass(frozen=True)
@@ -281,18 +306,19 @@ def _relative(value: float, scale: float) -> float:
 
 
 def verify_equivalence(
-    run: Reduction, lam: complex, phi: GridFunction, cutoff: float = 1e-10
+    run: Reduction, lam: complex, cutoff: float = 1e-10
 ) -> tuple[EquivalenceReport, MFactorization]:
-    """Manufacture psi from phi and measure every testable identity.
+    """Manufacture psi from the run's phi and measure every testable identity.
 
     Returns the report together with the factorization of D = A0 - lambda A
     that it takes its tail and condition from; a caller that needs no more
     of D drops it at once.
 
-    psi is the forward model of the sequence's H and K at lambda; the pencil,
-    the probe grid and, with alpha = 0, the multiplier matrix are those of
-    `run`, built once per run. Only g = U psi and what depends on lambda are
-    computed here.
+    psi = H phi - lambda K phi is the forward model at lambda, formed from
+    the run's H and K phi (`forward_third_kind`); the pencil, the probe grid,
+    f = U phi, the round trip error and, with alpha = 0, the multiplier
+    matrix are those of `run`, built once per run. Only g = U psi and what
+    depends on lambda are computed here.
     Reports the relative passage residual ||alpha f + (A0 - lambda A) f - g||
     at f = U phi, the forward/inverse round trip error, and pencil-kernel
     diagnostics over the probe grid. With alpha = 0 the first-kind section is
@@ -311,19 +337,15 @@ def verify_equivalence(
     read first in C order, then moved to Fortran order and factored in
     place, so that the solve's SVD input is its only copy.
     """
-    seq, U, pencil = run.sequence, run.surrogate, run.pencil
+    U, pencil, f = run.surrogate, run.pencil, run.f
     probes, m_matrix = run.probes, run.m_matrix
     alpha = pencil.alpha
-    g = U.forward(forward_third_kind(seq.coefficient, seq.kernel, lam, phi))
-    f = U.forward(phi)
+    g = U.forward(forward_third_kind(run.coefficient, run.k_phi, lam, run.phi))
 
     pk = pencil.pencil_kernel(lam)
     d = pk.matrix
     lhs = alpha * f + d @ f
     passage = _relative(float(scaled_norm(lhs - g)), float(scaled_norm(g)))
-    round_trip_fn = U.inverse(f)
-    diff = GridFunction(phi.space, round_trip_fn.values - phi.values)
-    round_trip = _relative(diff.norm(), phi.norm())
     carleman_sup = float(np.max(scaled_norm(carleman(pk, "row", 0, probes), axis=0)))
     hs = hs_norm(pk)
 
@@ -388,7 +410,7 @@ def verify_equivalence(
 
     return EquivalenceReport(
         passage_residual=passage,
-        round_trip_error=round_trip,
+        round_trip_error=run.round_trip_error,
         condition=condition,
         hs_norm=hs,
         carleman_sup=carleman_sup,

@@ -728,3 +728,55 @@ class TestSerialization:
         cfg = load_config(cfg_path)
         loaded = make_coefficient(cfg.coefficient, space)
         np.testing.assert_array_equal(loaded.values, direct.values)
+
+
+def _libc_has_mallopt():
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# in a child: main's allocator policy, then a 16 MiB array made and freed
+# twice, printing the resident bytes each free left behind
+_FREED_TWICE = """
+import os, sys
+import numpy as np
+from thirdkind.cli import main
+
+main(["verify", "--config", os.devnull])  # a config error, after the policy
+page = os.sysconf("SC_PAGE_SIZE")
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * page
+
+for _ in range(2):
+    before = resident()
+    block = np.ones(2 << 20)
+    del block
+    print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(
+    not (_libc_has_mallopt() and os.path.exists("/proc/self/statm")),
+    reason="needs glibc's mallopt and /proc/self/statm",
+)
+def test_freed_arrays_leave_the_resident_set():
+    """After `main` fixes the mmap threshold, freeing a 16 MiB array returns
+    its pages every time. With glibc's dynamic threshold the second one came
+    from the heap and stayed resident (16 MiB above the first)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FREED_TWICE], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    left = [int(line) for line in done.stdout.split()]
+    assert len(left) == 2
+    assert all(abs(b) <= 1 << 20 for b in left), left

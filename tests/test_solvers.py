@@ -77,6 +77,9 @@ class TestForward:
         phi = GridFunction(space, np.ones(space.cell_count))
         out = forward_third_kind(H, K, 1.0, phi)
         np.testing.assert_allclose(out.values, -1.0, atol=1e-14)
+        # K phi applied beforehand, as a run passes it, gives the same bits
+        applied = forward_third_kind(H, K.apply(phi), 1.0, phi)
+        np.testing.assert_array_equal(applied.values, out.values)
 
     def test_zero_input(self):
         space = MeasureSpace(4)
@@ -92,6 +95,7 @@ class TestForward:
         for args in (
             (GridFunction.sample(other, lambda y: y), K, phi),
             (H, exp_kernel(other), phi),
+            (H, GridFunction(other, np.zeros(other.cell_count)), phi),
             (H, K, GridFunction(other, np.zeros(other.cell_count))),
         ):
             with pytest.raises(ValueError, match="different grids"):
@@ -275,8 +279,8 @@ class TestOneSecondKindProducer:
     @staticmethod
     def manufactured(depth, lam):
         _, _, seq, U = build_chain(depth, alpha=0.25)
-        run = Reduction(seq, U, probe_grid())
         phi = random_grid_function(np.random.default_rng(77), seq.space)
+        run = Reduction(seq, U, probe_grid(), phi)
         psi = forward_third_kind(seq.coefficient, seq.kernel, lam, phi)
         return run, phi, U.forward(psi)
 
@@ -284,7 +288,7 @@ class TestOneSecondKindProducer:
         lam = 0.4 + 0.2j
         run, phi, g = self.manufactured(6, lam)
         sol = solve_second_kind(run.pencil, lam, g)
-        assert sol.condition == verify_equivalence(run, lam, phi)[0].condition
+        assert sol.condition == verify_equivalence(run, lam)[0].condition
         f = run.surrogate.forward(phi)
         assert np.linalg.norm(sol.coefficients - f) <= 1e-8 * np.linalg.norm(f)
 
@@ -311,7 +315,7 @@ class TestFirstKind:
         H, K, seq, U = build_chain(depth, alpha=0.0, bands=2, eps0=0.5)
         rng = np.random.default_rng(68)
         phi = random_grid_function(rng, seq.space)
-        run = Reduction(seq, U, probe_grid())
+        run = Reduction(seq, U, probe_grid(), phi)
         return run, U.forward(forward_third_kind(H, K, 0.3, phi)), U.forward(phi)
 
     def test_zero_rhs(self):
@@ -324,7 +328,7 @@ class TestFirstKind:
 
     def test_alpha_not_zero_has_no_multiplier(self):
         _, _, seq, U = build_chain(4, alpha=0.25, bands=2, eps0=0.5)
-        assert Reduction(seq, U, probe_grid()).m_matrix is None
+        assert reduction_of(seq, U).m_matrix is None
 
     def test_hs_bound_with_gaussian_multiplier(self):
         from thirdkind import hs_norm
@@ -366,8 +370,8 @@ class TestFirstKind:
         # multiplier matrix is far from its truncation floor
         _, _, seq, U = build_chain(4, alpha=0.0, bands=2, eps0=1.0)
         rng = np.random.default_rng(69)
-        random_grid_function(rng, seq.space)  # a phi; c0 is the next draw
-        run = Reduction(seq, U, probe_grid())
+        run = Reduction(seq, U, probe_grid(), random_grid_function(rng, seq.space))
+        # c0 is the draw after phi
         n = run.pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         system = first_kind_system(run, 0.3)
@@ -409,30 +413,34 @@ class TestReduction:
         assert other.alpha == seq.alpha == 0.25
         assert other.size == U.size == 64
         pts = probe_grid()
+        phi = random_grid_function(np.random.default_rng(76), seq.space)
         with pytest.raises(TypeError):
-            Reduction(seq, U, pts, pencil=other)
-        run = Reduction(seq, U, pts)
+            Reduction(seq, U, pts, phi, pencil=other)
+        run = Reduction(seq, U, pts, phi)
+        # replace() must be given the sequence, which the run does not keep
         with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(run, pencil=other)
+            dataclasses.replace(run, sequence=seq, pencil=other)
         with pytest.raises(dataclasses.FrozenInstanceError):
             run.pencil = other
         own = reduce_problem(seq, U)
         assert np.array_equal(run.pencil.a0, own.a0)
         assert np.array_equal(run.pencil.a, own.a)
         assert not np.array_equal(run.pencil.a0, other.a0)
-        phi = random_grid_function(np.random.default_rng(76), seq.space)
-        assert verify_equivalence(run, 0.4 + 0.2j, phi)[0].passage_residual <= 1e-9
+        assert verify_equivalence(run, 0.4 + 0.2j)[0].passage_residual <= 1e-9
 
     def test_surrogate_on_another_grid_rejected(self):
-        seq, _ = self.chain_of(lambda y: y)
-        _, coarse_U = self.chain_of(lambda y: y, depth=5, bands=2)
-        with pytest.raises(ValueError, match="another grid"):
-            Reduction(seq, coarse_U, probe_grid())
+        seq, U = self.chain_of(lambda y: y)
+        coarse_seq, coarse_U = self.chain_of(lambda y: y, depth=5, bands=2)
+        with pytest.raises(ValueError, match="surrogate lives on another grid"):
+            reduction_of(seq, coarse_U)
+        coarse_phi = GridFunction(coarse_seq.space, np.ones(coarse_seq.space.cell_count))
+        with pytest.raises(ValueError, match="phi lives on another grid"):
+            Reduction(seq, U, probe_grid(), coarse_phi)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_probes_and_multiplier_over_the_pencil_basis(self, alpha):
         seq, U = self.chain_of(lambda y: y, depth=5, alpha=alpha, bands=2)
-        run = Reduction(seq, U, probe_grid(6.0, 9))
+        run = Reduction(seq, U, probe_grid(6.0, 9), random_grid_function(np.random.default_rng(1), seq.space))
         assert run.probes.basis == run.pencil.basis
         np.testing.assert_array_equal(run.probes.points, probe_grid(6.0, 9))
         if alpha != 0:
@@ -486,17 +494,19 @@ class TestBiCarleman:
         assert column**2 == pytest.approx(over_s, abs=1e-6)
 
 
-def reduction_of(seq, U):
+def reduction_of(seq, U, phi=None):
     """The run's lambda-free data over the default probe grid (41 points on
-    [-8, 8])."""
-    return Reduction(seq, U, probe_grid())
+    [-8, 8]), for the manufactured solution `phi` (0 when not given)."""
+    if phi is None:
+        phi = GridFunction(seq.space, np.zeros(seq.space.cell_count))
+    return Reduction(seq, U, probe_grid(), phi)
 
 
 class TestVerifyEquivalence:
     def test_zero_solution_zero_residuals(self):
         _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
         phi = GridFunction(seq.space, np.zeros(seq.space.cell_count))
-        report, _ = verify_equivalence(reduction_of(seq, U), 1.0, phi)
+        report, _ = verify_equivalence(reduction_of(seq, U, phi), 1.0)
         assert report.passage_residual == 0.0
         assert report.round_trip_error == 0.0
 
@@ -504,7 +514,7 @@ class TestVerifyEquivalence:
         _, _, seq, U = build_chain(6, alpha=0.25, kernel_factory=product_kernel)
         rng = np.random.default_rng(70)
         phi = random_grid_function(rng, seq.space)
-        report, _ = verify_equivalence(reduction_of(seq, U), 1.0, phi)
+        report, _ = verify_equivalence(reduction_of(seq, U, phi), 1.0)
         assert report.passage_residual <= 1e-9
         assert report.round_trip_error <= 1e-9
         assert report.first_kind is None
@@ -513,7 +523,7 @@ class TestVerifyEquivalence:
         _, _, seq, U = build_chain(6, alpha=0.0)
         rng = np.random.default_rng(71)
         phi = random_grid_function(rng, seq.space)
-        report, _ = verify_equivalence(reduction_of(seq, U), 0.4, phi)
+        report, _ = verify_equivalence(reduction_of(seq, U, phi), 0.4)
         fk = report.first_kind
         assert fk is not None
         assert fk.residual <= 1e-9
@@ -524,7 +534,7 @@ class TestVerifyEquivalence:
         _, _, seq, U = build_chain(5, alpha=0.25, bands=2)
         rng = np.random.default_rng(72)
         phi = random_grid_function(rng, seq.space)
-        report, _ = verify_equivalence(reduction_of(seq, U), 0.2, phi)
+        report, _ = verify_equivalence(reduction_of(seq, U, phi), 0.2)
         d = report.to_dict()
         for key in (
             "passage_residual",
@@ -544,7 +554,7 @@ class TestVerifyEquivalence:
         _, _, seq, U = build_chain(5, alpha=alpha, bands=2)
         rng = np.random.default_rng(75)
         phi = random_grid_function(rng, seq.space)
-        d = verify_equivalence(reduction_of(seq, U), 0.2, phi)[0].to_dict()
+        d = verify_equivalence(reduction_of(seq, U, phi), 0.2)[0].to_dict()
         keys = [
             "passage_residual",
             "round_trip_error",
@@ -581,7 +591,7 @@ class TestVerifyEquivalence:
             inst = random_problem_instance(rng, depth=int(rng.integers(6, 8)))
             _, _, seq, U = build_problem_instance(inst)
             phi = random_grid_function(rng, seq.space)
-            report, _ = verify_equivalence(reduction_of(seq, U), inst["lambda"], phi)
+            report, _ = verify_equivalence(reduction_of(seq, U, phi), inst["lambda"])
             assert report.passage_residual <= 1e-9
 
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
@@ -593,7 +603,7 @@ class TestVerifyEquivalence:
         rng = np.random.default_rng(74)
         phi = random_grid_function(rng, seq.space)
         lam = 0.4 + 0.2j
-        run = reduction_of(seq, U)
+        run = reduction_of(seq, U, phi)
         calls = {"vectors": 0, "values": 0}
         original = thirdkind.blas.gesdd
 
@@ -604,7 +614,7 @@ class TestVerifyEquivalence:
         # every module of the package that binds the entry point
         for module in (thirdkind.kernels, thirdkind.solvers):
             monkeypatch.setattr(module, "gesdd", counted)
-        report, fact = verify_equivalence(run, lam, phi)
+        report, fact = verify_equivalence(run, lam)
         monkeypatch.undo()
         if alpha == 0:
             assert calls == {"vectors": 2, "values": 0}
@@ -628,21 +638,22 @@ class TestVerifyEquivalence:
 
     def test_transient_memory_of_one_lambda_alpha_zero(self):
         """With alpha = 0 the solve's SVD is of M D, moved to Fortran order
-        before it, and the one of D follows; either measures about 71 N^2 B,
-        and a second copy of M D alive during the first would add 16 N^2 B."""
-        self.check_transient_memory(alpha=0.0, bound=74)
+        before it, and the one of D follows; either measures about 64 N^2 B,
+        as the solve reads u^H w and vh^H from u and vh without a conjugate
+        copy of either. A second copy of M D alive during the first, or one
+        such copy, would add 16 N^2 B."""
+        self.check_transient_memory(alpha=0.0, bound=67)
 
     @staticmethod
     def check_transient_memory(alpha, bound):
         _, _, seq, U = build_chain(8, alpha=alpha)
-        run = reduction_of(seq, U)
+        run = reduction_of(seq, U, random_grid_function(np.random.default_rng(75), seq.space))
         n = run.pencil.size
         assert n == 256
-        phi = random_grid_function(np.random.default_rng(75), seq.space)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            verify_equivalence(run, 0.4 + 0.2j, phi)
+            verify_equivalence(run, 0.4 + 0.2j)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
