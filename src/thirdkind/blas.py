@@ -2,9 +2,10 @@
 
 The per-lambda work is dense N x N linear algebra. Below a size, a second
 OpenBLAS thread buys little wall time for its CPU time, so the runs there
-use one thread, and `beside` runs two such SVDs on two Python threads
-instead. One thread also makes their outputs independent of the thread
-count the process started with.
+use one thread, and `beside` runs a values-only SVD on a second Python
+thread while this one prepares and bidiagonalizes the matrix of a full SVD.
+One thread also makes their outputs independent of the thread count the
+process started with.
 
 Every SVD of the package goes through `gesdd`. For a square matrix it makes
 the steps of the LAPACK routine that numpy.linalg.svd calls, zgesdd, one
@@ -13,6 +14,12 @@ caller gives up and into the arrays it returns, so that each workspace is
 freed when its step ends; numpy.linalg.svd also keeps a Fortran copy of its
 input and copies both singular-vector sets into new arrays. Every other
 shape goes to numpy.linalg.svd.
+
+Memory, in N^2 B for an N x N complex matrix: a full SVD peaks at 56 (its
+input, the real singular-vector blocks and dbdsdc's workspace), a
+values-only one at its input, 16. `beside` joins its lane before the full
+SVD's first large allocation, so a report's pair of SVDs peaks at the full
+one's 56, never at 56 + 16.
 """
 
 from __future__ import annotations
@@ -124,10 +131,13 @@ def _c_order(f: np.ndarray) -> np.ndarray:
 def beside(lane: Callable, main: Callable, size: int) -> tuple:
     """(lane(), main()). For `size` <= SINGLE_THREAD_MAX_SIZE, where
     `blas_threads_for` leaves each call one BLAS thread, lane() runs on a
-    second thread while this one runs main(), so two SVDs keep both cores
-    busy; above it they run one after the other, lane() first. Either way
-    the lane's exception, when it raises, is the one that propagates, and
-    its thread has ended when this returns or raises."""
+    second thread while this one runs main() up to the end of the first
+    bidiagonalization that main() makes (`_square_svd`'s zgebrd), where it
+    waits for the lane to end: two SVDs keep both cores busy, and whatever
+    the lane held is freed before that SVD allocates its singular vectors.
+    Above it they run one after the other, lane() first. Either way the
+    lane's exception, when it raises, is the one that propagates, and its
+    thread has ended when this returns or raises."""
     if size > SINGLE_THREAD_MAX_SIZE:
         first = lane()
         return first, main()
@@ -142,14 +152,31 @@ def beside(lane: Callable, main: Callable, size: int) -> tuple:
             done["error"] = exc
 
     thread = threading.Thread(target=run, name="thirdkind-lane")
-    thread.start()
-    try:
-        second = main()
-    finally:
+
+    def join():
         thread.join()
         if "error" in done:
             raise done["error"]  # the lane's error replaces main's
+
+    thread.start()
+    _lane.join = join
+    try:
+        second = main()
+    finally:
+        _join_lane()  # when main() made no bidiagonalization, or raised before it
     return done["value"], second
+
+
+# the join of the lane `beside` started from a thread, until it is called
+_lane = threading.local()
+
+
+def _join_lane() -> None:
+    """Wait for the lane `beside` started from this thread, when it has not
+    been waited for yet, and raise its exception."""
+    join = vars(_lane).pop("join", None)
+    if join is not None:
+        join()
 
 
 def gesdd(a: np.ndarray, *, vectors: bool):
@@ -189,6 +216,7 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
       query zgesdd's optimal complex workspace for that jobz;
       scale a when its largest |entry| lies outside [smlnum, bignum];
       zgebrd:            a = Q B P^H, B real upper bidiagonal (s, e);
+      wait for the lane `beside` started from this thread, if any;
       without vectors,
         dbdsdc('U', 'N'):  the singular values s of B;
       with vectors,
@@ -202,7 +230,9 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
     workspace of dbdsdc is freed before vh is allocated, and ru and rvt each
     once copied into u and vh; the peak is a, ru, rvt and that workspace,
     56 N^2 B, where zgesdd holds a, u, vh and its whole real workspace,
-    88 N^2 B.
+    88 N^2 B. Up to the wait for the lane only a (16 N^2 B) and the complex
+    workspace (lwork entries, about 2 nb N for zgebrd's block size nb) are
+    alive, so a lane's own matrix and workspaces never add to that peak.
     """
     n = a.shape[0]
     ptr = a.ctypes.data
@@ -231,6 +261,7 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
     lrest = _i(lwork - 2 * n)
     lib.zgebrd(_i(n), _i(n), ptr, _i(n), s.ctypes.data, e.ctypes.data, tauq, taup, rest,
                lrest, info.ref)
+    _join_lane()  # the rest of a full SVD runs after a lane `beside` it
 
     iwork = np.empty(8 * n, dtype=np.int64)
     if not vectors:

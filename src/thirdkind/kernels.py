@@ -33,7 +33,7 @@ import numpy as np
 
 from .blas import gesdd
 from .hermite import SmoothBasis, gaussian
-from .measure import scaled_norm
+from .measure import row_blocks, scaled_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,16 +206,26 @@ class MFactorization:
         return self.w_factor(), polar_root(self.sigma, self.vh)
 
     def w_factor(self) -> np.ndarray:
-        """W = U_pol P = u_r diag(sqrt(sigma_r)) vh_r, formed on each call."""
+        """W = U_pol P = u_r diag(sqrt(sigma_r)) vh_r, formed on each call,
+        `row_blocks` at a time, so that the scaled u_r is a block's."""
         r = self.rank
-        return (self.u[:, :r] * np.sqrt(self.sigma[:r])) @ self.vh[:r]
+        root, vh_r = np.sqrt(self.sigma[:r]), self.vh[:r]
+        w = np.empty((self.u.shape[0], vh_r.shape[1]), dtype=complex)
+        for rows in row_blocks(w.shape[0]):
+            w[rows] = (self.u[rows, :r] * root) @ vh_r
+        return w
 
 
 def polar_root(sigma: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """P = |A|^(1/2) = vh^h diag(sqrt(sigma)) vh, the V of
     `MFactorization.polar_factors`, from A's singular values and right
-    singular vectors alone, so that a caller can drop u before forming it."""
-    return (vh.conj().T * np.sqrt(sigma)) @ vh
+    singular vectors alone, so that a caller can drop u before forming it.
+    Formed `row_blocks` at a time, so that the scaled vh^h is a block's."""
+    root = np.sqrt(sigma)
+    v = np.empty((vh.shape[1], vh.shape[1]), dtype=complex)
+    for rows in row_blocks(v.shape[0]):
+        v[rows] = (vh[:, rows].conj().T * root) @ vh
+    return v
 
 
 def m_factorize(matrix: np.ndarray) -> MFactorization:

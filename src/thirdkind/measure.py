@@ -36,6 +36,21 @@ def scaled_norm(x: np.ndarray, axis: int | None = None):
     return np.where(overflowed & np.isfinite(scaled), scaled, plain)
 
 
+def row_blocks(rows: int) -> list[slice]:
+    """Consecutive slices covering range(rows), each about a sixteenth of it
+    and at least 16 rows long, the last one taking the remainder. A complex
+    product formed a block of rows at a time holds a sixteenth of its
+    temporaries and keeps the whole product's bits, as BLAS sums each entry
+    in the same order; a one-row block (a gemv) would not, and neither may
+    a real product whose row length is not a multiple of 8, whose last
+    columns OpenBLAS rounds by a path that depends on the block's size."""
+    step = max(16, rows // 256 * 16)
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] < step:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
     """Dyadic partition of [0, 1) into 2**depth equal cells."""
@@ -198,8 +213,12 @@ class GridKernel:
 
     def adjoint_image(self, x: np.ndarray) -> np.ndarray:
         """(K* x)(s) = sum_t conj(K(t, s)) x(t) w, without materializing K^H, for
-        a (cell count,) array or each row of a (k, cell count) block at once."""
-        return np.conj(_matvec(self.entries.T, np.conj(x.T))).T * self.space.cell_width
+        a (cell count,) array or each row of a (k, cell count) block at once.
+        The result is made once and conjugated and scaled in place."""
+        out = _matvec(self.entries.T, x.T, conjugate=True)
+        np.conjugate(out, out=out)
+        out *= self.space.cell_width
+        return out.T
 
     def refined(self) -> "GridKernel":
         """Re-sample the piecewise-constant kernel on the finer grid."""
@@ -213,9 +232,13 @@ class GridKernel:
         return cls(space, np.asarray(func(c[:, None], c[None, :])))
 
 
-def _matvec(entries: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # keep real kernels in real BLAS when applied to complex vectors
+def _matvec(entries: np.ndarray, values: np.ndarray, conjugate: bool = False) -> np.ndarray:
+    """entries @ values, or entries @ conj(values) with `conjugate`. A real
+    kernel applied to complex values stays in real BLAS, reading the real
+    part as a view and the imaginary part as a view or, conjugated, one real
+    copy, and the complex result is assembled in one array."""
     if entries.dtype.kind == "f" and values.dtype.kind == "c":
-        return entries @ values.real + 1j * (entries @ values.imag)
-    return entries @ values
-
+        out = np.multiply(1j, entries @ (np.negative(values.imag) if conjugate else values.imag))
+        np.add(entries @ values.real, out, out=out)
+        return out
+    return entries @ (np.conj(values) if conjugate else values)

@@ -26,7 +26,7 @@ from .kernels import (
     series_consistency,
     vanishing_at_radius,
 )
-from .measure import GridFunction, MeasureSpace, inner_product, scaled_norm
+from .measure import GridFunction, MeasureSpace, inner_product, row_blocks, scaled_norm
 from .rademacher import KorotkovSequence, build_sequence
 from .reduction import UnitarySurrogate, matrix_elements
 from .solvers import EquivalenceReport, KernelPencil, Reduction, verify_equivalence
@@ -138,22 +138,37 @@ def factorization_defects(
     """How well the explicit factors W, V of D = A0 - lambda A reproduce it:
     the relative Frobenius norm of W V* - D, and the worst gap between the
     direct and the factorized series of `pencil.pencil_kernel(lam)` at three
-    points. W V* reads V* as the transpose of v conjugated in place (and
-    conjugated back after), and D is formed after it, so that neither a
-    conjugate copy of V nor D is alive beside the product."""
-    np.conjugate(v, out=v)
-    residual = w @ v.T
-    np.conjugate(v, out=v)
+    points. D's own numbers come first: its norm and the series, from D
+    formed once and dropped before the product. W V* reads V* as the
+    transpose of v conjugated in place (and conjugated back after), and D's
+    rows are then subtracted from it `row_blocks` at a time, as
+    `KernelPencil.pencil_rows` forms them. So besides W and V one n x n
+    array is alive at a time, D or the product."""
     kernel = pencil.pencil_kernel(lam)
-    residual -= kernel.coefficient_matrix
-    recon = float(scaled_norm(residual))
-    del residual
     scale = float(scaled_norm(kernel.coefficient_matrix))
     series_defect = 0.0
     for s, t in ((0.3, -0.7), (-1.1, 0.4), (0.0, 0.0)):
         chk = series_consistency(kernel, w, v, 0, 0, s, t)
         series_defect = max(series_defect, abs(chk.direct - chk.via_factorization))
+    del kernel
+    np.conjugate(v, out=v)
+    residual = w @ v.T
+    np.conjugate(v, out=v)
+    for rows in row_blocks(pencil.size):
+        residual[rows] -= pencil.pencil_rows(lam, rows)
+    recon = float(scaled_norm(residual))
     return (recon / scale if scale else recon), series_defect
+
+
+def _adjoint_defect(
+    space: MeasureSpace, b_rows: np.ndarray, images: np.ndarray, direct: np.ndarray
+) -> float:
+    """max |adj - direct^H| for the adjoint's matrix adj formed from its
+    `images` of `b_rows` (`matrix_elements`), compared `row_blocks` at a
+    time, so that no conjugate of `direct` nor a difference is made whole."""
+    adj = matrix_elements(space, b_rows, images)
+    gaps = [np.max(np.abs(adj[rows] - direct[:, rows].conj().T)) for rows in row_blocks(len(adj))]
+    return float(np.max(gaps))
 
 
 def run_verification(config: RunConfig) -> VerificationResult:
@@ -218,24 +233,21 @@ def run_verification(config: RunConfig) -> VerificationResult:
         pencil = reduction.pencil
 
         # adjoint consistency: each adjoint's matrix, from its images of the
-        # surrogate's dense rows, against the pencil's. All are dropped before
-        # the reports set peak memory; the symbol comes first, as a small array
-        # left above the freed rows moved verify's d9 peak RSS by 3 MiB
+        # surrogate's dense rows, against the pencil's, one adjoint at a time.
+        # The kernel's images come first, so that its sample goes with the
+        # sequence before any matrix is formed; all are dropped before the
+        # reports. The symbol comes before the rows, as a small array left
+        # above the freed rows moved verify's d9 peak RSS by 3 MiB
         shifted = seq.coefficient.values - pencil.alpha
         b_rows = surrogate.b_matrix
-        for name, direct, image in (
-            ("multiplication", pencil.a0, lambda: b_rows * np.conj(shifted)),
-            ("integral", pencil.a, lambda: seq.kernel.adjoint_image(b_rows)),
-        ):
-            adj = matrix_elements(space, b_rows, image())
-            add(
-                f"adjoint_consistency_{name}",
-                float(np.max(np.abs(adj - direct.conj().T))),
-                tol["adjoint_defect"],
-            )
-            del adj
-        del b_rows
+        images = seq.kernel.adjoint_image(b_rows)
         del seq  # the lambda loop reads no kernel sample
+        integral = _adjoint_defect(space, b_rows, images, pencil.a)
+        del images
+        multiplication = _adjoint_defect(space, b_rows, b_rows * np.conj(shifted), pencil.a0)
+        del b_rows
+        add("adjoint_consistency_multiplication", multiplication, tol["adjoint_defect"])
+        add("adjoint_consistency_integral", integral, tol["adjoint_defect"])
 
         # manufactured problems per lambda. Report 0's factorization of D at
         # the first lambda also gives the explicit W, V, the independent

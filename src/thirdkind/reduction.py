@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .hermite import SmoothBasis
-from .measure import GridFunction, GridKernel, MeasureSpace
+from .measure import GridFunction, GridKernel, MeasureSpace, row_blocks
 from .rademacher import KorotkovSequence
 
 # Coefficient matrices are plain ndarrays with a_mn = <S b_n, b_m>: complex as
@@ -129,10 +129,16 @@ def matrix_elements(
     B = `b_rows` holds the basis functions b_n as rows, like `U.b_matrix`, and
     `images` their images S b_n the same way: the generic dense path, where
     `pencil_matrices` is the structured one of the reduction's two operators.
+    Formed `row_blocks` at a time, so that neither conj(B) nor an unscaled
+    product is alive beside the result.
     """
     if b_rows.ndim != 2 or b_rows.shape[1] != space.cell_count or images.shape != b_rows.shape:
         raise SpaceMismatchError("operator and basis live on different grids")
-    return space.cell_width * (b_rows.conj() @ images.T)
+    n = b_rows.shape[0]
+    out = np.empty((n, n), dtype=np.result_type(b_rows, images, space.cell_width))
+    for rows in row_blocks(n):
+        out[rows] = space.cell_width * (b_rows[rows].conj() @ images.T)
+    return out
 
 
 def pencil_matrices(

@@ -92,11 +92,16 @@ class KernelPencil:
         d.flat[:: self.size + 1] += self.alpha
         return d
 
-    def _pencil_matrix(self, lam: complex, order: str) -> np.ndarray:
-        """A0 - lambda A in one new n x n array of the given memory order; the
-        values do not depend on the order."""
-        d = np.multiply(self.a, -lam, order=order, dtype=complex)
-        d += self.a0
+    def pencil_rows(self, lam: complex, rows: slice) -> np.ndarray:
+        """The rows `rows` of A0 - lambda A in a new array, entry for entry
+        as `pencil_kernel` forms them."""
+        return self._pencil_matrix(lam, "C", rows)
+
+    def _pencil_matrix(self, lam: complex, order: str, rows: slice = slice(None)) -> np.ndarray:
+        """The rows `rows` (all by default) of A0 - lambda A in one new array
+        of the given memory order; the values do not depend on the order."""
+        d = np.multiply(self.a[rows], -lam, order=order, dtype=complex)
+        d += self.a0[rows]
         return d
 
     def pencil_kernel(self, lam: complex) -> BilinearKernel:
@@ -328,11 +333,14 @@ def verify_equivalence(
     D = A0 - lambda A is factorized once: its SVD gives the series tail and,
     with alpha = 0, the condition number; with alpha != 0 the condition is that
     of `pencil.system_matrix(lam)`, alpha I + D, from its singular values
-    alone, formed after D is dropped and taken beside the factorization of D
-    (`blas.beside`: on a second thread up to SINGLE_THREAD_MAX_SIZE).
-    Everything read from D itself comes first; D is then formed again in
-    Fortran order and factored in place, so that no other n x n copy of it
-    is alive during that SVD.
+    alone. That matrix belongs to the lane of `blas.beside`, which forms it,
+    takes its values and drops it: up to SINGLE_THREAD_MAX_SIZE on a second
+    thread beside the reads of D and D's bidiagonalization, the rest of D's
+    SVD waiting for it, and above that size before D is formed. A report's
+    peak is then one stepwise SVD (56 N^2 B, see `blas._square_svd`)
+    whichever thread ends first. Everything read from D itself comes first;
+    D is then formed again in Fortran order and factored in place, so that
+    no other n x n copy of it is alive during that SVD.
     With alpha = 0, D is dropped before the first-kind solve, and M D is
     read first in C order, then moved to Fortran order and factored in
     place, so that the solve's SVD input is its only copy.
@@ -342,16 +350,18 @@ def verify_equivalence(
     alpha = pencil.alpha
     g = U.forward(forward_third_kind(run.coefficient, run.k_phi, lam, run.phi))
 
-    pk = pencil.pencil_kernel(lam)
-    d = pk.matrix
-    lhs = alpha * f + d @ f
-    passage = _relative(float(scaled_norm(lhs - g)), float(scaled_norm(g)))
-    carleman_sup = float(np.max(scaled_norm(carleman(pk, "row", 0, probes), axis=0)))
-    hs = hs_norm(pk)
+    def read(pk: BilinearKernel) -> tuple[float, float, float]:
+        """The passage residual, Carleman sup and Hilbert-Schmidt norm of D."""
+        passage = _relative(float(scaled_norm(alpha * f + pk.matrix @ f - g)),
+                            float(scaled_norm(g)))
+        carleman_sup = float(np.max(scaled_norm(carleman(pk, "row", 0, probes), axis=0)))
+        return passage, carleman_sup, hs_norm(pk)
 
     discarded = None
     first_kind = None
     if alpha == 0:
+        pk = pencil.pencil_kernel(lam)
+        passage, carleman_sup, hs = read(pk)
         w = m_matrix @ g
         gamma_pencil = scale_by_multiplier(pk, m_matrix)
         fk_system = gamma_pencil.multiplied_matrix  # M (A0 - lambda A)
@@ -364,7 +374,7 @@ def verify_equivalence(
         slack = max(0.0, hs_gamma - bound)
         gap = coefficient_form_gap(gamma_pencil, probes, probes)
         first_q, last_q = adjoint_column_quarter_maxima(fk_system)
-        del gamma_pencil, pk, d
+        del gamma_pencil, pk
         fk_system = np.asfortranarray(fk_system)  # the solve's only copy of M D
         try:
             sol = _solve_first_kind(fk_system, w, cutoff)
@@ -395,16 +405,14 @@ def verify_equivalence(
         fact = pencil.factorize(lam)
         condition = fact.condition
     else:
-        del pk, d
-        # formed on this thread; no other n x n copy of D is alive during the
-        # two SVDs
-        shifted = pencil.system_matrix(lam)
-        values, fact = beside(
-            lambda: gesdd(shifted, vectors=False),
-            lambda: pencil.factorize(lam),
+        # the lane owns alpha I + D: it forms the matrix, takes its values and
+        # drops it, beside the reads of D and D's bidiagonalization or,
+        # serially, before D exists; the C-order D goes before D's SVD
+        values, ((passage, carleman_sup, hs), fact) = beside(
+            lambda: gesdd(pencil.system_matrix(lam), vectors=False),
+            lambda: (read(pencil.pencil_kernel(lam)), pencil.factorize(lam)),
             pencil.size,
         )
-        del shifted
         condition = condition_number(values)
     tail = absolute_tail_sup(fact, probes, probes)
 

@@ -143,6 +143,41 @@ def test_beside_finishes_both_sides_before_raising(failing):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("lane_fails", [False, True])
+def test_full_svd_waits_for_the_lane_after_zgebrd(monkeypatch, lane_fails):
+    """A full SVD in main() bidiagonalizes beside the lane, then waits for
+    it: dbdsdc, the first step to allocate singular vectors, starts after
+    the lane has ended, and when the lane raises, its error is raised there
+    and no further step runs."""
+    lib = blas._openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS symbols are not available")
+    steps = []
+    for name in ("zgebrd", "dbdsdc"):
+        def logged(*args, _name=name, _step=getattr(lib, name)):
+            steps.append(_name)
+            return _step(*args)
+
+        monkeypatch.setattr(lib, name, logged)
+
+    def lane():
+        time.sleep(0.2)  # far longer than main's bidiagonalization
+        steps.append("lane")
+        if lane_fails:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return "values"
+
+    a = np.asfortranarray(MATRICES["random64"])
+    if lane_fails:
+        with pytest.raises(np.linalg.LinAlgError):
+            blas.beside(lane, lambda: blas.gesdd(a, vectors=True), 64)
+        assert steps == ["zgebrd", "lane"]
+    else:
+        values, (_, s, _) = blas.beside(lane, lambda: blas.gesdd(a, vectors=True), 64)
+        assert values == "values" and s.shape == (64,)
+        assert steps == ["zgebrd", "lane", "dbdsdc"]
+
+
 # ---------------------------------------------------------------------------
 # zgesdd binding
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import weakref
 import numpy as np
 import pytest
 
-import thirdkind.blas as blas
 import thirdkind.hermite as hermite
 import thirdkind.kernels as kernels
 import thirdkind.pipeline as pipeline
@@ -145,17 +144,12 @@ def test_probe_values_built_once_per_run(monkeypatch):
 DEPTH8 = {**CONFIG, "depth": 8, "lambda": [[0.5, 0.25]], "seed": 7}
 
 
-def _serial_beside(lane, main, size):
-    """blas.beside in the order it takes above SINGLE_THREAD_MAX_SIZE: lane()
-    first, then main(), on this thread."""
-    return blas.beside(lane, main, blas.SINGLE_THREAD_MAX_SIZE + 1)
-
-
 def _traced_peaks(monkeypatch, run, config):
     """Traced peaks of one run, started from zero: one per per-lambda report,
     and one per stretch outside them (before the first, between each two,
-    and after the last). The report's two SVDs run one after the other, so
-    that no peak depends on whether the lane still holds its workspace."""
+    and after the last). The reports run as shipped, the lane beside D's
+    SVD, whose vectors wait for it, so no peak depends on which thread
+    ends first."""
     reports, outside = [], []
     original = pipeline.verify_equivalence
 
@@ -168,7 +162,6 @@ def _traced_peaks(monkeypatch, run, config):
         return result
 
     monkeypatch.setattr(pipeline, "verify_equivalence", measured)
-    monkeypatch.setattr(solvers, "beside", _serial_beside)
     tracemalloc.start()
     try:
         run(config)
@@ -182,11 +175,13 @@ def _traced_peaks(monkeypatch, run, config):
 def test_battery_peaks_no_higher_than_a_report(monkeypatch):
     """No stage of the battery, its reports included, rises above the traced
     peak of a report of `reduce` plus 1 N^2 B: not the adjoint checks with
-    the dense surrogate rows and the kernel sample, not the reconstruction
+    the dense surrogate rows and the kernel's images, not the reconstruction
     from report 0's factorization between reports 0 and 1, not the kernel
     calculus after the reports. A battery array kept into a report raises
-    that report. Measured at 95.3 N^2 B for the highest battery report and
-    92.6, 84.6 and 58.6 outside them, against 94.9 for `reduce`."""
+    that report. Measured at 79.2-79.4 N^2 B for the battery's reports and
+    68.7, 69.7 and 58.6 outside them, against 78.8-78.9 for `reduce`: a
+    report is one stepwise SVD with the pencil beside it, and every stage
+    outside holds at most three n x n complex arrays besides the pencil."""
     config = parse_config({**DEPTH8, "alpha": 0.25, "lambda": [[0.5, 0.25], [0.3, -0.2]]})
     pipeline.run_reduction(config)  # imports and caches made once per process are not traced
     reference, _ = _traced_peaks(monkeypatch, pipeline.run_reduction, config)

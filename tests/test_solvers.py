@@ -628,13 +628,21 @@ class TestVerifyEquivalence:
         assert report.condition == pytest.approx(expected, rel=1e-12)
 
     def test_transient_memory_of_one_lambda(self):
-        """The per-lambda transient at N = 256 is the stepwise SVD of D with
-        the values-only SVD of alpha I + D beside it: D, ru, rvt and the
-        3 N^2 real workspace of dbdsdc (56 N^2 B), the shifted matrix
-        (16 N^2 B) and the complex workspaces measure 77-82 N^2 B, as the two
-        overlap, and any other n x n complex array still alive during them
-        adds 16 N^2 B."""
-        self.check_transient_memory(alpha=0.25, bound=85)
+        """The per-lambda transient at N = 256 is one stepwise SVD: D, ru, rvt
+        and the 3 N^2 real workspace of dbdsdc (56 N^2 B) with the complex
+        workspace, 60.8 N^2 B in every run. The values-only SVD of
+        alpha I + D runs on the lane beside the reads of D and D's
+        bidiagonalization, and D's singular vectors wait for the lane, so its
+        matrix (16 N^2 B) never adds to that peak, whichever thread ends
+        first; nor may any other n x n complex array alive during the SVD."""
+        self.check_transient_memory(alpha=0.25, bound=64)
+
+    def test_transient_memory_of_one_lambda_serial(self, monkeypatch):
+        """Above SINGLE_THREAD_MAX_SIZE the lane runs first and drops alpha I + D
+        before D is formed: the same one-SVD peak, 60.8 N^2 B, where a
+        shifted matrix kept until both SVDs return read 76.8."""
+        monkeypatch.setattr(thirdkind.blas, "SINGLE_THREAD_MAX_SIZE", 128)
+        self.check_transient_memory(alpha=0.25, bound=64)
 
     def test_transient_memory_of_one_lambda_alpha_zero(self):
         """With alpha = 0 the solve's SVD is of M D, moved to Fortran order

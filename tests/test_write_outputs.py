@@ -1,7 +1,9 @@
-"""`tools/write_outputs.py --compare` on two small output trees."""
+"""`tools/write_outputs.py`: one small run, and `--compare` on two small
+output trees."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +76,23 @@ def test_moved_json_numbers_are_named(tmp_path, capsys):
         "  reports[0].spectrum[0]: 1.0 -> 1.5",
     ]
     assert lines[3].startswith("largest numeric difference: ")
+
+
+def test_each_run_reports_its_wall_time_and_peak_rss(tmp_path, capsys, monkeypatch):
+    """The tool's stdout gives each run's exit code, wall time and peak RSS;
+    OUTDIR gets the run's files and no measurement."""
+    tool = _tool()
+    config = {**tool.RANK_ONE_D8, "depth": 6, "lambda": [[0.3, 0.1]]}
+    monkeypatch.setattr(tool, "commands", lambda: [("reduce-d6", "reduce", config, 1)])
+    assert tool.main([str(ROOT), str(tmp_path / "out")]) == 0
+    line = capsys.readouterr().out.strip()
+    match = re.fullmatch(r"reduce-d6: exit 0, (\d+\.\d\d) s, peak RSS (\d+\.\d) MiB", line)
+    assert match, line
+    assert float(match[1]) > 0 and float(match[2]) > 10  # the CLI imports numpy
+    run = tmp_path / "out" / "reduce-d6"
+    assert {p.name for p in run.iterdir()} == {
+        "config.json", "out", "stdout.txt", "stderr.txt", "exit_code.txt"
+    }
+    assert (run / "exit_code.txt").read_text() == "0\n"
+    assert (run / "stderr.txt").read_text() == ""
+    assert "MiB" not in (run / "stdout.txt").read_text()

@@ -27,7 +27,11 @@ The commands:
   keeps for its SVDs; about 6 s.
 
 The configs come from ``Workload.config`` of this repository's
-``perfbench/run.py``, so both checkouts get the same inputs.
+``perfbench/run.py``, so both checkouts get the same inputs. For each run
+the tool prints, on its own stdout and nowhere in OUTDIR, the exit code,
+the wall time and the peak resident set of the CLI process (``ru_maxrss``
+from ``os.wait4``), so that the runs of a byte-identity check also give a
+before/after memory table.
 
 ``--compare BEFORE AFTER`` reads two such directories and prints one line
 per file that differs: how many of its numbers differ, and the largest
@@ -49,6 +53,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,16 +178,31 @@ def main(argv: list[str]) -> int:
         run = outdir / name
         (run / "out").mkdir(parents=True, exist_ok=True)
         (run / "config.json").write_text(json.dumps(config, indent=1))
-        proc = subprocess.run(
+        code, wall, peak_kib, stdout, stderr = _run_cli(
             [sys.executable, "-m", "thirdkind.cli", command,
              "--config", str(run / "config.json"), "--out", str(run / "out")],
-            capture_output=True, text=True, env=env, cwd=checkout,
+            env, checkout,
         )
-        (run / "stdout.txt").write_text(proc.stdout.replace(str(outdir), "$OUT"))
-        (run / "stderr.txt").write_text(proc.stderr.replace(str(outdir), "$OUT"))
-        (run / "exit_code.txt").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}")
+        (run / "stdout.txt").write_text(stdout.replace(str(outdir), "$OUT"))
+        (run / "stderr.txt").write_text(stderr.replace(str(outdir), "$OUT"))
+        (run / "exit_code.txt").write_text(f"{code}\n")
+        print(f"{name}: exit {code}, {wall:.2f} s, peak RSS {peak_kib / 1024:.1f} MiB", flush=True)
     return 0
+
+
+def _run_cli(args: list[str], env: dict, cwd: Path) -> tuple[int, float, int, str, str]:
+    """(exit code, wall seconds, ru_maxrss in KiB, stdout, stderr) of one
+    child, reaped with os.wait4 for its own resource usage."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(args, stdout=out, stderr=err, env=env, cwd=cwd)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        out.seek(0)
+        err.seek(0)
+        return (proc.returncode, wall, usage.ru_maxrss,
+                out.read().decode(), err.read().decode())
 
 
 if __name__ == "__main__":
