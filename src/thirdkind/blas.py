@@ -1,11 +1,11 @@
-"""numpy's bundled OpenBLAS: the thread count for small problems, and zgesdd.
+"""numpy's bundled OpenBLAS: one thread per report, and zgesdd.
 
-The per-lambda work is dense N x N linear algebra. Below a size, a second
-OpenBLAS thread buys little wall time for its CPU time, so the runs there
-use one thread, and `beside` runs a values-only SVD on a second Python
-thread while this one prepares and bidiagonalizes the matrix of a full SVD.
-One thread also makes their outputs independent of the thread count the
-process started with.
+The per-lambda work is dense N x N linear algebra. Every report runs on one
+OpenBLAS thread (`one_blas_thread`), and `beside` runs a values-only SVD on a
+second Python thread while this one prepares and bidiagonalizes the matrix
+of a full SVD, so two cores stay busy for about the CPU time of one thread.
+One thread also makes the reports independent of the thread count the
+process started with, at every size.
 
 Every SVD of the package goes through `gesdd`. For a square matrix it makes
 the steps of the LAPACK routine that numpy.linalg.svd calls, zgesdd, one
@@ -42,11 +42,12 @@ import numpy as np
 #   128    8.9 / 8.9    9.2 / 17      15 / 31           9.3 / 17
 #   256    37 / 37      40 / 80       60 / 119          32 / 51
 #   512    243 / 243    204 / 405     282 / 560         233 / 364
-#   1024   1897 / 1896  1321 / 2611   2025 / 3994       2123 / 3113
-# Up to n = 512 a second OpenBLAS thread saves at most a sixth of the wall
-# time for about twice the CPU time, and the pair beside is faster than
-# serial on two threads; at n = 1024 it is not.
-SINGLE_THREAD_MAX_SIZE = 512
+#   1024   1329 / 1306  900 / 1756    1331 / 2636       1341 / 2075
+#   2048   9594 / 9590  6021 / 11571  9407 / 18250      9841 / 15252
+# A second OpenBLAS thread saves at most a third of the wall time of one SVD
+# for 1.2-2 times its CPU time. The pair beside is faster than serial on two
+# threads up to n = 512; at n = 1024 and 2048 it takes 1-5 % more wall time
+# for 16-21 % less CPU time.
 
 # rows per block of the in-place transposition of u and vh
 _BLOCK = 64
@@ -100,10 +101,10 @@ def _openblas() -> types.SimpleNamespace | None:
 
 
 @contextlib.contextmanager
-def blas_threads_for(size: int):
-    """Run the body on one BLAS thread when `size` <= SINGLE_THREAD_MAX_SIZE,
-    restoring the previous count on exit; otherwise leave BLAS as it is."""
-    lib = _openblas() if size <= SINGLE_THREAD_MAX_SIZE else None
+def one_blas_thread():
+    """Run the body on one BLAS thread, restoring the previous count on
+    exit; without numpy's OpenBLAS symbols, leave BLAS as it is."""
+    lib = _openblas()
     if lib is None:
         yield
         return
@@ -128,19 +129,14 @@ def _c_order(f: np.ndarray) -> np.ndarray:
     return c
 
 
-def beside(lane: Callable, main: Callable, size: int) -> tuple:
-    """(lane(), main()). For `size` <= SINGLE_THREAD_MAX_SIZE, where
-    `blas_threads_for` leaves each call one BLAS thread, lane() runs on a
-    second thread while this one runs main() up to the end of the first
-    bidiagonalization that main() makes (`_square_svd`'s zgebrd), where it
-    waits for the lane to end: two SVDs keep both cores busy, and whatever
-    the lane held is freed before that SVD allocates its singular vectors.
-    Above it they run one after the other, lane() first. Either way the
+def beside(lane: Callable, main: Callable) -> tuple:
+    """(lane(), main()). lane() runs on a second thread while this one runs
+    main() up to the end of the first bidiagonalization that main() makes
+    (`_square_svd`'s zgebrd), where it waits for the lane to end: under
+    `one_blas_thread` two SVDs keep both cores busy, and whatever the lane
+    held is freed before that SVD allocates its singular vectors. The
     lane's exception, when it raises, is the one that propagates, and its
     thread has ended when this returns or raises."""
-    if size > SINGLE_THREAD_MAX_SIZE:
-        first = lane()
-        return first, main()
     # a plain thread: concurrent.futures imports logging, which costs about
     # 20 ms at startup, or 4 MiB of verify's d9 peak when imported mid-run
     done = {}

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import blas_threads_for
+from .blas import one_blas_thread
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -72,6 +72,9 @@ def _error_payload(exc: Exception) -> dict:
         payload["achieved"] = exc.achieved
     if isinstance(exc, NearSingularError):
         payload["condition"] = exc.condition
+        if exc.index is not None:
+            payload["lambda_index"] = exc.index
+            payload["lambda"] = complex(exc.lam)
     return payload
 
 
@@ -128,9 +131,9 @@ def cmd_reduce(config: RunConfig, args) -> int:
 
     probes = run.reduction.probes.points
     pencil = run.reduction.pencil
-    # on the reports' BLAS thread count, so that the samples' bytes do not
+    # on the reports' one BLAS thread, so that the samples' bytes do not
     # depend on the count the process started with either
-    with blas_threads_for(pencil.size):
+    with one_blas_thread():
         for idx, lam in enumerate(config.lambdas):
             pk = pencil.pencil_kernel(lam)
             for i, j in ((0, 0), (1, 0), (0, 1)):

@@ -42,11 +42,16 @@ class ToleranceUnreachableError(ThirdKindError):
 
 class NearSingularError(ThirdKindError):
     """Second-kind system matrix is numerically singular (lambda near a
-    characteristic value). `condition` is the estimated condition number."""
+    characteristic value). `condition` is the estimated condition number;
+    a run's report gate also gives `lam` and its `index` in the config's
+    lambdas."""
 
-    def __init__(self, condition: float):
+    def __init__(self, condition: float, lam: complex | None = None, index: int | None = None):
         self.condition = condition
-        super().__init__(f"system condition estimate {condition:.3e} exceeds limit")
+        self.lam = lam
+        self.index = index
+        at = "" if index is None else f" at lambda {index} = {lam}"
+        super().__init__(f"system condition estimate {condition:.3e} exceeds limit{at}")
 
 
 class RightHandSideOverflowError(ThirdKindError):

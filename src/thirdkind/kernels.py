@@ -310,10 +310,25 @@ def coefficient_form_gap(kernel: BilinearKernel, s: ProbeGrid, t: ProbeGrid) -> 
     _check_grid(kernel.basis, s, t)
     if kernel.multiplied_matrix is None:
         return 0.0
-    exact = _leibniz(
-        kernel, 0, s.points[:, None], lambda r: _pair_eval(kernel.matrix, s.values, t.values)
-    )
     via_coeff = _pair_eval(kernel.multiplied_matrix, s.values, t.values)
+    return _form_gap(kernel.matrix, via_coeff, s, t)
+
+
+def factored_form_gap(
+    matrix: np.ndarray, basis: np.ndarray, multiplied: np.ndarray, s: ProbeGrid, t: ProbeGrid
+) -> float:
+    """`coefficient_form_gap` of the Gaussian-scaled kernel of `matrix` whose
+    coefficient form M A is given as basis @ multiplied (N x k and k x N,
+    `basis` real): the form's values (basis^T u(s))^T multiplied conj(u(t))
+    take O(N k) per point, and no N x N product is formed."""
+    _check_grid(SmoothBasis(matrix.shape[0]), s, t)
+    via_coeff = _pair_eval(multiplied, basis.T @ s.values, t.values)
+    return _form_gap(matrix, via_coeff, s, t)
+
+
+def _form_gap(matrix: np.ndarray, via_coeff: np.ndarray, s: ProbeGrid, t: ProbeGrid) -> float:
+    """Max |m(s) T(s,t) - via_coeff| for the kernel T of `matrix`."""
+    exact = gaussian(0, s.points)[:, None] * _pair_eval(matrix, s.values, t.values)
     return float(np.max(np.abs(exact - via_coeff)))
 
 
@@ -426,7 +441,11 @@ def adjoint_column_quarter_maxima(matrix: np.ndarray) -> tuple[float, float]:
     any bounded A. Returns (max over first quarter, max over last quarter).
     """
     a = np.asarray(matrix)
-    norms = scaled_norm(a.conj().T, axis=0)  # column norms of the adjoint
-    n = norms.size
-    quarter = max(1, n // 4)
+    return quarter_maxima(scaled_norm(a.conj().T, axis=0))  # column norms of the adjoint
+
+
+def quarter_maxima(norms: np.ndarray) -> tuple[float, float]:
+    """(max over the first quarter, max over the last quarter) of `norms`,
+    the adjoint's column norms of `adjoint_column_quarter_maxima`."""
+    quarter = max(1, norms.size // 4)
     return float(np.max(norms[:quarter])), float(np.max(norms[-quarter:]))

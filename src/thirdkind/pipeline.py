@@ -14,11 +14,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blas import blas_threads_for
+from .blas import one_blas_thread
 from .config import RunConfig, make_coefficient, make_kernel
-from .errors import ConfigError
+from .errors import ConfigError, NearSingularError
 from .kernels import (
     BilinearKernel,
+    MFactorization,
     adjoint_column_quarter_maxima,
     finite_difference_defect,
     polar_root,
@@ -29,7 +30,13 @@ from .kernels import (
 from .measure import GridFunction, MeasureSpace, inner_product, row_blocks, scaled_norm
 from .rademacher import KorotkovSequence, build_sequence
 from .reduction import UnitarySurrogate, matrix_elements
-from .solvers import EquivalenceReport, KernelPencil, Reduction, verify_equivalence
+from .solvers import (
+    CONDITION_LIMIT,
+    EquivalenceReport,
+    KernelPencil,
+    Reduction,
+    verify_equivalence,
+)
 
 # unused here, but perfbench/tracer.py lists this module as a site binding them
 from .hermite import multiplier_matrix  # noqa: F401
@@ -85,16 +92,30 @@ def run_reduction(config: RunConfig) -> ReductionRun:
     seq = prepare(config)
     surrogate = _surrogate(config, seq)
     sequence_report = seq.to_report()
-    with blas_threads_for(surrogate.size):
+    with one_blas_thread():
         phi = random_grid_function(np.random.default_rng(config.seed), seq.space)
         points = probe_grid(config.probe_bound, config.probe_points)
         reduction = Reduction(seq, surrogate, points, phi)
         del seq  # the lambda loop reads no kernel sample
         reports = [
-            verify_equivalence(reduction, lam, config.cutoff)[0]
-            for lam in config.lambdas
+            _gated_report(reduction, idx, lam, config.cutoff)[0]
+            for idx, lam in enumerate(config.lambdas)
         ]
         return ReductionRun(sequence_report, reduction, reports)
+
+
+def _gated_report(
+    reduction: Reduction, idx: int, lam: complex, cutoff: float
+) -> tuple[EquivalenceReport, MFactorization]:
+    """verify_equivalence(reduction, lam, cutoff) for the config's lambda
+    number `idx`. With alpha != 0 a report whose condition is not finite or
+    exceeds CONDITION_LIMIT raises NearSingularError with that lambda, the
+    gate `solve_second_kind` applies; with alpha = 0 no solve of alpha I + D
+    is made, and nothing is gated."""
+    report, fact = verify_equivalence(reduction, lam, cutoff)
+    if reduction.pencil.alpha != 0 and not report.condition <= CONDITION_LIMIT:
+        raise NearSingularError(report.condition, lam, idx)
+    return report, fact
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +206,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
     space = seq.space
     # the battery and every per-lambda report; prepare keeps the inherited
     # thread count, since deep projected runs spend it in large kernel matvecs
-    with blas_threads_for(surrogate.size):
+    with one_blas_thread():
         rng = np.random.default_rng(config.seed)
 
         # damping sequence invariants
@@ -255,7 +276,7 @@ def run_verification(config: RunConfig) -> VerificationResult:
         # dropped before the next report, and the SVD is not kept. W comes
         # first and u goes before V is formed
         lam0 = config.lambdas[0]
-        report, fact = verify_equivalence(reduction, lam0, config.cutoff)
+        report, fact = _gated_report(reduction, 0, lam0, config.cutoff)
         w, sigma, vh = fact.w_factor(), fact.sigma, fact.vh
         del fact
         v = polar_root(sigma, vh)
@@ -263,8 +284,8 @@ def run_verification(config: RunConfig) -> VerificationResult:
         recon, series_defect = factorization_defects(pencil, lam0, w, v)
         del w, v
         reports = [report] + [
-            verify_equivalence(reduction, lam, config.cutoff)[0]
-            for lam in config.lambdas[1:]
+            _gated_report(reduction, idx, lam, config.cutoff)[0]
+            for idx, lam in enumerate(config.lambdas[1:], start=1)
         ]
         for idx, report in enumerate(reports):
             add(f"passage_residual_lambda{idx}", report.passage_residual, tol["passage_residual"])

@@ -9,7 +9,10 @@ alpha I + D (`system_matrix`, shared by the report and `solve_second_kind`).
 With alpha = 0, multiplying by the positive smooth m turns the equation
 into the first-kind system M D f = M g, M = `Reduction.m_matrix`, solved by
 a truncated-spectral pseudoinverse (the reduction itself is exact; the
-first-kind solve is ill-posed and needs a declared policy).
+first-kind solve is ill-posed and needs a declared policy). M is factored
+once per run, and the solve runs in the span of its eigenvectors whose
+eigenvalues are not rounding (`MultipliedPencil`), where M D is a k x N
+matrix formed from two lambda-free ones.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ from .kernels import (
     MFactorization,
     ProbeGrid,
     absolute_tail_sup,
-    adjoint_column_quarter_maxima,
     carleman,
-    coefficient_form_gap,
     condition_number,
+    factored_form_gap,
     hs_norm,
     m_factorize_in_place,
-    scale_by_multiplier,
+    quarter_maxima,
 )
-from .measure import GridFunction, GridKernel, scaled_norm
+from .measure import GridFunction, GridKernel, _matvec, row_blocks, scaled_norm
 from .rademacher import KorotkovSequence
 from .reduction import CoefficientMatrix, UnitarySurrogate, pencil_matrices
 # unused here, but perfbench/tracer.py lists this module as a site binding it
@@ -141,17 +143,85 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class FirstKindSystem:
+    """The first-kind matrix M (A0 - lambda A) as `basis @ matrix`, from
+    `MultipliedPencil.system`: `basis` holds the run's k orthonormal
+    eigenvectors of M (real, N x k) and `matrix` is the k x N
+    Y = Lambda_k Z_k^T (A0 - lambda A)."""
+
+    basis: np.ndarray
+    matrix: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The system times the vector x."""
+        return _matvec(self.basis, self.matrix @ x)
+
+    def row_norms(self) -> np.ndarray:
+        """The 2-norm of each row of the system, formed `row_blocks` at a
+        time, so that no N x N product is alive."""
+        norms = np.empty(self.basis.shape[0])
+        for rows in row_blocks(norms.size):
+            norms[rows] = scaled_norm(_matvec(self.basis[rows], self.matrix), axis=1)
+        return norms
+
+
+# eigenvalues of M at or below this fraction of the largest are rounding:
+# eigh resolves them only to about eps ||M||. The counts k it keeps, with the
+# times of eigh on one thread: 126 of N = 256, 254 of 1024 (0.2 s), 363 of
+# 2048 (1.4 s); k grows like sqrt(N).
+MULTIPLIER_RANK_TOLERANCE = np.finfo(float).eps
+
+
+@dataclass(frozen=True, eq=False)
+class MultipliedPencil:
+    """The lambda-free pencil (A0, A) seen through the multiplier matrix M.
+
+    With M = Z Lambda Z^T (`numpy.linalg.eigh`, once per run) and Z_k the k
+    eigenvectors whose eigenvalues exceed MULTIPLIER_RANK_TOLERANCE times the
+    largest, M (A0 - lambda A) = Z_k (B0 - lambda B) up to about
+    eps ||M|| ||A0 - lambda A||, with the k x N products B0 = Lambda_k Z_k^T A0
+    and B = Lambda_k Z_k^T A (`b0`, `b`; float64 when A0, A are). Per lambda
+    the first-kind matrix is then O(N k) to form and its SVD O(N k^2).
+    """
+
+    basis: np.ndarray  # Z_k, N x k
+    b0: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, m_matrix: np.ndarray, pencil: KernelPencil) -> "MultipliedPencil":
+        values, vectors = np.linalg.eigh(m_matrix)
+        keep = values > MULTIPLIER_RANK_TOLERANCE * values[-1]
+        basis = np.ascontiguousarray(vectors[:, keep])
+        del vectors
+        scale = values[keep][:, None]
+        b0, b = (_matvec(basis.T, m) for m in (pencil.a0, pencil.a))
+        b0 *= scale
+        b *= scale
+        return cls(basis=basis, b0=b0, b=b)
+
+    def system(self, lam: complex) -> FirstKindSystem:
+        """M (A0 - lambda A) as Z_k Y, Y = B0 - lambda B formed entry for
+        entry as `KernelPencil` forms A0 - lambda A."""
+        y = np.multiply(self.b, -lam, dtype=complex)
+        y += self.b0
+        return FirstKindSystem(self.basis, y)
+
+
+@dataclass(frozen=True, eq=False)
 class Reduction:
     """One run's lambda-free data, derived from the sequence, its surrogate
     and the run's manufactured solution phi.
 
     `pencil` is reduce_problem(sequence, surrogate), `probes` the basis values
-    at `probe_points`, and `m_matrix` the Gaussian multiplier matrix over the
-    pencil's basis when alpha = 0 (else None). The manufactured problem's
-    lambda-free half is here too: `f` = U phi, the `round_trip_error` of
-    U^-1 f against phi, and `k_phi` = K phi, from which each lambda's
-    psi = H phi - lambda K phi is formed with `coefficient` = H. None of them
-    can be passed in, so they always belong to the sequence.
+    at `probe_points`, and, when alpha = 0 (else None), `m_matrix` the
+    Gaussian multiplier matrix over the pencil's basis and `multiplied` the
+    pencil in M's eigenbasis, which the first-kind solve reads. The
+    manufactured problem's lambda-free half is here too: `f` = U phi, the
+    `round_trip_error` of U^-1 f against phi, and `k_phi` = K phi, from
+    which each lambda's psi = H phi - lambda K phi is formed with
+    `coefficient` = H. None of them can be passed in, so they always belong
+    to the sequence.
 
     The sequence itself is not kept: the lambda loop reads nothing else of
     it, so its dense kernel sample is freed with it. ValueError when the
@@ -165,6 +235,7 @@ class Reduction:
     pencil: KernelPencil = field(init=False)
     probes: ProbeGrid = field(init=False, repr=False)
     m_matrix: np.ndarray | None = field(init=False, repr=False)
+    multiplied: MultipliedPencil | None = field(init=False, repr=False)
     coefficient: GridFunction = field(init=False, repr=False)
     k_phi: GridFunction = field(init=False, repr=False)
     f: np.ndarray = field(init=False, repr=False)
@@ -179,6 +250,8 @@ class Reduction:
         object.__setattr__(self, "probes", ProbeGrid(pencil.basis, self.probe_points))
         m_matrix = multiplier_matrix(pencil.basis) if pencil.alpha == 0 else None
         object.__setattr__(self, "m_matrix", m_matrix)
+        multiplied = None if m_matrix is None else MultipliedPencil.of(m_matrix, pencil)
+        object.__setattr__(self, "multiplied", multiplied)
         phi = self.phi
         object.__setattr__(self, "coefficient", sequence.coefficient)
         object.__setattr__(self, "k_phi", sequence.kernel.apply(phi))
@@ -227,43 +300,52 @@ class FirstKindSolution:
     kept: int
 
 
-def solve_first_kind(system: np.ndarray, w: np.ndarray, cutoff: float) -> FirstKindSolution:
+def solve_first_kind(
+    system: FirstKindSystem | np.ndarray, w: np.ndarray, cutoff: float
+) -> FirstKindSolution:
     """Truncated-spectral pseudoinverse solve of system c = w.
 
-    `system` is the first-kind matrix M (A0 - lambda A), for instance
-    `scale_by_multiplier(run.pencil.pencil_kernel(lam), run.m_matrix)
-    .multiplied_matrix` with w = run.m_matrix @ g. Singular values
-    below cutoff * sigma_max are discarded; `discarded_energy` is the
-    fraction of ||w||^2 lost to the discarded left singular directions.
-    Raises DegenerateSystemError when nothing survives the cutoff.
-    `system` is left as it is: the SVD factors a Fortran-order copy.
+    `system` is the first-kind matrix M (A0 - lambda A): the report's
+    `run.multiplied.system(lam)`, with w = run.m_matrix @ g, or any dense
+    square matrix. With the thin SVD of its `matrix`, P S Q^H, the left
+    singular vectors of the system are basis @ P (P itself for a dense
+    one). Singular values below cutoff * sigma_max are discarded;
+    `discarded_energy` is the fraction of ||w||^2 in the discarded left
+    singular directions and, with a basis, in the part of w outside its
+    span, each summed from the discarded parts themselves. Raises
+    DegenerateSystemError when nothing survives the cutoff. `system` is
+    left as it is.
     """
-    return _solve_first_kind(np.array(system, dtype=complex, order="F"), w, cutoff)
-
-
-def _solve_first_kind(a: np.ndarray, w: np.ndarray, cutoff: float) -> FirstKindSolution:
-    """`solve_first_kind` on a writeable complex Fortran-order `a`, which
-    the SVD overwrites."""
     if not 0 < cutoff < 1:
         raise ValueError("cutoff must lie in (0, 1)")
-    u, sigma, vh = gesdd(a, vectors=True)
+    if isinstance(system, FirstKindSystem):
+        basis, matrix = system.basis, system.matrix
+    else:
+        basis, matrix = None, np.asarray(system, dtype=complex)
+    u, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
     if sigma.size == 0 or sigma[0] <= 0:
         raise DegenerateSystemError("system matrix is zero")
     keep = sigma >= cutoff * sigma[0]
     k = int(np.count_nonzero(keep))  # a prefix: sigma does not increase
     if k == 0:
         raise DegenerateSystemError("all singular values fell below the cutoff")
-    # u^H w and vh_k^H inv as conjugated products, with no n x n conjugate
-    projections = np.conj(u.T @ np.conj(w))
+    if basis is None:
+        inside, outside = w, w[:0]
+    else:  # w's coordinates in the basis, and the rest of w
+        inside = _matvec(basis.T, w)
+        outside = w - _matvec(basis, inside)
+    # P^H inside and vh_k^H inv as conjugated products, with no conjugate copy
+    projections = np.conj(u.T @ np.conj(inside))
     inv = projections[:k] / sigma[:k]
     c = np.conj(vh[:k].T @ np.conj(inv))
     with np.errstate(over="ignore"):
         total = float(np.linalg.norm(w) ** 2)
-        lost = float(np.sum(np.abs(projections[k:]) ** 2))
+        lost = float(np.linalg.norm(outside) ** 2 + np.sum(np.abs(projections[k:]) ** 2))
     if np.isfinite(total) and np.isfinite(lost):
         discarded = lost / total if total else 0.0
     else:  # a square overflowed: the same fraction from scaled norms
-        discarded = (float(scaled_norm(projections[k:])) / float(scaled_norm(w))) ** 2
+        parts = np.concatenate([outside, projections[k:]])
+        discarded = (float(scaled_norm(parts)) / float(scaled_norm(w))) ** 2
     return FirstKindSolution(coefficients=c, discarded_energy=discarded, kept=k)
 
 
@@ -334,16 +416,17 @@ def verify_equivalence(
     with alpha = 0, the condition number; with alpha != 0 the condition is that
     of `pencil.system_matrix(lam)`, alpha I + D, from its singular values
     alone. That matrix belongs to the lane of `blas.beside`, which forms it,
-    takes its values and drops it: up to SINGLE_THREAD_MAX_SIZE on a second
-    thread beside the reads of D and D's bidiagonalization, the rest of D's
-    SVD waiting for it, and above that size before D is formed. A report's
-    peak is then one stepwise SVD (56 N^2 B, see `blas._square_svd`)
-    whichever thread ends first. Everything read from D itself comes first;
-    D is then formed again in Fortran order and factored in place, so that
-    no other n x n copy of it is alive during that SVD.
-    With alpha = 0, D is dropped before the first-kind solve, and M D is
-    read first in C order, then moved to Fortran order and factored in
-    place, so that the solve's SVD input is its only copy.
+    takes its values and drops it on a second thread beside the reads of D
+    and D's bidiagonalization, the rest of D's SVD waiting for it. A
+    report's peak is then one stepwise SVD (56 N^2 B, see
+    `blas._square_svd`) whichever thread ends first. Everything read from D
+    itself comes first; D is then formed again in Fortran order and factored
+    in place, so that no other n x n copy of it is alive during that SVD.
+    With alpha = 0 the first-kind section is read from M D in the run's
+    eigenbasis of M, Z_k Y with Y k x N (`MultipliedPencil`): its residual,
+    Hilbert-Schmidt norm (||Y||_F), coefficient-form gap and row norms cost
+    O(N k) or O(N^2 k) with no N x N product, and `solve_first_kind` takes
+    the thin SVD of Y. So with alpha = 0 D's SVD is the only N x N one.
     """
     U, pencil, f = run.surrogate, run.pencil, run.f
     probes, m_matrix = run.probes, run.m_matrix
@@ -362,22 +445,20 @@ def verify_equivalence(
     if alpha == 0:
         pk = pencil.pencil_kernel(lam)
         passage, carleman_sup, hs = read(pk)
-        w = m_matrix @ g
-        gamma_pencil = scale_by_multiplier(pk, m_matrix)
-        fk_system = gamma_pencil.multiplied_matrix  # M (A0 - lambda A)
+        w = _matvec(m_matrix, g)  # M g
+        system = run.multiplied.system(lam)  # M (A0 - lambda A) as Z_k Y
         fk_residual = _relative(
-            float(scaled_norm(fk_system @ f - w)), float(scaled_norm(w))
+            float(scaled_norm(system.apply(f) - w)), float(scaled_norm(w))
         )
-        hs_gamma = hs_norm(gamma_pencil)
+        hs_gamma = float(scaled_norm(system.matrix))  # ||Z_k Y||_F = ||Y||_F
         # sup_s ||t(s)|| of the plain pencil feeds the Hilbert-Schmidt bound
         bound = carleman_sup * GAUSSIAN_L2_NORM
         slack = max(0.0, hs_gamma - bound)
-        gap = coefficient_form_gap(gamma_pencil, probes, probes)
-        first_q, last_q = adjoint_column_quarter_maxima(fk_system)
-        del gamma_pencil, pk
-        fk_system = np.asfortranarray(fk_system)  # the solve's only copy of M D
+        gap = factored_form_gap(pk.matrix, system.basis, system.matrix, probes, probes)
+        del pk
+        first_q, last_q = quarter_maxima(system.row_norms())
         try:
-            sol = _solve_first_kind(fk_system, w, cutoff)
+            sol = solve_first_kind(system, w, cutoff)
             discarded = sol.discarded_energy
             truncated = pencil.size - sol.kept
             recovery = _relative(
@@ -387,6 +468,7 @@ def verify_equivalence(
             discarded = 1.0
             truncated = pencil.size
             recovery = float("inf")
+        del system
         first_kind = FirstKindSection(
             residual=fk_residual,
             hs_norm_pencil=hs_gamma,
@@ -400,18 +482,16 @@ def verify_equivalence(
             truncated_directions=truncated,
             recovery_error=recovery,
         )
-        del fk_system
         # no other n x n copy of D is alive during its SVD
         fact = pencil.factorize(lam)
         condition = fact.condition
     else:
         # the lane owns alpha I + D: it forms the matrix, takes its values and
-        # drops it, beside the reads of D and D's bidiagonalization or,
-        # serially, before D exists; the C-order D goes before D's SVD
+        # drops it, beside the reads of D and D's bidiagonalization; the
+        # C-order D goes before D's SVD
         values, ((passage, carleman_sup, hs), fact) = beside(
             lambda: gesdd(pencil.system_matrix(lam), vectors=False),
             lambda: (read(pencil.pencil_kernel(lam)), pencil.factorize(lam)),
-            pencil.size,
         )
         condition = condition_number(values)
     tail = absolute_tail_sup(fact, probes, probes)

@@ -36,7 +36,7 @@ from thirdkind import (
     solve_first_kind,
     verify_equivalence,
 )
-from thirdkind.blas import blas_threads_for
+from thirdkind.blas import one_blas_thread
 from thirdkind.kernels import (
     adjoint_column_quarter_maxima,
     carleman,
@@ -57,7 +57,7 @@ def _budget(name, seconds):
     threads), then report. The body runs on one BLAS thread, as the pipeline
     runs at these sizes, so that its CPU time is its own work and not two
     BLAS threads spinning against another process's on a shared machine."""
-    with blas_threads_for(1):
+    with one_blas_thread():
         start = time.process_time()
         yield
         elapsed = time.process_time() - start

@@ -1,4 +1,4 @@
-"""numpy's bundled OpenBLAS: one BLAS thread for small pencils, restored
+"""numpy's bundled OpenBLAS: one BLAS thread for every report, restored
 afterwards, and the in-place zgesdd steps every square SVD goes through."""
 
 import ctypes
@@ -58,7 +58,7 @@ def test_loader_loads_once():
 
 @needs_openblas
 def test_one_thread_inside_restored_after(two_threads):
-    with blas.blas_threads_for(blas.SINGLE_THREAD_MAX_SIZE):
+    with blas.one_blas_thread():
         assert threads() == 1
     assert threads() == 2
 
@@ -69,15 +69,28 @@ def test_restored_after_near_singular_error(two_threads):
     a[0, 0] = 1.0
     pencil = KernelPencil(1.0, np.zeros((3, 3), dtype=complex), a)
     with pytest.raises(NearSingularError):
-        with blas.blas_threads_for(3):
+        with blas.one_blas_thread():
             solve_second_kind(pencil, 1.0, np.ones(3, dtype=complex))
     assert threads() == 2
 
 
 @needs_openblas
-def test_large_size_left_alone(two_threads):
-    with blas.blas_threads_for(1024):
-        assert threads() == 2
+@pytest.mark.parametrize("depth", [6, 10])
+def test_reports_on_one_thread_at_every_size(two_threads, monkeypatch, depth):
+    """Every report runs on one BLAS thread, N = 1024 as N = 64, and the
+    inherited count is back after the run."""
+    seen = []
+    original = pipeline.verify_equivalence
+
+    def spy(*args, **kwargs):
+        seen.append(threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_equivalence", spy)
+    config = {**CONFIG, "depth": depth, "alpha": 0.25, "lambda": CONFIG["lambda"][:1]}
+    run = pipeline.run_reduction(parse_config(config))
+    assert run.reduction.pencil.size == 2**depth
+    assert seen == [1]
     assert threads() == 2
 
 
@@ -86,7 +99,7 @@ def test_missing_symbols_left_alone(two_threads, monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
     assert blas._openblas.__wrapped__() is None
     monkeypatch.setattr(blas, "_openblas", lambda: None)
-    with blas.blas_threads_for(128):
+    with blas.one_blas_thread():
         assert threads() == 2
     assert threads() == 2
 
@@ -111,11 +124,11 @@ def test_run_uses_one_thread_after_prepare(two_threads, monkeypatch, run):
     assert threads() == 2
 
 
-def test_beside_takes_a_second_thread_up_to_the_single_thread_size():
+def test_beside_always_takes_a_second_thread():
     here = threading.get_ident()
-    lane, main = blas.beside(threading.get_ident, threading.get_ident, 512)
-    assert main == here != lane
-    assert blas.beside(threading.get_ident, threading.get_ident, 1024) == (here, here)
+    for _ in range(3):
+        lane, main = blas.beside(threading.get_ident, threading.get_ident)
+        assert main == here != lane
 
 
 @pytest.mark.parametrize("failing", ["lane", "main", "both"])
@@ -138,7 +151,7 @@ def test_beside_finishes_both_sides_before_raising(failing):
     before = threading.active_count()
     expected = MemoryError if failing == "main" else np.linalg.LinAlgError
     with pytest.raises(expected):
-        blas.beside(lane, main, 64)
+        blas.beside(lane, main)
     assert sorted(finished) == ["lane", "main"]
     assert threading.active_count() == before
 
@@ -170,10 +183,10 @@ def test_full_svd_waits_for_the_lane_after_zgebrd(monkeypatch, lane_fails):
     a = np.asfortranarray(MATRICES["random64"])
     if lane_fails:
         with pytest.raises(np.linalg.LinAlgError):
-            blas.beside(lane, lambda: blas.gesdd(a, vectors=True), 64)
+            blas.beside(lane, lambda: blas.gesdd(a, vectors=True))
         assert steps == ["zgebrd", "lane"]
     else:
-        values, (_, s, _) = blas.beside(lane, lambda: blas.gesdd(a, vectors=True), 64)
+        values, (_, s, _) = blas.beside(lane, lambda: blas.gesdd(a, vectors=True))
         assert values == "values" and s.shape == (64,)
         assert steps == ["zgebrd", "lane", "dbdsdc"]
 
@@ -232,17 +245,17 @@ def random_square(n):
 def test_values_bitwise_equal_to_numpy_on_one_thread():
     """The lane's shape: N = 512, values only, on the report's one thread."""
     a = random_square(512)
-    with blas.blas_threads_for(512):
+    with blas.one_blas_thread():
         assert_bitwise(gesdd_of(a, False), np.linalg.svd(a, compute_uv=False))
 
 
 @needs_openblas
 def test_values_bitwise_equal_to_numpy_on_two_threads(two_threads):
-    """reduce-d10's shape: N = 1024, values only, on the inherited two threads."""
+    """reduce-d10's shape: N = 1024, values only, on two threads, the count
+    the public `gesdd` keeps outside a run."""
     a = random_square(1024)
-    with blas.blas_threads_for(1024):
-        assert threads() == 2
-        assert_bitwise(gesdd_of(a, False), np.linalg.svd(a, compute_uv=False))
+    assert threads() == 2
+    assert_bitwise(gesdd_of(a, False), np.linalg.svd(a, compute_uv=False))
 
 
 @pytest.mark.parametrize("name", ["random7", "rank5"])

@@ -1,5 +1,6 @@
 """CLI contract: config validation, file outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -16,6 +17,8 @@ import thirdkind.kernels
 import thirdkind.solvers
 from thirdkind.cli import main
 from thirdkind.config import ConfigError, load_config, parse_config
+from thirdkind.kernels import probe_grid
+from thirdkind.reduction import UnitarySurrogate
 from thirdkind.serialize import (
     dump_json,
     read_grid_function_csv,
@@ -377,8 +380,8 @@ class TestReduceCommand:
 
 
 class TestThreadCountIndependence:
-    """Below the single-thread size, outputs do not depend on the BLAS
-    thread count the process starts with."""
+    """Outputs do not depend on the BLAS thread count the process starts
+    with: every report runs on one thread, at every size."""
 
     def run_cli(self, command, cfg, out, threads):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -396,9 +399,15 @@ class TestThreadCountIndependence:
         self.check_identical(tmp_path, command, cfg)
 
     def test_reduce_at_the_single_thread_size(self, tmp_path):
-        # depth 9 is N = 512, the largest size run on one BLAS thread, where
-        # alpha I + D's values-only SVD runs beside the factorization of D
+        # depth 9 is N = 512, where alpha I + D's values-only SVD runs beside
+        # the factorization of D
         cfg = write_config(tmp_path, depth=9, **{"lambda": [[0.39, -0.26]]})
+        self.check_identical(tmp_path, "reduce", cfg)
+
+    def test_reduce_at_1024(self, tmp_path):
+        # depth 10 is N = 1024, whose SVDs ran on the inherited thread count
+        # and whose outputs then differed between one and two threads
+        cfg = write_config(tmp_path, depth=10, **{"lambda": [[0.39, -0.26]]})
         self.check_identical(tmp_path, "reduce", cfg)
 
     def check_identical(self, tmp_path, command, cfg):
@@ -449,18 +458,87 @@ def assert_all_finite(out):
         assert not re.search(r"\b(nan|inf)\b", path.read_text()), path.name
 
 
+class TestConditionGate:
+    """With alpha != 0, a report whose condition is not finite or exceeds
+    CONDITION_LIMIT (1e12) stops `reduce` and `verify` with exit 3 and names
+    its lambda; with alpha = 0 no report is gated."""
+
+    @pytest.mark.parametrize(
+        "command, report", [("reduce", "report.json"), ("verify", "verify.json")]
+    )
+    def test_over_the_limit_exit_three(self, tmp_path, capsys, command, report):
+        cfg = write_config(tmp_path, **{"lambda": [[0.3, 0.0], [1e300, 0.0]]})
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        error = json.loads((out / report).read_text())["error"]
+        assert error["type"] == "NearSingular"
+        assert error["lambda_index"] == 1 and error["lambda"] == [1e300, 0.0]
+        assert error["condition"] == pytest.approx(6.28e18, rel=1e-2)
+        assert "at lambda 1" in capsys.readouterr().err
+        assert not (out / "report_lambda0.json").exists()
+
+    def test_non_finite_condition_exit_three(self, tmp_path, monkeypatch):
+        original = thirdkind.pipeline.verify_equivalence
+
+        def nan_condition(*args, **kwargs):
+            report, fact = original(*args, **kwargs)
+            return dataclasses.replace(report, condition=float("nan")), fact
+
+        monkeypatch.setattr(thirdkind.pipeline, "verify_equivalence", nan_condition)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "nan"
+        assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 3
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert error["type"] == "NearSingular" and error["lambda_index"] == 0
+
+    @pytest.mark.parametrize("command", ["reduce", "verify"])
+    def test_near_a_characteristic_value_under_the_limit_exit_zero(self, tmp_path, command):
+        """lambda = 0.158133 lies 8e-7 from the smallest characteristic value
+        at depth 6: condition 1.03e8, under the limit."""
+        cfg = write_config(tmp_path, **{"lambda": 0.158133})
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        if command == "reduce":
+            report = json.loads((out / "report_lambda0.json").read_text())
+        else:
+            report = json.loads((out / "verify.json").read_text())["reports"][0]
+        assert 1e8 < report["condition"] < 1.1e8
+
+    def test_alpha_zero_not_gated(self, tmp_path):
+        cfg = write_config(tmp_path, alpha=0.0, **{"lambda": 1e300})
+        out = tmp_path / "alpha0"
+        assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 class TestHugeLambda:
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_reduce_writes_finite_numbers_without_warnings(self, tmp_path, recwarn, alpha):
         """With lambda = 1e300, A0 - lambda A has entries near 1e300, whose
         squares overflow: the report's norms, and with alpha = 0 the
         first-kind solve's discarded energy, are scaled, so every number
-        written is finite and numpy warns of no overflow."""
+        written is finite and numpy warns of no overflow. With alpha != 0
+        the report's condition, 6.3e18, is over CONDITION_LIMIT: `reduce`
+        exits 3 with the NearSingular payload, and the report's numbers are
+        read from `verify_equivalence` itself."""
         cfg = write_config(tmp_path, alpha=alpha, **{"lambda": 1e300})
         out = tmp_path / "huge"
-        assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+        code = main(["reduce", "--config", str(cfg), "--out", str(out)])
+        if alpha == 0:
+            assert code == 0
+            report = json.loads((out / "report_lambda0.json").read_text())
+        else:
+            assert code == 3
+            error = json.loads((out / "report.json").read_text())["error"]
+            assert error["type"] == "NearSingular" and error["condition"] > 1e18
+            config = load_config(cfg)
+            seq = thirdkind.pipeline.prepare(config)
+            phi = thirdkind.pipeline.random_grid_function(np.random.default_rng(1), seq.space)
+            run = thirdkind.solvers.Reduction(
+                seq, UnitarySurrogate.from_sequence(seq), probe_grid(), phi
+            )
+            report = thirdkind.solvers.verify_equivalence(run, 1e300)[0].to_dict()
+            assert np.isfinite(report["condition"]) and np.isfinite(report["tail_sup"])
         assert [str(w.message) for w in recwarn] == []
-        report = json.loads((out / "report_lambda0.json").read_text())
         assert report["passage_residual"] < 1e-12
         assert report["hs_norm"] > 1e299
         assert_all_finite(out)

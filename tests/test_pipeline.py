@@ -222,10 +222,11 @@ def test_kernel_sample_released_before_the_first_report(monkeypatch, run, alpha)
     assert len(applied) == 1
 
 
-@pytest.mark.parametrize("alpha, full, values", [(0.25, 1, 1), (0.0, 2, 0)])
+@pytest.mark.parametrize("alpha, full, values", [(0.25, 1, 1), (0.0, 1, 0)])
 def test_one_full_svd_per_lambda_in_the_battery(monkeypatch, alpha, full, values):
-    """The battery factors no D again: per lambda, the report's SVDs only
-    (D, and alpha I + D's values or, with alpha = 0, M D)."""
+    """The battery factors no D again: per lambda, the report's N x N SVDs
+    only, D's, and alpha I + D's values; with alpha = 0 the first-kind solve
+    takes the thin SVD of a k x N matrix, none of M D."""
     calls = {"full": 0, "values": 0}
     original = solvers.gesdd
 

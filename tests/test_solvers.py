@@ -35,9 +35,10 @@ from thirdkind import (
     solve_second_kind,
     verify_equivalence,
 )
-from thirdkind.config import make_kernel
+from thirdkind.blas import one_blas_thread
+from thirdkind.config import make_kernel, parse_config
 from thirdkind.kernels import probe_grid
-from thirdkind.pipeline import random_grid_function
+from thirdkind.pipeline import prepare, random_grid_function
 
 
 def exp_kernel(space, scale=1.0):
@@ -380,6 +381,45 @@ class TestFirstKind:
         sol = solve_first_kind(system, system @ c0, 1e-10)
         assert sol.kept == n
         assert np.linalg.norm(sol.coefficients - c0) <= 1e-8 * np.linalg.norm(c0)
+        # the report's route: every eigenvalue of M is kept at N = 16
+        factored = run.multiplied.system(0.3)
+        assert factored.basis.shape == (n, n)
+        sol = solve_first_kind(factored, factored.apply(c0), 1e-10)
+        assert sol.kept == n
+        assert np.linalg.norm(sol.coefficients - c0) <= 1e-8 * np.linalg.norm(c0)
+
+    @pytest.mark.parametrize("lam", [0.39 - 0.26j, 0.48 - 0.11j])
+    def test_eigenbasis_solve_against_the_dense_one_at_256(self, lam):
+        """The report's solve in M's eigenbasis (k = 126 of N = 256) against
+        the SVD of the dense M D, on the benchmark's shape. Measured: `kept`
+        99 on both; coefficients 7.8e-8 and 2.5e-7 apart (relative), the
+        sensitivity of the truncated solve at the cutoff 1e-10; discarded
+        energy (2.1e-21) 5.5e-7 and 3.5e-6 apart, recovery error 4.2e-10 and
+        1.3e-9 apart (relative)."""
+        config = parse_config({
+            "depth": 8, "alpha": 0.0, "lambda": [[lam.real, lam.imag]], "eps0": 0.25,
+            "ratio": 0.5, "bands": 3, "coefficient": {"kind": "linear"},
+            "kernel": {"kind": "exp_xy", "scale": 1.0}, "seed": 23,
+        })
+        seq = prepare(config)
+        U = UnitarySurrogate.from_sequence(seq)
+        with one_blas_thread():
+            phi = random_grid_function(np.random.default_rng(config.seed), seq.space)
+            run = Reduction(seq, U, probe_grid(), phi)
+            psi = forward_third_kind(run.coefficient, run.k_phi, lam, phi)
+            w = run.m_matrix @ U.forward(psi)
+            dense = solve_first_kind(first_kind_system(run, lam), w, 1e-10)
+            factored = solve_first_kind(run.multiplied.system(lam), w, 1e-10)
+        assert run.multiplied.basis.shape == (256, 126)
+        assert factored.kept == dense.kept == 99
+        gap = np.linalg.norm(factored.coefficients - dense.coefficients)
+        assert gap <= 1e-6 * np.linalg.norm(dense.coefficients)
+        assert factored.discarded_energy == pytest.approx(dense.discarded_energy, rel=2e-5)
+
+        def recovery(sol):
+            return np.linalg.norm(sol.coefficients - run.f) / np.linalg.norm(run.f)
+
+        assert recovery(factored) == pytest.approx(recovery(dense), rel=1e-8)
 
     def test_degenerate_system(self):
         n = 4
@@ -596,30 +636,38 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_one_factorization_per_lambda(self, monkeypatch, alpha):
-        """D = A0 - lambda A is factorized once; with alpha = 0 its SVD also
-        gives the condition (the other SVD is the first-kind solve's),
-        otherwise alpha I + D takes one values-only SVD."""
+        """D = A0 - lambda A is factorized once, the only N x N SVD with
+        vectors; with alpha = 0 its SVD also gives the condition and the
+        first-kind solve takes numpy's thin SVD of the k x N Y, otherwise
+        alpha I + D takes one values-only SVD."""
         _, _, seq, U = build_chain(6, alpha=alpha)
         rng = np.random.default_rng(74)
         phi = random_grid_function(rng, seq.space)
         lam = 0.4 + 0.2j
         run = reduction_of(seq, U, phi)
-        calls = {"vectors": 0, "values": 0}
-        original = thirdkind.blas.gesdd
+        calls = {"vectors": 0, "values": 0, "thin": []}
+        original, numpy_svd = thirdkind.blas.gesdd, np.linalg.svd
 
         def counted(a, *, vectors):
             calls["vectors" if vectors else "values"] += 1
             return original(a, vectors=vectors)
 
+        def thin(a, *args, **kwargs):
+            calls["thin"].append(a.shape)
+            return numpy_svd(a, *args, **kwargs)
+
         # every module of the package that binds the entry point
         for module in (thirdkind.kernels, thirdkind.solvers):
             monkeypatch.setattr(module, "gesdd", counted)
+        monkeypatch.setattr(np.linalg, "svd", thin)
         report, fact = verify_equivalence(run, lam)
         monkeypatch.undo()
         if alpha == 0:
-            assert calls == {"vectors": 2, "values": 0}
+            k = run.multiplied.basis.shape[1]
+            assert k < run.pencil.size
+            assert calls == {"vectors": 1, "values": 0, "thin": [(k, run.pencil.size)]}
         else:
-            assert calls == {"vectors": 1, "values": 1}
+            assert calls == {"vectors": 1, "values": 1, "thin": []}
         # the factorization handed back is the one of D the report used
         np.testing.assert_array_equal(fact.sigma, run.pencil.factorize(lam).sigma)
         # an oracle formed apart from KernelPencil.system_matrix, the report's
@@ -637,20 +685,13 @@ class TestVerifyEquivalence:
         first; nor may any other n x n complex array alive during the SVD."""
         self.check_transient_memory(alpha=0.25, bound=64)
 
-    def test_transient_memory_of_one_lambda_serial(self, monkeypatch):
-        """Above SINGLE_THREAD_MAX_SIZE the lane runs first and drops alpha I + D
-        before D is formed: the same one-SVD peak, 60.8 N^2 B, where a
-        shifted matrix kept until both SVDs return read 76.8."""
-        monkeypatch.setattr(thirdkind.blas, "SINGLE_THREAD_MAX_SIZE", 128)
-        self.check_transient_memory(alpha=0.25, bound=64)
-
     def test_transient_memory_of_one_lambda_alpha_zero(self):
-        """With alpha = 0 the solve's SVD is of M D, moved to Fortran order
-        before it, and the one of D follows; either measures about 64 N^2 B,
-        as the solve reads u^H w and vh^H from u and vh without a conjugate
-        copy of either. A second copy of M D alive during the first, or one
-        such copy, would add 16 N^2 B."""
-        self.check_transient_memory(alpha=0.0, bound=67)
+        """With alpha = 0 the first-kind section reads M D as Z_k Y, with Y
+        k x N (k = 126 at N = 256), and solves from Y's thin SVD, so D's SVD
+        is the only N x N one and sets the peak: 60.8 N^2 B, as with
+        alpha != 0. A dense M D (16 N^2 B) alive during D's SVD, or an SVD
+        of it, would raise it."""
+        self.check_transient_memory(alpha=0.0, bound=64)
 
     @staticmethod
     def check_transient_memory(alpha, bound):

@@ -96,3 +96,14 @@ def test_each_run_reports_its_wall_time_and_peak_rss(tmp_path, capsys, monkeypat
     assert (run / "exit_code.txt").read_text() == "0\n"
     assert (run / "stderr.txt").read_text() == ""
     assert "MiB" not in (run / "stdout.txt").read_text()
+
+
+def test_runs_cover_alpha_zero_and_two_threads_at_1024():
+    """An alpha = 0 reduce at N = 1024 gives the first-kind solve at depth a
+    row, and the two-thread reduce-d10 run repeats the one-thread one."""
+    runs = {name: (command, config, threads) for name, command, config, threads
+            in _tool().commands()}
+    one = runs["reduce-reduce-d10-202"]
+    assert one[1]["depth"] == 10 and one[1]["alpha"] != 0 and one[2] == 1
+    assert runs["reduce-reduce-d10-202-two-threads"] == ("reduce", one[1], 2)
+    assert runs["reduce-reduce-d10-202-alpha0"] == ("reduce", {**one[1], "alpha": 0.0}, 1)

@@ -20,11 +20,14 @@ The commands:
 * ``verify`` on ``verify-sweep-d9`` and ``first-kind-d7``, seeds 101 and 202;
 * ``reduce`` and ``verify`` on a depth-8, alpha = 0 ``rank_one`` config;
 * ``build-sequence`` on ``reduce-d10``, seed 202;
-* ``reduce`` at depth 11 (N = 2048) with one lambda, seed 202, above the
-  size whose SVDs run on one BLAS thread; about 30 s on one thread;
+* ``reduce`` at depth 11 (N = 2048) with one lambda, seed 202; about 30 s
+  on one thread;
+* ``reduce`` on ``reduce-d10``'s config with alpha = 0 (N = 1024), seed 202,
+  where the first-kind solve runs at depth; about 5 s;
 * ``reduce`` on ``reduce-d10``, seed 202, on two BLAS threads
-  (``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` = 2), which N = 1024
-  keeps for its SVDs; about 6 s.
+  (``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` = 2); every report runs
+  on one thread whatever the process starts with, so its files equal those
+  of the one-thread ``reduce-reduce-d10-202``; about 5 s.
 
 The configs come from ``Workload.config`` of this repository's
 ``perfbench/run.py``, so both checkouts get the same inputs. For each run
@@ -102,6 +105,7 @@ def commands() -> list[tuple[str, str, dict, int]]:
     runs.append(("build-sequence-reduce-d10-202", "build-sequence", d10, 1))
     d11 = perfbench.Workload("reduce-d11", "reduce", 11, 0.25, 1).config(202)
     runs.append(("reduce-d11-202", "reduce", d11, 1))
+    runs.append(("reduce-reduce-d10-202-alpha0", "reduce", {**d10, "alpha": 0.0}, 1))
     runs.append(("reduce-reduce-d10-202-two-threads", "reduce", d10, 2))
     return runs
 
