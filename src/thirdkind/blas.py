@@ -2,10 +2,12 @@
 
 The per-lambda work is dense N x N linear algebra. Every report runs on one
 OpenBLAS thread (`one_blas_thread`), and `beside` runs a values-only SVD on a
-second Python thread while this one prepares and bidiagonalizes the matrix
-of a full SVD, so two cores stay busy for about the CPU time of one thread.
-One thread also makes the reports independent of the thread count the
-process started with, at every size.
+second Python thread, the lane, while this one prepares and bidiagonalizes
+the matrix of a full SVD; the lane's thread then makes that SVD's
+back-transform vh = rvt P^H while this one makes u = Q ru. So two cores stay
+busy for about the CPU time of one thread. One thread also makes the
+reports independent of the thread count the process started with, at every
+size.
 
 Every SVD of the package goes through `gesdd`. For a square matrix it makes
 the steps of the LAPACK routine that numpy.linalg.svd calls, zgesdd, one
@@ -17,9 +19,9 @@ shape goes to numpy.linalg.svd.
 
 Memory, in N^2 B for an N x N complex matrix: a full SVD peaks at 56 (its
 input, the real singular-vector blocks and dbdsdc's workspace), a
-values-only one at its input, 16. `beside` joins its lane before the full
-SVD's first large allocation, so a report's pair of SVDs peaks at the full
-one's 56, never at 56 + 16.
+values-only one at its input, 16. A full SVD beside a lane waits for the
+lane's value before its first large allocation, so a report's pair of SVDs
+peaks at the full one's 56, never at 56 + 16.
 """
 
 from __future__ import annotations
@@ -37,17 +39,21 @@ import numpy as np
 
 # Complex SVD with vectors (`gesdd`), scipy-openblas 0.3.31 on 2 vCPUs,
 # median wall / CPU time in ms; "pair" is a report's two SVDs, the values of
-# one n x n matrix and the full SVD of another, serial or `beside`:
-#   n      1 thread     2 threads     pair, 2 threads   pair beside, 1 each
-#   128    8.9 / 8.9    9.2 / 17      15 / 31           9.3 / 17
-#   256    37 / 37      40 / 80       60 / 119          32 / 51
-#   512    243 / 243    204 / 405     282 / 560         233 / 364
-#   1024   1329 / 1306  900 / 1756    1331 / 2636       1341 / 2075
-#   2048   9594 / 9590  6021 / 11571  9407 / 18250      9841 / 15252
+# one n x n matrix and the full SVD of another, serial or `beside` (in
+# brackets: beside, with zunmbr('P') on the calling thread after the lane):
+#   n     1 thread     2 threads     pair, 2 threads   pair beside, 1 each
+#   128   4.7 / 5.4    6.5 / 14      9.6 / 18          7.1 / 15     (9.0 / 15)
+#   256   23 / 23      26 / 50       37 / 73           29 / 51      (32 / 44)
+#   512   166 / 166    113 / 223     199 / 398         175 / 289    (234 / 329)
+#   1024  1305 / 1305  873 / 1669    1319 / 2577       1113 / 1962  (1450 / 2162)
+#   2048  8085 / 8082  4970 / 9619   8220 / 16030      8061 / 14500 (9247 / 14450)
 # A second OpenBLAS thread saves at most a third of the wall time of one SVD
-# for 1.2-2 times its CPU time. The pair beside is faster than serial on two
-# threads up to n = 512; at n = 1024 and 2048 it takes 1-5 % more wall time
-# for 16-21 % less CPU time.
+# for 1.2-2 times its CPU time. The pair beside is now faster than serial on
+# two threads at every n, for 10-27 % less CPU time at n >= 512. Without a
+# lane (alpha = 0, where a report has one N x N SVD) both back-transforms
+# stay on the calling thread: a thread started for zunmbr('P') in each SVD
+# took 9 % more CPU time and no less wall time on 64 SVDs at n = 128
+# (`verify` at depth 7, alpha = 0).
 
 # rows per block of the in-place transposition of u and vh
 _BLOCK = 64
@@ -129,50 +135,92 @@ def _c_order(f: np.ndarray) -> np.ndarray:
     return c
 
 
-def beside(lane: Callable, main: Callable) -> tuple:
-    """(lane(), main()). lane() runs on a second thread while this one runs
-    main() up to the end of the first bidiagonalization that main() makes
-    (`_square_svd`'s zgebrd), where it waits for the lane to end: under
-    `one_blas_thread` two SVDs keep both cores busy, and whatever the lane
-    held is freed before that SVD allocates its singular vectors. The
-    lane's exception, when it raises, is the one that propagates, and its
-    thread has ended when this returns or raises."""
+def started(name: str, work: Callable) -> Callable:
+    """Start work() on a new thread named `name` and return its join: a
+    call that waits for the thread to end, then returns work()'s value or
+    raises its exception (`raising=False` returns None in its place)."""
     # a plain thread: concurrent.futures imports logging, which costs about
     # 20 ms at startup, or 4 MiB of verify's d9 peak when imported mid-run
     done = {}
 
     def run():
         try:
-            done["value"] = lane()
-        except BaseException as exc:  # raised on the calling thread below
+            done["value"] = work()
+        except BaseException as exc:  # raised on the joining thread
             done["error"] = exc
 
-    thread = threading.Thread(target=run, name="thirdkind-lane")
-
-    def join():
-        thread.join()
-        if "error" in done:
-            raise done["error"]  # the lane's error replaces main's
-
+    thread = threading.Thread(target=run, name=name)
     thread.start()
-    _lane.join = join
+
+    def join(raising: bool = True):
+        thread.join()
+        if raising and "error" in done:
+            raise done["error"]
+        return done.get("value")
+
+    return join
+
+
+class _Lane:
+    """The thread `beside` starts: it runs lane(), then at most one task
+    that the first SVD of main() hands it (`_square_svd`), then ends."""
+
+    def __init__(self, lane: Callable):
+        self._value = {}
+        self._ready = threading.Event()  # lane() has returned or raised
+        self._handed = threading.Event()  # the task, or None, is set
+        self._task = None
+        self.join = started("thirdkind-lane", lambda: self._run(lane))
+
+    def _run(self, lane: Callable) -> None:
+        try:
+            self._value["lane"] = lane()
+        finally:
+            self._ready.set()
+        self._handed.wait()
+        if self._task is not None:
+            self._task()
+            self._task = None  # nor does its workspace outlive the SVD
+
+    def value(self):
+        """Wait for lane()'s value; when lane() raised, wait for the thread
+        to end and raise that exception."""
+        self._ready.wait()
+        if "lane" not in self._value:
+            self.join()
+        return self._value["lane"]
+
+    def hand(self, task: Callable | None) -> None:
+        """Run task() on the lane's thread after lane(); None lets the
+        thread end. Only the first call counts, and only `beside`'s thread
+        makes one."""
+        if not self._handed.is_set():
+            self._task = task
+            self._handed.set()
+
+
+def beside(lane: Callable, main: Callable) -> tuple:
+    """(lane(), main()). lane() runs on a second thread while this one runs
+    main(). The first SVD main() makes (`_square_svd`) waits for lane()'s
+    value at the end of its bidiagonalization: under `one_blas_thread` two
+    SVDs keep both cores busy, and whatever lane() held is freed before that
+    SVD allocates its singular vectors. A full SVD then hands its
+    back-transform vh = rvt P^H to the lane's thread and makes u = Q ru on
+    this one. The lane's exception, when it raises, is the one that
+    propagates, and its thread has ended when this returns or raises."""
+    worker = _Lane(lane)
+    _lane.current = worker
     try:
         second = main()
     finally:
-        _join_lane()  # when main() made no bidiagonalization, or raised before it
-    return done["value"], second
+        vars(_lane).pop("current", None)  # when main() made no SVD
+        worker.hand(None)
+        worker.join()
+    return worker.value(), second
 
 
-# the join of the lane `beside` started from a thread, until it is called
+# the lane `beside` started from a thread, until an SVD of that thread takes it
 _lane = threading.local()
-
-
-def _join_lane() -> None:
-    """Wait for the lane `beside` started from this thread, when it has not
-    been waited for yet, and raise its exception."""
-    join = vars(_lane).pop("join", None)
-    if join is not None:
-        join()
 
 
 def gesdd(a: np.ndarray, *, vectors: bool):
@@ -212,24 +260,28 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
       query zgesdd's optimal complex workspace for that jobz;
       scale a when its largest |entry| lies outside [smlnum, bignum];
       zgebrd:            a = Q B P^H, B real upper bidiagonal (s, e);
-      wait for the lane `beside` started from this thread, if any;
+      wait for the value of the lane `beside` started from this thread, if any;
       without vectors,
         dbdsdc('U', 'N'):  the singular values s of B;
       with vectors,
         dbdsdc('U', 'I'):  B = ru diag(s) rvt;
-        zunmbr('P'):       vh = rvt P^H;
+        zunmbr('P'):       vh = rvt P^H, on the lane's thread when there is one;
         zunmbr('Q'):       u = Q ru;
       undo the scaling of s.
 
     Every call gets the arguments zgesdd passes it, workspace sizes
-    included, so the bits are zgesdd's. With vectors, the 3 N^2 + 4 N real
-    workspace of dbdsdc is freed before vh is allocated, and ru and rvt each
-    once copied into u and vh; the peak is a, ru, rvt and that workspace,
-    56 N^2 B, where zgesdd holds a, u, vh and its whole real workspace,
-    88 N^2 B. Up to the wait for the lane only a (16 N^2 B) and the complex
-    workspace (lwork entries, about 2 nb N for zgebrd's block size nb) are
-    alive, so a lane's own matrix and workspaces never add to that peak.
+    included, so the bits are zgesdd's; a zunmbr('P') beside zunmbr('Q')
+    gets its own workspace of the same length. The two read disjoint parts
+    of a, P's reflectors above its diagonal and Q's on and below it. With
+    vectors, the 3 N^2 + 4 N real workspace of dbdsdc is freed before vh is
+    allocated, and ru and rvt each once copied into u and vh; the peak is a,
+    ru, rvt and that workspace, 56 N^2 B, where zgesdd holds a, u, vh and its
+    whole real workspace, 88 N^2 B. Up to the wait for the lane only a
+    (16 N^2 B) and the complex workspace (lwork entries, about 2 nb N for
+    zgebrd's block size nb) are alive, so a lane's own matrix and workspaces
+    never add to that peak.
     """
+    lane = vars(_lane).pop("current", None)
     n = a.shape[0]
     ptr = a.ctypes.data
     info = _Info()
@@ -253,11 +305,11 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
     s, e = np.empty(n), np.empty(n)
     # tauq, taup, then the work every step gets, lwork - 2n long
     work = np.empty(lwork, dtype=complex)
-    tauq, taup, rest = (work[i:].ctypes.data for i in (0, n, 2 * n))
-    lrest = _i(lwork - 2 * n)
-    lib.zgebrd(_i(n), _i(n), ptr, _i(n), s.ctypes.data, e.ctypes.data, tauq, taup, rest,
-               lrest, info.ref)
-    _join_lane()  # the rest of a full SVD runs after a lane `beside` it
+    tauq, taup, rest = work[:n], work[n : 2 * n], work[2 * n :]
+    lib.zgebrd(_i(n), _i(n), ptr, _i(n), s.ctypes.data, e.ctypes.data, tauq.ctypes.data,
+               taup.ctypes.data, rest.ctypes.data, _i(lwork - 2 * n), info.ref)
+    if lane is not None:
+        lane.value()  # the rest of a full SVD runs after the lane's own work
 
     iwork = np.empty(8 * n, dtype=np.int64)
     if not vectors:
@@ -276,16 +328,20 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
         del bd_work, iwork
         info.check()
 
+        # vh and u before P's own workspace, so that the peak stays dbdsdc's
         vh = np.empty((n, n), dtype=complex, order="F")
         vh[...] = rvt
         del rvt
-        lib.zunmbr(b"P", b"R", b"C", _i(n), _i(n), _i(n), ptr, _i(n), taup, vh.ctypes.data,
-                   _i(n), rest, lrest, info.ref, 1, 1, 1)
         u = np.empty((n, n), dtype=complex, order="F")
         u[...] = ru
         del ru
-        lib.zunmbr(b"Q", b"L", b"N", _i(n), _i(n), _i(n), ptr, _i(n), tauq, u.ctypes.data,
-                   _i(n), rest, lrest, info.ref, 1, 1, 1)
+        if lane is None:
+            _zunmbr(lib, b"P", b"R", b"C", a, taup, vh, rest)
+        else:  # beside Q, P gets a workspace of its own
+            lane.hand(lambda: _zunmbr(lib, b"P", b"R", b"C", a, taup, vh, np.empty_like(rest)))
+        _zunmbr(lib, b"Q", b"L", b"N", a, tauq, u, rest)
+        if lane is not None:
+            lane.join()
 
     if scaled_to is not None:
         lib.dlascl(b"G", _i(0), _i(0), _f(scaled_to), _f(anrm), _i(n), _i(1), s.ctypes.data,
@@ -293,6 +349,17 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
     if not vectors:
         return s
     return _c_order(u), s, _c_order(vh)
+
+
+def _zunmbr(lib: types.SimpleNamespace, vect: bytes, side: bytes, trans: bytes,
+            a: np.ndarray, tau: np.ndarray, c: np.ndarray, work: np.ndarray) -> None:
+    """zunmbr(vect, side, trans) of the square c with zgebrd's reflectors in
+    a and tau, as zgesdd calls it; raises LinAlgError on a nonzero info."""
+    n = a.shape[0]
+    info = _Info()
+    lib.zunmbr(vect, side, trans, _i(n), _i(n), _i(n), a.ctypes.data, _i(n), tau.ctypes.data,
+               c.ctypes.data, _i(n), work.ctypes.data, _i(work.size), info.ref, 1, 1, 1)
+    info.check()
 
 
 class _Info:

@@ -6,19 +6,22 @@ Subcommands:
                    samples, and per-lambda diagnostics
   verify           run the whole property battery; exit 0 iff every check holds
 
-Exit codes: 0 success, 1 configuration error, 2 construction failure
-(empty band, refinement budget exhausted, an overflowing kernel image),
-3 numerical failure (failed checks, near-singular or degenerate systems, an
-SVD that does not converge, an allocation that fails, a manufactured
-right-hand side that overflows). A failure after the output directory
-exists also writes {"error": {"type", "message", ...}} to the command's JSON
-file; every failure prints one stderr line, no traceback.
+Exit codes: 0 success, 1 configuration error (or an output that cannot be
+written), 2 construction failure (empty band, refinement budget exhausted,
+an overflowing kernel image), 3 numerical failure (failed checks,
+near-singular or degenerate systems, an SVD that does not converge, an
+allocation that fails, a manufactured right-hand side that overflows). A
+failure after the output directory exists also writes {"error": {"type",
+"message", ...}} to the command's JSON file, when that file can be written;
+every failure prints one stderr line, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
+import functools
 import sys
 from pathlib import Path
 
@@ -36,13 +39,20 @@ from .errors import (
     ToleranceUnreachableError,
 )
 from .kernels import eval_kernel
-from .pipeline import prepare, run_reduction, run_verification
+from .pipeline import (
+    ReductionRun,
+    VerificationResult,
+    prepare,
+    run_reduction,
+    run_verification,
+)
 from .serialize import (
     write_grid_function_csv,
     write_json,
     write_kernel_grid_csv,
     write_matrix_csv,
 )
+from .solvers import Reduction
 # unused here, but perfbench/tracer.py lists this module as a site binding it
 from .solvers import reduce_problem  # noqa: F401
 
@@ -66,6 +76,8 @@ _NUMERICAL_ERRORS = (
 def _error_payload(exc: Exception) -> dict:
     kind = "Memory" if isinstance(exc, MemoryError) else type(exc).__name__
     payload = {"type": kind.removesuffix("Error"), "message": str(exc)}
+    if isinstance(exc, OSError):
+        payload.update(type="Output", path=exc.filename)
     if isinstance(exc, EmptyBandError):
         payload["band"] = exc.band
     if isinstance(exc, ToleranceUnreachableError):
@@ -92,7 +104,10 @@ def _out_dir(config: RunConfig, args) -> Path:
 
 def _guarded(report: Path, work) -> tuple[int, object]:
     """(EXIT_OK, work()); on a failure with an exit code, write {"error": ...}
-    to `report`, print one stderr line and return (that code, None)."""
+    to `report` when it can be written, print one stderr line and return
+    (that code, None). work() computes and writes the command's outputs;
+    input files are read as config errors, so an OSError is an output that
+    cannot be written (exit 1)."""
     try:
         return EXIT_OK, work()
     except ConfigError as exc:
@@ -101,34 +116,38 @@ def _guarded(report: Path, work) -> tuple[int, object]:
         failure, code, what = exc, EXIT_CONSTRUCTION, "construction failed"
     except _NUMERICAL_ERRORS as exc:
         failure, code, what = exc, EXIT_NUMERICAL, "numerical failure"
-    write_json(report, {"error": _error_payload(failure)})
+    except OSError as exc:
+        failure, code, what = exc, EXIT_CONFIG, "cannot write output"
+    with contextlib.suppress(OSError):  # the failure may be that very file
+        write_json(report, {"error": _error_payload(failure)})
     print(f"{what}: {failure}", file=sys.stderr)
     return code, None
 
 
 def cmd_build_sequence(config: RunConfig, args) -> int:
     out = _out_dir(config, args)
-    code, seq = _guarded(out / "sequence.json", lambda: prepare(config))
+    code, _ = _guarded(
+        out / "sequence.json",
+        lambda: write_json(out / "sequence.json", prepare(config).to_report()),
+    )
     if code:
         return code
-    write_json(out / "sequence.json", seq.to_report())
     print(out / "sequence.json")
     return EXIT_OK
 
 
-def cmd_reduce(config: RunConfig, args) -> int:
-    out = _out_dir(config, args)
-    code, run = _guarded(out / "report.json", lambda: run_reduction(config))
-    if code:
-        return code
+def _write_lambda_free(out: Path, sequence_report: dict, reduction: Reduction) -> None:
+    """The files of `reduce` that do not depend on lambda."""
+    write_json(out / "sequence.json", sequence_report)
+    write_grid_function_csv(out / "phi.csv", reduction.phi.values)
+    write_matrix_csv(out / "a0.csv", reduction.pencil.a0)
+    write_matrix_csv(out / "a.csv", reduction.pencil.a)
 
-    write_json(out / "sequence.json", run.sequence_report)
-    write_grid_function_csv(out / "phi.csv", run.reduction.phi.values)
 
-    # the matrices do not depend on lambda; the run built them once
-    write_matrix_csv(out / "a0.csv", run.reduction.pencil.a0)
-    write_matrix_csv(out / "a.csv", run.reduction.pencil.a)
-
+def _reduce(config: RunConfig, out: Path) -> ReductionRun:
+    """run_reduction, its lambda-free files written beside the lambda loop,
+    then the kernel samples and the reports."""
+    run = run_reduction(config, functools.partial(_write_lambda_free, out))
     probes = run.reduction.probes.points
     pencil = run.reduction.pencil
     # on the reports' one BLAS thread, so that the samples' bytes do not
@@ -142,6 +161,14 @@ def cmd_reduce(config: RunConfig, args) -> int:
                     out / f"kernel_lambda{idx}_i{i}_j{j}.csv", probes, probes, samples
                 )
             write_json(out / f"report_lambda{idx}.json", run.reports[idx].to_dict())
+    return run
+
+
+def cmd_reduce(config: RunConfig, args) -> int:
+    out = _out_dir(config, args)
+    code, run = _guarded(out / "report.json", lambda: _reduce(config, out))
+    if code:
+        return code
     print(out)
 
     if config.strict:
@@ -157,12 +184,17 @@ def cmd_reduce(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _verify(config: RunConfig, out: Path) -> VerificationResult:
+    result = run_verification(config)
+    write_json(out / "verify.json", result.to_dict())
+    return result
+
+
 def cmd_verify(config: RunConfig, args) -> int:
     out = _out_dir(config, args)
-    code, result = _guarded(out / "verify.json", lambda: run_verification(config))
+    code, result = _guarded(out / "verify.json", lambda: _verify(config, out))
     if code:
         return code
-    write_json(out / "verify.json", result.to_dict())
     print(out / "verify.json")
     if not result.passed:
         failing = [c.name for c in result.checks if not c.passed]

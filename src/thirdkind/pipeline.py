@@ -10,11 +10,13 @@ kernel sample, and collect diagnostics per lambda against that one reduction.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import one_blas_thread, started
 from .config import RunConfig, make_coefficient, make_kernel
 from .errors import ConfigError, NearSingularError
 from .kernels import (
@@ -56,7 +58,6 @@ class ReductionRun:
     """Everything one reduce command produces; `reduction.phi` is the
     manufactured solution of every report."""
 
-    sequence_report: dict  # KorotkovSequence.to_report() of the run's sequence
     reduction: Reduction
     reports: list[EquivalenceReport]  # one per lambda, same order as config
 
@@ -88,20 +89,34 @@ def _surrogate(config: RunConfig, seq: KorotkovSequence) -> UnitarySurrogate:
         ) from None
 
 
-def run_reduction(config: RunConfig) -> ReductionRun:
+def run_reduction(
+    config: RunConfig, write: Callable[[dict, Reduction], None] | None = None
+) -> ReductionRun:
+    """The run's reduction and one report per lambda. With `write`, once the
+    reduction exists, write(sequence report, reduction) runs on a thread of
+    its own beside the lambda loop (the lambda-free outputs) and has ended
+    when this returns or raises: its exception is raised after the loop, and
+    the loop's, which carries the exit code, wins over it."""
     seq = prepare(config)
     surrogate = _surrogate(config, seq)
-    sequence_report = seq.to_report()
     with one_blas_thread():
         phi = random_grid_function(np.random.default_rng(config.seed), seq.space)
         points = probe_grid(config.probe_bound, config.probe_points)
         reduction = Reduction(seq, surrogate, points, phi)
+        if write is not None:
+            lambda_free = functools.partial(write, seq.to_report(), reduction)
+            written = started("thirdkind-writer", lambda_free)
         del seq  # the lambda loop reads no kernel sample
-        reports = [
-            _gated_report(reduction, idx, lam, config.cutoff)[0]
-            for idx, lam in enumerate(config.lambdas)
-        ]
-        return ReductionRun(sequence_report, reduction, reports)
+        reports = None
+        try:
+            reports = [
+                _gated_report(reduction, idx, lam, config.cutoff)[0]
+                for idx, lam in enumerate(config.lambdas)
+            ]
+        finally:
+            if write is not None:
+                written(raising=reports is not None)
+        return ReductionRun(reduction, reports)
 
 
 def _gated_report(

@@ -191,6 +191,54 @@ def test_full_svd_waits_for_the_lane_after_zgebrd(monkeypatch, lane_fails):
         assert steps == ["zgebrd", "lane", "dbdsdc"]
 
 
+@needs_openblas
+@pytest.mark.parametrize("alpha", [0.25, 0.0])
+def test_back_transforms_split_across_the_lane(monkeypatch, alpha):
+    """With alpha != 0 each report's vh = rvt P^H runs on the lane's thread
+    beside u = Q ru on the calling one; with alpha = 0 there is no lane, and
+    both run on the calling thread, P first, as zgesdd runs them."""
+    calls = []
+    original = LIB.zunmbr
+
+    def recorded(vect, *args):
+        calls.append((threading.current_thread().name, vect))
+        return original(vect, *args)
+
+    monkeypatch.setattr(LIB, "zunmbr", recorded)
+    config = {**CONFIG, "alpha": alpha}
+    pipeline.run_reduction(parse_config(config))
+    caller = threading.current_thread().name
+    if alpha:
+        per_report = [("thirdkind-lane", b"P"), (caller, b"Q")]
+        assert sorted(calls) == sorted(per_report * len(CONFIG["lambda"]))
+    else:
+        assert calls == [(caller, b"P"), (caller, b"Q")] * len(CONFIG["lambda"])
+
+
+@needs_openblas
+@pytest.mark.parametrize("lane", [False, True])
+@pytest.mark.parametrize("vect", [b"P", b"Q"])
+def test_back_transform_info_raises_on_the_caller(monkeypatch, lane, vect):
+    """A nonzero info from either zunmbr raises LinAlgError on the calling
+    thread, also when P ran on the lane's, and no thread is left."""
+    original = LIB.zunmbr
+
+    def failing(*args):
+        original(*args)
+        if args[0] == vect:
+            args[13]._obj.value = -1  # info, byref
+
+    monkeypatch.setattr(LIB, "zunmbr", failing)
+    a = np.asfortranarray(MATRICES["random64"])
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        if lane:
+            blas.beside(lambda: "values", lambda: blas.gesdd(a, vectors=True))
+        else:
+            blas.gesdd(a, vectors=True)
+    assert threading.active_count() == before
+
+
 # ---------------------------------------------------------------------------
 # zgesdd binding
 # ---------------------------------------------------------------------------

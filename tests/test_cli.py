@@ -476,6 +476,14 @@ class TestConditionGate:
         assert error["condition"] == pytest.approx(6.28e18, rel=1e-2)
         assert "at lambda 1" in capsys.readouterr().err
         assert not (out / "report_lambda0.json").exists()
+        if command == "reduce":
+            # the lambda-free files are written beside the lambda loop, and
+            # are complete when the gate stops it: those of lambda 0 alone
+            alone = tmp_path / "alone"
+            cfg0 = write_config(tmp_path, name="alone.json", **{"lambda": [[0.3, 0.0]]})
+            assert main(["reduce", "--config", str(cfg0), "--out", str(alone)]) == 0
+            for name in ("sequence.json", "phi.csv", "a0.csv", "a.csv"):
+                assert (out / name).read_bytes() == (alone / name).read_bytes(), name
 
     def test_non_finite_condition_exit_three(self, tmp_path, monkeypatch):
         original = thirdkind.pipeline.verify_equivalence
@@ -660,7 +668,7 @@ class TestMemoryFailure:
     ):
         exc = MemoryError("out of memory") if error == "plain" else numpy_allocation_error()
 
-        def fail(config):
+        def fail(config, *write):
             raise exc
 
         monkeypatch.setattr(thirdkind.cli, target, fail)
@@ -733,6 +741,42 @@ class TestFailurePayloads:
         assert "Traceback" not in err
         assert (tmp_path / "afile").read_text() == "kept"
         assert not list(tmp_path.glob(f"**/{report}"))
+
+
+    @pytest.mark.parametrize(
+        "command, blocked, report, how",
+        [
+            ("build-sequence", "sequence.json", "sequence.json", "directory"),
+            # a0.csv and a.csv are written on the writer thread, beside the
+            # lambda loop
+            ("reduce", "a0.csv", "report.json", "directory"),
+            ("reduce", "a.csv", "report.json", "full disk"),
+            ("reduce", "report_lambda0.json", "report.json", "directory"),
+            ("verify", "verify.json", "verify.json", "directory"),
+        ],
+    )
+    def test_unwritable_output_exit_one(self, tmp_path, capsys, command, blocked, report, how):
+        """An output that cannot be written (a directory in its place, or a
+        full disk: /dev/full) exits 1 with one stderr line naming it, and the
+        command's error JSON when that file can still be written."""
+        cfg = write_config(tmp_path)
+        out = tmp_path / command
+        out.mkdir()
+        if how == "directory":
+            (out / blocked).mkdir()
+        elif os.path.exists("/dev/full"):
+            (out / blocked).symlink_to("/dev/full")
+        else:
+            pytest.skip("no /dev/full")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert str(out / blocked) in err
+        if blocked != report:
+            error = json.loads((out / report).read_text())["error"]
+            assert error["type"] == "Output" and error["path"] == str(out / blocked)
+        else:
+            assert not list((out / report).iterdir())
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 """One pencil per run: the pipeline reduces once and shares the result."""
 
 import functools
+import threading
 import tracemalloc
 import weakref
 
@@ -13,6 +14,7 @@ import thirdkind.pipeline as pipeline
 import thirdkind.reduction as reduction
 import thirdkind.solvers as solvers
 from thirdkind.config import parse_config
+from thirdkind.errors import NearSingularError
 from thirdkind.measure import GridKernel
 
 CONFIG = {
@@ -49,6 +51,31 @@ def test_run_reduction_builds_one_pencil(counts, alpha):
     run = pipeline.run_reduction(parse_config({**CONFIG, "alpha": alpha}))
     assert len(run.reports) == 3
     assert counts == {"reduce_problem": 1, "multiplier_matrix": int(alpha == 0)}
+
+
+@pytest.mark.parametrize("loop_fails", [False, True])
+@pytest.mark.parametrize("write_fails", [False, True])
+def test_writer_runs_beside_the_lambda_loop(loop_fails, write_fails):
+    """run_reduction's `write` gets the sequence report and the reduction on
+    a thread of its own, which has ended when the run returns or raises.
+    Its error is raised after the loop; the loop's own error wins."""
+    seen = []
+
+    def write(sequence_report, reduction):
+        seen.append((threading.current_thread().name, sequence_report["depth"], reduction))
+        if write_fails:
+            raise OSError("disk full")
+
+    lambdas = [[0.3, 0.1], [1e300, 0.0]] if loop_fails else CONFIG["lambda"]
+    config = parse_config({**CONFIG, "alpha": 0.25, "lambda": lambdas})
+    if loop_fails or write_fails:
+        expected = NearSingularError if loop_fails else OSError
+        with pytest.raises(expected):
+            pipeline.run_reduction(config, write)
+    else:
+        run = pipeline.run_reduction(config, write)
+        assert seen[0][2] is run.reduction
+    assert [(name, depth) for name, depth, _ in seen] == [("thirdkind-writer", 6)]
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.0])
