@@ -3,25 +3,29 @@
 The per-lambda work is dense N x N linear algebra. Every report runs on one
 OpenBLAS thread (`one_blas_thread`), and `beside` runs a values-only SVD on a
 second Python thread, the lane, while this one prepares and bidiagonalizes
-the matrix of a full SVD; the lane's thread then makes that SVD's
-back-transform vh = rvt P^H while this one makes u = Q ru. So two cores stay
+the matrix of another SVD, which then waits for the lane. So two cores stay
 busy for about the CPU time of one thread. One thread also makes the
 reports independent of the thread count the process started with, at every
 size.
 
-Every SVD of the package goes through `gesdd`. For a square matrix it makes
-the steps of the LAPACK routine that numpy.linalg.svd calls, zgesdd, one
-call each with that routine's arguments, on a Fortran-order array the
-caller gives up and into the arrays it returns, so that each workspace is
-freed when its step ends; numpy.linalg.svd also keeps a Fortran copy of its
-input and copies both singular-vector sets into new arrays. Every other
-shape goes to numpy.linalg.svd.
+Every SVD of the package goes through `gesdd` or `gesdd_probes`. For a
+square matrix both make the steps of the LAPACK routine that
+numpy.linalg.svd calls, zgesdd, one call each with that routine's
+arguments, on a Fortran-order array the caller gives up and into the arrays
+they return, so that each workspace is freed when its step ends;
+numpy.linalg.svd also keeps a Fortran copy of its input and copies both
+singular-vector sets into new arrays. Every other shape goes to
+numpy.linalg.svd. `gesdd_probes` is a report's SVD: it stops zgesdd at
+dbdsdc, so its singular values are those of the full SVD, and applies the
+matrix's polar factors to the n x S basis values at the probe points
+through the bidiagonal factors, where zgesdd's two n x n back-transforms
+would form u and vh.
 
-Memory, in N^2 B for an N x N complex matrix: a full SVD peaks at 56 (its
-input, the real singular-vector blocks and dbdsdc's workspace), a
-values-only one at its input, 16. A full SVD beside a lane waits for the
-lane's value before its first large allocation, so a report's pair of SVDs
-peaks at the full one's 56, never at 56 + 16.
+Memory, in N^2 B for an N x N complex matrix: a full SVD or `gesdd_probes`
+peaks at 56 (its input, the real singular-vector blocks and dbdsdc's
+workspace), a values-only SVD at its input, 16. An SVD beside a lane waits
+for the lane's thread to end before its first large allocation, so a
+report's pair of SVDs peaks at 56, never at 56 + 16.
 """
 
 from __future__ import annotations
@@ -38,22 +42,33 @@ from collections.abc import Callable
 import numpy as np
 
 # Complex SVD with vectors (`gesdd`), scipy-openblas 0.3.31 on 2 vCPUs,
-# median wall / CPU time in ms; "pair" is a report's two SVDs, the values of
-# one n x n matrix and the full SVD of another, serial or `beside` (in
-# brackets: beside, with zunmbr('P') on the calling thread after the lane):
-#   n     1 thread     2 threads     pair, 2 threads   pair beside, 1 each
-#   128   4.7 / 5.4    6.5 / 14      9.6 / 18          7.1 / 15     (9.0 / 15)
-#   256   23 / 23      26 / 50       37 / 73           29 / 51      (32 / 44)
-#   512   166 / 166    113 / 223     199 / 398         175 / 289    (234 / 329)
-#   1024  1305 / 1305  873 / 1669    1319 / 2577       1113 / 1962  (1450 / 2162)
-#   2048  8085 / 8082  4970 / 9619   8220 / 16030      8061 / 14500 (9247 / 14450)
+# median wall / CPU time in ms; "pair" is the values of one n x n matrix and
+# the full SVD of another, serial on two OpenBLAS threads:
+#   n     1 thread     2 threads     pair, 2 threads
+#   128   4.7 / 5.4    6.5 / 14      9.6 / 18
+#   256   23 / 23      26 / 50       37 / 73
+#   512   166 / 166    113 / 223     199 / 398
+#   1024  1305 / 1305  873 / 1669    1319 / 2577
+#   2048  8085 / 8082  4970 / 9619   8220 / 16030
 # A second OpenBLAS thread saves at most a third of the wall time of one SVD
-# for 1.2-2 times its CPU time. The pair beside is now faster than serial on
-# two threads at every n, for 10-27 % less CPU time at n >= 512. Without a
-# lane (alpha = 0, where a report has one N x N SVD) both back-transforms
-# stay on the calling thread: a thread started for zunmbr('P') in each SVD
-# took 9 % more CPU time and no less wall time on 64 SVDs at n = 128
-# (`verify` at depth 7, alpha = 0).
+# for 1.2-2 times its CPU time, so every report runs on one.
+#
+# A report's SVD of D = A0 - lambda A with its tail_sup, on one thread
+# (`reduce`'s pencil: linear H, exp(x y), 3 bands, seed 23, lambda =
+# 0.39 - 0.26i), median wall / CPU time in ms: from u and vh (`gesdd` with
+# vectors, then `MFactorization`'s probe values) against the probe route
+# (`gesdd_probes`, no u or vh); and a report's pair, alpha I + D's values
+# `beside` the probe route, on one thread each:
+#   n     from u and vh   probe route   pair beside
+#   128   4.4 / 4.3       4.1 / 4.1     9 / 13
+#   256   24 / 24         18 / 18       26 / 36
+#   512   162 / 154       118 / 118     164 / 262
+#   1024  1109 / 1102     926 / 837     1003 / 1719
+#   2048  8719 / 8317     5842 / 5809   7068 / 12807
+# The route applies zgebrd's reflectors to 4 S columns where the two
+# back-transforms apply them to 2 n, so from n = 256 on it saves a quarter of
+# a report's CPU time; at n = 128 (S = 41) it ties. Without a lane
+# (alpha = 0) a report's one SVD runs on the calling thread.
 
 # rows per block of the in-place transposition of u and vh
 _BLOCK = 64
@@ -161,65 +176,26 @@ def started(name: str, work: Callable) -> Callable:
     return join
 
 
-class _Lane:
-    """The thread `beside` starts: it runs lane(), then at most one task
-    that the first SVD of main() hands it (`_square_svd`), then ends."""
-
-    def __init__(self, lane: Callable):
-        self._value = {}
-        self._ready = threading.Event()  # lane() has returned or raised
-        self._handed = threading.Event()  # the task, or None, is set
-        self._task = None
-        self.join = started("thirdkind-lane", lambda: self._run(lane))
-
-    def _run(self, lane: Callable) -> None:
-        try:
-            self._value["lane"] = lane()
-        finally:
-            self._ready.set()
-        self._handed.wait()
-        if self._task is not None:
-            self._task()
-            self._task = None  # nor does its workspace outlive the SVD
-
-    def value(self):
-        """Wait for lane()'s value; when lane() raised, wait for the thread
-        to end and raise that exception."""
-        self._ready.wait()
-        if "lane" not in self._value:
-            self.join()
-        return self._value["lane"]
-
-    def hand(self, task: Callable | None) -> None:
-        """Run task() on the lane's thread after lane(); None lets the
-        thread end. Only the first call counts, and only `beside`'s thread
-        makes one."""
-        if not self._handed.is_set():
-            self._task = task
-            self._handed.set()
-
-
 def beside(lane: Callable, main: Callable) -> tuple:
     """(lane(), main()). lane() runs on a second thread while this one runs
-    main(). The first SVD main() makes (`_square_svd`) waits for lane()'s
-    value at the end of its bidiagonalization: under `one_blas_thread` two
+    main(). The first SVD main() makes (`_square_svd`) waits for the lane's
+    thread to end after its bidiagonalization: under `one_blas_thread` two
     SVDs keep both cores busy, and whatever lane() held is freed before that
-    SVD allocates its singular vectors. A full SVD then hands its
-    back-transform vh = rvt P^H to the lane's thread and makes u = Q ru on
-    this one. The lane's exception, when it raises, is the one that
-    propagates, and its thread has ended when this returns or raises."""
-    worker = _Lane(lane)
-    _lane.current = worker
+    SVD allocates its singular vectors. The lane's exception, when it
+    raises, is the one that propagates, and its thread has ended when this
+    returns or raises."""
+    join = started("thirdkind-lane", lane)
+    _lane.current = join
     try:
         second = main()
     finally:
         vars(_lane).pop("current", None)  # when main() made no SVD
-        worker.hand(None)
-        worker.join()
-    return worker.value(), second
+        first = join()
+    return first, second
 
 
-# the lane `beside` started from a thread, until an SVD of that thread takes it
+# the join of the lane `beside` started from a thread, until an SVD of that
+# thread takes it
 _lane = threading.local()
 
 
@@ -239,6 +215,37 @@ def gesdd(a: np.ndarray, *, vectors: bool):
     Raises LinAlgError("SVD did not converge") on any nonzero info or a NaN
     entry.
     """
+    lib = _square_route(a)
+    if lib is None:
+        return np.linalg.svd(a, compute_uv=vectors)
+    return _square_svd(lib, a, vectors)
+
+
+def gesdd_probes(a: np.ndarray, values: np.ndarray):
+    """(s, W^T values, V^T values): the singular values s of `a` and the
+    real n x S `values` under its polar factors W = U_pol |a|^(1/2) and
+    V = |a|^(1/2) (see `kernels.MFactorization`), or None where gesdd hands
+    `a` to numpy.linalg.svd.
+
+    s is gesdd(a, vectors=True)'s, bit for bit: the same steps up to
+    dbdsdc('U', 'I'). W and V are then applied to `values` through zgebrd's
+    reflectors and dbdsdc's real ru and rvt (`_probe_blocks`), and the
+    n x n singular vectors are never formed. `a` is as for gesdd and is
+    overwritten; the same errors.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != a.shape[0]:
+        raise ValueError(f"values must have {a.shape[0]} rows, got shape {values.shape}")
+    lib = _square_route(a)
+    if lib is None:
+        return None
+    return _square_svd(lib, a, False, values)
+
+
+def _square_route(a: np.ndarray) -> types.SimpleNamespace | None:
+    """The OpenBLAS binding when `a` takes zgesdd's steps (`_square_svd`),
+    else None; ValueError when `a` is no writeable complex128 Fortran-order
+    matrix."""
     if (
         a.dtype != np.complex128
         or a.ndim != 2
@@ -247,46 +254,56 @@ def gesdd(a: np.ndarray, *, vectors: bool):
         raise ValueError("gesdd needs a writeable 2-d complex128 Fortran-order array")
     lib = _openblas()
     m, n = a.shape
-    if lib is None or m != n or n < 2:
-        return np.linalg.svd(a, compute_uv=vectors)
-    return _square_svd(lib, a, vectors)
+    return None if lib is None or m != n or n < 2 else lib
 
 
-def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
+def numerical_rank(sigma: np.ndarray, size: int) -> int:
+    """How many of the descending singular values `sigma` of a matrix whose
+    larger side is `size` exceed size * eps * sigma[0] (numpy's
+    matrix_rank threshold); 0 when sigma[0] is not positive."""
+    if not (sigma.size and sigma[0] > 0):
+        return 0
+    return int(np.sum(sigma > size * np.finfo(float).eps * sigma[0]))
+
+
+def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool,
+                values: np.ndarray | None = None):
     """gesdd(a, vectors=vectors) for a square `a` with n >= 2, as zgesdd
     takes it (M >= N, M < 5N/3: its path 6a for jobz 'A', 6n for jobz 'N'),
-    one step per call:
+    one step per call; with `values`, gesdd_probes(a, values) instead:
 
-      query zgesdd's optimal complex workspace for that jobz;
+      query zgesdd's optimal complex workspace, for jobz 'A' with vectors
+        or values, else 'N';
       scale a when its largest |entry| lies outside [smlnum, bignum];
       zgebrd:            a = Q B P^H, B real upper bidiagonal (s, e);
-      wait for the value of the lane `beside` started from this thread, if any;
-      without vectors,
+      wait for the lane `beside` started from this thread, if any;
+      s alone,
         dbdsdc('U', 'N'):  the singular values s of B;
-      with vectors,
+      else
         dbdsdc('U', 'I'):  B = ru diag(s) rvt;
-        zunmbr('P'):       vh = rvt P^H, on the lane's thread when there is one;
-        zunmbr('Q'):       u = Q ru;
-      undo the scaling of s.
+      undo the scaling of s;
+      with values, the probe blocks (`_probe_blocks`);
+      with vectors,
+        zunmbr('P'):       vh = rvt P^H;
+        zunmbr('Q'):       u = Q ru.
 
     Every call gets the arguments zgesdd passes it, workspace sizes
-    included, so the bits are zgesdd's; a zunmbr('P') beside zunmbr('Q')
-    gets its own workspace of the same length. The two read disjoint parts
-    of a, P's reflectors above its diagonal and Q's on and below it. With
-    vectors, the 3 N^2 + 4 N real workspace of dbdsdc is freed before vh is
-    allocated, and ru and rvt each once copied into u and vh; the peak is a,
-    ru, rvt and that workspace, 56 N^2 B, where zgesdd holds a, u, vh and its
-    whole real workspace, 88 N^2 B. Up to the wait for the lane only a
-    (16 N^2 B) and the complex workspace (lwork entries, about 2 nb N for
-    zgebrd's block size nb) are alive, so a lane's own matrix and workspaces
-    never add to that peak.
+    included, so the bits are zgesdd's. After dbdsdc, its 3 N^2 + 4 N real
+    workspace is freed before anything else is allocated, and ru and rvt
+    are each once copied into u and vh; the peak is a, ru, rvt and that
+    workspace, 56 N^2 B, where zgesdd holds a, u, vh and its whole real
+    workspace, 88 N^2 B. The probe blocks take a, ru, rvt and a few n x S
+    blocks. Up to the wait for the lane only a (16 N^2 B) and the complex
+    workspace (lwork entries, about 2 nb N for zgebrd's block size nb) are
+    alive, so a lane's own matrix and workspaces never add to that peak.
     """
     lane = vars(_lane).pop("current", None)
+    full = vectors or values is not None
     n = a.shape[0]
     ptr = a.ctypes.data
     info = _Info()
     query = np.zeros(1, dtype=complex)
-    lib.zgesdd(b"A" if vectors else b"N", _i(n), _i(n), ptr, _i(n), None, None, _i(n),
+    lib.zgesdd(b"A" if full else b"N", _i(n), _i(n), ptr, _i(n), None, None, _i(n),
                None, _i(n), query.ctypes.data, _i(-1), None, None, info.ref, 1)
     info.check()
     lwork = max(1, int(query[0].real))
@@ -309,15 +326,14 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
     lib.zgebrd(_i(n), _i(n), ptr, _i(n), s.ctypes.data, e.ctypes.data, tauq.ctypes.data,
                taup.ctypes.data, rest.ctypes.data, _i(lwork - 2 * n), info.ref)
     if lane is not None:
-        lane.value()  # the rest of a full SVD runs after the lane's own work
+        lane()  # the rest of the SVD runs after the lane's own work
 
     iwork = np.empty(8 * n, dtype=np.int64)
-    if not vectors:
+    if not full:
         bd_work = np.empty(4 * n)
         lib.dbdsdc(b"U", b"N", _i(n), s.ctypes.data, e.ctypes.data, None, _i(1), None,
                    _i(1), None, None, bd_work.ctypes.data, iwork.ctypes.data, info.ref,
                    1, 1)
-        info.check()
     else:
         ru = np.empty((n, n), order="F")
         rvt = np.empty((n, n), order="F")
@@ -325,40 +341,80 @@ def _square_svd(lib: types.SimpleNamespace, a: np.ndarray, vectors: bool):
         lib.dbdsdc(b"U", b"I", _i(n), s.ctypes.data, e.ctypes.data, ru.ctypes.data, _i(n),
                    rvt.ctypes.data, _i(n), None, None, bd_work.ctypes.data,
                    iwork.ctypes.data, info.ref, 1, 1)
-        del bd_work, iwork
-        info.check()
-
-        # vh and u before P's own workspace, so that the peak stays dbdsdc's
-        vh = np.empty((n, n), dtype=complex, order="F")
-        vh[...] = rvt
-        del rvt
-        u = np.empty((n, n), dtype=complex, order="F")
-        u[...] = ru
-        del ru
-        if lane is None:
-            _zunmbr(lib, b"P", b"R", b"C", a, taup, vh, rest)
-        else:  # beside Q, P gets a workspace of its own
-            lane.hand(lambda: _zunmbr(lib, b"P", b"R", b"C", a, taup, vh, np.empty_like(rest)))
-        _zunmbr(lib, b"Q", b"L", b"N", a, tauq, u, rest)
-        if lane is not None:
-            lane.join()
-
+    del bd_work, iwork
+    info.check()
     if scaled_to is not None:
         lib.dlascl(b"G", _i(0), _i(0), _f(scaled_to), _f(anrm), _i(n), _i(1), s.ctypes.data,
                    _i(n), info.ref, 1)
-    if not vectors:
+    if not full:
         return s
+    if values is not None:
+        return (s, *_probe_blocks(lib, a, work, s, ru, rvt, values))
+
+    vh = np.empty((n, n), dtype=complex, order="F")
+    vh[...] = rvt
+    del rvt
+    u = np.empty((n, n), dtype=complex, order="F")
+    u[...] = ru
+    del ru
+    _zunmbr(lib, b"P", b"R", b"C", a, taup, vh, rest)
+    _zunmbr(lib, b"Q", b"L", b"N", a, tauq, u, rest)
     return _c_order(u), s, _c_order(vh)
+
+
+def _probe_blocks(lib: types.SimpleNamespace, a: np.ndarray, work: np.ndarray,
+                  s: np.ndarray, ru: np.ndarray, rvt: np.ndarray, values: np.ndarray):
+    """(W^T values, V^T values) from a = Q B P^H (zgebrd's a and work),
+    B = ru diag(s) rvt and the real n x S `values` U_p, with u = Q ru,
+    vh = rvt P^H and r = numerical_rank(s, n), as `MFactorization`'s
+    w_values and v_values:
+
+      W^T U_p = vh_r^T (sqrt(s_r) u_r^T U_p)
+              = conj(P rvt_r^T conj(sqrt(s_r) ru_r^T conj(Q^H U_p))),
+      V^T U_p = vh^T (sqrt(s) conj(vh) U_p)
+              = conj(P rvt^T (sqrt(s) rvt (P^H U_p))).
+
+    Q^H U_p and P^H U_p are one zunmbr each on an n x S block, and both
+    products with P one zunmbr on the n x 2S block; each product with the
+    real ru or rvt is one real GEMM on the float64 view of a C-order complex
+    block, so no complex copy of ru or rvt is made.
+    """
+    n, width = values.shape
+    tauq, taup, rest = work[:n], work[n : 2 * n], work[2 * n :]
+    r = numerical_rank(s, n)
+    root = np.sqrt(s)
+
+    def real_product(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """m @ z for the real m and the complex C-order z, as one real GEMM."""
+        return (m @ z.view(np.float64)).view(complex)
+
+    x = np.array(values, dtype=complex, order="F")
+    y = np.array(values, dtype=complex, order="F")
+    _zunmbr(lib, b"Q", b"L", b"C", a, tauq, x, rest)
+    _zunmbr(lib, b"P", b"L", b"C", a, taup, y, rest)
+    inner = real_product(ru[:, :r].T, np.conj(x, order="C"))
+    inner *= root[:r, None]
+    stacked = np.empty((n, 2 * width), dtype=complex, order="F")
+    stacked[:, :width] = real_product(rvt[:r].T, np.conj(inner))
+    inner = real_product(rvt, np.ascontiguousarray(y))
+    inner *= root[:, None]
+    stacked[:, width:] = real_product(rvt.T, inner)
+    _zunmbr(lib, b"P", b"L", b"N", a, taup, stacked, rest)
+    np.conjugate(stacked, out=stacked)
+    return stacked[:, :width], stacked[:, width:]
 
 
 def _zunmbr(lib: types.SimpleNamespace, vect: bytes, side: bytes, trans: bytes,
             a: np.ndarray, tau: np.ndarray, c: np.ndarray, work: np.ndarray) -> None:
-    """zunmbr(vect, side, trans) of the square c with zgebrd's reflectors in
-    a and tau, as zgesdd calls it; raises LinAlgError on a nonzero info."""
+    """zunmbr(vect, side, trans) of the Fortran-order c with zgebrd's
+    reflectors in the square a and tau, as zgesdd calls it; raises
+    LinAlgError on a nonzero info."""
     n = a.shape[0]
+    m, cols = c.shape
     info = _Info()
-    lib.zunmbr(vect, side, trans, _i(n), _i(n), _i(n), a.ctypes.data, _i(n), tau.ctypes.data,
-               c.ctypes.data, _i(n), work.ctypes.data, _i(work.size), info.ref, 1, 1, 1)
+    lib.zunmbr(vect, side, trans, _i(m), _i(cols), _i(n), a.ctypes.data, _i(n),
+               tau.ctypes.data, c.ctypes.data, _i(m), work.ctypes.data, _i(work.size),
+               info.ref, 1, 1, 1)
     info.check()
 
 

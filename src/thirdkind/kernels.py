@@ -9,10 +9,12 @@ Hilbert-Schmidt picture is needed.
 
 The polar factorization A = W V* (W = U_pol P, V = P, P = |A|^(1/2))
 feeds the single-index series sum_n [W u_n]^(i)(s) conj([V u_n]^(j)(t)),
-whose absolute partial sums witness absolute convergence. It is kept as the
-SVD factors of A: the series values at probe points come from those factors
-in O(n^2) per point, and the explicit n x n matrices W, V are formed only
-when asked for (the verification battery's reconstruction and series checks).
+whose absolute partial sums witness absolute convergence. A report reads
+the series at the probe points only (`polar_probes`), from A's bidiagonal
+factors, with no n x n singular vectors. `MFactorization` keeps the SVD
+factors of A, and the explicit n x n matrices W, V are formed from them
+only when asked for (the verification battery's reconstruction and series
+checks).
 
 Each concept has one producer here: `carleman` gives the section vectors of
 either side at any order, one column per point of a `ProbeGrid` (which builds
@@ -31,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .blas import gesdd
+from .blas import gesdd, gesdd_probes, numerical_rank
 from .hermite import SmoothBasis, gaussian
 from .measure import row_blocks, scaled_norm
 
@@ -195,8 +197,10 @@ class MFactorization:
         return self.vh[:r].T @ inner
 
     def v_values(self, values: np.ndarray) -> np.ndarray:
-        """V^T u: row n holds [V u_n](t_j), as vh^T (sqrt(sigma) * (conj(vh) u))."""
-        inner = self.vh.conj() @ values
+        """V^T u: row n holds [V u_n](t_j), as vh^T (sqrt(sigma) * (conj(vh) u));
+        conj(vh) u is formed as conj(vh u) for the real u, so that no n x n
+        conjugate of vh is made."""
+        inner = np.conj(self.vh @ values)
         inner *= np.sqrt(self.sigma)[:, None]
         return self.vh.T @ inner
 
@@ -244,11 +248,43 @@ def m_factorize(matrix: np.ndarray) -> MFactorization:
 def m_factorize_in_place(a: np.ndarray) -> MFactorization:
     """`m_factorize` of the complex Fortran-order `a`, which the SVD overwrites."""
     u, sigma, vh = gesdd(a, vectors=True)
-    if sigma.size and sigma[0] > 0:
-        rank = int(np.sum(sigma > max(a.shape) * np.finfo(float).eps * sigma[0]))
-    else:
-        rank = 0
-    return MFactorization(u=u, sigma=sigma, vh=vh, rank=rank)
+    return MFactorization(u=u, sigma=sigma, vh=vh, rank=numerical_rank(sigma, max(a.shape)))
+
+
+@dataclass(frozen=True, eq=False)
+class PolarProbes:
+    """What a report reads of D's polar factorization D = W V*: D's singular
+    values, the probe blocks `w_values` = W^T U_p and `v_values` = V^T U_p
+    for the basis values U_p of a probe grid (n x S, `MFactorization`'s
+    w_values and v_values), and, only when asked for, the factorization
+    itself."""
+
+    sigma: np.ndarray
+    w_values: np.ndarray
+    v_values: np.ndarray
+    factorization: MFactorization | None
+
+
+def polar_probes(a: np.ndarray, grid: ProbeGrid, *, vectors: bool = False) -> PolarProbes:
+    """D's `PolarProbes` at the grid's points for the complex Fortran-order
+    `a` = D, which the SVD overwrites.
+
+    The singular values are those of `m_factorize`, bit for bit. The
+    blocks come from D's bidiagonal factors (`blas.gesdd_probes`), and no
+    n x n singular vectors are formed. With `vectors`, or without numpy's
+    OpenBLAS symbols, they come instead from D's full SVD, as
+    `MFactorization` forms them, and agree with the bidiagonal route to
+    rounding; `vectors` also hands back that factorization. The probe
+    blocks (2 S n complex entries) are not alive while u and vh are formed,
+    so that SVD peaks no higher than the bidiagonal route.
+    """
+    _check_grid(SmoothBasis(a.shape[0]), grid)
+    route = None if vectors else gesdd_probes(a, grid.values)
+    if route is not None:
+        return PolarProbes(*route, None)
+    fact = m_factorize_in_place(a)
+    w_vals, v_vals = fact.w_values(grid.values), fact.v_values(grid.values)
+    return PolarProbes(fact.sigma, w_vals, v_vals, fact if vectors else None)
 
 
 @dataclass(frozen=True)
@@ -346,21 +382,21 @@ def probe_grid(bound: float = 8.0, points: int = 41) -> np.ndarray:
     return np.linspace(-bound, bound, points)
 
 
-def absolute_tail_sup(fact: MFactorization, s: ProbeGrid, t: ProbeGrid) -> float:
+def absolute_tail_sup(w_values: np.ndarray, v_values: np.ndarray) -> float:
     """Sup over the probe grid of the absolute series tail from n = size/2.
 
-    `fact` factors the kernel's coefficient matrix, and `s`, `t` carry the
-    basis values at the probe points. The series is the canonical factorized
-    one. This is the finite-truncation observable standing in for
+    `w_values` and `v_values` are the probe blocks W^T u_s and V^T u_t of
+    the kernel's coefficient matrix (`PolarProbes`, or `MFactorization`'s
+    w_values and v_values), one row per term of the canonical factorized
+    series. This is the finite-truncation observable standing in for
     absolute/uniform convergence of the infinite expansion. Since
     |w conj(v)| = |w| |v|, the tail sums over all probe pairs are one real
     product |W_tail^T u_s|^T |V_tail^T u_t|.
     """
-    n = fact.sigma.size
-    _check_grid(SmoothBasis(n), s, t)
-    w_vals = fact.w_values(s.values)  # (n, S)
-    v_vals = fact.v_values(t.values)  # (n, T)
-    sums = np.abs(w_vals[n // 2 :]).T @ np.abs(v_vals[n // 2 :])  # (S, T)
+    n = w_values.shape[0]
+    if v_values.shape[0] != n:
+        raise ValueError(f"probe blocks of {n} and {v_values.shape[0]} terms")
+    sums = np.abs(w_values[n // 2 :]).T @ np.abs(v_values[n // 2 :])  # (S, T)
     return float(np.max(sums)) if sums.size else 0.0
 
 

@@ -120,14 +120,14 @@ def run_reduction(
 
 
 def _gated_report(
-    reduction: Reduction, idx: int, lam: complex, cutoff: float
-) -> tuple[EquivalenceReport, MFactorization]:
-    """verify_equivalence(reduction, lam, cutoff) for the config's lambda
-    number `idx`. With alpha != 0 a report whose condition is not finite or
-    exceeds CONDITION_LIMIT raises NearSingularError with that lambda, the
-    gate `solve_second_kind` applies; with alpha = 0 no solve of alpha I + D
-    is made, and nothing is gated."""
-    report, fact = verify_equivalence(reduction, lam, cutoff)
+    reduction: Reduction, idx: int, lam: complex, cutoff: float, factors: bool = False
+) -> tuple[EquivalenceReport, MFactorization | None]:
+    """verify_equivalence(reduction, lam, cutoff, factors=factors) for the
+    config's lambda number `idx`. With alpha != 0 a report whose condition
+    is not finite or exceeds CONDITION_LIMIT raises NearSingularError with
+    that lambda, the gate `solve_second_kind` applies; with alpha = 0 no
+    solve of alpha I + D is made, and nothing is gated."""
+    report, fact = verify_equivalence(reduction, lam, cutoff, factors=factors)
     if reduction.pencil.alpha != 0 and not report.condition <= CONDITION_LIMIT:
         raise NearSingularError(report.condition, lam, idx)
     return report, fact
@@ -286,12 +286,12 @@ def run_verification(config: RunConfig) -> VerificationResult:
         add("adjoint_consistency_integral", integral, tol["adjoint_defect"])
 
         # manufactured problems per lambda. Report 0's factorization of D at
-        # the first lambda also gives the explicit W, V, the independent
-        # oracle of the reconstruction and series checks listed below; it is
-        # dropped before the next report, and the SVD is not kept. W comes
-        # first and u goes before V is formed
+        # the first lambda, the only one with singular vectors, also gives
+        # the explicit W, V, the independent oracle of the reconstruction and
+        # series checks listed below; it is dropped before the next report,
+        # and the SVD is not kept. W comes first and u goes before V is formed
         lam0 = config.lambdas[0]
-        report, fact = _gated_report(reduction, 0, lam0, config.cutoff)
+        report, fact = _gated_report(reduction, 0, lam0, config.cutoff, factors=True)
         w, sigma, vh = fact.w_factor(), fact.sigma, fact.vh
         del fact
         v = polar_root(sigma, vh)

@@ -27,13 +27,14 @@ from .hermite import GAUSSIAN_L2_NORM, SmoothBasis, multiplier_matrix
 from .kernels import (
     BilinearKernel,
     MFactorization,
+    PolarProbes,
     ProbeGrid,
     absolute_tail_sup,
     carleman,
     condition_number,
     factored_form_gap,
     hs_norm,
-    m_factorize_in_place,
+    polar_probes,
     quarter_maxima,
 )
 from .measure import GridFunction, GridKernel, _matvec, row_blocks, scaled_norm
@@ -110,10 +111,13 @@ class KernelPencil:
         """The kernel of A0 - lambda A."""
         return BilinearKernel(self._pencil_matrix(lam, "C"))
 
-    def factorize(self, lam: complex) -> MFactorization:
-        """m_factorize(A0 - lambda A), with the matrix formed in Fortran order
-        and factored in place, so that the SVD's input is its only copy."""
-        return m_factorize_in_place(self._pencil_matrix(lam, "F"))
+    def polar_probes(
+        self, lam: complex, grid: ProbeGrid, *, vectors: bool = False
+    ) -> PolarProbes:
+        """`kernels.polar_probes` of A0 - lambda A at the grid, with the
+        matrix formed in Fortran order and factored in place, so that the
+        SVD's input is its only copy."""
+        return polar_probes(self._pencil_matrix(lam, "F"), grid, vectors=vectors)
 
 
 def reduce_problem(seq: KorotkovSequence, U: UnitarySurrogate) -> KernelPencil:
@@ -393,13 +397,13 @@ def _relative(value: float, scale: float) -> float:
 
 
 def verify_equivalence(
-    run: Reduction, lam: complex, cutoff: float = 1e-10
-) -> tuple[EquivalenceReport, MFactorization]:
+    run: Reduction, lam: complex, cutoff: float = 1e-10, *, factors: bool = False
+) -> tuple[EquivalenceReport, MFactorization | None]:
     """Manufacture psi from the run's phi and measure every testable identity.
 
-    Returns the report together with the factorization of D = A0 - lambda A
-    that it takes its tail and condition from; a caller that needs no more
-    of D drops it at once.
+    Returns the report together with, when `factors` asks for it, the
+    factorization of D = A0 - lambda A that it takes its tail and condition
+    from (else None): its n x n singular vectors are then formed as well.
 
     psi = H phi - lambda K phi is the forward model at lambda, formed from
     the run's H and K phi (`forward_third_kind`); the pencil, the probe grid,
@@ -412,16 +416,18 @@ def verify_equivalence(
     added: multiplied-system residual, Hilbert-Schmidt bound slack, adjoint
     column decay, and the truncated-spectral recovery error.
 
-    D = A0 - lambda A is factorized once: its SVD gives the series tail and,
-    with alpha = 0, the condition number; with alpha != 0 the condition is that
-    of `pencil.system_matrix(lam)`, alpha I + D, from its singular values
-    alone. That matrix belongs to the lane of `blas.beside`, which forms it,
-    takes its values and drops it on a second thread beside the reads of D
-    and D's bidiagonalization, the rest of D's SVD waiting for it. A
-    report's peak is then one stepwise SVD (56 N^2 B, see
-    `blas._square_svd`) whichever thread ends first. Everything read from D
-    itself comes first; D is then formed again in Fortran order and factored
-    in place, so that no other n x n copy of it is alive during that SVD.
+    D = A0 - lambda A is factorized once (`KernelPencil.polar_probes`): its
+    bidiagonal factors give the series tail at the probe points and, with
+    alpha = 0, its singular values the condition number; with alpha != 0 the
+    condition is that of `pencil.system_matrix(lam)`, alpha I + D, from its
+    singular values alone. That matrix belongs to the lane of
+    `blas.beside`, which forms it, takes its values and drops it on a second
+    thread beside the reads of D and D's bidiagonalization, the rest of D's
+    SVD waiting for it. A report's peak is then one stepwise SVD (56 N^2 B,
+    see `blas._square_svd`) whichever thread ends first. Everything read
+    from D itself comes first; D is then formed again in Fortran order and
+    factored in place, so that no other n x n copy of it is alive during
+    that SVD.
     With alpha = 0 the first-kind section is read from M D in the run's
     eigenbasis of M, Z_k Y with Y k x N (`MultipliedPencil`): its residual,
     Hilbert-Schmidt norm (||Y||_F), coefficient-form gap and row norms cost
@@ -483,18 +489,21 @@ def verify_equivalence(
             recovery_error=recovery,
         )
         # no other n x n copy of D is alive during its SVD
-        fact = pencil.factorize(lam)
-        condition = fact.condition
+        polar = pencil.polar_probes(lam, probes, vectors=factors)
+        condition = condition_number(polar.sigma)
     else:
         # the lane owns alpha I + D: it forms the matrix, takes its values and
         # drops it, beside the reads of D and D's bidiagonalization; the
         # C-order D goes before D's SVD
-        values, ((passage, carleman_sup, hs), fact) = beside(
+        values, ((passage, carleman_sup, hs), polar) = beside(
             lambda: gesdd(pencil.system_matrix(lam), vectors=False),
-            lambda: (read(pencil.pencil_kernel(lam)), pencil.factorize(lam)),
+            lambda: (
+                read(pencil.pencil_kernel(lam)),
+                pencil.polar_probes(lam, probes, vectors=factors),
+            ),
         )
         condition = condition_number(values)
-    tail = absolute_tail_sup(fact, probes, probes)
+    tail = absolute_tail_sup(polar.w_values, polar.v_values)
 
     return EquivalenceReport(
         passage_residual=passage,
@@ -506,4 +515,4 @@ def verify_equivalence(
         discarded_energy=discarded,
         projected=U.projected,
         first_kind=first_kind,
-    ), fact
+    ), polar.factorization

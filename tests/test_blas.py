@@ -4,6 +4,7 @@ afterwards, and the in-place zgesdd steps every square SVD goes through."""
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,8 +16,9 @@ import pytest
 
 import thirdkind.blas as blas
 import thirdkind.pipeline as pipeline
-from thirdkind import KernelPencil, NearSingularError, m_factorize, solve_second_kind
+from thirdkind import KernelPencil, NearSingularError, Reduction, m_factorize, solve_second_kind
 from thirdkind.config import parse_config
+from thirdkind.kernels import absolute_tail_sup, polar_probes
 
 LIB = blas._openblas()
 needs_openblas = pytest.mark.skipif(LIB is None, reason="numpy's OpenBLAS not found")
@@ -193,26 +195,30 @@ def test_full_svd_waits_for_the_lane_after_zgebrd(monkeypatch, lane_fails):
 
 @needs_openblas
 @pytest.mark.parametrize("alpha", [0.25, 0.0])
-def test_back_transforms_split_across_the_lane(monkeypatch, alpha):
-    """With alpha != 0 each report's vh = rvt P^H runs on the lane's thread
-    beside u = Q ru on the calling one; with alpha = 0 there is no lane, and
-    both run on the calling thread, P first, as zgesdd runs them."""
+def test_reports_make_no_back_transform(monkeypatch, alpha):
+    """No report applies zgebrd's reflectors to an n x n matrix: each takes
+    Q^H and P^H of the n x S probe values, then P of an n x 2S block, on
+    the calling thread. Only `verify`'s report 0 forms u and vh, for the
+    battery's W and V, with P's back-transform first, as zgesdd runs them."""
     calls = []
     original = LIB.zunmbr
 
-    def recorded(vect, *args):
-        calls.append((threading.current_thread().name, vect))
-        return original(vect, *args)
+    def recorded(vect, side, trans, m, cols, *args):
+        calls.append((threading.current_thread().name, vect, side, trans,
+                      m._obj.value, cols._obj.value))
+        return original(vect, side, trans, m, cols, *args)
 
     monkeypatch.setattr(LIB, "zunmbr", recorded)
-    config = {**CONFIG, "alpha": alpha}
-    pipeline.run_reduction(parse_config(config))
+    config = parse_config({**CONFIG, "alpha": alpha})
     caller = threading.current_thread().name
-    if alpha:
-        per_report = [("thirdkind-lane", b"P"), (caller, b"Q")]
-        assert sorted(calls) == sorted(per_report * len(CONFIG["lambda"]))
-    else:
-        assert calls == [(caller, b"P"), (caller, b"Q")] * len(CONFIG["lambda"])
+    n, width = pipeline.run_reduction(config).reduction.pencil.size, config.probe_points
+    route = [(caller, b"Q", b"L", b"C", n, width), (caller, b"P", b"L", b"C", n, width),
+             (caller, b"P", b"L", b"N", n, 2 * width)]
+    assert calls == route * len(CONFIG["lambda"])
+    calls.clear()
+    pipeline.run_verification(config)
+    vectors = [(caller, b"P", b"R", b"C", n, n), (caller, b"Q", b"L", b"N", n, n)]
+    assert calls == vectors + route * (len(CONFIG["lambda"]) - 1)
 
 
 @needs_openblas
@@ -220,7 +226,7 @@ def test_back_transforms_split_across_the_lane(monkeypatch, alpha):
 @pytest.mark.parametrize("vect", [b"P", b"Q"])
 def test_back_transform_info_raises_on_the_caller(monkeypatch, lane, vect):
     """A nonzero info from either zunmbr raises LinAlgError on the calling
-    thread, also when P ran on the lane's, and no thread is left."""
+    thread, also beside a lane, and no thread is left."""
     original = LIB.zunmbr
 
     def failing(*args):
@@ -372,10 +378,17 @@ def run_cli(argv_head, command, cfg, out):
     assert done.returncode == 0, done.stderr.decode()
 
 
+# "tail_sup": <number> in a report, and the rest of its file around it
+TAIL = re.compile(rb'"tail_sup": ([^,\n]+)')
+
+
 @needs_openblas
 @pytest.mark.parametrize("alpha", [0.25, 0.0])
 @pytest.mark.parametrize("command", ["reduce", "verify"])
 def test_cli_outputs_identical_without_the_symbol(tmp_path, command, alpha):
+    """Without the binding every file is byte-identical but for the reports'
+    tail_sup values, which the fallback forms from numpy's full SVD instead
+    of zgebrd's reflectors: those agree within TAIL_RTOL."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**CONFIG, "depth": 7, "alpha": alpha}))
     outs = [tmp_path / "binding", tmp_path / "fallback"]
@@ -383,5 +396,134 @@ def test_cli_outputs_identical_without_the_symbol(tmp_path, command, alpha):
     run_cli([sys.executable, "-c", NO_OPENBLAS], command, cfg, outs[1])
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
+    tails = 0
     for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        binding, fallback = ((out / name).read_bytes() for out in outs)
+        assert TAIL.sub(b"", binding) == TAIL.sub(b"", fallback), name
+        for got, expected in zip(TAIL.findall(fallback), TAIL.findall(binding)):
+            assert float(got) == pytest.approx(float(expected), rel=TAIL_RTOL, abs=0.0)
+            tails += 1
+    assert tails == len(CONFIG["lambda"])
+
+
+# ---------------------------------------------------------------------------
+# probe route: singular values and probe blocks without u and vh
+# ---------------------------------------------------------------------------
+
+# The route's tail_sup against the full SVD's, measured: at most 1.2e-15
+# relative on the benchmark's pencils at N = 128, 512 and 1024 (alpha 0.25
+# and 0, scaled past bignum or not, projected or not) and 2.2e-15 on a
+# rank-one pencil at N = 128.
+TAIL_RTOL = 1e-14
+
+
+def _reduction(depth, alpha, **overrides):
+    """The run's reduction for CONFIG at this depth and alpha; a `kernel`
+    override keeps only A of its pencil (A0 = 0)."""
+    config = parse_config({**CONFIG, "depth": depth, "alpha": alpha, **overrides})
+    seq = pipeline.prepare(config)
+    surrogate = pipeline._surrogate(config, seq)
+    phi = pipeline.random_grid_function(np.random.default_rng(config.seed), seq.space)
+    points = pipeline.probe_grid(config.probe_bound, config.probe_points)
+    reduction = Reduction(seq, surrogate, points, phi)
+    if "kernel" in overrides:
+        pencil = KernelPencil(alpha, np.zeros_like(reduction.pencil.a0), reduction.pencil.a)
+        object.__setattr__(reduction, "pencil", pencil)
+    return reduction, config.lambdas[0]
+
+
+def check_route(reduction, lam, scale=1.0):
+    """The route's singular values are the full SVD's, bit for bit, and its
+    blocks and tail agree with those formed from that SVD's u and vh. Returns
+    the full SVD's rank."""
+    d = scale * reduction.pencil.pencil_kernel(lam).matrix
+    grid = reduction.probes
+    with blas.one_blas_thread():
+        fact = m_factorize(d)
+        polar = polar_probes(np.array(d, order="F"), grid)
+    assert_bitwise(polar.sigma, fact.sigma)
+    assert polar.factorization is None
+    for got, expected in ((polar.w_values, fact.w_values(grid.values)),
+                          (polar.v_values, fact.v_values(grid.values))):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+    expected = absolute_tail_sup(fact.w_values(grid.values), fact.v_values(grid.values))
+    got = absolute_tail_sup(polar.w_values, polar.v_values)
+    assert got == pytest.approx(expected, rel=TAIL_RTOL, abs=0.0)
+    return fact.rank
+
+
+@needs_openblas
+@pytest.mark.parametrize("alpha", [0.25, 0.0])
+@pytest.mark.parametrize("depth", [7, 9, 10])
+def test_probe_route_agrees_with_the_full_svd(depth, alpha):
+    reduction, lam = _reduction(depth, alpha)
+    assert reduction.pencil.size == 2**depth
+    assert check_route(reduction, lam) == 2**depth
+
+
+@needs_openblas
+def test_probe_route_on_a_rank_one_pencil():
+    """D = -lambda A for a rank-one kernel: the route's products keep the
+    first r columns of ru and rows of rvt, r = 1."""
+    kernel = {"kind": "rank_one", "left": {"kind": "exp", "scale": 1.0}}
+    reduction, lam = _reduction(7, 0.25, kernel=kernel)
+    assert check_route(reduction, lam) == 1
+
+
+@needs_openblas
+def test_probe_route_on_a_projected_pencil():
+    reduction, lam = _reduction(9, 0.25, basis_size=128)
+    assert reduction.pencil.size == 128 and reduction.surrogate.projected
+    check_route(reduction, lam)
+
+
+@needs_openblas
+def test_probe_route_past_bignum(monkeypatch):
+    """D scaled past zgesdd's bignum takes its zlascl scaling, and the
+    blocks read the singular values with the scaling undone."""
+    scaled = []
+    original = LIB.zlascl
+
+    def recorded(*args):
+        scaled.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(LIB, "zlascl", recorded)
+    reduction, lam = _reduction(7, 0.0)
+    check_route(reduction, lam, scale=1e300)
+    assert scaled == [b"G", b"G"]  # m_factorize's SVD, then the route
+
+
+@needs_openblas
+@pytest.mark.parametrize("step", [(b"Q", b"C"), (b"P", b"C"), (b"P", b"N")])
+def test_probe_route_info_raises(monkeypatch, step):
+    """A nonzero info from any of the route's zunmbr raises LinAlgError."""
+    original = LIB.zunmbr
+
+    def failing(*args):
+        original(*args)
+        if (args[0], args[2]) == step:
+            args[13]._obj.value = -1  # info, byref
+
+    monkeypatch.setattr(LIB, "zunmbr", failing)
+    a = np.array(MATRICES["random64"], order="F")
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        blas.gesdd_probes(a, np.ones((64, 3)))
+
+
+def test_probe_route_takes_the_values_of_its_matrix():
+    a = np.array(MATRICES["random7"], order="F")
+    with pytest.raises(ValueError, match="7 rows"):
+        blas.gesdd_probes(a, np.ones((6, 3)))
+    with pytest.raises(ValueError, match="Fortran-order"):
+        blas.gesdd_probes(np.array(MATRICES["random7"]), np.ones((7, 3)))
+
+
+def test_probe_route_without_the_symbol(monkeypatch):
+    """Without the binding the route hands the matrix back, and
+    `polar_probes` forms the blocks from numpy's full SVD."""
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    a = np.array(MATRICES["random64"], order="F")
+    assert blas.gesdd_probes(a, np.ones((64, 3))) is None
+    reduction, lam = _reduction(6, 0.25)
+    check_route(reduction, lam)

@@ -601,9 +601,10 @@ class TestLinAlgFailure:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        # every module of the package that binds the SVD entry point
+        # every module of the package that binds an SVD entry point
         for module in (thirdkind.kernels, thirdkind.solvers):
             monkeypatch.setattr(module, "gesdd", no_convergence)
+        monkeypatch.setattr(thirdkind.kernels, "gesdd_probes", no_convergence)
         cfg = write_config(tmp_path)
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
@@ -615,6 +616,26 @@ class TestLinAlgFailure:
         assert "numerical failure" in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.0])
+    def test_route_failure_exit_three(self, tmp_path, capsys, monkeypatch, alpha):
+        """Only D's probe route fails, on a NaN entry of D: with alpha != 0
+        alpha I + D's values on the lane succeed beside it. The report exits
+        3 with the LinAlg payload and leaves no thread of the package."""
+        original = thirdkind.kernels.gesdd_probes
+
+        def nan_entry(a, values):
+            a[1, 0] = np.nan
+            return original(a, values)
+
+        monkeypatch.setattr(thirdkind.kernels, "gesdd_probes", nan_entry)
+        cfg = write_config(tmp_path, alpha=alpha)
+        out = tmp_path / "reduce"
+        assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not [t for t in threading.enumerate() if t.name.startswith("thirdkind-")]
+        payload = json.loads((out / "report.json").read_text())
+        assert payload == {"error": {"type": "LinAlg", "message": "SVD did not converge"}}
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "error, kind",

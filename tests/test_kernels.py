@@ -26,6 +26,7 @@ from thirdkind.kernels import (
     adjoint_column_quarter_maxima,
     coefficient_form_gap,
     finite_difference_defect,
+    polar_probes,
     vanishing_at_radius,
 )
 
@@ -411,10 +412,14 @@ class TestProbes:
     def test_tail_sup_nonnegative_and_small_for_rank_one(self):
         T = rank_one_kernel(8)
         probes = ProbeGrid(T.basis, np.linspace(-4, 4, 9))
+        fact = m_factorize(T.matrix)
+        polar = polar_probes(np.array(T.matrix, order="F"), probes)
         # all the mass sits in the first factor pair, so the tail is zero
-        assert absolute_tail_sup(m_factorize(T.matrix), probes, probes) == pytest.approx(
-            0.0, abs=1e-15
-        )
+        for w_vals, v_vals in (
+            (fact.w_values(probes.values), fact.v_values(probes.values)),
+            (polar.w_values, polar.v_values),
+        ):
+            assert absolute_tail_sup(w_vals, v_vals) == pytest.approx(0.0, abs=1e-15)
 
     def test_tail_sup_matches_pairwise_sum(self):
         # reference: sum over the tail of |w_n(s) conj(v_n(t))| for each pair,
@@ -431,7 +436,7 @@ class TestProbes:
             v_vals = V.T @ u_t
             tail = np.abs(w_vals[8:, :, None] * np.conj(v_vals[8:, None, :]))
             expected = float(np.max(np.sum(tail, axis=0)))
-            got = absolute_tail_sup(fact, ProbeGrid(T.basis, s), ProbeGrid(T.basis, t))
+            got = absolute_tail_sup(fact.w_values(u_s.real), fact.v_values(u_t.real))
             assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_grid_holds_basis_values_at_its_points(self):
@@ -451,8 +456,8 @@ class TestProbes:
         for s, t in ((own, other), (other, own)):
             with pytest.raises(ValueError, match="probe grid"):
                 coefficient_form_gap(G, s, t)
-            with pytest.raises(ValueError, match="probe grid"):
-                absolute_tail_sup(m_factorize(T.matrix), s, t)
+        with pytest.raises(ValueError, match="probe grid"):
+            polar_probes(np.array(T.matrix, order="F"), other)
 
     def test_adjoint_column_decay_for_damped_products(self):
         rng = np.random.default_rng(54)

@@ -251,23 +251,35 @@ def test_kernel_sample_released_before_the_first_report(monkeypatch, run, alpha)
 
 @pytest.mark.parametrize("alpha, full, values", [(0.25, 1, 1), (0.0, 1, 0)])
 def test_one_full_svd_per_lambda_in_the_battery(monkeypatch, alpha, full, values):
-    """The battery factors no D again: per lambda, the report's N x N SVDs
-    only, D's, and alpha I + D's values; with alpha = 0 the first-kind solve
-    takes the thin SVD of a k x N matrix, none of M D."""
-    calls = {"full": 0, "values": 0}
-    original = solvers.gesdd
+    """The battery factors no D again. Per lambda a report makes D's probe
+    route and, with alpha != 0, alpha I + D's values; with alpha = 0 the
+    first-kind solve takes the thin SVD of a k x N matrix, none of M D.
+    `reduce` makes no SVD with vectors; `verify` makes `full` of them, D's
+    at the first lambda (report 0's, in the route's place), for the
+    battery's W and V."""
+    calls = {"full": 0, "values": 0, "route": 0}
+    original, original_route = solvers.gesdd, kernels.gesdd_probes
 
     def counted(a, *, vectors):
         calls["full" if vectors else "values"] += 1
         return original(a, vectors=vectors)
 
-    # every module of the package that binds the entry point
+    def routed(a, values):
+        calls["route"] += 1
+        return original_route(a, values)
+
+    # every module of the package that binds the entry points
     for module in (kernels, solvers):
         monkeypatch.setattr(module, "gesdd", counted)
-    result = pipeline.run_verification(parse_config({**CONFIG, "alpha": alpha}))
+    monkeypatch.setattr(kernels, "gesdd_probes", routed)
+    config = parse_config({**CONFIG, "alpha": alpha})
     k = len(CONFIG["lambda"])
+    pipeline.run_reduction(config)
+    assert calls == {"full": 0, "values": values * k, "route": k}
+    calls.update(full=0, values=0, route=0)
+    result = pipeline.run_verification(config)
     assert result.passed
-    assert calls == {"full": full * k, "values": values * k}
+    assert calls == {"full": full, "values": values * k, "route": k - full}
 
 
 @functools.cache

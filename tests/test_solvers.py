@@ -201,7 +201,11 @@ class TestPencilDtype:
         wide = KernelPencil(real.alpha, real.a0.astype(complex), real.a.astype(complex))
         assert_same_bytes(real.pencil_kernel(lam).matrix, wide.pencil_kernel(lam).matrix)
         assert_same_bytes(real.system_matrix(lam), wide.system_matrix(lam))
-        fact, wide_fact = real.factorize(lam), wide.factorize(lam)
+        grid = ProbeGrid(real.basis, probe_grid())
+        polar, wide_polar = (p.polar_probes(lam, grid, vectors=True) for p in (real, wide))
+        for name in ("sigma", "w_values", "v_values"):
+            assert_same_bytes(getattr(polar, name), getattr(wide_polar, name))
+        fact, wide_fact = polar.factorization, wide_polar.factorization
         for name in ("u", "sigma", "vh"):
             assert_same_bytes(getattr(fact, name), getattr(wide_fact, name))
         assert fact.rank == wide_fact.rank
@@ -636,40 +640,56 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.0])
     def test_one_factorization_per_lambda(self, monkeypatch, alpha):
-        """D = A0 - lambda A is factorized once, the only N x N SVD with
-        vectors; with alpha = 0 its SVD also gives the condition and the
-        first-kind solve takes numpy's thin SVD of the k x N Y, otherwise
-        alpha I + D takes one values-only SVD."""
+        """D = A0 - lambda A is factorized once, by the probe route, and no
+        N x N SVD with vectors is made unless `factors` asks for D's, which
+        then takes the route's place; with alpha = 0 D's singular values
+        also give the condition and the first-kind solve takes numpy's thin
+        SVD of the k x N Y, otherwise alpha I + D takes one values-only SVD."""
         _, _, seq, U = build_chain(6, alpha=alpha)
         rng = np.random.default_rng(74)
         phi = random_grid_function(rng, seq.space)
         lam = 0.4 + 0.2j
         run = reduction_of(seq, U, phi)
-        calls = {"vectors": 0, "values": 0, "thin": []}
+        calls = {"vectors": 0, "values": 0, "probes": 0, "thin": []}
         original, numpy_svd = thirdkind.blas.gesdd, np.linalg.svd
+        original_probes = thirdkind.blas.gesdd_probes
 
         def counted(a, *, vectors):
             calls["vectors" if vectors else "values"] += 1
             return original(a, vectors=vectors)
 
+        def probed(a, values):
+            calls["probes"] += 1
+            return original_probes(a, values)
+
         def thin(a, *args, **kwargs):
             calls["thin"].append(a.shape)
             return numpy_svd(a, *args, **kwargs)
 
-        # every module of the package that binds the entry point
+        # every module of the package that binds the entry points
         for module in (thirdkind.kernels, thirdkind.solvers):
             monkeypatch.setattr(module, "gesdd", counted)
+        monkeypatch.setattr(thirdkind.kernels, "gesdd_probes", probed)
         monkeypatch.setattr(np.linalg, "svd", thin)
         report, fact = verify_equivalence(run, lam)
-        monkeypatch.undo()
+        assert fact is None
+        k = run.multiplied.basis.shape[1] if alpha == 0 else None
         if alpha == 0:
-            k = run.multiplied.basis.shape[1]
             assert k < run.pencil.size
-            assert calls == {"vectors": 1, "values": 0, "thin": [(k, run.pencil.size)]}
+            thin_calls = [(k, run.pencil.size)]
         else:
-            assert calls == {"vectors": 1, "values": 1, "thin": []}
-        # the factorization handed back is the one of D the report used
-        np.testing.assert_array_equal(fact.sigma, run.pencil.factorize(lam).sigma)
+            thin_calls = []
+        values = int(alpha != 0)
+        assert calls == {"vectors": 0, "values": values, "probes": 1, "thin": thin_calls}
+        # with factors, D's full SVD in the route's place: the same singular
+        # values, so the same report but for the tail's rounding
+        again, fact = verify_equivalence(run, lam, factors=True)
+        monkeypatch.undo()
+        assert calls["probes"] == 1 and calls["vectors"] == 1
+        assert dataclasses.replace(again, tail_sup=report.tail_sup) == report
+        assert again.tail_sup == pytest.approx(report.tail_sup, rel=1e-14)
+        expected = thirdkind.kernels.m_factorize(run.pencil.pencil_kernel(lam).matrix)
+        np.testing.assert_array_equal(fact.sigma, expected.sigma)
         # an oracle formed apart from KernelPencil.system_matrix, the report's
         n, a0, a = run.pencil.size, run.pencil.a0, run.pencil.a
         expected = np.linalg.cond(alpha * np.eye(n) + a0 - lam * a)
