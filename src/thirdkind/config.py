@@ -256,7 +256,7 @@ def _check_keys(spec, allowed: dict, where: str) -> str:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object with a 'kind' key")
     kind = spec.get("kind")
-    if kind not in allowed:
+    if not isinstance(kind, str) or kind not in allowed:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
     unknown = set(spec) - {"kind"} - allowed[kind]
     if unknown:

@@ -31,7 +31,7 @@ from .kernels import (
 )
 from .measure import GridFunction, MeasureSpace, inner_product, row_blocks, scaled_norm
 from .rademacher import KorotkovSequence, build_sequence
-from .reduction import UnitarySurrogate, matrix_elements
+from .reduction import BlockDiagonal, UnitarySurrogate, matrix_elements
 from .solvers import (
     CONDITION_LIMIT,
     EquivalenceReport,
@@ -197,13 +197,17 @@ def factorization_defects(
 
 
 def _adjoint_defect(
-    space: MeasureSpace, b_rows: np.ndarray, images: np.ndarray, direct: np.ndarray
+    space: MeasureSpace,
+    b_rows: np.ndarray,
+    images: np.ndarray,
+    direct: np.ndarray | BlockDiagonal,
 ) -> float:
     """max |adj - direct^H| for the adjoint's matrix adj formed from its
     `images` of `b_rows` (`matrix_elements`), compared `row_blocks` at a
-    time, so that no conjugate of `direct` nor a difference is made whole."""
-    adj = matrix_elements(space, b_rows, images)
-    gaps = [np.max(np.abs(adj[rows] - direct[:, rows].conj().T)) for rows in row_blocks(len(adj))]
+    time, so that no conjugate of `direct`, nor a difference, nor a dense
+    A0 is made whole."""
+    adj, transposed = matrix_elements(space, b_rows, images), direct.T
+    gaps = [np.max(np.abs(adj[rows] - transposed[rows].conj())) for rows in row_blocks(len(adj))]
     return float(np.max(gaps))
 
 

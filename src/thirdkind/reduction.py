@@ -39,6 +39,83 @@ CoefficientMatrix = np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
+class BlockDiagonal:
+    """A size x size matrix that is zero outside its diagonal entries at
+    `rows` and its principal blocks: each of `blocks` is a pair (index,
+    values) with m[np.ix_(index, index)] = values. The index sets are
+    disjoint, so this is a block diagonal matrix up to a permutation. A0 is
+    one: the indicator rows on the diagonal, one block per band.
+
+    Only the parts are held (`dense` makes a square array the one block).
+    `add_to` adds them into an array, indexing `m[rows]` forms rows of the
+    dense matrix, `T` is the transpose (of views).
+    """
+
+    size: int
+    rows: np.ndarray
+    diagonal: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def dense(cls, m: np.ndarray) -> "BlockDiagonal":
+        """A square ndarray as one block."""
+        m = np.asarray(m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        n = m.shape[0]
+        return cls(n, np.arange(0), np.zeros(0, dtype=m.dtype), ((np.arange(n), m),))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.size)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self.diagonal, *(values for _, values in self.blocks))
+
+    @property
+    def T(self) -> "BlockDiagonal":
+        return BlockDiagonal(
+            self.size, self.rows, self.diagonal, tuple((i, v.T) for i, v in self.blocks)
+        )
+
+    def _parts(self, rows: slice):
+        """(index, values) pairs of the nonzero parts in the rows `rows`, the
+        row indices counted from the slice's start."""
+        start, stop, _ = rows.indices(self.size)
+        on = (self.rows >= start) & (self.rows < stop)
+        yield (self.rows[on] - start, self.rows[on]), self.diagonal[on]
+        for index, values in self.blocks:
+            on = (index >= start) & (index < stop)
+            yield np.ix_(index[on] - start, index), values[on]
+
+    def add_to(self, out: np.ndarray, rows: slice = slice(None)) -> None:
+        """out += the rows `rows` of this matrix, where it may be nonzero.
+        After `out += 0.0` this is entry for entry the dense sum, as long as
+        no part holds a -0.0 (`pencil_matrices` leaves none)."""
+        for at, values in self._parts(rows):
+            out[at] += values
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """The rows `rows` of the matrix as a new dense array."""
+        start, stop, _ = rows.indices(self.size)
+        out = np.zeros((stop - start, self.size), dtype=self.dtype)
+        for at, values in self._parts(rows):
+            out[at] = values
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, made on each call."""
+        return self[:]
+
+    def map(self, f) -> "BlockDiagonal":
+        """The same structure with f applied to the diagonal and each block."""
+        return BlockDiagonal(
+            self.size, self.rows, f(self.diagonal), tuple((i, f(v)) for i, v in self.blocks)
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class BandBlock:
     """The rows of the completed basis supported on one band.
 
@@ -143,15 +220,18 @@ def matrix_elements(
 
 def pencil_matrices(
     U: UnitarySurrogate, symbol: GridFunction, kernel: GridKernel
-) -> tuple[CoefficientMatrix, CoefficientMatrix]:
+) -> tuple[BlockDiagonal, CoefficientMatrix]:
     """Matrices of multiplication by `symbol` and of `kernel` over U's rows.
 
     With B = U.b_matrix and w the cell measure these are
     A0 = w conj(B) diag(symbol) B^T and A = w^2 conj(B) K B^T, equal to
     `matrix_elements` of the two operators. Rows with disjoint supports give
-    zero in A0, so A0 is the indicator diagonal plus one block per band. A
-    reads an indicator row of K B^T by gathering K, and a band's rows by a
-    product with K's rows and columns at the band's cells.
+    zero in A0, so A0 is returned as that structure, a `BlockDiagonal`: the
+    indicator diagonal plus one principal block per band (22,303 nonzeros
+    of 1,048,576 at N = 1024 with three bands); no dense A0 is made. A,
+    dense and complex, reads an indicator row of K B^T by
+    gathering K, and a band's rows by a product with K's rows and columns
+    at the band's cells. Neither holds a -0.0.
     """
     if symbol.space != U.space or kernel.space != U.space:
         raise SpaceMismatchError("operators and surrogate live on different grids")
@@ -160,11 +240,16 @@ def pencil_matrices(
     d = symbol.values
     K = kernel.entries
 
-    a0 = np.zeros((U.size, U.size), dtype=complex)
-    a0[rows, rows] = (w * beta) * (d[cells] * beta)
-    for band in U.bands:
-        q = band.block
-        a0[np.ix_(band.rows, band.rows)] = w * (q.conj() @ (d[band.cells, None] * q.T))
+    # each part + 0.0 holds what a dense complex A0 holds there
+    a0 = BlockDiagonal(
+        U.size,
+        rows,
+        ((w * beta) * (d[cells] * beta)).astype(complex) + 0.0,
+        tuple(
+            (band.rows, w * (band.block.conj() @ (d[band.cells, None] * band.block.T)) + 0.0)
+            for band in U.bands
+        ),
+    )
 
     def kernel_image(at: np.ndarray) -> np.ndarray:
         # the rows `at` of w K B^T
@@ -182,8 +267,7 @@ def pencil_matrices(
     del image
     for band in U.bands:
         a[band.rows] = w * (band.block.conj() @ kernel_image(band.cells))
-    a0 += 0.0  # a gathered -0.0 becomes the 0.0 a summed product gives
-    a += 0.0
+    a += 0.0  # a gathered -0.0 becomes the 0.0 a summed product gives
     return a0, a
 
 

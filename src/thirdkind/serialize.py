@@ -13,8 +13,14 @@ from __future__ import annotations
 import contextlib
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .measure import row_blocks
+
+if TYPE_CHECKING:
+    from .reduction import BlockDiagonal
 
 
 def format_float(x: float) -> str:
@@ -102,14 +108,20 @@ def write_json(path: Path, obj) -> None:
         fh.write((dump_json(obj) + "\n").encode())
 
 
-def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
+def write_matrix_csv(path: Path, matrix: np.ndarray | BlockDiagonal) -> None:
     """Rows of re/im pairs; a real matrix writes the imaginary parts as the
-    "0" that +0.0 formats to, with no complex copy of it made."""
-    if np.iscomplexobj(matrix):
-        rows, entry = _float_pairs(matrix), "%.17g,%.17g"
-    else:
-        rows, entry = np.asarray(matrix, dtype=np.float64), "%.17g,0"
-    _write_rows(path, [], ",".join([entry] * np.shape(matrix)[1]), rows)
+    "0" that +0.0 formats to, with no complex copy of it made. The rows are
+    read `row_blocks` at a time, as `matrix[rows]`, so that a `BlockDiagonal`
+    is never made dense whole."""
+    complex_ = matrix.dtype.kind == "c"
+
+    def rows():
+        for block in row_blocks(matrix.shape[0]):
+            values = matrix[block]
+            yield from (_float_pairs(values) if complex_ else values.astype(np.float64, copy=False))
+
+    entry = "%.17g,%.17g" if complex_ else "%.17g,0"
+    _write_rows(path, [], ",".join([entry] * matrix.shape[1]), rows())
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:

@@ -39,7 +39,7 @@ from .kernels import (
 )
 from .measure import GridFunction, GridKernel, _matvec, row_blocks, scaled_norm
 from .rademacher import KorotkovSequence
-from .reduction import CoefficientMatrix, UnitarySurrogate, pencil_matrices
+from .reduction import BlockDiagonal, CoefficientMatrix, UnitarySurrogate, pencil_matrices
 # unused here, but perfbench/tracer.py lists this module as a site binding it
 from .reduction import matrix_elements  # noqa: F401
 
@@ -69,20 +69,30 @@ def forward_third_kind(
 class KernelPencil:
     """Reduced equation data: shift alpha and matrices A0, A (lambda-free).
 
-    A0 and A are float64 or complex128; `reduce_problem` keeps them float64
+    A0 is held as its structure, a `BlockDiagonal` (the indicator diagonal
+    and one principal block per band, from `pencil_matrices`); a dense A0
+    passed in is stored as one block. A is a dense ndarray. Each is float64
+    or complex128 (A0 part by part); `reduce_problem` keeps them float64
     when they are exactly real. The lambda-dependent matrices are complex
     either way and do not depend on that dtype: a real matrix enters their
     arithmetic as x + 0j, the value a complex one with zero imaginary part
-    holds.
+    holds. Every one of them is formed as -lambda A, then + 0.0 over the
+    whole array, then + A0's parts: entry for entry the dense sum
+    -lambda A + A0, whose zeros of A0 turn a -0.0 of -lambda A (A holding an
+    exact zero) into +0.0.
     """
 
     alpha: complex
-    a0: CoefficientMatrix
+    a0: BlockDiagonal
     a: CoefficientMatrix
+
+    def __post_init__(self):
+        if not isinstance(self.a0, BlockDiagonal):
+            object.__setattr__(self, "a0", BlockDiagonal.dense(self.a0))
 
     @property
     def size(self) -> int:
-        return self.a0.shape[0]
+        return self.a0.size
 
     @property
     def basis(self) -> SmoothBasis:
@@ -90,26 +100,24 @@ class KernelPencil:
 
     def system_matrix(self, lam: complex) -> np.ndarray:
         """alpha I + (A0 - lambda A) in one new Fortran-order array: D formed
-        as `factorize` forms it, with alpha then added on the diagonal."""
-        d = self._pencil_matrix(lam, "F")
+        as `polar_probes` forms it, with alpha then added on the diagonal."""
+        d = self._fortran_matrix(lam)
         d.flat[:: self.size + 1] += self.alpha
         return d
 
     def pencil_rows(self, lam: complex, rows: slice) -> np.ndarray:
         """The rows `rows` of A0 - lambda A in a new array, entry for entry
         as `pencil_kernel` forms them."""
-        return self._pencil_matrix(lam, "C", rows)
+        return _pencil_rows(self.a0, self.a, lam, rows)
 
-    def _pencil_matrix(self, lam: complex, order: str, rows: slice = slice(None)) -> np.ndarray:
-        """The rows `rows` (all by default) of A0 - lambda A in one new array
-        of the given memory order; the values do not depend on the order."""
-        d = np.multiply(self.a[rows], -lam, order=order, dtype=complex)
-        d += self.a0[rows]
-        return d
+    def _fortran_matrix(self, lam: complex) -> np.ndarray:
+        """A0 - lambda A in one new Fortran-order array: its transpose formed
+        in C order from A^T and A0^T, with no strided pass over A."""
+        return _pencil_rows(self.a0.T, self.a.T, lam, slice(None)).T
 
     def pencil_kernel(self, lam: complex) -> BilinearKernel:
         """The kernel of A0 - lambda A."""
-        return BilinearKernel(self._pencil_matrix(lam, "C"))
+        return BilinearKernel(self.pencil_rows(lam, slice(None)))
 
     def polar_probes(
         self, lam: complex, grid: ProbeGrid, *, vectors: bool = False
@@ -117,25 +125,32 @@ class KernelPencil:
         """`kernels.polar_probes` of A0 - lambda A at the grid, with the
         matrix formed in Fortran order and factored in place, so that the
         SVD's input is its only copy."""
-        return polar_probes(self._pencil_matrix(lam, "F"), grid, vectors=vectors)
+        return polar_probes(self._fortran_matrix(lam), grid, vectors=vectors)
+
+
+def _pencil_rows(a0: BlockDiagonal, a: np.ndarray, lam: complex, rows: slice) -> np.ndarray:
+    """The rows `rows` of a0 - lam a in a new C-order complex array."""
+    d = np.multiply(a[rows], -lam, order="C", dtype=complex)
+    d += 0.0  # the dense A0's zeros: a -0.0 of -lambda A becomes +0.0
+    a0.add_to(d, rows)
+    return d
 
 
 def reduce_problem(seq: KorotkovSequence, U: UnitarySurrogate) -> KernelPencil:
     """Transform the sequence's problem into the lambda-free reduced pencil.
 
     A0 and A are the matrices of H - alpha and K over U, with alpha, H and K
-    those the sequence was built for (H and K on its final grid), each kept
-    as float64 when it is exactly real (real H, K and alpha). The
-    right-hand side is not needed (its reduced form is g = U.forward(psi)).
-    At full truncation the identity alpha f + (A0 - lambda A) f = g holds to
-    rounding whenever psi came from the forward model at phi and f is the
-    forward image of phi.
+    those the sequence was built for (H and K on its final grid): A0 as the
+    `BlockDiagonal` of `pencil_matrices`, whose parts, and A, are each kept
+    as float64 when exactly real (real H, K and alpha). No dense A0 is made.
+    The right-hand side is not needed (its reduced form is g =
+    U.forward(psi)). At full truncation the identity
+    alpha f + (A0 - lambda A) f = g holds to rounding whenever psi came from
+    the forward model at phi and f is the forward image of phi.
     """
     shifted = GridFunction(seq.space, seq.coefficient.values - seq.alpha)
     a0, a = pencil_matrices(U, shifted, seq.kernel)
-    a0 = _real_if_exact(a0)
-    a = _real_if_exact(a)
-    return KernelPencil(alpha=seq.alpha, a0=a0, a=a)
+    return KernelPencil(alpha=seq.alpha, a0=a0.map(_real_if_exact), a=_real_if_exact(a))
 
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
@@ -199,7 +214,8 @@ class MultipliedPencil:
         basis = np.ascontiguousarray(vectors[:, keep])
         del vectors
         scale = values[keep][:, None]
-        b0, b = (_matvec(basis.T, m) for m in (pencil.a0, pencil.a))
+        b0 = _matvec(basis.T, pencil.a0.toarray())  # the dense A0 goes with the call
+        b = _matvec(basis.T, pencil.a)
         b0 *= scale
         b *= scale
         return cls(basis=basis, b0=b0, b=b)

@@ -427,7 +427,7 @@ def _reduction(depth, alpha, **overrides):
     points = pipeline.probe_grid(config.probe_bound, config.probe_points)
     reduction = Reduction(seq, surrogate, points, phi)
     if "kernel" in overrides:
-        pencil = KernelPencil(alpha, np.zeros_like(reduction.pencil.a0), reduction.pencil.a)
+        pencil = KernelPencil(alpha, np.zeros_like(reduction.pencil.a), reduction.pencil.a)
         object.__setattr__(reduction, "pencil", pencil)
     return reduction, config.lambdas[0]
 

@@ -274,6 +274,9 @@ class TestBuildSequenceCommand:
              "kernel.right: unknown kind 'csv'"),
             ({"kernel": {"kind": "rank_one", "left": 3}}, "kernel.left must be an object"),
             ({"kernel": {"kind": "exp_xy", "scale": "2"}}, "'scale' must be a number"),
+            # a kind that is not a string, not a TypeError from the lookup
+            ({"kernel": {"kind": ["exp_xy"]}}, "kernel: unknown kind ['exp_xy']"),
+            ({"coefficient": {"kind": {}}}, "coefficient: unknown kind {}"),
         ],
     )
     def test_builtin_keys_validated_per_kind(self, tmp_path, capsys, override, message):

@@ -39,6 +39,7 @@ from thirdkind.blas import one_blas_thread
 from thirdkind.config import make_kernel, parse_config
 from thirdkind.kernels import probe_grid
 from thirdkind.pipeline import prepare, random_grid_function
+from thirdkind.reduction import BlockDiagonal
 
 
 def exp_kernel(space, scale=1.0):
@@ -121,7 +122,7 @@ class TestReduce:
         pencil = reduce_problem(seq, U)
         g = U.forward(forward_third_kind(H, K, 0.0, phi))
         f = U.forward(phi)
-        lhs = 0.5 * f + (pencil.a0 - 0.0 * pencil.a) @ f
+        lhs = 0.5 * f + (pencil.a0.toarray() - 0.0 * pencil.a) @ f
         assert np.linalg.norm(lhs - g) <= 1e-10 * np.linalg.norm(g)
 
     def test_full_pipeline_depth_eight(self):
@@ -132,7 +133,7 @@ class TestReduce:
         pencil = reduce_problem(seq, U)
         g = U.forward(forward_third_kind(H, K, lam, phi))
         f = U.forward(phi)
-        lhs = (pencil.a0 - lam * pencil.a) @ f
+        lhs = (pencil.a0.toarray() - lam * pencil.a) @ f
         assert np.linalg.norm(lhs - g) <= 1e-9 * np.linalg.norm(g)
 
     def test_pencil_is_the_sequence_problem(self):
@@ -143,7 +144,10 @@ class TestReduce:
         assert pencil.alpha == seq.alpha == 0.25
         B, w = U.b_matrix, seq.space.cell_width
         np.testing.assert_allclose(
-            pencil.a0, matrix_elements(seq.space, B, B * (H.values - 0.25)), rtol=0, atol=1e-13
+            pencil.a0.toarray(),
+            matrix_elements(seq.space, B, B * (H.values - 0.25)),
+            rtol=0,
+            atol=1e-13,
         )
         np.testing.assert_allclose(
             pencil.a, matrix_elements(seq.space, B, (K.entries @ B.T).T * w), rtol=0, atol=1e-13
@@ -174,7 +178,8 @@ class TestPencilDtype:
         # the benchmark's shape: H = y, exp(x y), real alpha
         _, _, seq, U = build_chain(6, alpha=0.25)
         pencil = reduce_problem(seq, U)
-        for m in (pencil.a0, pencil.a):
+        assert pencil.a0.dtype == np.float64
+        for m in (pencil.a0.diagonal, *(v for _, v in pencil.a0.blocks), pencil.a):
             assert m.dtype == np.float64
             assert m.flags.c_contiguous
 
@@ -198,7 +203,9 @@ class TestPencilDtype:
     def test_lambda_matrices_do_not_depend_on_the_dtype(self, lam):
         _, _, seq, U = build_chain(6, alpha=0.25)
         real = reduce_problem(seq, U)
-        wide = KernelPencil(real.alpha, real.a0.astype(complex), real.a.astype(complex))
+        wide = KernelPencil(
+            real.alpha, real.a0.map(lambda m: m.astype(complex)), real.a.astype(complex)
+        )
         assert_same_bytes(real.pencil_kernel(lam).matrix, wide.pencil_kernel(lam).matrix)
         assert_same_bytes(real.system_matrix(lam), wide.system_matrix(lam))
         grid = ProbeGrid(real.basis, probe_grid())
@@ -467,9 +474,9 @@ class TestReduction:
         with pytest.raises(dataclasses.FrozenInstanceError):
             run.pencil = other
         own = reduce_problem(seq, U)
-        assert np.array_equal(run.pencil.a0, own.a0)
+        assert np.array_equal(run.pencil.a0.toarray(), own.a0.toarray())
         assert np.array_equal(run.pencil.a, own.a)
-        assert not np.array_equal(run.pencil.a0, other.a0)
+        assert not np.array_equal(run.pencil.a0.toarray(), other.a0.toarray())
         assert verify_equivalence(run, 0.4 + 0.2j)[0].passage_residual <= 1e-9
 
     def test_surrogate_on_another_grid_rejected(self):
@@ -544,6 +551,94 @@ def reduction_of(seq, U, phi=None):
     if phi is None:
         phi = GridFunction(seq.space, np.zeros(seq.space.cell_count))
     return Reduction(seq, U, probe_grid(), phi)
+
+
+def dense_difference(a0, a, lam, order="C"):
+    """A0 - lambda A as a dense A0 gives it: -lambda A formed in `order`,
+    then the dense A0 added over the whole array."""
+    d = np.multiply(a, -lam, order=order, dtype=complex)
+    d += a0
+    return d
+
+
+class TestA0Structure:
+    """A0 is held as its indicator diagonal and one block per band, and
+    every matrix of the pencil formed from it is the dense A0's, bit for bit."""
+
+    def test_reduction_holds_no_dense_a0(self, monkeypatch):
+        # measured at 2.75 % of 8 N^2 B at N = 256 (blocks of 32, 16 and 8)
+        _, _, seq, U = build_chain(8, alpha=0.25)
+        run = reduction_of(seq, U)
+        a0, n = run.pencil.a0, run.pencil.size
+        assert n == 256
+        assert isinstance(a0, BlockDiagonal)
+        parts = (a0.rows, a0.diagonal, *(p for pair in a0.blocks for p in pair))
+        assert sum(p.nbytes for p in parts) <= 0.03 * 8 * n * n
+        assert np.count_nonzero(a0.toarray()) <= a0.diagonal.size + sum(
+            v.size for _, v in a0.blocks
+        )
+        # and no report makes it dense
+        dense = []
+        original = BlockDiagonal.__getitem__
+        monkeypatch.setattr(
+            BlockDiagonal, "__getitem__", lambda self, rows: dense.append(rows) or original(self, rows)
+        )
+        verify_equivalence(run, 0.4 + 0.2j)
+        assert dense == []
+
+    @staticmethod
+    def pencils(alpha, exact_zeros, complex_a0):
+        _, _, seq, U = build_chain(6, alpha=alpha)
+        pencil = reduce_problem(seq, U)
+        a0, a = pencil.a0, pencil.a.copy()
+        if complex_a0:
+            a0 = a0.map(lambda m: m * (1 + 0.5j))
+        if exact_zeros:  # inside A0's blocks and outside, in rows and columns
+            rows, _ = a0.blocks[0]
+            a[rows[:3], :] = 0.0
+            a[:, 5:9] = 0.0
+            a[rows[1], rows[2]] = 0.0
+        return KernelPencil(alpha, a0, a), a0.toarray(), a
+
+    @pytest.mark.parametrize("complex_a0", [False, True])
+    @pytest.mark.parametrize("exact_zeros", [False, True])
+    @pytest.mark.parametrize("lam", [0.4 - 0.3j, 0.5, 0.3 + 0.6j, 1j])
+    def test_matrices_equal_those_of_the_dense_a0(self, lam, exact_zeros, complex_a0):
+        pencil, a0, a = self.pencils(0.25, exact_zeros, complex_a0)
+        n = pencil.size
+        want = dense_difference(a0, a, lam)
+        if exact_zeros:  # -lambda A holds a -0.0 that the dense add turns to +0.0
+            zero = (a == 0) & (a0 == 0)
+            minus = np.multiply(a[zero], -lam, dtype=complex)
+            assert np.signbit(minus.real).any() or np.signbit(minus.imag).any()
+            assert not np.signbit(want.real[zero]).any() and not np.signbit(want.imag[zero]).any()
+        assert_same_bytes(pencil.pencil_kernel(lam).matrix, want)
+        for rows in (slice(0, 16), slice(16, 40), slice(40, n)):
+            assert_same_bytes(pencil.pencil_rows(lam, rows), want[rows])
+        d = pencil._fortran_matrix(lam)
+        assert d.flags.f_contiguous
+        assert_same_bytes(d, dense_difference(a0, a, lam, "F"))
+        system = pencil.system_matrix(lam)
+        want = dense_difference(a0, a, lam, "F")
+        want.flat[:: n + 1] += pencil.alpha
+        assert system.flags.f_contiguous
+        assert_same_bytes(system, want)
+        # a dense A0 passed in is one block, with the same matrices
+        dense = KernelPencil(pencil.alpha, a0, a)
+        assert len(dense.a0.blocks) == 1 and dense.a0.diagonal.size == 0
+        assert_same_bytes(dense.system_matrix(lam), system)
+        assert_same_bytes(dense.pencil_kernel(lam).matrix, pencil.pencil_kernel(lam).matrix)
+
+    def test_dense_views(self):
+        pencil, a0, _ = self.pencils(0.25, False, True)
+        structure = pencil.a0
+        assert structure.shape == a0.shape and structure.dtype == a0.dtype
+        assert_same_bytes(structure.toarray(), a0)
+        assert_same_bytes(structure.T.toarray(), np.ascontiguousarray(a0.T))
+        assert_same_bytes(structure[10:50], a0[10:50])
+        assert_same_bytes(structure.T[7:9], np.ascontiguousarray(a0.T[7:9]))
+        with pytest.raises(ValueError, match="square"):
+            BlockDiagonal.dense(np.zeros((3, 4)))
 
 
 class TestVerifyEquivalence:
@@ -691,7 +786,7 @@ class TestVerifyEquivalence:
         expected = thirdkind.kernels.m_factorize(run.pencil.pencil_kernel(lam).matrix)
         np.testing.assert_array_equal(fact.sigma, expected.sigma)
         # an oracle formed apart from KernelPencil.system_matrix, the report's
-        n, a0, a = run.pencil.size, run.pencil.a0, run.pencil.a
+        n, a0, a = run.pencil.size, run.pencil.a0.toarray(), run.pencil.a
         expected = np.linalg.cond(alpha * np.eye(n) + a0 - lam * a)
         assert report.condition == pytest.approx(expected, rel=1e-12)
 
