@@ -181,11 +181,6 @@ class MFactorization:
     vh: np.ndarray
     rank: int
 
-    @property
-    def condition(self) -> float:
-        """2-norm condition number sigma_0 / sigma_{n-1} of A."""
-        return condition_number(self.sigma)
-
     def w_values(self, values: np.ndarray) -> np.ndarray:
         """W^T u: row n holds [W u_n](s_j), from the basis value matrix u.
 
@@ -204,11 +199,6 @@ class MFactorization:
         inner *= np.sqrt(self.sigma)[:, None]
         return self.vh.T @ inner
 
-    def polar_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Explicit (W, V) = (U_pol P, P) with P = |A|^(1/2), formed on each
-        call (two n x n products) and not kept here."""
-        return self.w_factor(), polar_root(self.sigma, self.vh)
-
     def w_factor(self) -> np.ndarray:
         """W = U_pol P = u_r diag(sqrt(sigma_r)) vh_r, formed on each call,
         `row_blocks` at a time, so that the scaled u_r is a block's."""
@@ -221,8 +211,8 @@ class MFactorization:
 
 
 def polar_root(sigma: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """P = |A|^(1/2) = vh^h diag(sqrt(sigma)) vh, the V of
-    `MFactorization.polar_factors`, from A's singular values and right
+    """P = |A|^(1/2) = vh^h diag(sqrt(sigma)) vh, the explicit V beside
+    `MFactorization.w_factor`'s W, from A's singular values and right
     singular vectors alone, so that a caller can drop u before forming it.
     Formed `row_blocks` at a time, so that the scaled vh^h is a block's."""
     root = np.sqrt(sigma)
@@ -238,8 +228,8 @@ def m_factorize(matrix: np.ndarray) -> MFactorization:
     With A = U diag(sigma) V^h: |A| = V diag(sigma) V^h, the square root
     P uses sqrt(sigma) (never negative, so positivity survives rounding),
     and the partial isometry keeps only directions with sigma above the
-    rank threshold. The explicit W, V exist only on request
-    (`polar_factors`); probe values and the condition number need only the SVD.
+    rank threshold. The explicit W, V exist only on request (`w_factor`,
+    `polar_root`); probe values and the condition number need only the SVD.
     `matrix` is copied and left as it is.
     """
     return m_factorize_in_place(np.array(matrix, dtype=complex, order="F"))
@@ -307,9 +297,9 @@ def series_consistency(
 
     The series is sum_n [W u_n]^(i)(s) conj([V u_n]^(j)(t)); its running
     absolute partial sums are the convergence witness (nondecreasing and
-    bounded). `w`, `v` are the explicit factors (`MFactorization.polar_factors`)
-    of the kernel's coefficient matrix; for Gaussian-scaled kernels both sides use
-    the coefficient form M A.
+    bounded). `w`, `v` are the explicit factors (`MFactorization.w_factor`,
+    `polar_root`) of the kernel's coefficient matrix; for Gaussian-scaled
+    kernels both sides use the coefficient form M A.
     """
     basis = kernel.basis
     u_i = basis.value_matrix(i, s)[:, 0].astype(complex)
@@ -325,45 +315,17 @@ def series_consistency(
     )
 
 
-def scale_by_multiplier(kernel: BilinearKernel, m_matrix: np.ndarray) -> BilinearKernel:
-    """Scale by the Gaussian: pointwise kernel m(s) T(s, t), coefficients M A.
-
-    Pointwise evaluation stays exact; the coefficient matrix M A (a truncated
-    product expansion) backs the Hilbert-Schmidt norm and the first-kind
-    operator. The gap between the two views is a reportable quantity, see
-    `coefficient_form_gap`.
-    """
-    if kernel.multiplied_matrix is not None:
-        raise ValueError("kernel already carries a multiplier")
-    m_matrix = np.asarray(m_matrix, dtype=complex)
-    if m_matrix.shape != kernel.matrix.shape:
-        raise ValueError("multiplier matrix size does not match the kernel")
-    return BilinearKernel(kernel.matrix, multiplied_matrix=m_matrix @ kernel.matrix)
-
-
-def coefficient_form_gap(kernel: BilinearKernel, s: ProbeGrid, t: ProbeGrid) -> float:
-    """Max |m(s) T(s,t) - (M A)-form(s,t)| over a probe grid (0 without multiplier)."""
-    _check_grid(kernel.basis, s, t)
-    if kernel.multiplied_matrix is None:
-        return 0.0
-    via_coeff = _pair_eval(kernel.multiplied_matrix, s.values, t.values)
-    return _form_gap(kernel.matrix, via_coeff, s, t)
-
-
 def factored_form_gap(
     matrix: np.ndarray, basis: np.ndarray, multiplied: np.ndarray, s: ProbeGrid, t: ProbeGrid
 ) -> float:
-    """`coefficient_form_gap` of the Gaussian-scaled kernel of `matrix` whose
-    coefficient form M A is given as basis @ multiplied (N x k and k x N,
-    `basis` real): the form's values (basis^T u(s))^T multiplied conj(u(t))
-    take O(N k) per point, and no N x N product is formed."""
+    """Max over the grid pairs (s, t) of |m(s) T(s, t) - (M A)-form(s, t)|
+    for the kernel T of `matrix` = A, with the coefficient form M A of its
+    Gaussian-scaled kernel given as basis @ multiplied (N x k and k x N,
+    `basis` real; a dense M A is basis = I). The form's values
+    (basis^T u(s))^T multiplied conj(u(t)) take O(N k) per point, and no
+    N x N product is formed."""
     _check_grid(SmoothBasis(matrix.shape[0]), s, t)
     via_coeff = _pair_eval(multiplied, basis.T @ s.values, t.values)
-    return _form_gap(matrix, via_coeff, s, t)
-
-
-def _form_gap(matrix: np.ndarray, via_coeff: np.ndarray, s: ProbeGrid, t: ProbeGrid) -> float:
-    """Max |m(s) T(s,t) - via_coeff| for the kernel T of `matrix`."""
     exact = gaussian(0, s.points)[:, None] * _pair_eval(matrix, s.values, t.values)
     return float(np.max(np.abs(exact - via_coeff)))
 

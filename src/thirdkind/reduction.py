@@ -46,24 +46,14 @@ class BlockDiagonal:
     disjoint, so this is a block diagonal matrix up to a permutation. A0 is
     one: the indicator rows on the diagonal, one block per band.
 
-    Only the parts are held (`dense` makes a square array the one block).
-    `add_to` adds them into an array, indexing `m[rows]` forms rows of the
-    dense matrix, `T` is the transpose (of views).
+    Only the parts are held. `add_to` adds them into an array, indexing
+    `m[rows]` forms rows of the dense matrix, `T` is the transpose (of views).
     """
 
     size: int
     rows: np.ndarray
     diagonal: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def dense(cls, m: np.ndarray) -> "BlockDiagonal":
-        """A square ndarray as one block."""
-        m = np.asarray(m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        n = m.shape[0]
-        return cls(n, np.arange(0), np.zeros(0, dtype=m.dtype), ((np.arange(n), m),))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -70,10 +70,9 @@ class KernelPencil:
     """Reduced equation data: shift alpha and matrices A0, A (lambda-free).
 
     A0 is held as its structure, a `BlockDiagonal` (the indicator diagonal
-    and one principal block per band, from `pencil_matrices`); a dense A0
-    passed in is stored as one block. A is a dense ndarray. Each is float64
-    or complex128 (A0 part by part); `reduce_problem` keeps them float64
-    when they are exactly real. The lambda-dependent matrices are complex
+    and one principal block per band, from `pencil_matrices`). A is a dense
+    ndarray. Each is float64 or complex128 (A0 part by part);
+    `reduce_problem` keeps them float64 when they are exactly real. The lambda-dependent matrices are complex
     either way and do not depend on that dtype: a real matrix enters their
     arithmetic as x + 0j, the value a complex one with zero imaginary part
     holds. Every one of them is formed as -lambda A, then + 0.0 over the
@@ -85,10 +84,6 @@ class KernelPencil:
     alpha: complex
     a0: BlockDiagonal
     a: CoefficientMatrix
-
-    def __post_init__(self):
-        if not isinstance(self.a0, BlockDiagonal):
-            object.__setattr__(self, "a0", BlockDiagonal.dense(self.a0))
 
     @property
     def size(self) -> int:
@@ -320,40 +315,31 @@ class FirstKindSolution:
     kept: int
 
 
-def solve_first_kind(
-    system: FirstKindSystem | np.ndarray, w: np.ndarray, cutoff: float
-) -> FirstKindSolution:
+def solve_first_kind(system: FirstKindSystem, w: np.ndarray, cutoff: float) -> FirstKindSolution:
     """Truncated-spectral pseudoinverse solve of system c = w.
 
     `system` is the first-kind matrix M (A0 - lambda A): the report's
-    `run.multiplied.system(lam)`, with w = run.m_matrix @ g, or any dense
-    square matrix. With the thin SVD of its `matrix`, P S Q^H, the left
-    singular vectors of the system are basis @ P (P itself for a dense
-    one). Singular values below cutoff * sigma_max are discarded;
-    `discarded_energy` is the fraction of ||w||^2 in the discarded left
-    singular directions and, with a basis, in the part of w outside its
-    span, each summed from the discarded parts themselves. Raises
-    DegenerateSystemError when nothing survives the cutoff. `system` is
-    left as it is.
+    `run.multiplied.system(lam)`, with w = run.m_matrix @ g (a dense square
+    matrix S is FirstKindSystem(I, S)). With the thin SVD of its `matrix`,
+    P S Q^H, the left singular vectors of the system are basis @ P. Singular
+    values below cutoff * sigma_max are discarded; `discarded_energy` is the
+    fraction of ||w||^2 in the discarded left singular directions and in the
+    part of w outside the basis's span, each summed from the discarded parts
+    themselves. Raises DegenerateSystemError when nothing survives the
+    cutoff. `system` is left as it is.
     """
     if not 0 < cutoff < 1:
         raise ValueError("cutoff must lie in (0, 1)")
-    if isinstance(system, FirstKindSystem):
-        basis, matrix = system.basis, system.matrix
-    else:
-        basis, matrix = None, np.asarray(system, dtype=complex)
-    u, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
+    u, sigma, vh = np.linalg.svd(system.matrix, full_matrices=False)
     if sigma.size == 0 or sigma[0] <= 0:
         raise DegenerateSystemError("system matrix is zero")
     keep = sigma >= cutoff * sigma[0]
     k = int(np.count_nonzero(keep))  # a prefix: sigma does not increase
     if k == 0:
         raise DegenerateSystemError("all singular values fell below the cutoff")
-    if basis is None:
-        inside, outside = w, w[:0]
-    else:  # w's coordinates in the basis, and the rest of w
-        inside = _matvec(basis.T, w)
-        outside = w - _matvec(basis, inside)
+    # w's coordinates in the basis, and the rest of w
+    inside = _matvec(system.basis.T, w)
+    outside = w - _matvec(system.basis, inside)
     # P^H inside and vh_k^H inv as conjugated products, with no conjugate copy
     projections = np.conj(u.T @ np.conj(inside))
     inv = projections[:k] / sigma[:k]

@@ -31,7 +31,6 @@ from thirdkind import (
     m_factorize,
     multiplier_matrix,
     rademacher,
-    scale_by_multiplier,
     series_consistency,
     solve_first_kind,
     verify_equivalence,
@@ -42,10 +41,12 @@ from thirdkind.kernels import (
     carleman,
     finite_difference_defect,
     hs_norm,
+    polar_root,
     probe_grid,
     vanishing_at_radius,
 )
 from thirdkind.pipeline import random_grid_function
+from thirdkind.solvers import FirstKindSystem
 
 from problem_family import build_problem_instance, random_problem_instance
 from thirdkind.serialize import write_matrix_csv
@@ -199,7 +200,8 @@ def test_c5_factorization_series():
                 (size, size)
             )
             for a in (hermitian, general):
-                w, v = m_factorize(a).polar_factors()
+                fact = m_factorize(a)
+                w, v = fact.w_factor(), polar_root(fact.sigma, fact.vh)
                 assert np.linalg.norm(
                     w @ v.conj().T - a, "fro"
                 ) <= 1e-10 * np.linalg.norm(a, "fro")
@@ -259,7 +261,7 @@ def test_c7_first_kind_multiplier():
 
         # Hilbert-Schmidt bound with the probe-grid Carleman sup
         plain = run.pencil.pencil_kernel(lam)
-        gamma_pencil = scale_by_multiplier(plain, run.m_matrix)
+        gamma_pencil = BilinearKernel(plain.matrix, multiplied_matrix=run.m_matrix @ plain.matrix)
         probes = ProbeGrid(plain.basis, np.linspace(-8, 8, 161))
         sup = float(np.max(np.linalg.norm(carleman(plain, "row", 0, probes), axis=0)))
         hs = hs_norm(gamma_pencil)
@@ -290,10 +292,8 @@ def test_c7_first_kind_multiplier():
         # c0 is the draw after phi
         n = small.pencil.size
         c0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        system = scale_by_multiplier(
-            small.pencil.pencil_kernel(lam), small.m_matrix
-        ).multiplied_matrix
-        sol = solve_first_kind(system, system @ c0, cutoff=1e-10)
+        system = small.m_matrix @ small.pencil.pencil_kernel(lam).matrix
+        sol = solve_first_kind(FirstKindSystem(np.eye(n), system), system @ c0, cutoff=1e-10)
         assert sol.kept == n  # no spectral truncation occurred
         assert np.linalg.norm(sol.coefficients - c0) <= 1e-8 * np.linalg.norm(c0)
 

@@ -20,6 +20,8 @@ from thirdkind import KernelPencil, NearSingularError, Reduction, m_factorize, s
 from thirdkind.config import parse_config
 from thirdkind.kernels import absolute_tail_sup, polar_probes
 
+from reference import one_block
+
 LIB = blas._openblas()
 needs_openblas = pytest.mark.skipif(LIB is None, reason="numpy's OpenBLAS not found")
 
@@ -69,7 +71,7 @@ def test_one_thread_inside_restored_after(two_threads):
 def test_restored_after_near_singular_error(two_threads):
     a = np.zeros((3, 3), dtype=complex)
     a[0, 0] = 1.0
-    pencil = KernelPencil(1.0, np.zeros((3, 3), dtype=complex), a)
+    pencil = KernelPencil(1.0, one_block(np.zeros((3, 3), dtype=complex)), a)
     with pytest.raises(NearSingularError):
         with blas.one_blas_thread():
             solve_second_kind(pencil, 1.0, np.ones(3, dtype=complex))
@@ -427,7 +429,9 @@ def _reduction(depth, alpha, **overrides):
     points = pipeline.probe_grid(config.probe_bound, config.probe_points)
     reduction = Reduction(seq, surrogate, points, phi)
     if "kernel" in overrides:
-        pencil = KernelPencil(alpha, np.zeros_like(reduction.pencil.a), reduction.pencil.a)
+        pencil = KernelPencil(
+            alpha, one_block(np.zeros_like(reduction.pencil.a)), reduction.pencil.a
+        )
         object.__setattr__(reduction, "pencil", pencil)
     return reduction, config.lambdas[0]
 

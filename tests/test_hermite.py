@@ -16,6 +16,8 @@ from thirdkind import (
 from thirdkind.hermite import hermite_function_values
 from thirdkind.measure import row_blocks
 
+from reference import gauss_hermite_multiplier
+
 
 def hermite_closed_form(n, x):
     """Independent route: physicists' polynomial with the textbook norm."""
@@ -241,21 +243,14 @@ class TestMultiplierMatrix:
 
     @pytest.mark.parametrize("n", [4, 16, 64, 128, 256, 1024])
     def test_recurrence_matches_gauss_hermite_oracle(self, n):
-        """Independent route: the n-node Gauss-Hermite rule on scaled nodes.
-        With t_i the nodes of weight e^(-t^2), s_i = t_i sqrt(2/3) and
-        omega_i = sqrt(2/3) e^(-t_i^2/3) / sum_k u_k(t_i)^2 (the Christoffel
-        form of the weights), M = sum_i omega_i u(s_i) u(s_i)^T, exact for
-        p + q <= 2n - 1. The values come from the scaled Hermite values,
-        which hold on all of R. Measured: at most 3.9e-16 up to n = 128,
+        """Independent route: the n-node Gauss-Hermite rule on scaled nodes
+        (`reference.gauss_hermite_multiplier`), exact for p + q <= 2n - 1.
+        The values come from the scaled Hermite values, which hold on all of
+        R. Measured: at most 3.9e-16 up to n = 128,
         1.12e-14 at 256 and 1.19e-14 at 1024, where the rule's own rounding
         sets the gap (its M[0, 0] is 1.1e-14 off sqrt(2/3))."""
-        roots_hermite = pytest.importorskip("scipy.special").roots_hermite
-        basis = SmoothBasis(n)
-        t, _ = roots_hermite(n)
-        omega = math.sqrt(2 / 3) * np.exp(-t * t / 3) / np.sum(basis.value_matrix(0, t) ** 2, axis=0)
-        u = basis.value_matrix(0, t * math.sqrt(2 / 3))
-        oracle = (u * omega) @ u.T
-        M = multiplier_matrix(basis)
+        M = multiplier_matrix(SmoothBasis(n))
+        oracle = gauss_hermite_multiplier(n)
         assert np.max(np.abs(M - oracle)) <= (1e-14 if n <= 128 else 2e-14)
 
     @pytest.mark.parametrize("n", [256, 1024])

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from thirdkind import (
     BilinearKernel,
-    MFactorization,
     ProbeGrid,
     SmoothBasis,
     carleman,
@@ -17,16 +16,17 @@ from thirdkind import (
     hs_norm,
     m_factorize,
     multiplier_matrix,
-    scale_by_multiplier,
     series_consistency,
 )
 from thirdkind.kernels import (
     FD_STEP,
     absolute_tail_sup,
     adjoint_column_quarter_maxima,
-    coefficient_form_gap,
+    condition_number,
+    factored_form_gap,
     finite_difference_defect,
     polar_probes,
+    polar_root,
     vanishing_at_radius,
 )
 
@@ -43,6 +43,12 @@ def random_kernel(size, seed, scale=None):
     if scale is None:
         scale = 1.0 / size
     return BilinearKernel(a * scale)
+
+
+def explicit_factors(a):
+    """The explicit (W, V) of a's polar factorization."""
+    fact = m_factorize(a)
+    return fact.w_factor(), polar_root(fact.sigma, fact.vh)
 
 
 class TestSynthesizeAndEval:
@@ -96,7 +102,7 @@ class TestSynthesizeAndEval:
         # shared table
         T = random_kernel(16, seed=7)
         if multiplied:
-            T = scale_by_multiplier(T, multiplier_matrix(T.basis))
+            T = BilinearKernel(T.matrix, multiplied_matrix=multiplier_matrix(T.basis) @ T.matrix)
         pts = np.linspace(-2.5, 2.5, 5)
         defects = finite_difference_defect(T, pts)
         assert set(defects) == {(i, j) for i in range(4) for j in range(4 - i) if i or j}
@@ -187,7 +193,7 @@ class TestCarleman:
         # column k of a grid's sections is the section at point k alone
         T = random_kernel(8, seed=37)
         if multiplied:
-            T = scale_by_multiplier(T, multiplier_matrix(T.basis))
+            T = BilinearKernel(T.matrix, multiplied_matrix=multiplier_matrix(T.basis) @ T.matrix)
         xs = [-2.0, -0.3, 0.0, 1.7]
         for side in ("row", "column"):
             for order in (0, 1, 2):
@@ -204,12 +210,12 @@ class TestCarleman:
 
 class TestMFactorization:
     def test_identity(self):
-        W, V = m_factorize(np.eye(3, dtype=complex)).polar_factors()
+        W, V = explicit_factors(np.eye(3, dtype=complex))
         np.testing.assert_allclose(W, np.eye(3), atol=1e-14)
         np.testing.assert_allclose(V, np.eye(3), atol=1e-14)
 
     def test_rank_deficient_diagonal(self):
-        W, V = m_factorize(np.diag([2.0, 0.0]).astype(complex)).polar_factors()
+        W, V = explicit_factors(np.diag([2.0, 0.0]).astype(complex))
         s2 = math.sqrt(2.0)
         np.testing.assert_allclose(W, np.diag([s2, 0.0]), atol=1e-14)
         np.testing.assert_allclose(V, np.diag([s2, 0.0]), atol=1e-14)
@@ -218,7 +224,7 @@ class TestMFactorization:
     def test_random_reconstruction(self):
         rng = np.random.default_rng(41)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        W, V = m_factorize(a).polar_factors()
+        W, V = explicit_factors(a)
         assert np.linalg.norm(W @ V.conj().T - a, "fro") <= 1e-10 * np.linalg.norm(
             a, "fro"
         )
@@ -226,26 +232,27 @@ class TestMFactorization:
     def test_factors_positive_semidefinite(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        W, V = m_factorize(a).polar_factors()
+        W, V = explicit_factors(a)
         for product in (W @ W.conj().T, V @ V.conj().T):
             eigs = np.linalg.eigvalsh((product + product.conj().T) / 2)
             assert eigs.min() >= -1e-12
 
     def test_zero_matrix(self):
-        W, V = m_factorize(np.zeros((4, 4))).polar_factors()
+        W, V = explicit_factors(np.zeros((4, 4)))
         np.testing.assert_array_equal(W @ V.conj().T, 0.0)
 
     def test_condition_matches_numpy(self):
         rng = np.random.default_rng(56)
         a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-        assert m_factorize(a).condition == pytest.approx(np.linalg.cond(a), rel=1e-12)
+        expected = np.linalg.cond(a)
+        assert condition_number(m_factorize(a).sigma) == pytest.approx(expected, rel=1e-12)
 
     def test_condition_of_singular_and_zero_is_inf(self):
         singular = np.diag([2.0, 1.0, 0.0])
         assert np.linalg.cond(singular) == math.inf
-        assert m_factorize(singular).condition == math.inf
+        assert condition_number(m_factorize(singular).sigma) == math.inf
         assert np.linalg.cond(np.zeros((3, 3))) == math.inf
-        assert m_factorize(np.zeros((3, 3))).condition == math.inf
+        assert condition_number(m_factorize(np.zeros((3, 3))).sigma) == math.inf
 
     def test_condition_keeps_nan(self):
         # an SVD of a NaN matrix does not converge, for cond and here alike
@@ -255,9 +262,7 @@ class TestMFactorization:
         with pytest.raises(np.linalg.LinAlgError):
             m_factorize(nan_matrix)
         # NaN singular values give NaN, not the inf of 0/0
-        F = m_factorize(np.eye(3))
-        nan_fact = MFactorization(u=F.u, sigma=np.full(3, np.nan), vh=F.vh, rank=3)
-        assert math.isnan(nan_fact.condition)
+        assert math.isnan(condition_number(np.full(3, np.nan)))
 
     @pytest.mark.parametrize("rank", [16, 5, 0])
     def test_probe_values_match_explicit_factors(self, rank):
@@ -266,7 +271,7 @@ class TestMFactorization:
         a = a[:, :rank] @ a[:rank, :]
         F = m_factorize(a)
         assert F.rank == rank
-        W, V = F.polar_factors()
+        W, V = F.w_factor(), polar_root(F.sigma, F.vh)
         u = SmoothBasis(16).value_matrix(0, np.linspace(-4, 4, 9))
         np.testing.assert_allclose(F.w_values(u), W.T @ u, rtol=0, atol=1e-13)
         np.testing.assert_allclose(F.v_values(u), V.T @ u, rtol=0, atol=1e-13)
@@ -275,7 +280,7 @@ class TestMFactorization:
 class TestSeriesConsistency:
     def test_rank_one_exact(self):
         T = rank_one_kernel()
-        W, V = m_factorize(T.matrix).polar_factors()
+        W, V = explicit_factors(T.matrix)
         chk = series_consistency(T, W, V, 0, 0, 0.5, -0.5)
         assert chk.direct == pytest.approx(chk.via_factorization, abs=1e-15)
 
@@ -284,13 +289,13 @@ class TestSeriesConsistency:
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         a = (a + a.conj().T) / 2
         T = BilinearKernel(a)
-        W, V = m_factorize(a).polar_factors()
+        W, V = explicit_factors(a)
         chk = series_consistency(T, W, V, 0, 0, 0.3, -0.7)
         assert abs(chk.direct - chk.via_factorization) <= 1e-10
 
     def test_partial_sums_monotone_and_bounded(self):
         T = random_kernel(8, seed=44, scale=1.0)
-        W, V = m_factorize(T.matrix).polar_factors()
+        W, V = explicit_factors(T.matrix)
         chk = series_consistency(T, W, V, 1, 1, 0.2, 0.9)
         sums = chk.abs_partial_sums
         assert np.all(np.diff(sums) >= 0)
@@ -301,7 +306,7 @@ class TestMultiplierKernels:
     def test_pointwise_value_at_origin(self):
         T = rank_one_kernel()
         M = multiplier_matrix(T.basis)
-        G = scale_by_multiplier(T, M)
+        G = BilinearKernel(T.matrix, multiplied_matrix=M @ T.matrix)
         assert eval_kernel(G, 0, 0, 0.0, 0.0) == pytest.approx(
             math.pi**-0.5, abs=1e-13
         )
@@ -310,7 +315,7 @@ class TestMultiplierKernels:
         # double integral of |m T|^2 <= sup ||t(s)||^2 ||m||^2, ||m||^2 = sqrt(pi)
         T = random_kernel(8, seed=46)
         M = multiplier_matrix(T.basis)
-        G = scale_by_multiplier(T, M)
+        G = BilinearKernel(T.matrix, multiplied_matrix=M @ T.matrix)
         s = np.linspace(-8, 8, 161)
         sup = float(np.max(np.linalg.norm(carleman(T, "row", 0, ProbeGrid(T.basis, s)), axis=0)))
         assert hs_norm(G) <= sup * math.pi**0.25 + 1e-12
@@ -318,7 +323,7 @@ class TestMultiplierKernels:
     def test_leibniz_derivative_fd(self):
         T = random_kernel(8, seed=47)
         M = multiplier_matrix(T.basis)
-        G = scale_by_multiplier(T, M)
+        G = BilinearKernel(T.matrix, multiplied_matrix=M @ T.matrix)
         pts = np.linspace(-2, 2, 5)
         defects = finite_difference_defect(G, pts)
         for i, j in ((1, 0), (2, 0), (1, 1), (2, 1)):
@@ -327,7 +332,7 @@ class TestMultiplierKernels:
     def test_row_section_has_multiplier_factor(self):
         T = random_kernel(6, seed=48)
         M = multiplier_matrix(T.basis)
-        G = scale_by_multiplier(T, M)
+        G = BilinearKernel(T.matrix, multiplied_matrix=M @ T.matrix)
         s0 = ProbeGrid(T.basis, [0.6])
         np.testing.assert_allclose(
             carleman(G, "row", 0, s0),
@@ -338,7 +343,7 @@ class TestMultiplierKernels:
     def test_column_section_uses_coefficient_form(self):
         T = random_kernel(6, seed=49)
         M = multiplier_matrix(T.basis)
-        G = scale_by_multiplier(T, M)
+        G = BilinearKernel(T.matrix, multiplied_matrix=M @ T.matrix)
         t0 = ProbeGrid(T.basis, [-0.4])
         np.testing.assert_allclose(
             carleman(G, "column", 0, t0),
@@ -347,25 +352,18 @@ class TestMultiplierKernels:
         )
 
     def test_coefficient_form_gap_reported(self):
+        # a dense M A is the factored form with the identity basis
         T = random_kernel(6, seed=50)
         M = multiplier_matrix(T.basis)
-        G = scale_by_multiplier(T, M)
+        G = BilinearKernel(T.matrix, multiplied_matrix=M @ T.matrix)
         s = np.linspace(-3, 3, 11)
         probes = ProbeGrid(T.basis, s)
-        gap = coefficient_form_gap(G, probes, probes)
+        gap = factored_form_gap(T.matrix, np.eye(6), G.multiplied_matrix, probes, probes)
         assert gap >= 0.0
-        assert coefficient_form_gap(T, probes, probes) == 0.0
         # against the two pointwise evaluations
         via_coeff = eval_kernel(BilinearKernel(M @ T.matrix), 0, 0, s, s)
         expected = float(np.max(np.abs(eval_kernel(G, 0, 0, s, s) - via_coeff)))
         assert gap == pytest.approx(expected, rel=1e-12)
-
-    def test_double_multiplier_rejected(self):
-        T = random_kernel(4, seed=51)
-        M = multiplier_matrix(T.basis)
-        G = scale_by_multiplier(T, M)
-        with pytest.raises(ValueError):
-            scale_by_multiplier(G, M)
 
 
 class TestHsNorm:
@@ -431,7 +429,7 @@ class TestProbes:
         u_t = T.basis.value_matrix(0, t).astype(complex)
         for a in (T.matrix, T.matrix[:, :5] @ T.matrix[:5, :], np.zeros((16, 16))):
             fact = m_factorize(a)
-            W, V = fact.polar_factors()
+            W, V = fact.w_factor(), polar_root(fact.sigma, fact.vh)
             w_vals = W.T @ u_s
             v_vals = V.T @ u_t
             tail = np.abs(w_vals[8:, :, None] * np.conj(v_vals[8:, None, :]))
@@ -447,7 +445,7 @@ class TestProbes:
 
     def test_grid_over_another_basis_rejected(self):
         T = random_kernel(8, seed=58)
-        G = scale_by_multiplier(T, multiplier_matrix(T.basis))
+        multiplied = multiplier_matrix(T.basis) @ T.matrix
         own = ProbeGrid(T.basis, np.linspace(-3, 3, 5))
         other = ProbeGrid(SmoothBasis(9), np.linspace(-3, 3, 5))
         for side in ("row", "column"):
@@ -455,7 +453,7 @@ class TestProbes:
                 carleman(T, side, 0, other)
         for s, t in ((own, other), (other, own)):
             with pytest.raises(ValueError, match="probe grid"):
-                coefficient_form_gap(G, s, t)
+                factored_form_gap(T.matrix, np.eye(8), multiplied, s, t)
         with pytest.raises(ValueError, match="probe grid"):
             polar_probes(np.array(T.matrix, order="F"), other)
 

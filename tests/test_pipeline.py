@@ -17,6 +17,8 @@ from thirdkind.config import parse_config
 from thirdkind.errors import NearSingularError
 from thirdkind.measure import GridKernel
 
+from reference import one_block
+
 CONFIG = {
     "depth": 6,
     "lambda": [[0.3, 0.1], [0.5, -0.2], [0.7, 0.3]],
@@ -138,7 +140,7 @@ def test_adjoint_oracle_catches_a_moved_entry(monkeypatch, moved):
     def perturbed(*args, **kwargs):
         a0, a = original(*args, **kwargs)
         # A0 as one dense block, so that an entry outside its structure moves
-        a0 = reduction.BlockDiagonal.dense(a0.toarray())
+        a0 = one_block(a0.toarray())
         (a0.blocks[0][1] if moved == "a0" else a)[1, 2] += 1e-6
         return a0, a
 
@@ -208,10 +210,11 @@ def test_battery_peaks_no_higher_than_a_report(monkeypatch):
     the dense surrogate rows and the kernel's images, not the reconstruction
     from report 0's factorization between reports 0 and 1, not the kernel
     calculus after the reports. A battery array kept into a report raises
-    that report. Measured at 79.2-79.4 N^2 B for the battery's reports and
-    68.7, 69.7 and 58.6 outside them, against 78.8-78.9 for `reduce`: a
-    report is one stepwise SVD with the pencil beside it, and every stage
-    outside holds at most three n x n complex arrays besides the pencil."""
+    that report. Measured at 71.4-71.6 N^2 B for the battery's reports and
+    61.2-61.3, 61.9 and 50.8-50.9 outside them, against 71.0-71.1 for
+    `reduce`: a report is one stepwise SVD with the pencil beside it, and
+    every stage outside holds at most three n x n complex arrays besides the
+    pencil."""
     config = parse_config({**DEPTH8, "alpha": 0.25, "lambda": [[0.5, 0.25], [0.3, -0.2]]})
     pipeline.run_reduction(config)  # imports and caches made once per process are not traced
     reference, _ = _traced_peaks(monkeypatch, pipeline.run_reduction, config)

@@ -22,6 +22,8 @@ from thirdkind import (
     rademacher,
 )
 
+from reference import dense_complete_basis
+
 
 def gram(functions):
     k = len(functions)
@@ -47,33 +49,6 @@ def kernel_image(K, b):
 def exp_kernel(space):
     c = space.centers()
     return GridKernel(space, np.exp(np.outer(c, c)))
-
-
-def dense_complete_basis(functions, space):
-    """Reference completion: the Gram-Schmidt sweep over every cell indicator
-    against every row, with no use of the family's support."""
-    n = space.cell_count
-    w = space.cell_width
-    basis = np.zeros((n, n), dtype=complex)
-    filled = 0
-    for f in functions:
-        basis[filled] = f.values
-        filled += 1
-    scale = 1.0 / np.sqrt(w)
-    for cell in range(n):
-        if filled == n:
-            break
-        v = np.zeros(n, dtype=complex)
-        v[cell] = scale
-        for _ in range(2):
-            coeff = w * (basis[:filled].conj() @ v)
-            v -= basis[:filled].T @ coeff
-        residual = np.linalg.norm(v) * np.sqrt(w)
-        if residual <= 1e-10:
-            continue
-        basis[filled] = v / residual
-        filled += 1
-    return basis
 
 
 def complex_family():

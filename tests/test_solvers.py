@@ -30,7 +30,6 @@ from thirdkind import (
     matrix_elements,
     multiplier_matrix,
     reduce_problem,
-    scale_by_multiplier,
     solve_first_kind,
     solve_second_kind,
     verify_equivalence,
@@ -40,6 +39,9 @@ from thirdkind.config import make_kernel, parse_config
 from thirdkind.kernels import probe_grid
 from thirdkind.pipeline import prepare, random_grid_function
 from thirdkind.reduction import BlockDiagonal
+from thirdkind.solvers import FirstKindSystem
+
+from reference import dense_difference, one_block
 
 
 def exp_kernel(space, scale=1.0):
@@ -222,7 +224,7 @@ class TestSolveSecondKind:
     def identity_pencil(self, n=4, alpha=1.0):
         return KernelPencil(
             alpha=alpha,
-            a0=np.zeros((n, n), dtype=complex),
+            a0=one_block(np.zeros((n, n), dtype=complex)),
             a=np.zeros((n, n), dtype=complex),
         )
 
@@ -238,7 +240,7 @@ class TestSolveSecondKind:
         n = 3
         a = np.zeros((n, n), dtype=complex)
         a[0, 0] = 1.0
-        pencil = KernelPencil(1.0, np.zeros((n, n), dtype=complex), a)
+        pencil = KernelPencil(1.0, one_block(np.zeros((n, n), dtype=complex)), a)
         g = np.zeros(n, dtype=complex)
         g[0] = 1.0
         sol = solve_second_kind(pencil, 0.5, g)
@@ -248,7 +250,7 @@ class TestSolveSecondKind:
         n = 3
         a = np.zeros((n, n), dtype=complex)
         a[0, 0] = 1.0
-        pencil = KernelPencil(1.0, np.zeros((n, n), dtype=complex), a)
+        pencil = KernelPencil(1.0, one_block(np.zeros((n, n), dtype=complex)), a)
         with pytest.raises(NearSingularError):
             solve_second_kind(pencil, 1.0, np.ones(n, dtype=complex))
 
@@ -270,7 +272,7 @@ class TestSolveSecondKind:
         n = 12
         pencil = KernelPencil(
             1.5,
-            rng.standard_normal((n, n)) * 0.1 + 0j,
+            one_block(rng.standard_normal((n, n)) * 0.1 + 0j),
             rng.standard_normal((n, n)) * 0.1 + 0j,
         )
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -280,8 +282,13 @@ class TestSolveSecondKind:
 
 
 def first_kind_system(run, lam):
-    """M (A0 - lambda A), the first-kind matrix the report solves."""
-    return scale_by_multiplier(run.pencil.pencil_kernel(lam), run.m_matrix).multiplied_matrix
+    """M (A0 - lambda A), the first-kind matrix the report solves, dense."""
+    return run.m_matrix @ run.pencil.pencil_kernel(lam).matrix
+
+
+def dense_system(matrix):
+    """The dense square first-kind matrix as a system over the identity basis."""
+    return FirstKindSystem(np.eye(matrix.shape[0]), matrix)
 
 
 class TestOneSecondKindProducer:
@@ -334,7 +341,7 @@ class TestFirstKind:
         run, g, _ = self.run_from_chain()
         w = run.m_matrix @ np.zeros_like(g)
         np.testing.assert_array_equal(w, 0.0)
-        sol = solve_first_kind(first_kind_system(run, 0.3), w, 1e-10)
+        sol = solve_first_kind(dense_system(first_kind_system(run, 0.3)), w, 1e-10)
         np.testing.assert_array_equal(sol.coefficients, 0.0)
         assert sol.discarded_energy == 0.0
 
@@ -347,7 +354,7 @@ class TestFirstKind:
 
         run, _, _ = self.run_from_chain()
         plain = BilinearKernel(run.pencil.a)
-        gamma = scale_by_multiplier(plain, run.m_matrix)
+        gamma = BilinearKernel(plain.matrix, multiplied_matrix=run.m_matrix @ plain.matrix)
         probes = ProbeGrid(plain.basis, probe_grid(8.0, 161))
         sup = float(np.max(np.linalg.norm(carleman(plain, "row", 0, probes), axis=0)))
         assert hs_norm(gamma) <= sup * math.pi**0.25 + 1e-12
@@ -362,7 +369,7 @@ class TestFirstKind:
         n = 5
         g = np.arange(1.0, n + 1.0).astype(complex)
         for cutoff in (1e-12, 1e-6, 0.5):
-            sol = solve_first_kind(np.eye(n), g, cutoff)
+            sol = solve_first_kind(dense_system(np.eye(n)), g, cutoff)
             np.testing.assert_allclose(sol.coefficients, g, atol=1e-12)
             assert sol.discarded_energy == 0.0
 
@@ -373,7 +380,7 @@ class TestFirstKind:
         system = np.asfortranarray(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         w = rng.standard_normal(6) + 0j
         kept = system.copy()
-        sol = solve_first_kind(system, w, 1e-10)
+        sol = solve_first_kind(dense_system(system), w, 1e-10)
         np.testing.assert_array_equal(system, kept)
         np.testing.assert_allclose(system @ sol.coefficients, w, atol=1e-10)
 
@@ -389,7 +396,7 @@ class TestFirstKind:
         system = first_kind_system(run, 0.3)
         # well-conditioned at this size: nothing gets truncated
         assert np.linalg.cond(system) < 1e7
-        sol = solve_first_kind(system, system @ c0, 1e-10)
+        sol = solve_first_kind(dense_system(system), system @ c0, 1e-10)
         assert sol.kept == n
         assert np.linalg.norm(sol.coefficients - c0) <= 1e-8 * np.linalg.norm(c0)
         # the report's route: every eigenvalue of M is kept at N = 16
@@ -419,7 +426,7 @@ class TestFirstKind:
             run = Reduction(seq, U, probe_grid(), phi)
             psi = forward_third_kind(run.coefficient, run.k_phi, lam, phi)
             w = run.m_matrix @ U.forward(psi)
-            dense = solve_first_kind(first_kind_system(run, lam), w, 1e-10)
+            dense = solve_first_kind(dense_system(first_kind_system(run, lam)), w, 1e-10)
             factored = solve_first_kind(run.multiplied.system(lam), w, 1e-10)
         assert run.multiplied.basis.shape == (256, 126)
         assert factored.kept == dense.kept == 99
@@ -435,11 +442,11 @@ class TestFirstKind:
     def test_degenerate_system(self):
         n = 4
         with pytest.raises(DegenerateSystemError):
-            solve_first_kind(np.zeros((n, n)), np.ones(n), 1e-10)
+            solve_first_kind(dense_system(np.zeros((n, n))), np.ones(n), 1e-10)
 
     def test_cutoff_range_checked(self):
         run, g, _ = self.run_from_chain()
-        system, w = first_kind_system(run, 0.3), run.m_matrix @ g
+        system, w = dense_system(first_kind_system(run, 0.3)), run.m_matrix @ g
         with pytest.raises(ValueError):
             solve_first_kind(system, w, 0.0)
         with pytest.raises(ValueError):
@@ -553,14 +560,6 @@ def reduction_of(seq, U, phi=None):
     return Reduction(seq, U, probe_grid(), phi)
 
 
-def dense_difference(a0, a, lam, order="C"):
-    """A0 - lambda A as a dense A0 gives it: -lambda A formed in `order`,
-    then the dense A0 added over the whole array."""
-    d = np.multiply(a, -lam, order=order, dtype=complex)
-    d += a0
-    return d
-
-
 class TestA0Structure:
     """A0 is held as its indicator diagonal and one block per band, and
     every matrix of the pencil formed from it is the dense A0's, bit for bit."""
@@ -623,8 +622,8 @@ class TestA0Structure:
         want.flat[:: n + 1] += pencil.alpha
         assert system.flags.f_contiguous
         assert_same_bytes(system, want)
-        # a dense A0 passed in is one block, with the same matrices
-        dense = KernelPencil(pencil.alpha, a0, a)
+        # a dense A0 as one block gives the same matrices
+        dense = KernelPencil(pencil.alpha, one_block(a0), a)
         assert len(dense.a0.blocks) == 1 and dense.a0.diagonal.size == 0
         assert_same_bytes(dense.system_matrix(lam), system)
         assert_same_bytes(dense.pencil_kernel(lam).matrix, pencil.pencil_kernel(lam).matrix)
@@ -637,8 +636,6 @@ class TestA0Structure:
         assert_same_bytes(structure.T.toarray(), np.ascontiguousarray(a0.T))
         assert_same_bytes(structure[10:50], a0[10:50])
         assert_same_bytes(structure.T[7:9], np.ascontiguousarray(a0.T[7:9]))
-        with pytest.raises(ValueError, match="square"):
-            BlockDiagonal.dense(np.zeros((3, 4)))
 
 
 class TestVerifyEquivalence:

@@ -107,3 +107,17 @@ def test_runs_cover_alpha_zero_and_two_threads_at_1024():
     assert one[1]["depth"] == 10 and one[1]["alpha"] != 0 and one[2] == 1
     assert runs["reduce-reduce-d10-202-two-threads"] == ("reduce", one[1], 2)
     assert runs["reduce-reduce-d10-202-alpha0"] == ("reduce", {**one[1], "alpha": 0.0}, 1)
+
+
+def test_runs_cover_projected_mode():
+    """A projected reduce at depth 12 (512 of 4096 cells) and an alpha = 0
+    one at depth 9 (256 of 512 cells), where the first-kind solve reads a
+    projected pencil."""
+    runs = {name: (command, config, threads) for name, command, config, threads
+            in _tool().commands()}
+    command, config, threads = runs["reduce-d12-512-202"]
+    assert (command, config["depth"], config["basis_size"], threads) == ("reduce", 12, 512, 1)
+    assert config["alpha"] != 0
+    command, config, threads = runs["reduce-d9-256-alpha0-202"]
+    assert (command, config["depth"], config["basis_size"], threads) == ("reduce", 9, 256, 1)
+    assert config["alpha"] == 0

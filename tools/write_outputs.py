@@ -14,7 +14,7 @@ checkouts written to two directories compare with
 
     diff -r OUTDIR_A OUTDIR_B
 
-The commands:
+The 18 commands:
 
 * ``reduce`` on the config of every benchmark workload, seeds 101 and 202;
 * ``verify`` on ``verify-sweep-d9`` and ``first-kind-d7``, seeds 101 and 202;
@@ -27,7 +27,11 @@ The commands:
 * ``reduce`` on ``reduce-d10``, seed 202, on two BLAS threads
   (``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` = 2); every report runs
   on one thread whatever the process starts with, so its files equal those
-  of the one-thread ``reduce-reduce-d10-202``; about 5 s.
+  of the one-thread ``reduce-reduce-d10-202``; about 5 s;
+* ``reduce`` at depth 12 in projected mode, ``basis_size`` 512 of 4096
+  cells, seed 202; about 1 s;
+* ``reduce`` at depth 9 with alpha = 0 in projected mode, ``basis_size``
+  256 of 512 cells, seed 202, the first-kind solve on a projected pencil.
 
 The configs come from ``Workload.config`` of this repository's
 ``perfbench/run.py``, so both checkouts get the same inputs. For each run
@@ -107,6 +111,10 @@ def commands() -> list[tuple[str, str, dict, int]]:
     runs.append(("reduce-d11-202", "reduce", d11, 1))
     runs.append(("reduce-reduce-d10-202-alpha0", "reduce", {**d10, "alpha": 0.0}, 1))
     runs.append(("reduce-reduce-d10-202-two-threads", "reduce", d10, 2))
+    d12 = perfbench.Workload("reduce-d12", "reduce", 12, 0.25, 1).config(202)
+    runs.append(("reduce-d12-512-202", "reduce", {**d12, "basis_size": 512}, 1))
+    d9 = perfbench.Workload("reduce-d9", "reduce", 9, 0.0, 2).config(202)
+    runs.append(("reduce-d9-256-alpha0-202", "reduce", {**d9, "basis_size": 256}, 1))
     return runs
 
 
