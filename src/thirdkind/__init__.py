@@ -56,11 +56,9 @@ from .solvers import (
     FirstKindSolution,
     KernelPencil,
     Reduction,
-    SecondKindSolution,
     forward_third_kind,
     reduce_problem,
     solve_first_kind,
-    solve_second_kind,
     verify_equivalence,
 )
 
@@ -87,7 +85,6 @@ __all__ = [
     "ProbeGrid",
     "Reduction",
     "RightHandSideOverflowError",
-    "SecondKindSolution",
     "SmoothBasis",
     "SpaceMismatchError",
     "ThirdKindError",
@@ -113,6 +110,5 @@ __all__ = [
     "select_index",
     "series_consistency",
     "solve_first_kind",
-    "solve_second_kind",
     "verify_equivalence",
 ]

@@ -122,20 +122,31 @@ def gaussian(order: int, s) -> np.ndarray:
 def multiplier_matrix(basis: SmoothBasis) -> np.ndarray:
     """Coefficient matrix M_pq = integral of m(s) u_q(s) u_p(s) ds, exactly.
 
-    The generating function of integral e^{-3s^2/2} H_p H_q yields
-    M_00 = sqrt(2/3), M_0,q+1 = -(1/3) sqrt(q) M_0,q-1 / sqrt(q+1) and
-    M_p+1,q = ((2/3) sqrt(q) M_p,q-1 - (1/3) sqrt(p) M_p-1,q) / sqrt(p+1),
-    applied row by row. Every entry lies in [-1, 1], so nothing overflows.
+    M is the Gram matrix of the e^(-s^2/4) u_p(s). With gamma = sqrt(2/3)
+    and s = gamma x, e^(-s^2/4) u_p(s) = c_p H_p(gamma x) e^(-x^2/2), and
+    H_p(gamma x) = sum_i gamma^(p-2i) (gamma^2 - 1)^i p! / (i! (p-2i)!)
+    H_(p-2i)(x) expands it in the u_k(x). So M = L L^T with L lower
+    triangular: L_pk = sqrt(gamma) gamma^k (-1/6)^i sqrt(p!/k!) / i! for
+    k = p - 2i, i >= 0, and 0 elsewhere. L is formed down its columns from
+    the diagonal, L_(p+2),k = -L_pk sqrt((p+1)(p+2)) / (6(i+1)): each entry
+    is a product of rounded factors, and one that underflows is negligible
+    in every sum it enters. Where p - k is odd L vanishes, so M is the Gram
+    product of L over the even indices and over the odd ones, each formed
+    by numpy's `L @ L.T`, which is symmetric bit for bit.
     """
     n = basis.size
+    gamma = math.sqrt(2.0 / 3.0)
     M = np.zeros((n, n))
-    M[0, 0] = math.sqrt(2.0 / 3.0)
-    for q in range(1, n - 1, 2):
-        M[0, q + 1] = -math.sqrt(q / (q + 1.0)) * M[0, q - 1] / 3.0
-    sqrt_q = np.sqrt(np.arange(1.0, n))
-    for p in range(n - 1):
-        M[p + 1, 1:] = (2.0 / 3.0) * sqrt_q * M[p, :-1]
-        if p:
-            M[p + 1] -= (math.sqrt(p) / 3.0) * M[p - 1]
-        M[p + 1] /= math.sqrt(p + 1.0)
+    for parity in (0, 1):
+        k = np.arange(parity, n, 2)
+        m = k.size
+        L = np.zeros((m, m))
+        flat = L.reshape(-1)  # L's i-th subdiagonal is flat[i m :: m + 1]
+        sub = math.sqrt(gamma) * gamma**k
+        flat[:: m + 1] = sub
+        for i in range(m - 1):
+            p = k[: m - i - 1] + 2 * i
+            sub = sub[: m - i - 1] * (-np.sqrt((p + 1.0) * (p + 2.0)) / (6.0 * (i + 1)))
+            flat[(i + 1) * m :: m + 1] = sub
+        M[parity::2, parity::2] = L @ L.T
     return M

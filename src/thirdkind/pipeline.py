@@ -33,7 +33,6 @@ from .measure import GridFunction, MeasureSpace, inner_product, row_blocks, scal
 from .rademacher import KorotkovSequence, build_sequence
 from .reduction import BlockDiagonal, UnitarySurrogate, matrix_elements
 from .solvers import (
-    CONDITION_LIMIT,
     EquivalenceReport,
     KernelPencil,
     Reduction,
@@ -119,14 +118,19 @@ def run_reduction(
         return ReductionRun(reduction, reports)
 
 
+# the largest condition of alpha I + D that a report with alpha != 0 passes
+CONDITION_LIMIT = 1e12
+
+
 def _gated_report(
     reduction: Reduction, idx: int, lam: complex, cutoff: float, factors: bool = False
 ) -> tuple[EquivalenceReport, MFactorization | None]:
     """verify_equivalence(reduction, lam, cutoff, factors=factors) for the
     config's lambda number `idx`. With alpha != 0 a report whose condition
     is not finite or exceeds CONDITION_LIMIT raises NearSingularError with
-    that lambda, the gate `solve_second_kind` applies; with alpha = 0 no
-    solve of alpha I + D is made, and nothing is gated."""
+    that lambda: alpha I + D is then too near singular for the second-kind
+    equation to be solved. With alpha = 0 no solve of alpha I + D is made,
+    and nothing is gated."""
     report, fact = verify_equivalence(reduction, lam, cutoff, factors=factors)
     if reduction.pencil.alpha != 0 and not report.condition <= CONDITION_LIMIT:
         raise NearSingularError(report.condition, lam, idx)

@@ -5,7 +5,7 @@ Reduction produces the lambda-independent pair of coefficient matrices
 A0 (from H - alpha) and A (from K); the reduced equation reads
 alpha f + (A0 - lambda A) f = g with f, g the forward coefficients of
 phi, psi. `KernelPencil` is the one producer of D = A0 - lambda A and of
-alpha I + D (`system_matrix`, shared by the report and `solve_second_kind`).
+alpha I + D (`system_matrix`, whose condition the report gives).
 With alpha = 0, multiplying by the positive smooth m turns the equation
 into the first-kind system M D f = M g, M = `Reduction.m_matrix`, solved by
 a truncated-spectral pseudoinverse (the reduction itself is exact; the
@@ -22,7 +22,7 @@ from dataclasses import InitVar, asdict, dataclass, field
 import numpy as np
 
 from .blas import beside, gesdd
-from .errors import DegenerateSystemError, NearSingularError, RightHandSideOverflowError
+from .errors import DegenerateSystemError, RightHandSideOverflowError
 from .hermite import GAUSSIAN_L2_NORM, SmoothBasis, multiplier_matrix
 from .kernels import (
     BilinearKernel,
@@ -42,8 +42,6 @@ from .rademacher import KorotkovSequence
 from .reduction import BlockDiagonal, CoefficientMatrix, UnitarySurrogate, pencil_matrices
 # unused here, but perfbench/tracer.py lists this module as a site binding it
 from .reduction import matrix_elements  # noqa: F401
-
-CONDITION_LIMIT = 1e12
 
 
 def forward_third_kind(
@@ -275,37 +273,6 @@ class Reduction:
         back = self.surrogate.inverse(f)
         diff = GridFunction(phi.space, back.values - phi.values)
         object.__setattr__(self, "round_trip_error", _relative(diff.norm(), phi.norm()))
-
-
-@dataclass(frozen=True)
-class SecondKindSolution:
-    coefficients: np.ndarray
-    residual: float
-    condition: float
-
-
-def solve_second_kind(
-    pencil: KernelPencil, lam: complex, g: np.ndarray
-) -> SecondKindSolution:
-    """Dense solve of (alpha I + A0 - lambda A) c = g with a condition gate.
-
-    The condition is that of `pencil.system_matrix(lam)`, as the report
-    gives it. Raises NearSingularError, before any solve, when it is not
-    finite or exceeds 1e12, signalling lambda near a characteristic value.
-    """
-    if pencil.alpha == 0:
-        raise ValueError("alpha must be nonzero for a genuine second-kind solve")
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (pencil.size,):
-        raise ValueError(f"expected {pencil.size} coefficients, got {g.shape}")
-    condition = condition_number(gesdd(pencil.system_matrix(lam), vectors=False))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise NearSingularError(condition)
-    system = pencil.system_matrix(lam)
-    c = np.linalg.solve(system, g)
-    scale = float(scaled_norm(g))
-    residual = float(scaled_norm(system @ c - g)) / (scale if scale else 1.0)
-    return SecondKindSolution(coefficients=c, residual=residual, condition=condition)
 
 
 @dataclass(frozen=True)

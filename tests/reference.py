@@ -28,7 +28,8 @@ reports and the check values of `pipeline.run_verification`, each as plain
 dicts in the package's field and check order.
 
 `dense_difference` and `one_block` serve the tests that hand the package a
-dense A0.
+dense A0, and `characteristic_value` the tests of the report's gate on a
+singular alpha I + D.
 """
 
 import math
@@ -81,6 +82,15 @@ def gauss_hermite_multiplier(n):
     omega = math.sqrt(2 / 3) * np.exp(-t * t / 3) / np.sum(basis.value_matrix(0, t) ** 2, axis=0)
     u = basis.value_matrix(0, t * math.sqrt(2 / 3))
     return (u * omega) @ u.T
+
+
+def characteristic_value(pencil):
+    """The lambda of least modulus at which alpha I + A0 - lambda A is
+    singular, from dense matrices: 1/mu for the eigenvalue mu of
+    (alpha I + A0)^-1 A of largest modulus."""
+    shifted = pencil.alpha * np.eye(pencil.size) + pencil.a0.toarray()
+    mu = np.linalg.eigvals(np.linalg.solve(shifted, pencil.a))
+    return complex(1 / mu[np.argmax(np.abs(mu))])
 
 
 def dense_difference(a0, a, lam, order="C"):

@@ -2,7 +2,9 @@
 (depth 10) in the default run, and under the `slow` marker (run it with
 `pytest -m slow`) N = 2048 (depth 11) with alpha = 0.25 and alpha = 0, about
 a minute and 0.6 GiB each, and the finite-difference check alone on the
-pencil kernel at N = 4096 (depth 12), about 5 s and 0.9 GiB for each alpha.
+pencil kernel at N = 4096 (depth 12), about 5 s and 0.9 GiB for each alpha,
+and a whole `verify` at depth 12 with alpha = 0 and one lambda, about
+160 s and 1.3 GiB.
 
 `kernel_derivative_fd_defect` takes one step, 1e-4, for every derivative
 order. With the step 1e-5 it once took for orders 2 and 3, on the config
@@ -16,9 +18,12 @@ check reads a tiny positive number (5.6e-66 at N = 1024 and 1.6e-77 at
 N = 2048 on the benchmark's shape, seed 101) and passes on its merits.
 """
 
+import json
+
 import pytest
 
 import thirdkind.pipeline as pipeline
+from thirdkind.cli import main
 from thirdkind.config import parse_config
 from thirdkind.reduction import UnitarySurrogate
 from thirdkind.solvers import reduce_problem
@@ -64,3 +69,27 @@ def test_fd_check_passes_at_4096(alpha):
     pk = pencil.pencil_kernel(config.lambdas[0])
     del seq, pencil
     assert pipeline.kernel_derivative_fd_defect(pk) <= config.tolerances["derivative_agreement"]
+
+
+@pytest.mark.slow
+def test_verify_at_4096_with_alpha_zero(tmp_path):
+    """The multiplier matrix M is right at N = 4096: with M from the row
+    recurrence it replaced, `first_kind_residual` read 0.13 on this config
+    (the benchmark's shape, seed 853080731, one lambda) and `verify` exited
+    3."""
+    config = {
+        "depth": 12,
+        "alpha": 0.0,
+        "lambda": [[0.30694482070923024, -0.22118779974669528]],
+        "eps0": 0.25,
+        "ratio": 0.5,
+        "bands": 3,
+        "coefficient": {"kind": "linear"},
+        "kernel": {"kind": "exp_xy", "scale": 1.0},
+        "seed": 853080731,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    checks = {c["name"]: c for c in json.loads((tmp_path / "verify.json").read_text())["checks"]}
+    assert checks["first_kind_residual"]["value"] <= 1e-9

@@ -16,11 +16,11 @@ import pytest
 
 import thirdkind.blas as blas
 import thirdkind.pipeline as pipeline
-from thirdkind import KernelPencil, NearSingularError, Reduction, m_factorize, solve_second_kind
+from thirdkind import KernelPencil, NearSingularError, Reduction, m_factorize
 from thirdkind.config import parse_config
 from thirdkind.kernels import absolute_tail_sup, polar_probes
 
-from reference import one_block
+from reference import characteristic_value, one_block
 
 LIB = blas._openblas()
 needs_openblas = pytest.mark.skipif(LIB is None, reason="numpy's OpenBLAS not found")
@@ -69,12 +69,11 @@ def test_one_thread_inside_restored_after(two_threads):
 
 @needs_openblas
 def test_restored_after_near_singular_error(two_threads):
-    a = np.zeros((3, 3), dtype=complex)
-    a[0, 0] = 1.0
-    pencil = KernelPencil(1.0, one_block(np.zeros((3, 3), dtype=complex)), a)
+    run = pipeline.run_reduction(parse_config({**CONFIG, "alpha": 0.25})).reduction
+    lam = characteristic_value(run.pencil)
     with pytest.raises(NearSingularError):
         with blas.one_blas_thread():
-            solve_second_kind(pencil, 1.0, np.ones(3, dtype=complex))
+            pipeline._gated_report(run, 0, lam, 1e-10)
     assert threads() == 2
 
 

@@ -241,17 +241,21 @@ class TestMultiplierMatrix:
         M = multiplier_matrix(SmoothBasis(12))
         np.testing.assert_allclose(M, M.T, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [4, 16, 64, 128, 256, 1024])
+    @pytest.mark.parametrize(
+        "n", [4, 16, 64, 128, 256, 512, 1024, pytest.param(4096, marks=pytest.mark.slow)]
+    )
     def test_recurrence_matches_gauss_hermite_oracle(self, n):
         """Independent route: the n-node Gauss-Hermite rule on scaled nodes
         (`reference.gauss_hermite_multiplier`), exact for p + q <= 2n - 1.
         The values come from the scaled Hermite values, which hold on all of
-        R. Measured: at most 3.9e-16 up to n = 128,
-        1.12e-14 at 256 and 1.19e-14 at 1024, where the rule's own rounding
-        sets the gap (its M[0, 0] is 1.1e-14 off sqrt(2/3))."""
+        R. Measured for L L^T: at most 3.9e-16 up to n = 128, 1.12e-14 at
+        256, 1.07e-14 at 512, 1.18e-14 at 1024 and 3.97e-14 at 4096, where
+        the rule's own rounding sets the gap (its M[0, 0] is 1.1e-14 off
+        sqrt(2/3)). The row recurrence M replaced read 6.4e-3 at 4096."""
         M = multiplier_matrix(SmoothBasis(n))
         oracle = gauss_hermite_multiplier(n)
-        assert np.max(np.abs(M - oracle)) <= (1e-14 if n <= 128 else 2e-14)
+        bound = 1e-14 if n <= 128 else 2e-14 if n <= 1024 else 8e-14
+        assert np.max(np.abs(M - oracle)) <= bound
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_large_sizes_finite_symmetric_contractive(self, n):
@@ -263,21 +267,12 @@ class TestMultiplierMatrix:
         assert spectrum[0] >= -1e-14
         assert spectrum[-1] < 1.0
 
-    @pytest.mark.parametrize(
-        "n",
-        [
-            3072,
-            pytest.param(4096, marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 2: the row recurrence loses symmetry at N = 4096 "
-                "(max |M - M^T| = 4.95e-3)",
-            )),
-        ],
-    )
+    @pytest.mark.parametrize("n", [3072, 4096])
     def test_symmetric_at_depth(self, n):
-        """M is a Gram matrix, so symmetric: max |M - M^T| read 9.0e-17 at
-        N = 3072. The difference is formed a block of rows at a time, so that
-        besides M only one block of it is alive."""
+        """M is a Gram matrix, so symmetric: L L^T reads 0 (the row
+        recurrence it replaced read 9.0e-17 at N = 3072 and 4.95e-3 at 4096).
+        The difference is formed a block of rows at a time, so that besides
+        M only one block of it is alive."""
         M = multiplier_matrix(SmoothBasis(n))
         gap = max(float(np.max(np.abs(M[rows] - M[:, rows].T))) for rows in row_blocks(n))
         assert gap <= 1e-16

@@ -31,17 +31,16 @@ from thirdkind import (
     multiplier_matrix,
     reduce_problem,
     solve_first_kind,
-    solve_second_kind,
     verify_equivalence,
 )
 from thirdkind.blas import one_blas_thread
 from thirdkind.config import make_kernel, parse_config
-from thirdkind.kernels import probe_grid
-from thirdkind.pipeline import prepare, random_grid_function
+from thirdkind.kernels import condition_number, probe_grid
+from thirdkind.pipeline import CONDITION_LIMIT, _gated_report, prepare, random_grid_function
 from thirdkind.reduction import BlockDiagonal
 from thirdkind.solvers import FirstKindSystem
 
-from reference import dense_difference, one_block
+from reference import characteristic_value, dense_difference, one_block
 
 
 def exp_kernel(space, scale=1.0):
@@ -220,65 +219,37 @@ class TestPencilDtype:
         assert fact.rank == wide_fact.rank
 
 
+def manufactured(depth, lam):
+    """A full-truncation alpha = 0.25 run with the reduced right-hand side
+    g = U psi of its phi at lam."""
+    _, _, seq, U = build_chain(depth, alpha=0.25)
+    phi = random_grid_function(np.random.default_rng(77), seq.space)
+    run = Reduction(seq, U, probe_grid(), phi)
+    psi = forward_third_kind(seq.coefficient, seq.kernel, lam, phi)
+    return run, phi, U.forward(psi)
+
+
 class TestSolveSecondKind:
-    def identity_pencil(self, n=4, alpha=1.0):
-        return KernelPencil(
-            alpha=alpha,
-            a0=one_block(np.zeros((n, n), dtype=complex)),
-            a=np.zeros((n, n), dtype=complex),
-        )
-
-    def test_identity_system(self):
-        pencil = self.identity_pencil()
-        g = np.array([1.0, 2.0, -1.0, 0.5], dtype=complex)
-        sol = solve_second_kind(pencil, 0.7, g)
-        np.testing.assert_allclose(sol.coefficients, g, atol=1e-14)
-        assert sol.residual <= 1e-10
-
-    def test_scalar_rank_one(self):
-        # (1 - 1/2) c0 = 1 on the first mode
-        n = 3
-        a = np.zeros((n, n), dtype=complex)
-        a[0, 0] = 1.0
-        pencil = KernelPencil(1.0, one_block(np.zeros((n, n), dtype=complex)), a)
-        g = np.zeros(n, dtype=complex)
-        g[0] = 1.0
-        sol = solve_second_kind(pencil, 0.5, g)
-        np.testing.assert_allclose(sol.coefficients, 2.0 * g, atol=1e-12)
+    """The report's gate on alpha I + D (`pipeline._gated_report`): a lambda
+    too near a characteristic value for the second-kind equation to be
+    solved raises NearSingularError, with the condition and the lambda."""
 
     def test_near_singular(self):
-        n = 3
-        a = np.zeros((n, n), dtype=complex)
-        a[0, 0] = 1.0
-        pencil = KernelPencil(1.0, one_block(np.zeros((n, n), dtype=complex)), a)
-        with pytest.raises(NearSingularError):
-            solve_second_kind(pencil, 1.0, np.ones(n, dtype=complex))
+        run, _, _ = manufactured(6, 0.3)
+        lam = characteristic_value(run.pencil)
+        with pytest.raises(NearSingularError) as err:
+            _gated_report(run, 1, lam, 1e-10)
+        assert err.value.condition > CONDITION_LIMIT
+        assert (err.value.lam, err.value.index) == (lam, 1)
 
     def test_nan_condition_is_near_singular(self, monkeypatch):
+        run, _, _ = manufactured(6, 0.7)
         monkeypatch.setattr(
             thirdkind.solvers, "gesdd", lambda a, *, vectors: np.full(4, np.nan)
         )
         with pytest.raises(NearSingularError) as err:
-            solve_second_kind(self.identity_pencil(), 0.7, np.ones(4, dtype=complex))
+            _gated_report(run, 0, 0.7, 1e-10)
         assert math.isnan(err.value.condition)
-
-    def test_alpha_zero_rejected(self):
-        pencil = self.identity_pencil(alpha=0.0)
-        with pytest.raises(ValueError):
-            solve_second_kind(pencil, 0.1, np.zeros(4, dtype=complex))
-
-    def test_substitution_residual(self):
-        rng = np.random.default_rng(67)
-        n = 12
-        pencil = KernelPencil(
-            1.5,
-            one_block(rng.standard_normal((n, n)) * 0.1 + 0j),
-            rng.standard_normal((n, n)) * 0.1 + 0j,
-        )
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        sol = solve_second_kind(pencil, 0.8 + 0.1j, g)
-        assert sol.residual <= 1e-10
-        assert sol.condition < 1e3
 
 
 def first_kind_system(run, lam):
@@ -292,41 +263,20 @@ def dense_system(matrix):
 
 
 class TestOneSecondKindProducer:
-    """solve_second_kind and the report take the condition from the one
-    shifted matrix, KernelPencil.system_matrix."""
-
-    @staticmethod
-    def manufactured(depth, lam):
-        _, _, seq, U = build_chain(depth, alpha=0.25)
-        phi = random_grid_function(np.random.default_rng(77), seq.space)
-        run = Reduction(seq, U, probe_grid(), phi)
-        psi = forward_third_kind(seq.coefficient, seq.kernel, lam, phi)
-        return run, phi, U.forward(psi)
+    """The report takes its condition from the one shifted matrix,
+    KernelPencil.system_matrix, and a dense solve with that matrix maps g
+    back to U phi."""
 
     def test_condition_is_the_reports_and_the_solve_recovers_f(self):
         lam = 0.4 + 0.2j
-        run, phi, g = self.manufactured(6, lam)
-        sol = solve_second_kind(run.pencil, lam, g)
-        assert sol.condition == verify_equivalence(run, lam)[0].condition
+        run, phi, g = manufactured(6, lam)
+        condition = condition_number(
+            thirdkind.blas.gesdd(run.pencil.system_matrix(lam), vectors=False)
+        )
+        assert condition == verify_equivalence(run, lam)[0].condition
+        c = np.linalg.solve(run.pencil.system_matrix(lam), g)
         f = run.surrogate.forward(phi)
-        assert np.linalg.norm(sol.coefficients - f) <= 1e-8 * np.linalg.norm(f)
-
-    def test_transient_memory_of_one_solve(self):
-        """At N = 256 one solve holds one shifted matrix at a time: its
-        values-only SVD, then the LU solve and the residual, measured at
-        22 N^2 B; any stray n x n complex copy adds 16 N^2 B."""
-        lam = 0.4 + 0.2j
-        run, _, g = self.manufactured(8, lam)
-        n = run.pencil.size
-        assert n == 256
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            solve_second_kind(run.pencil, lam, g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 38 * n * n
+        assert np.linalg.norm(c - f) <= 1e-8 * np.linalg.norm(f)
 
 
 class TestFirstKind:

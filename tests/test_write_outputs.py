@@ -6,6 +6,11 @@ import json
 import re
 from pathlib import Path
 
+from thirdkind.config import parse_config
+from thirdkind.pipeline import prepare
+
+from test_reachability import REFINING
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -121,3 +126,12 @@ def test_runs_cover_projected_mode():
     command, config, threads = runs["reduce-d9-256-alpha0-202"]
     assert (command, config["depth"], config["basis_size"], threads) == ("reduce", 9, 256, 1)
     assert config["alpha"] == 0
+
+
+def test_runs_cover_a_refining_level_search():
+    """The reachability gate's refining config, whose level search refines
+    the grid from depth 3 to 4."""
+    runs = {name: (command, config, threads) for name, command, config, threads
+            in _tool().commands()}
+    assert runs["reduce-refining-d3"] == ("reduce", REFINING, 1)
+    assert prepare(parse_config(REFINING)).space.depth == REFINING["depth"] + 1

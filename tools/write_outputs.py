@@ -14,7 +14,7 @@ checkouts written to two directories compare with
 
     diff -r OUTDIR_A OUTDIR_B
 
-The 18 commands:
+The 19 commands:
 
 * ``reduce`` on the config of every benchmark workload, seeds 101 and 202;
 * ``verify`` on ``verify-sweep-d9`` and ``first-kind-d7``, seeds 101 and 202;
@@ -31,7 +31,9 @@ The 18 commands:
 * ``reduce`` at depth 12 in projected mode, ``basis_size`` 512 of 4096
   cells, seed 202; about 1 s;
 * ``reduce`` at depth 9 with alpha = 0 in projected mode, ``basis_size``
-  256 of 512 cells, seed 202, the first-kind solve on a projected pencil.
+  256 of 512 cells, seed 202, the first-kind solve on a projected pencil;
+* ``reduce`` on ``REFINING_D3``, whose level search refines the grid from
+  depth 3 to 4.
 
 The configs come from ``Workload.config`` of this repository's
 ``perfbench/run.py``, so both checkouts get the same inputs. For each run
@@ -82,6 +84,20 @@ RANK_ONE_D8 = {
     "seed": 7,
 }
 
+# one cell per band at depth 3, and a constant kernel: no level-1 split
+# until the level search refines the grid to depth 4
+REFINING_D3 = {
+    "depth": 3,
+    "alpha": 0.35,
+    "lambda": [[0.3, 0.1]],
+    "eps0": 0.25,
+    "ratio": 0.5,
+    "bands": 2,
+    "coefficient": {"kind": "linear"},
+    "kernel": {"kind": "constant"},
+    "seed": 11,
+}
+
 
 def _perfbench():
     sys.dont_write_bytecode = True  # leave no cache beside perfbench/run.py
@@ -115,6 +131,7 @@ def commands() -> list[tuple[str, str, dict, int]]:
     runs.append(("reduce-d12-512-202", "reduce", {**d12, "basis_size": 512}, 1))
     d9 = perfbench.Workload("reduce-d9", "reduce", 9, 0.0, 2).config(202)
     runs.append(("reduce-d9-256-alpha0-202", "reduce", {**d9, "basis_size": 256}, 1))
+    runs.append(("reduce-refining-d3", "reduce", REFINING_D3, 1))
     return runs
 
 
